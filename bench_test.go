@@ -204,3 +204,26 @@ func BenchmarkParseRetrieve(b *testing.B) {
 		}
 	}
 }
+
+// Point lookups whose key literal changes on every call: with the plan
+// cache keyed by statement shape they all run one compiled program.
+func BenchmarkPointReadVaryingLiteral(b *testing.B) {
+	w := benchWorkload
+	w.Students = 1000 // four times the plan cache's default capacity
+	db, err := bench.BuildUniversity(sim.Config{}, w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	texts := make([]string, w.Students)
+	for s := range texts {
+		texts[s] = fmt.Sprintf(`From student Retrieve name, student-nbr Where soc-sec-no = %d.`, 200000000+s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query(texts[i*7919%len(texts)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

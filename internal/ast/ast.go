@@ -369,6 +369,10 @@ func (p *Path) String() string {
 type Lit struct {
 	P   token.Pos
 	Val value.Value
+	// Slot numbers the statement's INT, NUMBER and STRING tokens from 1 in
+	// source order — the order lexer.Normalize lifts them in. Zero for
+	// literals that are keywords (TRUE, NULL, CURRENT DATE).
+	Slot int
 }
 
 func (l *Lit) Pos() token.Pos { return l.P }

@@ -14,10 +14,12 @@ import (
 // per expression node and one domain enumerator per range variable. The
 // hot loop then runs no type switches, no fmt formatting and no query-tree
 // traversal — it calls a chain of funcs whose shapes were decided once per
-// statement (cached alongside the plan, so repeated DML text skips
-// compilation entirely). The recursive evaluator in eval.go is retained as
-// the reference semantics; the compiled path must agree with it exactly,
-// and the equality suite in the root package enforces that.
+// statement shape (cached alongside the plan, so statements that differ
+// only in literal values skip compilation entirely: closures read literal
+// operands through query.Arg from the scratch's parameter vector). The
+// recursive evaluator in eval.go is retained as the reference semantics;
+// the compiled path must agree with it exactly, and the equality suite in
+// the root package enforces that.
 
 // evalFn evaluates one compiled value expression against the scratch.
 type evalFn func(sc *scratch) (value.Value, error)
@@ -38,14 +40,14 @@ type subFn func(sc *scratch) (vals []value.Value, mark int, err error)
 // safe to share across concurrent executions of the same plan: all mutable
 // state lives in the per-execution scratch.
 type Program struct {
-	tree   *query.Tree
-	main   []*query.Node
-	exist  []*query.Node
-	doms   []domFn // by node id; set for main and existential nodes
-	target []evalFn
+	tree    *query.Tree
+	main    []*query.Node
+	exist   []*query.Node
+	doms    []domFn // by node id; set for main and existential nodes
+	target  []evalFn
 	orderBy []evalFn
-	where  triFn
-	nNodes int
+	where   triFn
+	nNodes  int
 }
 
 // Compile lowers a planned query into a Program. Constructs the compiler
@@ -237,7 +239,7 @@ func (e *Executor) compileRootDomain(p *plan.Plan, t *query.Tree, n *query.Node)
 	switch a := access.(type) {
 	case *plan.UniqueAccess:
 		return func(sc *scratch, buf []inst) ([]inst, error) {
-			s, found, err := sc.m.LookupUnique(a.Attr, a.Key)
+			s, found, err := sc.m.LookupUnique(a.Attr, query.Arg(sc.params, a.Slot, a.Key))
 			if err != nil || !found {
 				return buf, err
 			}
@@ -245,7 +247,7 @@ func (e *Executor) compileRootDomain(p *plan.Plan, t *query.Tree, n *query.Node)
 		}
 	case *plan.RangeAccess:
 		return func(sc *scratch, buf []inst) ([]inst, error) {
-			ss, err := sc.m.IndexScan(a.Attr, lucBound(a.Lo), lucBound(a.Hi))
+			ss, err := sc.m.IndexScan(a.Attr, lucBound(a.Lo, sc.params), lucBound(a.Hi, sc.params))
 			if err != nil {
 				return buf, err
 			}
@@ -253,7 +255,7 @@ func (e *Executor) compileRootDomain(p *plan.Plan, t *query.Tree, n *query.Node)
 		}
 	case *plan.PivotAccess:
 		return func(sc *scratch, buf []inst) ([]inst, error) {
-			ss, err := pivotRootsOver(sc.m, a)
+			ss, err := pivotRootsOver(sc.m, a, sc.params)
 			if err != nil {
 				return buf, err
 			}
@@ -321,8 +323,8 @@ func (e *Executor) appendWithRole(sc *scratch, buf []inst, ss []value.Surrogate,
 func (e *Executor) compileExpr(t *query.Tree, x query.Expr) (evalFn, error) {
 	switch x := x.(type) {
 	case *query.Lit:
-		v := x.Val
-		return func(*scratch) (value.Value, error) { return v, nil }, nil
+		v, slot := x.Val, x.Slot
+		return func(sc *scratch) (value.Value, error) { return query.Arg(sc.params, slot, v), nil }, nil
 	case *query.AttrRef:
 		return e.compileAttrRef(x)
 	case *query.EntityRef:

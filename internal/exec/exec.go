@@ -225,7 +225,7 @@ func (e *Executor) RetrieveTraced(ctx context.Context, p *plan.Plan, tr *obs.Que
 func (e *Executor) retrieve(ctx context.Context, p *plan.Plan, tr *obs.QueryTrace) (*Result, error) {
 	if !e.treeWalk {
 		if prog, err := e.Compile(p); err == nil {
-			return e.runProgram(ctx, p, prog, tr)
+			return e.runProgram(ctx, p, prog, nil, tr)
 		}
 		// A construct the compiler doesn't understand falls back to the
 		// reference walker, which reproduces the behavior at run time.
@@ -340,7 +340,7 @@ func (e *Executor) retrieveTree(ctx context.Context, p *plan.Plan, tr *obs.Query
 	res.Stats = stats
 	e.countRetrieve(stats, parallel)
 	if tr != nil {
-		e.fillTrace(tr, p, t, main, tm, stats, parallel)
+		e.fillTrace(tr, p, nil, t, main, tm, stats, parallel)
 	}
 	return res, nil
 }
@@ -373,7 +373,7 @@ func (e *Executor) countUpdate(n int) {
 // list. Only main nodes appear: TYPE 2 (selection-only) subtrees are
 // enumerated inside the existential check per candidate row and are
 // accounted to the enclosing node's wall.
-func (e *Executor) fillTrace(tr *obs.QueryTrace, p *plan.Plan, t *query.Tree, main []*query.Node, tm *nestTrace, stats Stats, parallel bool) {
+func (e *Executor) fillTrace(tr *obs.QueryTrace, p *plan.Plan, params []value.Value, t *query.Tree, main []*query.Node, tm *nestTrace, stats Stats, parallel bool) {
 	tr.Rows = stats.Rows
 	tr.Instances = int64(stats.Instances)
 	tr.Workers = 1
@@ -386,7 +386,7 @@ func (e *Executor) fillTrace(tr *obs.QueryTrace, p *plan.Plan, t *query.Tree, ma
 			Depth:     nodeDepth(n),
 			Label:     n.Label(),
 			Type:      n.Type.String(),
-			Access:    accessDesc(p, t, n),
+			Access:    accessDesc(p, params, t, n),
 			Instances: tm.insts[i],
 			Entities:  tm.ents[i],
 			Wall:      time.Duration(tm.nanos[i]),
@@ -404,12 +404,12 @@ func nodeDepth(n *query.Node) int {
 
 // accessDesc names the access path a node's domain enumeration uses: the
 // planned root access for perspective roots, the edge kind otherwise.
-func accessDesc(p *plan.Plan, t *query.Tree, n *query.Node) string {
+func accessDesc(p *plan.Plan, params []value.Value, t *query.Tree, n *query.Node) string {
 	if n.IsRoot() || (n.Sub && n.Parent == nil) {
 		if p != nil {
 			for i, r := range t.Roots {
 				if r == n && i < len(p.Access) && p.Access[i] != nil {
-					return p.Access[i].Describe()
+					return p.Access[i].Describe(params)
 				}
 			}
 		}
@@ -713,14 +713,14 @@ func (e *Executor) rootDomain(p *plan.Plan, t *query.Tree, n *query.Node) ([]ins
 		}
 		return e.withRole([]value.Surrogate{s}, n.Class)
 	case *plan.RangeAccess:
-		ss, err := e.m.IndexScan(a.Attr, lucBound(a.Lo), lucBound(a.Hi))
+		ss, err := e.m.IndexScan(a.Attr, lucBound(a.Lo, nil), lucBound(a.Hi, nil))
 		if err != nil {
 			return nil, err
 		}
 		ss = sortSurrs(ss)
 		return e.withRole(ss, n.Class)
 	case *plan.PivotAccess:
-		ss, err := pivotRootsOver(e.m, a)
+		ss, err := pivotRootsOver(e.m, a, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -738,8 +738,10 @@ func (e *Executor) rootDomain(p *plan.Plan, t *query.Tree, n *query.Node) ([]ins
 	}
 }
 
-func lucBound(b plan.Bound) luc.Bound {
-	return luc.Bound{Set: b.Set, Inclusive: b.Inclusive, Value: b.Val}
+// lucBound resolves a planned bound for one execution (params nil: the
+// bound's own literal value).
+func lucBound(b plan.Bound, params []value.Value) luc.Bound {
+	return luc.Bound{Set: b.Set, Inclusive: b.Inclusive, Value: query.Arg(params, b.Slot, b.Val)}
 }
 
 // withRole filters candidate surrogates to entities holding cl's role.
@@ -760,10 +762,10 @@ func (e *Executor) withRole(ss []value.Surrogate, cl *catalog.Class) ([]inst, er
 // pivotRootsOver evaluates a pivot strategy: index scan on the start
 // predicate, inverse-EVA walk up to the perspective, then a surrogate sort
 // restoring perspective order (the charged reordering cost of §5.1). The
-// mapper is a parameter because cached compiled programs pass the
-// per-execution view's mapper, not the compiling executor's.
-func pivotRootsOver(m *luc.Mapper, a *plan.PivotAccess) ([]value.Surrogate, error) {
-	cur, err := m.IndexScan(a.Attr, lucBound(a.Lo), lucBound(a.Hi))
+// mapper and the parameter vector are arguments because cached compiled
+// programs pass the per-execution view's, not the compiling executor's.
+func pivotRootsOver(m *luc.Mapper, a *plan.PivotAccess, params []value.Value) ([]value.Surrogate, error) {
+	cur, err := m.IndexScan(a.Attr, lucBound(a.Lo, params), lucBound(a.Hi, params))
 	if err != nil {
 		return nil, err
 	}

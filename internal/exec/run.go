@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 
@@ -31,16 +32,21 @@ type scratch struct {
 	// mapping decisions (hierarchy strategy, FK slots, MV layout) are
 	// schema-derived and identical across views, so they may stay on the
 	// compiling executor.
-	m       *luc.Mapper
+	m *luc.Mapper
+	// params is the executing statement's literal vector (query.Lit.Slot
+	// indexes it), or nil to run the program with the literals it was
+	// compiled from. It is read-only and shared by every worker's scratch.
+	params  []value.Value
 	sub     []value.Value     // subquery value stack (mark/truncate discipline)
 	domFree [][]inst          // free domain buffers, stack-ordered
 	surrs   []value.Surrogate // batched-read key buffer
 	recs    []luc.Rec         // batched-read output buffer
 }
 
-// getScratch checks a scratch out of the pool, sized for n nodes, with
-// every binding cleared and no record references retained.
-func (e *Executor) getScratch(n int) *scratch {
+// getScratch checks a scratch out of the pool, sized for n nodes and bound
+// to the execution's parameter vector, with every binding cleared and no
+// record references retained.
+func (e *Executor) getScratch(n int, params []value.Value) *scratch {
 	sc, _ := e.scratchPool.Get().(*scratch)
 	if sc == nil {
 		sc = &scratch{}
@@ -60,11 +66,13 @@ func (e *Executor) getScratch(n int) *scratch {
 	}
 	sc.sub = sc.sub[:0]
 	sc.m = e.m
+	sc.params = params
 	return sc
 }
 
 func (e *Executor) putScratch(sc *scratch) {
 	sc.m = nil
+	sc.params = nil
 	e.scratchPool.Put(sc)
 }
 
@@ -123,22 +131,35 @@ func (e *Executor) fillRecs(sc *scratch, cl *catalog.Class, insts []inst) error 
 	return nil
 }
 
-// RetrieveProgram executes a previously compiled program. A nil program
-// (or an executor forced onto the reference walker) routes through the
-// ordinary Retrieve path. tr, when non-nil, collects the EXPLAIN ANALYZE
-// profile exactly as RetrieveTraced does.
+// RetrieveProgram executes a previously compiled program for the
+// statement it was compiled from: every literal has its own bound value.
+// A nil program (or an executor forced onto the reference walker) routes
+// through the ordinary Retrieve path. tr, when non-nil, collects the
+// EXPLAIN ANALYZE profile exactly as RetrieveTraced does.
 func (e *Executor) RetrieveProgram(ctx context.Context, p *plan.Plan, prog *Program, tr *obs.QueryTrace) (*Result, error) {
+	return e.RetrieveParams(ctx, p, prog, nil, tr)
+}
+
+// RetrieveParams is RetrieveProgram for any statement of the plan's shape:
+// params[k-1] is the statement's value for the literal in slot k (see
+// query.Lit), already coerced to the slot's declared type. The vector is
+// only read, also by parallel workers, and not retained. The reference
+// walker has no parameter support, so a nil program takes nil params.
+func (e *Executor) RetrieveParams(ctx context.Context, p *plan.Plan, prog *Program, params []value.Value, tr *obs.QueryTrace) (*Result, error) {
 	if prog == nil || e.treeWalk {
+		if params != nil {
+			return nil, errors.New("exec: the tree walker cannot run a plan with a parameter vector")
+		}
 		return e.retrieve(ctx, p, tr)
 	}
-	return e.runProgram(ctx, p, prog, tr)
+	return e.runProgram(ctx, p, prog, params, tr)
 }
 
 // runProgram is the compiled counterpart of retrieveTree: same loop
 // structure, same trace accounting, same result assembly — but bindings
 // come from reused domain buffers, rows from a result-owned arena, and
 // every expression evaluates through pre-lowered closures.
-func (e *Executor) runProgram(ctx context.Context, p *plan.Plan, prog *Program, tr *obs.QueryTrace) (*Result, error) {
+func (e *Executor) runProgram(ctx context.Context, p *plan.Plan, prog *Program, params []value.Value, tr *obs.QueryTrace) (*Result, error) {
 	t := prog.tree
 	if t.Mode == ast.OutputStructure && len(t.OrderBy) > 0 {
 		return nil, errOrderByStructure()
@@ -161,7 +182,7 @@ func (e *Executor) runProgram(ctx context.Context, p *plan.Plan, prog *Program, 
 		execStart = time.Now()
 	}
 
-	sc := e.getScratch(prog.nNodes)
+	sc := e.getScratch(prog.nNodes, params)
 	dom0, err := prog.doms[main[0].ID](sc, sc.getDomBuf())
 	if err != nil {
 		e.putScratch(sc)
@@ -178,7 +199,7 @@ func (e *Executor) runProgram(ctx context.Context, p *plan.Plan, prog *Program, 
 		shared := append([]inst(nil), dom0...)
 		sc.putDomBuf(dom0)
 		e.putScratch(sc)
-		parts, err := e.runParallelProgram(ctx, prog, shared, tm != nil)
+		parts, err := e.runParallelProgram(ctx, prog, params, shared, tm != nil)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +260,7 @@ func (e *Executor) runProgram(ctx context.Context, p *plan.Plan, prog *Program, 
 	res.Stats = stats
 	e.countRetrieve(stats, parallel)
 	if tr != nil {
-		e.fillTrace(tr, p, t, main, tm, stats, parallel)
+		e.fillTrace(tr, p, params, t, main, tm, stats, parallel)
 	}
 	return res, nil
 }
@@ -361,7 +382,7 @@ func (e *Executor) programSome(prog *Program, sc *scratch, j int) (bool, error) 
 // runParallelProgram partitions the outermost domain exactly like
 // retrieveParallel, with each worker running the compiled nest against a
 // pooled scratch and its own arena.
-func (e *Executor) runParallelProgram(ctx context.Context, prog *Program, dom0 []inst, traced bool) ([]*partial, error) {
+func (e *Executor) runParallelProgram(ctx context.Context, prog *Program, params []value.Value, dom0 []inst, traced bool) ([]*partial, error) {
 	nw := e.workers
 	if nw > len(dom0) {
 		nw = len(dom0)
@@ -379,7 +400,7 @@ func (e *Executor) runParallelProgram(ctx context.Context, prog *Program, dom0 [
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			parts[ci], errs[ci] = e.runChunkProgram(ctx, prog, chunks[ci], traced)
+			parts[ci], errs[ci] = e.runChunkProgram(ctx, prog, params, chunks[ci], traced)
 		}(ci)
 	}
 	wg.Wait()
@@ -393,8 +414,8 @@ func (e *Executor) runParallelProgram(ctx context.Context, prog *Program, dom0 [
 
 // runChunkProgram executes the compiled nest for one slice of the
 // outermost domain.
-func (e *Executor) runChunkProgram(ctx context.Context, prog *Program, chunk []inst, traced bool) (*partial, error) {
-	sc := e.getScratch(prog.nNodes)
+func (e *Executor) runChunkProgram(ctx context.Context, prog *Program, params []value.Value, chunk []inst, traced bool) (*partial, error) {
+	sc := e.getScratch(prog.nNodes, params)
 	defer e.putScratch(sc)
 	part := &partial{}
 	arena := &value.Arena{}

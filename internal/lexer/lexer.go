@@ -16,15 +16,15 @@ import (
 
 // Lexer scans SIM source text into tokens.
 type Lexer struct {
-	src  string
-	pos  int // byte offset of next rune
-	line int
-	col  int
+	src       string
+	pos       int // byte offset of the next byte
+	line      int
+	lineStart int // byte offset at which the current line begins
 }
 
 // New returns a Lexer over src.
 func New(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return &Lexer{src: src, line: 1}
 }
 
 // Error describes a lexical error with its position.
@@ -51,16 +51,10 @@ func (l *Lexer) peekAt(n int) byte {
 	return l.src[l.pos+n]
 }
 
-func (l *Lexer) advance() byte {
-	c := l.src[l.pos]
-	l.pos++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return c
+// here is the position of the next byte. Only skipSpace moves past line
+// breaks (tokens never span one), so it alone keeps line/lineStart.
+func (l *Lexer) here() token.Pos {
+	return token.Pos{Line: l.line, Col: l.pos - l.lineStart + 1}
 }
 
 func isLetter(c byte) bool {
@@ -75,31 +69,39 @@ func isIdentChar(c byte) bool { return isLetter(c) || isDigit(c) }
 // (* ... *) comments (used in the paper's example schema) and
 // line comments beginning with "--".
 func (l *Lexer) skipSpace() error {
+	newline := func() {
+		l.line++
+		l.lineStart = l.pos
+	}
 	for l.pos < len(l.src) {
-		c := l.peek()
+		c := l.src[l.pos]
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
+		case c == '\n':
+			l.pos++
+			newline()
+		case c == ' ' || c == '\t' || c == '\r':
+			l.pos++
 		case c == '(' && l.peekAt(1) == '*':
-			start := token.Pos{Line: l.line, Col: l.col}
-			l.advance()
-			l.advance()
+			start := l.here()
+			l.pos += 2
 			closed := false
 			for l.pos < len(l.src) {
-				if l.peek() == '*' && l.peekAt(1) == ')' {
-					l.advance()
-					l.advance()
+				if l.src[l.pos] == '*' && l.peekAt(1) == ')' {
+					l.pos += 2
 					closed = true
 					break
 				}
-				l.advance()
+				l.pos++
+				if l.src[l.pos-1] == '\n' {
+					newline()
+				}
 			}
 			if !closed {
 				return &Error{Pos: start, Msg: "unterminated comment"}
 			}
 		case c == '-' && l.peekAt(1) == '-':
-			for l.pos < len(l.src) && l.peek() != '\n' {
-				l.advance()
+			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
+				l.pos++
 			}
 		default:
 			return nil
@@ -108,142 +110,170 @@ func (l *Lexer) skipSpace() error {
 	return nil
 }
 
-// Next returns the next token. At end of input it returns an EOF token.
-func (l *Lexer) Next() (token.Token, error) {
+// scan consumes the next token and returns its lexical class and the
+// source span src[start:end], without allocating. Words come back as
+// IDENT (Next sorts keywords from names) and strings with their quotes
+// (Next unquotes); at end of input the kind is EOF and the span empty.
+// Next and Normalize are both built on it, so they cannot disagree on
+// where a token ends.
+func (l *Lexer) scan() (kind token.Kind, start, end int, pos token.Pos, err error) {
 	if err := l.skipSpace(); err != nil {
-		return token.Token{}, err
+		return token.ILLEGAL, 0, 0, token.Pos{}, err
 	}
-	pos := token.Pos{Line: l.line, Col: l.col}
+	pos = l.here()
+	start = l.pos
 	if l.pos >= len(l.src) {
-		return token.Token{Kind: token.EOF, Pos: pos}, nil
+		return token.EOF, start, start, pos, nil
 	}
-	c := l.peek()
+	c := l.src[l.pos]
 	switch {
 	case isLetter(c):
-		return l.scanIdent(pos), nil
+		l.scanIdent()
+		return token.IDENT, start, l.pos, pos, nil
 	case isDigit(c):
-		return l.scanNumber(pos)
+		return l.scanNumber(), start, l.pos, pos, nil
 	case c == '"':
-		return l.scanString(pos)
+		if err := l.scanString(pos); err != nil {
+			return token.ILLEGAL, 0, 0, pos, err
+		}
+		return token.STRING, start, l.pos, pos, nil
 	}
-	l.advance()
-	two := func(k token.Kind, text string) (token.Token, error) {
-		l.advance()
-		return token.Token{Kind: k, Text: text, Pos: pos}, nil
-	}
+	l.pos++
+	kind = token.ILLEGAL
 	switch c {
 	case ':':
+		kind = token.COLON
 		if l.peek() == '=' {
-			return two(token.ASSIGN, ":=")
+			l.pos++
+			kind = token.ASSIGN
 		}
-		return token.Token{Kind: token.COLON, Text: ":", Pos: pos}, nil
 	case '=':
-		return token.Token{Kind: token.EQ, Text: "=", Pos: pos}, nil
+		kind = token.EQ
 	case '<':
+		kind = token.LT
 		switch l.peek() {
 		case '=':
-			return two(token.LE, "<=")
+			l.pos++
+			kind = token.LE
 		case '>':
-			return two(token.NEQ, "<>")
+			l.pos++
+			kind = token.NEQ
 		}
-		return token.Token{Kind: token.LT, Text: "<", Pos: pos}, nil
 	case '>':
+		kind = token.GT
 		if l.peek() == '=' {
-			return two(token.GE, ">=")
+			l.pos++
+			kind = token.GE
 		}
-		return token.Token{Kind: token.GT, Text: ">", Pos: pos}, nil
 	case '+':
-		return token.Token{Kind: token.PLUS, Text: "+", Pos: pos}, nil
+		kind = token.PLUS
 	case '-':
-		return token.Token{Kind: token.MINUS, Text: "-", Pos: pos}, nil
+		kind = token.MINUS
 	case '*':
-		return token.Token{Kind: token.STAR, Text: "*", Pos: pos}, nil
+		kind = token.STAR
 	case '/':
-		return token.Token{Kind: token.SLASH, Text: "/", Pos: pos}, nil
+		kind = token.SLASH
 	case '(':
-		return token.Token{Kind: token.LPAREN, Text: "(", Pos: pos}, nil
+		kind = token.LPAREN
 	case ')':
-		return token.Token{Kind: token.RPAREN, Text: ")", Pos: pos}, nil
+		kind = token.RPAREN
 	case '[':
-		return token.Token{Kind: token.LBRACKET, Text: "[", Pos: pos}, nil
+		kind = token.LBRACKET
 	case ']':
-		return token.Token{Kind: token.RBRACKET, Text: "]", Pos: pos}, nil
+		kind = token.RBRACKET
 	case ',':
-		return token.Token{Kind: token.COMMA, Text: ",", Pos: pos}, nil
+		kind = token.COMMA
 	case ';':
-		return token.Token{Kind: token.SEMICOLON, Text: ";", Pos: pos}, nil
+		kind = token.SEMICOLON
 	case '.':
+		kind = token.PERIOD
 		if l.peek() == '.' {
-			return two(token.DOTDOT, "..")
+			l.pos++
+			kind = token.DOTDOT
 		}
-		return token.Token{Kind: token.PERIOD, Text: ".", Pos: pos}, nil
 	}
-	return token.Token{}, &Error{Pos: pos, Msg: fmt.Sprintf("unexpected character %q", c)}
+	if kind == token.ILLEGAL {
+		return kind, 0, 0, pos, &Error{Pos: pos, Msg: fmt.Sprintf("unexpected character %q", c)}
+	}
+	return kind, start, l.pos, pos, nil
 }
 
-func (l *Lexer) scanIdent(pos token.Pos) token.Token {
-	start := l.pos
-	for l.pos < len(l.src) {
-		c := l.peek()
-		if isIdentChar(c) {
-			l.advance()
-			continue
+// Next returns the next token. At end of input it returns an EOF token.
+func (l *Lexer) Next() (token.Token, error) {
+	kind, start, end, pos, err := l.scan()
+	if err != nil {
+		return token.Token{}, err
+	}
+	text := l.src[start:end]
+	switch kind {
+	case token.IDENT:
+		// Hyphenated words are never keywords even if a segment matches one.
+		if strings.IndexByte(text, '-') < 0 {
+			kind = token.Lookup(text)
 		}
+	case token.STRING:
+		text = unquote(text)
+	}
+	return token.Token{Kind: kind, Text: text, Pos: pos}, nil
+}
+
+func (l *Lexer) scanIdent() {
+	for l.pos < len(l.src) {
+		c := l.src[l.pos]
 		// Hyphen glued between an identifier character and a letter is part
 		// of the name: soc-sec-no, courses-enrolled.
-		if c == '-' && isLetter(l.peekAt(1)) {
-			l.advance()
+		if isIdentChar(c) || c == '-' && isLetter(l.peekAt(1)) {
+			l.pos++
 			continue
 		}
 		break
 	}
-	text := l.src[start:l.pos]
-	kind := token.Lookup(text)
-	// Hyphenated words are never keywords even if a segment matches one.
-	if strings.ContainsRune(text, '-') {
-		kind = token.IDENT
-	}
-	return token.Token{Kind: kind, Text: text, Pos: pos}
 }
 
-func (l *Lexer) scanNumber(pos token.Pos) (token.Token, error) {
-	start := l.pos
-	for l.pos < len(l.src) && isDigit(l.peek()) {
-		l.advance()
+func (l *Lexer) scanNumber() token.Kind {
+	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
+		l.pos++
 	}
-	kind := token.INT
 	// A '.' begins a fraction only when a digit follows; otherwise it is a
 	// range operator ('..') or the statement terminator ("= 3.").
-	if l.peek() == '.' && isDigit(l.peekAt(1)) {
-		kind = token.NUMBER
-		l.advance()
-		for l.pos < len(l.src) && isDigit(l.peek()) {
-			l.advance()
-		}
+	if l.peek() != '.' || !isDigit(l.peekAt(1)) {
+		return token.INT
 	}
-	return token.Token{Kind: kind, Text: l.src[start:l.pos], Pos: pos}, nil
+	l.pos++
+	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
+		l.pos++
+	}
+	return token.NUMBER
 }
 
-func (l *Lexer) scanString(pos token.Pos) (token.Token, error) {
-	l.advance() // opening quote
-	var b strings.Builder
+// scanString consumes a quoted string, closing quote included. A doubled
+// quote inside is an escaped quote.
+func (l *Lexer) scanString(pos token.Pos) error {
+	l.pos++ // opening quote
 	for l.pos < len(l.src) {
-		c := l.advance()
+		c := l.src[l.pos]
+		l.pos++
 		if c == '"' {
-			// Doubled quote is an escaped quote.
-			if l.peek() == '"' {
-				l.advance()
-				b.WriteByte('"')
-				continue
+			if l.peek() != '"' {
+				return nil
 			}
-			return token.Token{Kind: token.STRING, Text: b.String(), Pos: pos}, nil
+			l.pos++
+		} else if c == '\n' {
+			break
 		}
-		if c == '\n' {
-			return token.Token{}, &Error{Pos: pos, Msg: "unterminated string literal"}
-		}
-		b.WriteByte(c)
 	}
-	return token.Token{}, &Error{Pos: pos, Msg: "unterminated string literal"}
+	return &Error{Pos: pos, Msg: "unterminated string literal"}
+}
+
+// unquote returns the value of a scanned string literal: the text between
+// its quotes with doubled quotes collapsed. It allocates only when the
+// literal holds an escaped quote.
+func unquote(lit string) string {
+	inner := lit[1 : len(lit)-1]
+	if strings.IndexByte(inner, '"') < 0 {
+		return inner
+	}
+	return strings.ReplaceAll(inner, `""`, `"`)
 }
 
 // All tokenizes the entire input, returning the tokens up to and including

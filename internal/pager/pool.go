@@ -56,9 +56,9 @@ type shard struct {
 	mu       sync.Mutex
 	capacity int
 	frames   map[PageID]*Frame
-	lru      *list.List                // unpinned frames, least recently used at front
-	versions map[PageID][]pageVersion  // committed pre-images, ascending stamp
-	stamps   map[PageID]uint64         // latest commit stamp that captured the page (absent = 0, "as old as the file")
+	lru      *list.List               // unpinned frames, least recently used at front
+	versions map[PageID][]pageVersion // committed pre-images, ascending stamp
+	stamps   map[PageID]uint64        // latest commit stamp that captured the page (absent = 0, "as old as the file")
 }
 
 // Pool is a pinning buffer pool over a page File, sharded by page number
@@ -372,21 +372,39 @@ func (p *Pool) LiveVersions() int64 { return p.liveVersions.Load() }
 
 // ViewPage resolves the bytes of page id as of the pinned stamp, without
 // pinning: the returned slice is immutable (writers swap buffers, never
-// overwrite) and stays valid for as long as the caller references it. The
-// resolution order is: the frame itself when it holds a committed image no
-// newer than the view; else the newest chain entry at or below the view;
-// else — frame absent and the page's last capture not newer than the view
-// — the database file, which is current for evicted pages (no-steal plus
-// write-back-before-clean guarantee). Any other state is a GC bug and
-// returns a counted error rather than wrong bytes.
+// overwrite) and stays valid for as long as the caller references it.
+// When the page's last capture is not newer than the view, the newest
+// committed image is the answer and nothing on the version chain may
+// stand in for it: the frame itself when it holds that image, or — frame
+// absent — the database file, which is current for evicted pages (no-steal
+// plus write-back-before-clean guarantee). Only otherwise (the frame is
+// mid copy-on-write cycle, or the last capture is newer than the view)
+// does the newest chain entry at or below the view answer. Any other
+// state is a GC bug and returns a counted error rather than wrong bytes.
 func (p *Pool) ViewPage(id PageID, stamp uint64) ([]byte, error) {
 	sh := p.shardOf(id)
 	p.lock(sh)
 	defer sh.mu.Unlock()
 	f, ok := sh.frames[id]
-	if ok && !f.unc && sh.stamps[id] <= stamp {
-		p.hits.Add(1)
-		return f.Data, nil
+	if sh.stamps[id] <= stamp {
+		if !ok {
+			nf, err := p.getLocked(sh, id, true)
+			if err != nil {
+				return nil, err
+			}
+			// getLocked pinned the frame; release it inline (lock already held).
+			nf.pins--
+			if nf.pins == 0 {
+				nf.elem = sh.lru.PushBack(nf)
+			}
+			return nf.Data, nil
+		}
+		if !f.unc {
+			p.hits.Add(1)
+			return f.Data, nil
+		}
+		// Mid-cycle frame: Prepare pushed the committed image as the
+		// chain's top entry, which the search below finds.
 	}
 	if ch := sh.versions[id]; len(ch) > 0 {
 		// Newest entry with entry.stamp <= stamp.
@@ -403,18 +421,6 @@ func (p *Pool) ViewPage(id PageID, stamp uint64) ([]byte, error) {
 			p.hits.Add(1)
 			return ch[lo-1].data, nil
 		}
-	}
-	if !ok && sh.stamps[id] <= stamp {
-		nf, err := p.getLocked(sh, id, true)
-		if err != nil {
-			return nil, err
-		}
-		// getLocked pinned the frame; release it inline (lock already held).
-		nf.pins--
-		if nf.pins == 0 {
-			nf.elem = sh.lru.PushBack(nf)
-		}
-		return nf.Data, nil
 	}
 	p.versionErrs.Add(1)
 	return nil, fmt.Errorf("pager: no version of page %d visible at stamp %d (last capture %d)", id, stamp, sh.stamps[id])

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"time"
@@ -630,23 +631,16 @@ var quantKinds = map[token.Kind]ast.Quant{
 func (p *Parser) parsePrimary() (ast.Expr, error) {
 	t := p.cur()
 	switch t.Kind {
-	case token.INT:
+	case token.INT, token.NUMBER, token.STRING:
 		p.next()
-		v, err := strconv.ParseInt(t.Text, 10, 64)
+		v, err := LiteralValue(t.Kind, t.Text)
 		if err != nil {
-			return nil, p.errf(t.Pos, "integer %q out of range", t.Text)
+			return nil, p.errf(t.Pos, "%v", err)
 		}
-		return &ast.Lit{P: t.Pos, Val: value.NewInt(v)}, nil
-	case token.NUMBER:
-		p.next()
-		f, err := strconv.ParseFloat(t.Text, 64)
-		if err != nil {
-			return nil, p.errf(t.Pos, "number %q out of range", t.Text)
-		}
-		return &ast.Lit{P: t.Pos, Val: value.NewNumber(f)}, nil
-	case token.STRING:
-		p.next()
-		return &ast.Lit{P: t.Pos, Val: value.NewString(t.Text)}, nil
+		// In a DML statement every such token is an expression literal, so
+		// slot k is the k-th literal lexer.Normalize lifts out.
+		p.lits++
+		return &ast.Lit{P: t.Pos, Val: v, Slot: p.lits}, nil
 	case token.TRUE:
 		p.next()
 		return &ast.Lit{P: t.Pos, Val: value.NewBool(true)}, nil
@@ -731,6 +725,30 @@ func (p *Parser) parsePrimary() (ast.Expr, error) {
 		return p.parsePath()
 	}
 	return nil, p.errf(t.Pos, "unexpected %q in expression", t.Text)
+}
+
+// LiteralValue is the value of an INT, NUMBER or STRING token with the
+// given text (for STRING, the unquoted text): the one place literal
+// spellings become values, for the parser and for the plan cache's
+// re-binding of lifted literals alike.
+func LiteralValue(kind token.Kind, text string) (value.Value, error) {
+	switch kind {
+	case token.INT:
+		v, err := strconv.ParseInt(text, 10, 64)
+		if err != nil {
+			return value.Null, fmt.Errorf("integer %q out of range", text)
+		}
+		return value.NewInt(v), nil
+	case token.NUMBER:
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return value.Null, fmt.Errorf("number %q out of range", text)
+		}
+		return value.NewNumber(f), nil
+	case token.STRING:
+		return value.NewString(text), nil
+	}
+	return value.Null, fmt.Errorf("%s token is not a literal", kind)
 }
 
 // parsePath parses a qualification chain: step { OF step }.

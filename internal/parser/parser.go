@@ -25,6 +25,7 @@ func (e *Error) Error() string {
 type Parser struct {
 	toks []token.Token
 	i    int
+	lits int // INT, NUMBER and STRING tokens turned into ast.Lit so far
 }
 
 // New tokenizes src and returns a parser over it.

@@ -20,16 +20,22 @@ import (
 	"sim/internal/value"
 )
 
-// Bound is an optionally-set range bound with a literal value.
+// Bound is an optionally-set range bound with a literal value. Val is the
+// value of the statement the plan was made for and Slot that literal's
+// parameter slot (query.Lit.Slot); executions resolve the two with
+// query.Arg.
 type Bound struct {
 	Set       bool
 	Inclusive bool
 	Val       value.Value
+	Slot      int
 }
 
-// RootAccess is the chosen access path for one perspective root.
+// RootAccess is the chosen access path for one perspective root. Describe
+// renders it for the statement whose parameter vector is params (nil: the
+// statement the plan was made for).
 type RootAccess interface {
-	Describe() string
+	Describe(params []value.Value) string
 	Cost() float64
 }
 
@@ -40,21 +46,25 @@ type ScanAccess struct {
 }
 
 // Describe implements RootAccess.
-func (a *ScanAccess) Describe() string { return "scan " + strings.ToLower(a.Class.Name) }
+func (a *ScanAccess) Describe([]value.Value) string {
+	return "scan " + strings.ToLower(a.Class.Name)
+}
 
 // Cost implements RootAccess.
 func (a *ScanAccess) Cost() float64 { return a.cost }
 
-// UniqueAccess resolves the root by a unique-index point lookup.
+// UniqueAccess resolves the root by a unique-index point lookup. Key and
+// Slot are the key literal's value and parameter slot, as in Bound.
 type UniqueAccess struct {
 	Attr *catalog.Attribute
 	Key  value.Value
+	Slot int
 	cost float64
 }
 
 // Describe implements RootAccess.
-func (a *UniqueAccess) Describe() string {
-	return fmt.Sprintf("unique lookup %s = %s", strings.ToLower(a.Attr.Name), a.Key)
+func (a *UniqueAccess) Describe(params []value.Value) string {
+	return fmt.Sprintf("unique lookup %s = %s", strings.ToLower(a.Attr.Name), query.Arg(params, a.Slot, a.Key))
 }
 
 // Cost implements RootAccess.
@@ -68,7 +78,7 @@ type RangeAccess struct {
 }
 
 // Describe implements RootAccess.
-func (a *RangeAccess) Describe() string {
+func (a *RangeAccess) Describe([]value.Value) string {
 	return fmt.Sprintf("index range on %s", strings.ToLower(a.Attr.Name))
 }
 
@@ -90,7 +100,7 @@ type PivotAccess struct {
 }
 
 // Describe implements RootAccess.
-func (a *PivotAccess) Describe() string {
+func (a *PivotAccess) Describe([]value.Value) string {
 	return fmt.Sprintf("pivot from %s via index on %s (+sort)", a.Start.Label(), strings.ToLower(a.Attr.Name))
 }
 
@@ -104,14 +114,15 @@ type Plan struct {
 	Est    float64      // total estimated cost
 }
 
-// Explain renders the chosen strategy.
-func (p *Plan) Explain() string {
+// Explain renders the chosen strategy for the statement whose parameter
+// vector is params (nil: the statement the plan was made for).
+func (p *Plan) Explain(params []value.Value) string {
 	var b strings.Builder
 	for i, r := range p.Tree.Roots {
 		if i > 0 {
 			b.WriteString("; ")
 		}
-		fmt.Fprintf(&b, "%s: %s", r.Label(), p.Access[i].Describe())
+		fmt.Fprintf(&b, "%s: %s", r.Label(), p.Access[i].Describe(params))
 	}
 	fmt.Fprintf(&b, " (est cost %.1f)", p.Est)
 	return b.String()
@@ -122,10 +133,13 @@ type sarg struct {
 	node *query.Node
 	attr *catalog.Attribute
 	op   ast.BinaryOp
-	val  value.Value
+	lit  *query.Lit
 }
 
 // Optimize picks the cheapest access strategy for each perspective root.
+// Literals stay parameters of the plan (Bound.Slot, UniqueAccess.Slot)
+// unless choosing it looked at their values: estMatches marks those
+// query.Lit.Fixed, and the plan is then exact for these values only.
 func Optimize(t *query.Tree, m *luc.Mapper) (*Plan, error) {
 	sargs := extractSargs(t.Where)
 	p := &Plan{Tree: t}
@@ -162,7 +176,7 @@ func extractSargs(e query.Expr) []sarg {
 		if !ok {
 			return
 		}
-		out = append(out, sarg{node: attr.Node, attr: attr.Attr, op: op, val: lit.Val})
+		out = append(out, sarg{node: attr.Node, attr: attr.Attr, op: op, lit: lit})
 	}
 	conj(e)
 	return out
@@ -203,19 +217,22 @@ func flip(op ast.BinaryOp) ast.BinaryOp {
 	return op
 }
 
-func bounds(op ast.BinaryOp, v value.Value) (lo, hi Bound) {
+func bounds(op ast.BinaryOp, l *query.Lit) (lo, hi Bound) {
+	b := Bound{Set: true, Val: l.Val, Slot: l.Slot}
 	switch op {
 	case ast.OpEQ:
-		lo = Bound{Set: true, Inclusive: true, Val: v}
-		hi = lo
+		b.Inclusive = true
+		lo, hi = b, b
 	case ast.OpLT:
-		hi = Bound{Set: true, Inclusive: false, Val: v}
+		hi = b
 	case ast.OpLE:
-		hi = Bound{Set: true, Inclusive: true, Val: v}
+		b.Inclusive = true
+		hi = b
 	case ast.OpGT:
-		lo = Bound{Set: true, Inclusive: false, Val: v}
+		lo = b
 	case ast.OpGE:
-		lo = Bound{Set: true, Inclusive: true, Val: v}
+		b.Inclusive = true
+		lo = b
 	}
 	return lo, hi
 }
@@ -225,7 +242,8 @@ const probeLimit = 128
 
 // estMatches estimates how many index entries satisfy a sarg, probing the
 // index up to probeLimit entries and falling back to fixed heuristics for
-// wider predicates.
+// wider predicates. A probe makes the estimate — and every cost built on
+// it — a function of the literal's value, so the literal is marked Fixed.
 func estMatches(m *luc.Mapper, s sarg, classCard int64) (float64, error) {
 	if classCard < 1 {
 		classCard = 1
@@ -233,7 +251,8 @@ func estMatches(m *luc.Mapper, s sarg, classCard int64) (float64, error) {
 	if s.op == ast.OpEQ && s.attr.Options.Unique {
 		return 1, nil
 	}
-	lo, hi := bounds(s.op, s.val)
+	s.lit.Fixed = true
+	lo, hi := bounds(s.op, s.lit)
 	n, capped, err := m.IndexCountApprox(s.attr, lucIdxBound(lo), lucIdxBound(hi), probeLimit)
 	if err != nil {
 		return 0, err
@@ -284,10 +303,10 @@ func bestAccess(t *query.Tree, m *luc.Mapper, root *query.Node, sargs []sarg) (R
 		}
 		if s.node == root {
 			if s.op == ast.OpEQ && s.attr.Options.Unique {
-				consider(&UniqueAccess{Attr: s.attr, Key: s.val, cost: 2})
+				consider(&UniqueAccess{Attr: s.attr, Key: s.lit.Val, Slot: s.lit.Slot, cost: 2})
 				continue
 			}
-			lo, hi := bounds(s.op, s.val)
+			lo, hi := bounds(s.op, s.lit)
 			k, err := estMatches(m, s, n)
 			if err != nil {
 				return nil, err
@@ -326,7 +345,7 @@ func bestAccess(t *query.Tree, m *luc.Mapper, root *query.Node, sargs []sarg) (R
 		// Restoring perspective order: sort the surrogate set (§5.1's
 		// reordering cost for a non-semantics-preserving transformation).
 		cost += set * log2(set+2) * sortCostPerEntry
-		lo, hi := bounds(s.op, s.val)
+		lo, hi := bounds(s.op, s.lit)
 		consider(&PivotAccess{Start: s.node, Attr: s.attr, Lo: lo, Hi: hi, Up: up, cost: cost})
 	}
 	return best, nil

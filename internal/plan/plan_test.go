@@ -115,7 +115,7 @@ func TestIndexRangeChosenForSelectiveRange(t *testing.T) {
 	cat, m := testEnv(t, luc.Config{}, 500)
 	p := optimize(t, cat, m, `From person Retrieve soc-sec-no Where name >= "S00490" and name <= "S00495".`)
 	if _, ok := p.Access[0].(*RangeAccess); !ok {
-		t.Errorf("access = %s, want index range", p.Access[0].Describe())
+		t.Errorf("access = %s, want index range", p.Access[0].Describe(nil))
 	}
 }
 
@@ -123,7 +123,7 @@ func TestScanChosenForWideRange(t *testing.T) {
 	cat, m := testEnv(t, luc.Config{}, 500)
 	p := optimize(t, cat, m, `From person Retrieve soc-sec-no Where name >= "A".`)
 	if _, ok := p.Access[0].(*ScanAccess); !ok {
-		t.Errorf("access = %s, want scan for an unselective range", p.Access[0].Describe())
+		t.Errorf("access = %s, want scan for an unselective range", p.Access[0].Describe(nil))
 	}
 }
 
@@ -132,7 +132,7 @@ func TestPivotChosenForRelatedPredicate(t *testing.T) {
 	p := optimize(t, cat, m, `From student Retrieve soc-sec-no Where name of advisor = "X".`)
 	pv, ok := p.Access[0].(*PivotAccess)
 	if !ok {
-		t.Fatalf("access = %s, want pivot", p.Access[0].Describe())
+		t.Fatalf("access = %s, want pivot", p.Access[0].Describe(nil))
 	}
 	if len(pv.Up) != 1 || !strings.EqualFold(pv.Up[0].Name, "advisor") {
 		t.Errorf("pivot path = %v", pv.Up)
@@ -152,19 +152,19 @@ func TestSargExtraction(t *testing.T) {
 	// OR blocks sargs; only top-level conjuncts count.
 	p := optimize(t, cat, m, `From person Retrieve name Where soc-sec-no = 5 or name = "x".`)
 	if _, ok := p.Access[0].(*ScanAccess); !ok {
-		t.Errorf("OR predicate used an index: %s", p.Access[0].Describe())
+		t.Errorf("OR predicate used an index: %s", p.Access[0].Describe(nil))
 	}
 	// Reversed literal side still sargs.
 	p = optimize(t, cat, m, `From person Retrieve name Where 5 = soc-sec-no.`)
 	if _, ok := p.Access[0].(*UniqueAccess); !ok {
-		t.Errorf("reversed comparison not sargable: %s", p.Access[0].Describe())
+		t.Errorf("reversed comparison not sargable: %s", p.Access[0].Describe(nil))
 	}
 }
 
 func TestExplainMentionsEveryRoot(t *testing.T) {
 	cat, m := testEnv(t, luc.Config{}, 50)
 	p := optimize(t, cat, m, `From student s1, student s2 Retrieve name of s1 Where soc-sec-no of s1 = soc-sec-no of s2.`)
-	ex := p.Explain()
+	ex := p.Explain(nil)
 	if !strings.Contains(ex, "s1") || !strings.Contains(ex, "s2") {
 		t.Errorf("explain = %q", ex)
 	}

@@ -36,6 +36,12 @@ func Bind(cat *catalog.Catalog, stmt *ast.RetrieveStmt) (*Tree, error) {
 		}
 		b.tree.Targets = append(b.tree.Targets, e)
 		b.tree.Names = append(b.tree.Names, exprString(e))
+		// The column name spells the target's literals out.
+		Walk(e, func(x Expr) {
+			if l, ok := x.(*Lit); ok {
+				l.Fixed = true
+			}
+		})
 	}
 	for _, o := range stmt.OrderBy {
 		e, err := b.bindExpr(o, useTarget, nil)
@@ -160,7 +166,14 @@ func (b *binder) setupRoots(stmt *ast.RetrieveStmt) error {
 func (b *binder) bindExpr(e ast.Expr, u usage, sub *subScope) (Expr, error) {
 	switch x := e.(type) {
 	case *ast.Lit:
-		return &Lit{Val: x.Val}, nil
+		l := &Lit{Val: x.Val}
+		// A derived attribute's literals belong to the schema text, not to
+		// the statement: they take no slot.
+		if x.Slot != 0 && b.derivedDepth == 0 {
+			l.Slot = x.Slot
+			b.tree.Lits = append(b.tree.Lits, l)
+		}
+		return l, nil
 	case *ast.Path:
 		return b.bindPath(x.Steps, u, sub)
 	case *ast.Unary:
@@ -251,7 +264,7 @@ func coerceLiteral(lit, other Expr) error {
 	if err != nil {
 		return err
 	}
-	l.Val = v
+	l.Val, l.Type = v, t
 	return nil
 }
 

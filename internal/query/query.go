@@ -72,6 +72,9 @@ type Tree struct {
 	OrderBy []Expr
 	Where   Expr // nil when absent
 	Mode    ast.OutputMode
+	// Lits holds the literals that carry a parameter slot, in binding
+	// order (see Lit.Slot).
+	Lits []*Lit
 }
 
 // MainNodes returns the TYPE 1 and TYPE 3 nodes in depth-first order — the
@@ -125,8 +128,34 @@ func (t *Tree) ExistNodes() []*Node {
 // Expr is a bound expression.
 type Expr interface{ expr() }
 
-// Lit is a literal.
-type Lit struct{ Val value.Value }
+// Lit is a literal. Val is the value bound from the statement the tree
+// was built for. A literal lifted out of the statement text (an INT,
+// NUMBER or STRING token, ast.Lit.Slot) also carries that slot, so that a
+// plan cached for the statement's shape can run for another statement of
+// the same shape: an execution that supplies a parameter vector reads
+// params[Slot-1] instead of Val (see Arg).
+type Lit struct {
+	Val  value.Value
+	Slot int // 1-based; 0 when the literal has no slot
+	// Type is the declared type the literal was coerced to (nil when none
+	// applied): every value for the slot goes through Type.Coerce first.
+	Type *catalog.DataType
+	// Fixed marks a literal whose value shaped the tree or the plan beyond
+	// being an operand — it is spelled in a column name, or the optimizer
+	// probed an index with it — so the plan holds for this value only.
+	Fixed bool
+}
+
+// Arg resolves a literal operand for one execution: the executing
+// statement's value for the slot when a parameter vector is supplied,
+// the literal's own bound value otherwise.
+func Arg(params []value.Value, slot int, own value.Value) value.Value {
+	// One unsigned compare covers slot 0 (no slot) and params == nil.
+	if uint(slot-1) < uint(len(params)) {
+		return params[slot-1]
+	}
+	return own
+}
 
 // AttrRef reads a single-valued DVA or single-valued subrole of the node's
 // current entity.

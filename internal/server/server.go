@@ -384,7 +384,6 @@ func (s *Server) serveRequest(conn net.Conn, sess *session, t wire.Type, payload
 	if s.slots != nil {
 		select {
 		case s.slots <- struct{}{}:
-			defer func() { <-s.slots }()
 		default:
 			// Saturated: fail fast instead of queueing unboundedly. The
 			// client sees a retryable CodeOverloaded and backs off.
@@ -401,6 +400,12 @@ func (s *Server) serveRequest(conn net.Conn, sess *session, t wire.Type, payload
 	start := time.Now()
 	rt, resp := func() (wire.Type, []byte) {
 		defer s.inflight.Done()
+		if s.slots != nil {
+			// The slot bounds execution, not the response write: releasing
+			// it first means a client that has its answer never finds the
+			// server still "full" of the request it just saw finish.
+			defer func() { <-s.slots }()
+		}
 		return s.dispatch(sess, t, payload, reqID)
 	}()
 	d := time.Since(start)

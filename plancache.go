@@ -1,45 +1,92 @@
 package sim
 
 import (
-	"container/list"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
+	"sim/internal/catalog"
 	"sim/internal/exec"
+	"sim/internal/lexer"
 	"sim/internal/obs"
+	"sim/internal/parser"
 	"sim/internal/plan"
+	"sim/internal/value"
 )
 
-// PlanCacheStats reports session plan-cache activity.
+// PlanCacheStats reports session plan-cache activity. Every Retrieve
+// counts exactly once: as a hit when it ran a cached plan, as a miss when
+// it paid parse+bind+optimize+compile (a statement that fails on the way
+// is a miss too).
 type PlanCacheStats struct {
 	Hits    uint64 // queries served from a cached plan
-	Misses  uint64 // queries that paid parse+bind+optimize
-	Entries int    // plans currently cached
+	Misses  uint64 // queries that paid parse+bind+optimize+compile
+	Entries int    // cache entries: plans, plus one shape record per literal-sensitive statement shape
 }
 
 // defaultPlanCacheSize is the plan-cache capacity when Config.PlanCacheSize
 // is zero.
 const defaultPlanCacheSize = 256
 
-// planCache is an LRU of optimized query plans keyed by DML text. Hot
-// repeated Retrieve statements skip parse/bind/optimize entirely; the
-// database layer clears the cache whenever the schema (and with it the
-// catalog every cached plan points into) is rebuilt. A nil *planCache is a
-// valid always-miss cache (Config.PlanCacheSize < 0).
+// planCache holds optimized, compiled Retrieve plans keyed by statement
+// shape: the statement's tokens with every number and string literal
+// lifted out (lexer.Normalize). Statements that differ only in literal
+// values share one entry; its program runs with the executing statement's
+// literals as a parameter vector, so a hit skips parse, bind, optimize and
+// compile.
+//
+// A plan is a function of the schema, the statistics and those literals
+// the optimizer looked at (query.Lit.Fixed: an index probe behind a
+// non-unique range or pivot costing; also literals spelled into column
+// names). Such a plan is exact for its own values only, so a shape with
+// fixed literals is cached as a shape record naming their slots, and its
+// plans under the shape key extended by those literals' spellings — one
+// plan per value, exactly what the optimizer would choose for it. A plan
+// the compiler declined (prog == nil) runs on the tree walker, which has
+// no parameter support: all its literals are fixed.
+//
+// Eviction is CLOCK (second chance): a hit only sets the entry's
+// reference bit under the read lock, so concurrent readers never
+// serialize on the cache. The database layer clears the cache whenever
+// the schema — and with it the catalog every plan points into — is
+// rebuilt. A nil *planCache is a valid always-miss cache
+// (Config.PlanCacheSize < 0).
 type planCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element
-	lru *list.List // most recently used at front
+	mu   sync.RWMutex
+	cap  int
+	m    map[string]*planEntry
+	ring []*planEntry // insertion ring the clock hand sweeps
+	hand int
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
+
+	stmts sync.Pool // *stmtShape
 }
 
+// planEntry is immutable once inserted, but for its reference bit.
 type planEntry struct {
 	key  string
-	p    *plan.Plan
-	prog *exec.Program // compiled form; nil when the plan fell back to the tree walker
+	at   int         // position in the ring
+	used atomic.Bool // referenced since the clock hand last passed
+
+	// A plan entry.
+	p     *plan.Plan
+	prog  *exec.Program       // compiled form; nil when the plan fell back to the tree walker
+	types []*catalog.DataType // per slot, the declared type its literal coerces to (nil: none)
+
+	// A shape record (p == nil): the slots whose literals extend the key
+	// under which this shape's plans are cached.
+	fixed []int
+}
+
+// stmtShape is one statement's normalised form and the parameter vector
+// bound from it; pooled, so a hit allocates none of it.
+type stmtShape struct {
+	key    []byte // shape key; lookup extends it in place to the value key of a literal-sensitive shape
+	shapeN int    // length of the shape key within key
+	lits   []lexer.Literal
+	params []value.Value
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -49,48 +96,158 @@ func newPlanCache(capacity int) *planCache {
 	if capacity == 0 {
 		capacity = defaultPlanCacheSize
 	}
-	return &planCache{
-		cap: capacity,
-		m:   make(map[string]*list.Element, capacity),
-		lru: list.New(),
+	return &planCache{cap: capacity, m: make(map[string]*planEntry, capacity)}
+}
+
+// shapeOf normalises dml into a pooled stmtShape; release returns it. Nil
+// when the cache is disabled or dml does not lex (the cold path reports
+// the error).
+func (c *planCache) shapeOf(dml string) *stmtShape {
+	if c == nil {
+		return nil
+	}
+	st, _ := c.stmts.Get().(*stmtShape)
+	if st == nil {
+		st = &stmtShape{}
+	}
+	var err error
+	st.key, st.lits, err = lexer.Normalize(dml, st.key[:0], st.lits[:0])
+	if err != nil {
+		c.release(st)
+		return nil
+	}
+	st.shapeN = len(st.key)
+	return st
+}
+
+func (c *planCache) release(st *stmtShape) {
+	if st == nil {
+		return
+	}
+	// Literal texts and string parameters point into the statement text.
+	clear(st.lits)
+	clear(st.params)
+	c.stmts.Put(st)
+}
+
+// appendValues extends a shape key to a value key: a separator no shape
+// key holds, then the spelling of each fixed literal, length-prefixed.
+func appendValues(key []byte, fixed []int, lits []lexer.Literal) []byte {
+	key = append(key, 0)
+	for _, slot := range fixed {
+		text := lits[slot-1].Text
+		key = binary.AppendUvarint(key, uint64(len(text)))
+		key = append(key, text...)
+	}
+	return key
+}
+
+// lookup returns the plan entry for the statement, or nil. It counts
+// neither a hit nor a miss: the caller does, once it knows whether the
+// statement's literals bind (hit) or it went the cold way (miss).
+func (c *planCache) lookup(st *stmtShape) *planEntry {
+	if st == nil {
+		return nil
+	}
+	c.mu.RLock()
+	en := c.m[string(st.key)]
+	if en != nil && en.p == nil {
+		en.touch()
+		st.key = appendValues(st.key, en.fixed, st.lits)
+		en = c.m[string(st.key)]
+	}
+	c.mu.RUnlock()
+	if en != nil {
+		en.touch()
+	}
+	return en
+}
+
+// touch sets the reference bit; the load first keeps a hot entry's cache
+// line shared between readers.
+func (en *planEntry) touch() {
+	if !en.used.Load() {
+		en.used.Store(true)
 	}
 }
 
-func (c *planCache) get(key string) (*plan.Plan, *exec.Program, bool) {
-	if c == nil {
-		return nil, nil, false
+// bind fills st.params with the statement's literals as the plan's
+// parameter vector: each parsed as the parser would and coerced to its
+// slot's declared type, as the binder would. It reports false when one
+// does not parse or coerce — the cold path then produces the error. A
+// plan without a program runs on its own literals (all of them are in its
+// key): no vector.
+func (en *planEntry) bind(st *stmtShape) ([]value.Value, bool) {
+	if en.prog == nil {
+		return nil, true
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		c.misses.Add(1)
-		return nil, nil, false
+	st.params = st.params[:0]
+	for i, lit := range st.lits {
+		v, err := parser.LiteralValue(lit.Kind, lit.Text)
+		if err != nil {
+			return nil, false
+		}
+		if t := en.types[i]; t != nil {
+			if v, err = t.Coerce(v); err != nil {
+				return nil, false
+			}
+		}
+		st.params = append(st.params, v)
 	}
-	c.lru.MoveToFront(el)
-	c.hits.Add(1)
-	en := el.Value.(*planEntry)
-	return en.p, en.prog, true
+	return st.params, true
 }
 
-func (c *planCache) put(key string, p *plan.Plan, prog *exec.Program) {
-	if c == nil {
+// put caches a freshly made plan for the statement's shape. Which of its
+// literals are fixed depends on the shape and the schema alone, never on
+// their values, so every statement of a shape computes the same record.
+func (c *planCache) put(st *stmtShape, p *plan.Plan, prog *exec.Program) {
+	if st == nil {
 		return
 	}
+	en := &planEntry{p: p, prog: prog, types: make([]*catalog.DataType, len(st.lits))}
+	var fixed []int
+	for _, l := range p.Tree.Lits {
+		en.types[l.Slot-1] = l.Type
+		if l.Fixed && prog != nil {
+			fixed = append(fixed, l.Slot)
+		}
+	}
+	if prog == nil {
+		for slot := 1; slot <= len(st.lits); slot++ {
+			fixed = append(fixed, slot)
+		}
+	}
+	shape := st.key[:st.shapeN]
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		en := el.Value.(*planEntry)
-		en.p, en.prog = p, prog
-		c.lru.MoveToFront(el)
+	if len(fixed) == 0 {
+		c.insert(string(shape), en)
 		return
 	}
-	for c.lru.Len() >= c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.m, oldest.Value.(*planEntry).key)
+	c.insert(string(shape), &planEntry{fixed: fixed})
+	c.insert(string(appendValues(shape, fixed, st.lits)), en)
+}
+
+// insert adds or replaces the entry under key, evicting by second chance
+// when the cache is full. c.mu is held.
+func (c *planCache) insert(key string, en *planEntry) {
+	en.key = key
+	en.used.Store(true)
+	if old, ok := c.m[key]; ok {
+		en.at = old.at
+	} else if len(c.ring) < c.cap {
+		en.at = len(c.ring)
+		c.ring = append(c.ring, nil)
+	} else {
+		for c.ring[c.hand].used.Swap(false) {
+			c.hand = (c.hand + 1) % len(c.ring)
+		}
+		delete(c.m, c.ring[c.hand].key)
+		en.at = c.hand
+		c.hand = (c.hand + 1) % len(c.ring)
 	}
-	c.m[key] = c.lru.PushFront(&planEntry{key: key, p: p, prog: prog})
+	c.ring[en.at] = en
+	c.m[key] = en
 }
 
 // clear drops every cached plan (schema change invalidation).
@@ -100,8 +257,8 @@ func (c *planCache) clear() {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m = make(map[string]*list.Element, c.cap)
-	c.lru.Init()
+	c.m = make(map[string]*planEntry, c.cap)
+	c.ring, c.hand = nil, 0
 }
 
 // resetStats zeroes the hit/miss counters without touching cached plans.
@@ -113,41 +270,37 @@ func (c *planCache) resetStats() {
 	c.misses.Store(0)
 }
 
-// registerMetrics publishes the cache counters; safe on a nil (disabled)
-// cache, where the readers report zero.
-func (c *planCache) registerMetrics(r *obs.Registry) {
-	r.CounterFunc("sim_plan_cache_hits_total", "Queries served from a cached plan.",
-		func() float64 {
-			if c == nil {
-				return 0
-			}
-			return float64(c.hits.Load())
-		})
-	r.CounterFunc("sim_plan_cache_misses_total", "Queries that paid parse+bind+optimize.",
-		func() float64 {
-			if c == nil {
-				return 0
-			}
-			return float64(c.misses.Load())
-		})
-	r.GaugeFunc("sim_plan_cache_entries", "Plans currently cached.",
-		func() float64 {
-			if c == nil {
-				return 0
-			}
-			c.mu.Lock()
-			n := c.lru.Len()
-			c.mu.Unlock()
-			return float64(n)
-		})
+// hit and miss count one statement; safe on a nil (disabled) cache, which
+// counts nothing.
+func (c *planCache) hit() {
+	if c != nil {
+		c.hits.Add(1)
+	}
+}
+
+func (c *planCache) miss() {
+	if c != nil {
+		c.misses.Add(1)
+	}
 }
 
 func (c *planCache) stats() PlanCacheStats {
 	if c == nil {
 		return PlanCacheStats{}
 	}
-	c.mu.Lock()
-	n := c.lru.Len()
-	c.mu.Unlock()
+	c.mu.RLock()
+	n := len(c.m)
+	c.mu.RUnlock()
 	return PlanCacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
+}
+
+// registerMetrics publishes the cache counters; safe on a nil (disabled)
+// cache, where the readers report zero.
+func (c *planCache) registerMetrics(r *obs.Registry) {
+	r.CounterFunc("sim_plan_cache_hits_total", "Queries served from a cached plan.",
+		func() float64 { return float64(c.stats().Hits) })
+	r.CounterFunc("sim_plan_cache_misses_total", "Queries that paid parse+bind+optimize+compile.",
+		func() float64 { return float64(c.stats().Misses) })
+	r.GaugeFunc("sim_plan_cache_entries", "Plan-cache entries (plans and shape records).",
+		func() float64 { return float64(c.stats().Entries) })
 }

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -129,4 +130,59 @@ func TestOversizedIndexKeyRollsBack(t *testing.T) {
 		t.Error("failed insert left a row")
 	}
 	xExec(t, db, `Insert doc (body := "short").`)
+}
+
+// TestCommittedUpdateVisibleAfterEviction reproduces the stale snapshot
+// read found by the layered benchmark: on a dataset larger than the buffer
+// pool, committed updates whose frames a full scan evicts must still be
+// what the next snapshot reads — not the pre-images their own
+// copy-on-write left on the version chains.
+func TestCommittedUpdateVisibleAfterEviction(t *testing.T) {
+	w := bench.Workload{Departments: 4, Instructors: 60, Students: 600, Courses: 20, EnrollPer: 1, AdvisePer: 5}
+	db, err := bench.BuildUniversity(sim.Config{PoolPages: 16, Workers: 1}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+
+	const transfers = 100
+	want := make(map[int]int64, transfers) // soc-sec-no -> new advisor's employee-nbr
+	for i := 0; i < transfers; i++ {
+		ssn := 200000000 + i*3
+		adv := int64(1001 + (i*3/w.AdvisePer+7)%w.Instructors)
+		tx, err := db.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stmt := range []string{
+			fmt.Sprintf(`Modify student (advisor := instructor with (employee-nbr = %d)) Where soc-sec-no = %d.`, adv, ssn),
+			fmt.Sprintf(`Modify student (major-department := department with (dept-nbr = %d)) Where soc-sec-no = %d.`, 100+(i+1)%w.Departments, ssn),
+		} {
+			if _, err := tx.Exec(ctx, stmt); err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		want[ssn] = adv
+	}
+
+	xQuery(t, db, `From student Retrieve name, name of advisor.`) // cycles the whole pool
+
+	stale := 0
+	for ssn, adv := range want {
+		got := xSingle(t, db, fmt.Sprintf(`From student Retrieve employee-nbr of advisor Where soc-sec-no = %d.`, ssn))
+		if got.IsNull() || got.Int() != adv {
+			stale++
+			t.Errorf("student %d reads advisor %v after its transfer committed, want %d", ssn, got, adv)
+		}
+	}
+	if stale > 0 {
+		t.Fatalf("%d of %d transferred students read back stale", stale, transfers)
+	}
+	if err := db.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
 }

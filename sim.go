@@ -39,6 +39,7 @@ import (
 	"sim/internal/parser"
 	"sim/internal/plan"
 	"sim/internal/query"
+	"sim/internal/value"
 	"sim/internal/wal"
 )
 
@@ -78,9 +79,10 @@ type Config struct {
 	// execution; negative values are rejected by Validate. Parallel and
 	// serial execution produce identical results.
 	Workers int
-	// PlanCacheSize is the capacity of the LRU plan cache keyed by DML
-	// text (0 means a default of 256; -1 disables caching; other negative
-	// values are rejected by Validate).
+	// PlanCacheSize is the capacity, in entries, of the plan cache keyed
+	// by statement shape — the DML text with its number and string
+	// literals lifted out (0 means a default of 256; -1 disables caching;
+	// other negative values are rejected by Validate).
 	PlanCacheSize int
 	// Mapping overrides the default physical mapping of §5.2; see
 	// luc.Config. It must be identical across openings of one database.
@@ -421,8 +423,10 @@ func (db *Database) Query(dml string) (*Result, error) {
 }
 
 // QueryCtx executes one Retrieve statement and returns its result.
-// Repeated statements hit the plan cache and skip parse/bind/optimize;
-// the cache is invalidated whenever the schema changes. Cancellation or
+// Statements of a shape already seen — the same text up to the values of
+// its number and string literals — hit the plan cache and skip
+// parse/bind/optimize/compile; the cache is invalidated whenever the
+// schema changes. Cancellation or
 // deadline expiry is observed between rows of the outermost range, so
 // long scans stop promptly. The network server uses this for per-request
 // deadlines.
@@ -452,47 +456,67 @@ func (db *Database) queryCtx(ctx context.Context, dml string) (*Result, error) {
 	return db.queryOn(ctx, dml, db.exe.View(db.mapper.View(snap)), nil)
 }
 
-// queryOn parses, plans and executes one Retrieve statement on the given
-// executor — a pinned-snapshot view, a transaction's read view, or the
-// live executor. The plan cache is shared across views: compiled
-// programs read all data through the running executor's mapper, so one
-// cached program serves every snapshot. When tr is non-nil the parse,
-// plan and execute spans are recorded and execution is traced. The
-// caller holds db.mu (read suffices).
+// queryOn executes one Retrieve statement on the given executor — a
+// pinned-snapshot view, a transaction's read view, or the live executor.
+// The statement is normalised to its shape and looked up in the plan
+// cache; a hit binds its literals as the cached program's parameter
+// vector and runs it, a miss parses, plans and compiles the statement,
+// caches the result for the shape and runs it on its own literals. The
+// cache is shared across views: compiled programs read all data through
+// the running executor's mapper, so one cached program serves every
+// snapshot. When tr is non-nil the parse, plan and execute spans are
+// recorded and execution is traced. The caller holds db.mu (read
+// suffices).
 func (db *Database) queryOn(ctx context.Context, dml string, exe *exec.Executor, tr *obs.QueryTrace) (*Result, error) {
-	p, prog, ok := db.plans.get(dml)
-	if !ok {
-		parseStart := time.Now()
-		stmt, err := parser.ParseStmt(dml)
-		if err != nil {
-			return nil, err
+	st := db.plans.shapeOf(dml)
+	defer db.plans.release(st)
+	if en := db.plans.lookup(st); en != nil {
+		if params, ok := en.bind(st); ok {
+			db.plans.hit()
+			if tr != nil {
+				tr.PlanCached = true
+			}
+			return runPlan(ctx, exe, en.p, en.prog, params, tr)
 		}
-		ret, isRet := stmt.(*ast.RetrieveStmt)
-		if !isRet {
-			return nil, fmt.Errorf("sim: Query wants a Retrieve statement; use Exec for updates")
-		}
-		if tr != nil {
-			tr.Parse = time.Since(parseStart)
-		}
-		planStart := time.Now()
-		p, err = db.planRetrieveOn(ret, exe.Mapper())
-		if err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			tr.Plan = time.Since(planStart)
-		}
-		prog = db.compilePlan(p)
-		db.plans.put(dml, p, prog)
-	} else if tr != nil {
-		tr.PlanCached = true
+		// A literal that does not fit its slot's declared type: the cold
+		// path reports it the way it always was.
 	}
+	db.plans.miss()
+	parseStart := time.Now()
+	stmt, err := parser.ParseStmt(dml)
+	if err != nil {
+		return nil, err
+	}
+	ret, isRet := stmt.(*ast.RetrieveStmt)
+	if !isRet {
+		return nil, fmt.Errorf("sim: Query wants a Retrieve statement; use Exec for updates")
+	}
+	if tr != nil {
+		tr.Parse = time.Since(parseStart)
+	}
+	planStart := time.Now()
+	p, err := db.planRetrieveOn(ret, exe.Mapper())
+	if err != nil {
+		return nil, err
+	}
+	if tr != nil {
+		tr.Plan = time.Since(planStart)
+	}
+	prog := db.compilePlan(p)
+	db.plans.put(st, p, prog)
+	return runPlan(ctx, exe, p, prog, nil, tr)
+}
+
+// runPlan executes a plan for the statement whose literals are params
+// (nil: the statement the plan was made from), describing the plan in tr
+// for that statement.
+func runPlan(ctx context.Context, exe *exec.Executor, p *plan.Plan, prog *exec.Program, params []value.Value, tr *obs.QueryTrace) (*Result, error) {
 	if tr == nil {
-		return exe.RetrieveProgram(ctx, p, prog, nil)
+		return exe.RetrieveParams(ctx, p, prog, params, nil)
 	}
-	tr.PlanDesc = p.Explain()
+	tr.PlanDesc = p.Explain(params)
 	execStart := time.Now()
-	res, err := exe.RetrieveProgram(ctx, p, prog, tr)
+	res, err := exe.RetrieveParams(ctx, p, prog, params, tr)
 	tr.Exec = time.Since(execStart)
 	return res, err
 }
@@ -560,7 +584,7 @@ func (db *Database) ExplainCtx(ctx context.Context, dml string) (string, error) 
 	if err != nil {
 		return "", err
 	}
-	return p.Explain(), nil
+	return p.Explain(nil), nil
 }
 
 // Exec is ExecCtx(context.Background(), dml).
