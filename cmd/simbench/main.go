@@ -3,15 +3,13 @@
 //
 // Usage:
 //
-//	simbench [-run id[,id...]] [-scale n] [-reps n] [-parallel n] [-net] [-check-allocs]
+//	simbench [-run id[,id...]] [-scale n] [-reps n] [-parallel n] [-net]
 //
-// Experiment ids: fig2, adds, dml, t1..t10, t12 (alias: txn), t13
-// (alias: vm), obs, obs2, fault, repl (alias: t14), failover (alias:
-// t15), all (default). The t9 run
-// writes its table to BENCH_parallel.json, the t10 run (network mode,
+// Experiment ids: fig2, adds, dml, t1..t10, t12 (alias: txn), obs, obs2,
+// fault, repl (alias: t14), failover (alias: t15), all (default). The t9
+// run writes its table to BENCH_parallel.json, the t10 run (network mode,
 // also selectable as -net) writes BENCH_net.json, the t12/txn run (group
-// commit) writes BENCH_txn.json, the t13/vm run (compiled evaluator)
-// writes BENCH_vm.json, the obs run (tracing overhead) writes
+// commit) writes BENCH_txn.json, the obs run (tracing overhead) writes
 // BENCH_obs.json, the obs2 run (always-on flight recorder overhead)
 // writes BENCH_obs2.json, the fault run (checksum/recovery/retry overhead)
 // writes BENCH_fault.json, the repl/t14 run (read replicas, sized by
@@ -19,10 +17,7 @@
 // (follower promotion) writes BENCH_failover.json, and the mvcc/t16 run
 // (snapshot read scaling, entity-granularity write conflicts, version GC)
 // writes BENCH_mvcc.json for machine consumption. Every artifact records
-// allocs/op and bytes/op for its hot operations; -check-allocs compares
-// a fresh t13 run against the committed BENCH_vm.json and fails if any
-// compiled-path operation allocates more than 20% over the recorded
-// figure.
+// allocs/op and bytes/op for its hot operations.
 package main
 
 import (
@@ -36,22 +31,14 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "comma-separated experiment ids (fig2,adds,dml,t1..t10,t12/txn,t13/vm,obs,obs2,fault,repl/t14,failover/t15,mvcc/t16)")
+	run := flag.String("run", "all", "comma-separated experiment ids (fig2,adds,dml,t1..t10,t12/txn,obs,obs2,fault,repl/t14,failover/t15,mvcc/t16)")
 	scale := flag.Int("scale", 1, "workload scale factor")
 	reps := flag.Int("reps", 5, "repetitions per measurement")
 	parallel := flag.Int("parallel", 8, "maximum concurrent clients for t9/t10")
 	writers := flag.Int("writers", 16, "maximum concurrent committers for t12")
 	followers := flag.Int("followers", 4, "read replicas for the repl experiment")
 	netMode := flag.Bool("net", false, "network mode: run the t10 client/server experiment")
-	checkAllocs := flag.Bool("check-allocs", false, "fail if t13 compiled-path allocs/op regress >20% vs committed BENCH_vm.json")
 	flag.Parse()
-	if *checkAllocs {
-		if *run == "all" {
-			*run = "t13"
-		} else {
-			*run += ",t13"
-		}
-	}
 	if *netMode {
 		if *run == "all" {
 			*run = "t10"
@@ -67,9 +54,6 @@ func main() {
 	}
 	if want["txn"] { // alias for the transaction experiment
 		want["t12"] = true
-	}
-	if want["vm"] { // alias for the compiled-evaluator experiment
-		want["t13"] = true
 	}
 	if want["t14"] { // alias for the replication experiment
 		want["repl"] = true
@@ -102,7 +86,6 @@ func main() {
 		{"t9", func() (*bench.Table, error) { return bench.T9(w, *reps, *parallel) }},
 		{"t10", func() (*bench.Table, error) { return bench.T10(w, *reps, *parallel) }},
 		{"t12", func() (*bench.Table, error) { return bench.T12(*reps, *writers) }},
-		{"t13", func() (*bench.Table, error) { return bench.T13(w, *reps) }},
 		{"obs", func() (*bench.Table, error) { return bench.Obs(w, *reps) }},
 		{"obs2", func() (*bench.Table, error) { return bench.Obs2(w, *reps) }},
 		{"fault", func() (*bench.Table, error) { return bench.Fault(*reps) }},
@@ -114,7 +97,6 @@ func main() {
 		"t9":       "BENCH_parallel.json",
 		"t10":      "BENCH_net.json",
 		"t12":      "BENCH_txn.json",
-		"t13":      "BENCH_vm.json",
 		"obs":      "BENCH_obs.json",
 		"obs2":     "BENCH_obs2.json",
 		"fault":    "BENCH_fault.json",
@@ -133,13 +115,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(t.Format())
-		if ex.id == "t13" && *checkAllocs {
-			if err := compareAllocs("BENCH_vm.json", t); err != nil {
-				fmt.Fprintf(os.Stderr, "simbench: check-allocs: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("check-allocs: compiled-path allocs/op within 20% of committed BENCH_vm.json")
-		} else if path := artifacts[ex.id]; path != "" {
+		if path := artifacts[ex.id]; path != "" {
 			if err := writeJSON(path, t); err != nil {
 				fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
 				os.Exit(1)
@@ -151,44 +127,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simbench: no experiment matches %q\n", *run)
 		os.Exit(2)
 	}
-}
-
-// compareAllocs checks a fresh t13 table against the committed artifact:
-// each compiled-path operation may allocate at most 20% more per op than
-// the recorded figure. Time is not compared (CI machines vary); alloc
-// counts are deterministic enough to gate on.
-func compareAllocs(path string, fresh *bench.Table) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var committed bench.Table
-	if err := json.Unmarshal(b, &committed); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	want := map[string]int64{}
-	for _, m := range committed.Mem {
-		want[m.Op] = m.AllocsPerOp
-	}
-	checked := 0
-	for _, m := range fresh.Mem {
-		if !strings.Contains(m.Op, "compiled") {
-			continue
-		}
-		limit, ok := want[m.Op]
-		if !ok {
-			return fmt.Errorf("%s has no committed figure for %q", path, m.Op)
-		}
-		if float64(m.AllocsPerOp) > 1.2*float64(limit) {
-			return fmt.Errorf("%q allocates %d allocs/op, committed %d (+20%% limit %d)",
-				m.Op, m.AllocsPerOp, limit, int64(1.2*float64(limit)))
-		}
-		checked++
-	}
-	if checked == 0 {
-		return fmt.Errorf("no compiled-path operations found to check")
-	}
-	return nil
 }
 
 func writeJSON(path string, v any) error {

@@ -3,7 +3,9 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -40,6 +42,72 @@ func TestExecCtxCancelled(t *testing.T) {
 	}
 	if got := mustQuery(t, db, `From Student Retrieve Name.`).NumRows(); got != before {
 		t.Fatalf("student count changed across cancelled exec: %d -> %d", before, got)
+	}
+}
+
+// countdownCtx is never Done, but its Err turns context.Canceled once it
+// has been called more than limit times (limit < 0: never). It counts
+// every call, so a run with no limit measures how often an operation
+// consults its context.
+type countdownCtx struct {
+	context.Context
+	done  chan struct{}
+	limit int64
+	calls atomic.Int64
+}
+
+func newCountdownCtx(limit int64) *countdownCtx {
+	return &countdownCtx{Context: context.Background(), done: make(chan struct{}), limit: limit}
+}
+
+func (c *countdownCtx) Done() <-chan struct{} { return c.done }
+
+func (c *countdownCtx) Err() error {
+	if n := c.calls.Add(1); c.limit >= 0 && n > c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestExecCtxCancelledInAssignmentSelection: an EVA assignment's entity
+// selection (`x := include c with (...)`) observes the statement's
+// context between candidates, so cancellation stops a Modify inside it
+// and the statement rolls back.
+func TestExecCtxCancelledInAssignmentSelection(t *testing.T) {
+	const fillers = 20
+	build := func() *Database {
+		db := universityDB(t, Config{})
+		for i := 0; i < fillers; i++ {
+			mustExec(t, db, fmt.Sprintf(`Insert course (course-no := %d, title := "Filler %d", credits := 1).`, 500+i, i))
+		}
+		return db
+	}
+	const stmt = `Modify student (courses-enrolled := include course with (credits < 2)) Where student-nbr = 1500.`
+	const enrolled = `From student Retrieve name, count(courses-enrolled) Order By name.`
+
+	// Measure how often the statement consults its context on a twin.
+	twin := build()
+	probe := newCountdownCtx(-1)
+	if _, err := twin.ExecCtx(probe, stmt); err != nil {
+		t.Fatal(err)
+	}
+	calls := probe.calls.Load()
+	if calls < fillers {
+		t.Fatalf("the statement consulted its context %d times; the assignment's selection over %d+ courses must check it per candidate", calls, fillers)
+	}
+
+	// Cancel during the last checks: the assignment's course selection.
+	db := build()
+	before := mustQuery(t, db, enrolled).Format()
+	_, err := db.ExecCtx(newCountdownCtx(calls-5), stmt)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("ExecCtx cancelled inside the assignment selection: err %v, want context.Canceled", err)
+	}
+	if after := mustQuery(t, db, enrolled).Format(); after != before {
+		t.Fatalf("cancelled Modify changed enrollments:\n%s\nwant:\n%s", after, before)
+	}
+	if err := db.CheckIntegrity(); err != nil {
+		t.Fatalf("integrity after cancelled Modify: %v", err)
 	}
 }
 

@@ -21,73 +21,12 @@ func universityDB(t testing.TB, cfg Config) *Database {
 	if err := db.DefineSchema(university.DDL); err != nil {
 		t.Fatalf("define schema: %v", err)
 	}
-	for _, stmt := range fixtureDML {
+	for _, stmt := range university.Fixture {
 		if _, err := db.Exec(stmt); err != nil {
 			t.Fatalf("fixture %q: %v", stmt, err)
 		}
 	}
 	return db
-}
-
-var fixtureDML = []string{
-	`Insert department (dept-nbr := 100, name := "Physics").`,
-	`Insert department (dept-nbr := 200, name := "Math").`,
-	`Insert department (dept-nbr := 300, name := "CS").`,
-
-	`Insert course (course-no := 101, title := "Algebra I", credits := 12).`,
-	`Insert course (course-no := 102, title := "Calculus I", credits := 5,
-	   prerequisites := course with (title = "Algebra I")).`,
-	`Insert course (course-no := 201, title := "Mechanics", credits := 5,
-	   prerequisites := course with (title = "Calculus I")).`,
-	`Insert course (course-no := 999, title := "Quantum Chromodynamics", credits := 5,
-	   prerequisites := course with (title = "Mechanics"),
-	   prerequisites := include course with (title = "Calculus I")).`,
-	`Insert course (course-no := 301, title := "Databases", credits := 5).`,
-
-	`Insert instructor (name := "Joe Bloke", soc-sec-no := 100000001,
-	   birthdate := "1950-01-01", employee-nbr := 1729, salary := 50000, bonus := 1000,
-	   assigned-department := department with (name = "Physics"),
-	   courses-taught := course with (title = "Mechanics"),
-	   courses-taught := include course with (title = "Quantum Chromodynamics")).`,
-	`Insert instructor (name := "Ann Smith", soc-sec-no := 100000002,
-	   birthdate := "1945-05-05", employee-nbr := 1730, salary := 60000,
-	   assigned-department := department with (name = "Math"),
-	   courses-taught := course with (title = "Algebra I"),
-	   courses-taught := include course with (title = "Calculus I")).`,
-	`Insert instructor (name := "Bob Stone", soc-sec-no := 100000003,
-	   birthdate := "1980-01-01", employee-nbr := 1731, salary := 45000,
-	   assigned-department := department with (name = "CS"),
-	   courses-taught := course with (title = "Databases")).`,
-
-	`Insert teaching-assistant (name := "Tina Aide", soc-sec-no := 100000004,
-	   birthdate := "1965-06-06", student-nbr := 1600, employee-nbr := 1750,
-	   salary := 20000, teaching-load := 5,
-	   advisor := instructor with (name = "Ann Smith"),
-	   major-department := department with (name = "CS"),
-	   courses-enrolled := course with (title = "Algebra I"),
-	   courses-taught := course with (title = "Databases")).`,
-
-	`Insert student (name := "John Doe", soc-sec-no := 456887766,
-	   birthdate := "1960-02-02", student-nbr := 1500,
-	   advisor := instructor with (name = "Joe Bloke"),
-	   major-department := department with (name = "CS"),
-	   courses-enrolled := course with (title = "Algebra I")).`,
-	`Insert student (name := "Mary Major", soc-sec-no := 456887767,
-	   birthdate := "1970-03-03", student-nbr := 1501,
-	   advisor := instructor with (name = "Joe Bloke"),
-	   major-department := department with (name = "Physics"),
-	   courses-enrolled := course with (title = "Algebra I"),
-	   courses-enrolled := include course with (title = "Calculus I"),
-	   courses-enrolled := include course with (title = "Mechanics")).`,
-	`Insert student (name := "Tom Thumb", soc-sec-no := 456887768,
-	   birthdate := "1990-04-04", student-nbr := 1502,
-	   advisor := instructor with (name = "Ann Smith"),
-	   major-department := department with (name = "Math"),
-	   courses-enrolled := course with (title = "Algebra I"),
-	   courses-enrolled := include course with (title = "Calculus I")).`,
-	`Insert student (name := "NoAdv Kid", soc-sec-no := 456887769,
-	   birthdate := "2000-12-12", student-nbr := 1503,
-	   major-department := department with (name = "Math")).`,
 }
 
 // rowStrings renders a result's rows for compact comparison.

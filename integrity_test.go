@@ -218,4 +218,27 @@ Delete department Where dept-nbr = 400.`)
 		t.Fatalf("results = %v", results)
 	}
 	expectRows(t, results[1], [][]string{{"History"}})
+
+	// A script Retrieve runs the same compiled program Query does: byte-
+	// identical output, and the same error (under the statement prefix).
+	for _, q := range []string{
+		`From student Retrieve name, count(courses-enrolled) Order By name.`,
+		`Retrieve Structure Name, Title of Courses-Enrolled of Student Where Student-Nbr = 1501.`,
+		`Retrieve Structure Name, Title of Courses-Enrolled of Student Order By Name.`,
+	} {
+		want, wantErr := db.Query(q)
+		got, err := db.Run(q)
+		if wantErr != nil {
+			if err == nil || err.Error() != "statement 1: "+wantErr.Error() {
+				t.Errorf("Run(%q) error %v, want statement 1: %v", q, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Run(%q): %v", q, err)
+		}
+		if got[0].Format() != want.Format() || got[0].FormatStructured() != want.FormatStructured() {
+			t.Errorf("Run(%q):\n%s\nQuery:\n%s", q, got[0].FormatStructured(), want.FormatStructured())
+		}
+	}
 }

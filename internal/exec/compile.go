@@ -16,10 +16,10 @@ import (
 // traversal — it calls a chain of funcs whose shapes were decided once per
 // statement shape (cached alongside the plan, so statements that differ
 // only in literal values skip compilation entirely: closures read literal
-// operands through query.Arg from the scratch's parameter vector). The
-// recursive evaluator in eval.go is retained as the reference semantics;
-// the compiled path must agree with it exactly, and the equality suite in
-// the root package enforces that.
+// operands through query.Arg from the scratch's parameter vector). A
+// recursive tree-walking evaluator of the same semantics lives in
+// walker_test.go as a differential oracle; this is the only evaluator the
+// engine runs.
 
 // evalFn evaluates one compiled value expression against the scratch.
 type evalFn func(sc *scratch) (value.Value, error)
@@ -50,11 +50,16 @@ type Program struct {
 	nNodes  int
 }
 
-// Compile lowers a planned query into a Program. Constructs the compiler
-// does not understand return an error; callers fall back to the reference
-// tree-walker, which reproduces the same runtime behavior.
+// Compile lowers a planned query into a Program. Every bound expression
+// lowers; an error here is the statement's error.
 func (e *Executor) Compile(p *plan.Plan) (*Program, error) {
-	t := p.Tree
+	return e.compile(p, p.Tree)
+}
+
+// compile lowers t, taking root access paths from p. A nil p scans every
+// root — the form of the trees whose root the caller binds itself (entity
+// filters, assignment right-hand sides, VERIFY assertions).
+func (e *Executor) compile(p *plan.Plan, t *query.Tree) (*Program, error) {
 	prog := &Program{
 		tree:   t,
 		main:   t.MainNodes(),
@@ -66,8 +71,7 @@ func (e *Executor) Compile(p *plan.Plan) (*Program, error) {
 		prog.doms[n.ID] = e.compileDomain(p, t, n)
 	}
 	for _, n := range prog.exist {
-		// The reference path enumerates existential domains with no plan
-		// (selectionHolds passes nil); mirror that.
+		// Existential domains enumerate with no plan.
 		prog.doms[n.ID] = e.compileDomain(nil, t, n)
 	}
 	prog.target = make([]evalFn, len(t.Targets))
@@ -122,8 +126,8 @@ func (e *Executor) compileDomain(p *plan.Plan, t *query.Tree, n *query.Node) dom
 			if err != nil || !ok {
 				return buf, err
 			}
-			// Closure queries are rare; reuse the reference implementation
-			// and just batch the record prefetch for what it found.
+			// Closure queries are rare; enumerate with closureOver and
+			// just batch the record prefetch for what it found.
 			out, err := closureOver(sc.m, pit.surr, edge)
 			if err != nil {
 				return buf, err
@@ -224,8 +228,8 @@ func parentInst(sc *scratch, pid int, pn *query.Node) (inst, bool, error) {
 }
 
 // compileRootDomain resolves the planned access path for a perspective
-// root (or subquery-chain anchor, which always scans: the reference path
-// enumerates those with no plan).
+// root (or subquery-chain anchor, which always scans: those enumerate
+// with no plan).
 func (e *Executor) compileRootDomain(p *plan.Plan, t *query.Tree, n *query.Node) domFn {
 	var access plan.RootAccess
 	if p != nil {
@@ -319,7 +323,9 @@ func (e *Executor) appendWithRole(sc *scratch, buf []inst, ss []value.Surrogate,
 // Expression compilation
 // ---------------------------------------------------------------------------
 
-// compileExpr mirrors eval case by case.
+// compileExpr lowers a value expression. NULL propagates per §4.9's
+// three-valued logic; boolean-valued subexpressions surface as boolean
+// values with NULL for unknown.
 func (e *Executor) compileExpr(t *query.Tree, x query.Expr) (evalFn, error) {
 	switch x := x.(type) {
 	case *query.Lit:
@@ -406,7 +412,7 @@ func (e *Executor) compileExpr(t *query.Tree, x query.Expr) (evalFn, error) {
 }
 
 // triAsValue wraps a boolean subexpression for value position: NULL for
-// unknown, a boolean value otherwise (eval's triValue).
+// unknown, a boolean value otherwise (triValue).
 func (e *Executor) triAsValue(t *query.Tree, x query.Expr) (evalFn, error) {
 	tf, err := e.compileTri(t, x)
 	if err != nil {
@@ -464,8 +470,8 @@ func (e *Executor) compileAttrRef(x *query.AttrRef) (evalFn, error) {
 	}, nil
 }
 
-// compileTri mirrors evalTri case by case, including its fallthrough into
-// general value conversion.
+// compileTri lowers a boolean expression to a Kleene truth value; any
+// other expression evaluates as a value, and a boolean value converts.
 func (e *Executor) compileTri(t *query.Tree, x query.Expr) (triFn, error) {
 	switch x := x.(type) {
 	case *query.Unary:
@@ -620,8 +626,10 @@ func (e *Executor) compileTri(t *query.Tree, x query.Expr) (triFn, error) {
 	}, nil
 }
 
-// compileCmp mirrors evalCmp: comparisons with quantified operands
-// (§4.6/§4.9) fold the quantifier over the subquery's multiset.
+// compileCmp lowers a comparison. With a quantified operand (§4.6/§4.9)
+// it folds the quantifier over the subquery's multiset: x neq some(ys)
+// holds when some y satisfies x neq y; all(...) when every one does
+// (vacuously true); no(...) when none does.
 func (e *Executor) compileCmp(t *query.Tree, cmp value.Cmp, l, r query.Expr) (triFn, error) {
 	lq, lIsQ := l.(*query.Quant)
 	rq, rIsQ := r.(*query.Quant)
@@ -700,7 +708,7 @@ func (e *Executor) compileCmp(t *query.Tree, cmp value.Cmp, l, r query.Expr) (tr
 	}, nil
 }
 
-// applyQuant folds quantCompare's semantics over an already-collected
+// applyQuant folds a quantified comparison over an already-collected
 // multiset without allocating a per-row test closure. fixed is the
 // non-quantified operand; quantLeft places the multiset's values on the
 // comparison's left side.
@@ -746,9 +754,10 @@ func applyQuant(q ast.Quant, cmp value.Cmp, fixed value.Value, vals []value.Valu
 	}
 }
 
-// compileSub lowers a subquery chain (subValues): the collector enumerates
-// the chain through reused domain buffers and pushes the value
-// expression's non-NULL results onto sc.sub.
+// compileSub lowers a subquery chain: the collector enumerates the chain
+// through reused domain buffers and pushes the value expression's
+// non-NULL results onto sc.sub (NULLs excluded, matching the usual
+// aggregate semantics).
 func (e *Executor) compileSub(t *query.Tree, sq *query.SubQuery) (subFn, error) {
 	vf, err := e.compileExpr(t, sq.Value)
 	if err != nil {
@@ -757,7 +766,7 @@ func (e *Executor) compileSub(t *query.Tree, sq *query.SubQuery) (subFn, error) 
 	nodes := sq.Chain
 	doms := make([]domFn, len(nodes))
 	for i, n := range nodes {
-		// subValues enumerates with no plan: chain anchors always scan.
+		// Chains enumerate with no plan: their anchors always scan.
 		doms[i] = e.compileDomain(nil, t, n)
 	}
 	var run func(sc *scratch, i int) error
@@ -798,8 +807,7 @@ func (e *Executor) compileSub(t *query.Tree, sq *query.SubQuery) (subFn, error) 
 	}, nil
 }
 
-// compileAgg pairs a compiled subquery collector with the shared aggregate
-// fold (aggregate in eval.go — one implementation for both paths).
+// compileAgg pairs a compiled subquery collector with the aggregate fold.
 func (e *Executor) compileAgg(t *query.Tree, a *query.Agg) (evalFn, error) {
 	sub, err := e.compileSub(t, a.Sub)
 	if err != nil {
@@ -815,4 +823,106 @@ func (e *Executor) compileAgg(t *query.Tree, a *query.Agg) (evalFn, error) {
 		sc.sub = sc.sub[:mark]
 		return v, err
 	}, nil
+}
+
+// triValue is a truth value in value position: NULL for Unknown.
+func triValue(t value.Tri) value.Value {
+	switch t {
+	case value.True:
+		return value.NewBool(true)
+	case value.False:
+		return value.NewBool(false)
+	}
+	return value.Null
+}
+
+func arith(op ast.BinaryOp) value.Arith {
+	switch op {
+	case ast.OpAdd:
+		return value.OpAdd
+	case ast.OpSub:
+		return value.OpSub
+	case ast.OpMul:
+		return value.OpMul
+	}
+	return value.OpDiv
+}
+
+func cmpOf(op ast.BinaryOp) (value.Cmp, bool) {
+	switch op {
+	case ast.OpEQ:
+		return value.CmpEQ, true
+	case ast.OpNEQ:
+		return value.CmpNEQ, true
+	case ast.OpLT:
+		return value.CmpLT, true
+	case ast.OpLE:
+		return value.CmpLE, true
+	case ast.OpGT:
+		return value.CmpGT, true
+	case ast.OpGE:
+		return value.CmpGE, true
+	}
+	return 0, false
+}
+
+// aggregate folds one aggregate function over a collected multiset.
+// DISTINCT compacts vals in place.
+func aggregate(a *query.Agg, vals []value.Value) (value.Value, error) {
+	if a.Distinct {
+		seen := make(map[string]bool, len(vals))
+		kept := vals[:0]
+		for _, v := range vals {
+			k := v.Key()
+			if !seen[k] {
+				seen[k] = true
+				kept = append(kept, v)
+			}
+		}
+		vals = kept
+	}
+	switch a.Func {
+	case ast.AggCount:
+		return value.NewInt(int64(len(vals))), nil
+	case ast.AggSum, ast.AggAvg:
+		if len(vals) == 0 {
+			return value.Null, nil
+		}
+		sum := 0.0
+		isInt := true
+		for _, v := range vals {
+			switch v.Kind() {
+			case value.KindInt:
+				sum += float64(v.Int())
+			case value.KindNumber:
+				sum += v.Number()
+				isInt = false
+			default:
+				return value.Null, fmt.Errorf("exec: %s over non-numeric %s", a.Func, v.Kind())
+			}
+		}
+		if a.Func == ast.AggAvg {
+			return value.NewNumber(sum / float64(len(vals))), nil
+		}
+		if isInt {
+			return value.NewInt(int64(sum)), nil
+		}
+		return value.NewNumber(sum), nil
+	case ast.AggMin, ast.AggMax:
+		if len(vals) == 0 {
+			return value.Null, nil
+		}
+		best := vals[0]
+		for _, v := range vals[1:] {
+			c, err := value.Compare(v, best)
+			if err != nil {
+				return value.Null, err
+			}
+			if (a.Func == ast.AggMin && c < 0) || (a.Func == ast.AggMax && c > 0) {
+				best = v
+			}
+		}
+		return best, nil
+	}
+	return value.Null, fmt.Errorf("exec: unknown aggregate %v", a.Func)
 }

@@ -133,17 +133,17 @@ func (r *Result) isDup(row []value.Value) bool {
 	return false
 }
 
-// add records one accepted combination.
-func (r *Result) add(e *Executor, t *query.Tree, en *env, main []*query.Node, row, order []value.Value) error {
+// add records one accepted combination; insts holds every main node's
+// current binding, by node id.
+func (r *Result) add(t *query.Tree, insts []inst, main []*query.Node, row, order []value.Value) {
 	if r.seen != nil && r.isDup(row) {
-		return nil
+		return
 	}
 	r.rows = append(r.rows, row)
 	r.order = append(r.order, order)
 	if r.Structured != nil {
-		return r.addStructured(e, t, en, main, row)
+		r.addStructured(t, insts, main, row)
 	}
-	return nil
 }
 
 // addTabular records one row produced by a parallel worker. Workers hand
@@ -160,7 +160,7 @@ func (r *Result) addTabular(row, order []value.Value) {
 // addStructured merges the combination into the group tree: one group per
 // TYPE 1/TYPE 3 variable instance, consecutive identical prefixes shared
 // (the iteration order guarantees grouping).
-func (r *Result) addStructured(e *Executor, t *query.Tree, en *env, main []*query.Node, row []value.Value) error {
+func (r *Result) addStructured(t *query.Tree, insts []inst, main []*query.Node, row []value.Value) {
 	if r.lastGroups == nil {
 		r.lastGroups = make([]*Group, len(main))
 		r.lastKeys = make([]string, len(main))
@@ -170,10 +170,7 @@ func (r *Result) addStructured(e *Executor, t *query.Tree, en *env, main []*quer
 	parent := r.Structured
 	same := true
 	for d, n := range main {
-		it, err := en.get(n)
-		if err != nil {
-			return err
-		}
+		it := insts[n.ID]
 		key := instKey(it)
 		if same && r.lastGroups[d] != nil && r.lastKeys[d] == key {
 			parent = r.lastGroups[d]
@@ -190,7 +187,6 @@ func (r *Result) addStructured(e *Executor, t *query.Tree, en *env, main []*quer
 		r.lastKeys[d] = key
 		parent = g
 	}
-	return nil
 }
 
 func instKey(it inst) string {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
@@ -16,14 +15,16 @@ import (
 )
 
 // scratch is the reusable per-execution state of a compiled program: the
-// binding environment, a free list of domain buffers, the subquery value
-// stack, and the surrogate/record buffers batched reads go through. A
+// binding environment (the current instance of every node, by node id), a
+// free list of domain buffers, the subquery value stack, and the
+// surrogate/record buffers batched reads go through. A
 // scratch is checked out of the executor's pool per execution (per worker
 // on the parallel path) and holds no output: result rows live in a
 // value.Arena owned by the Result, so recycling a scratch can never
 // corrupt rows a caller still holds.
 type scratch struct {
-	env
+	insts []inst
+	set   []bool
 	// m is the mapper this execution reads data through. Compiled closures
 	// capture the executor that compiled them, but programs are cached and
 	// later run by snapshot-view executors with a different mapper; every
@@ -75,6 +76,13 @@ func (e *Executor) putScratch(sc *scratch) {
 	sc.params = nil
 	e.scratchPool.Put(sc)
 }
+
+func (sc *scratch) bind(n *query.Node, i inst) {
+	sc.insts[n.ID] = i
+	sc.set[n.ID] = true
+}
+
+func (sc *scratch) unbind(n *query.Node) { sc.set[n.ID] = false }
 
 // getDomBuf hands out a reused []inst for one domain enumeration. Buffers
 // follow stack discipline down the loop nest, so a handful cover any
@@ -133,9 +141,13 @@ func (e *Executor) fillRecs(sc *scratch, cl *catalog.Class, insts []inst) error 
 
 // RetrieveProgram executes a previously compiled program for the
 // statement it was compiled from: every literal has its own bound value.
-// A nil program (or an executor forced onto the reference walker) routes
-// through the ordinary Retrieve path. tr, when non-nil, collects the
-// EXPLAIN ANALYZE profile exactly as RetrieveTraced does.
+// When the executor has workers configured, the outermost root domain is
+// large enough, and the output mode permits it, the domain is partitioned
+// across a worker pool; results are merged back in domain order so
+// parallel output is byte-identical to serial execution. Cancellation is
+// checked between bindings of the outermost range. tr, when non-nil, is
+// filled with the EXPLAIN ANALYZE profile — bindings tried, entities
+// bound, inclusive wall per node, per-worker spans on the parallel path.
 func (e *Executor) RetrieveProgram(ctx context.Context, p *plan.Plan, prog *Program, tr *obs.QueryTrace) (*Result, error) {
 	return e.RetrieveParams(ctx, p, prog, nil, tr)
 }
@@ -143,23 +155,11 @@ func (e *Executor) RetrieveProgram(ctx context.Context, p *plan.Plan, prog *Prog
 // RetrieveParams is RetrieveProgram for any statement of the plan's shape:
 // params[k-1] is the statement's value for the literal in slot k (see
 // query.Lit), already coerced to the slot's declared type. The vector is
-// only read, also by parallel workers, and not retained. The reference
-// walker has no parameter support, so a nil program takes nil params.
+// only read, also by parallel workers, and not retained. Execution is
+// the DAPLEX iteration of §4.5: bindings come from reused domain buffers,
+// rows from a result-owned arena, and every expression evaluates through
+// pre-lowered closures.
 func (e *Executor) RetrieveParams(ctx context.Context, p *plan.Plan, prog *Program, params []value.Value, tr *obs.QueryTrace) (*Result, error) {
-	if prog == nil || e.treeWalk {
-		if params != nil {
-			return nil, errors.New("exec: the tree walker cannot run a plan with a parameter vector")
-		}
-		return e.retrieve(ctx, p, tr)
-	}
-	return e.runProgram(ctx, p, prog, params, tr)
-}
-
-// runProgram is the compiled counterpart of retrieveTree: same loop
-// structure, same trace accounting, same result assembly — but bindings
-// come from reused domain buffers, rows from a result-owned arena, and
-// every expression evaluates through pre-lowered closures.
-func (e *Executor) runProgram(ctx context.Context, p *plan.Plan, prog *Program, params []value.Value, tr *obs.QueryTrace) (*Result, error) {
 	t := prog.tree
 	if t.Mode == ast.OutputStructure && len(t.OrderBy) > 0 {
 		return nil, errOrderByStructure()
@@ -210,6 +210,8 @@ func (e *Executor) runProgram(ctx context.Context, p *plan.Plan, prog *Program, 
 				res.addTabular(part.rows[ri], part.order[ri])
 			}
 			if tm != nil {
+				// Chunks run concurrently, so per-node walls merge as the
+				// maximum across workers while bindings sum.
 				for i := range tm.nanos {
 					if part.tm.nanos[i] > tm.nanos[i] {
 						tm.nanos[i] = part.tm.nanos[i]
@@ -254,6 +256,9 @@ func (e *Executor) runProgram(ctx context.Context, p *plan.Plan, prog *Program, 
 		e.putScratch(sc)
 	}
 	if tm != nil {
+		// The outermost node's inclusive wall covers its domain computation
+		// and the whole nest under it (the slowest worker, on the parallel
+		// path), so it approximates the execution span.
 		tm.nanos[0] = time.Since(execStart).Nanoseconds()
 	}
 	res.finish(t)
@@ -290,11 +295,14 @@ func (e *Executor) programEmitter(prog *Program, sc *scratch, arena *value.Arena
 			}
 		}
 		stats.Rows++
-		return res.add(e, t, &sc.env, prog.main, row, order)
+		res.add(t, sc.insts, prog.main, row, order)
+		return nil
 	}
 }
 
-// runNestProgram is runNest over compiled domains and reused buffers.
+// runNestProgram runs the loop nest from main-variable depth i down,
+// calling emit for every combination that passes the selection. A non-nil
+// tm collects the per-node profile (inclusive walls).
 func (e *Executor) runNestProgram(prog *Program, sc *scratch, i int, stats *Stats, emit func() error, tm *nestTrace) error {
 	if i == len(prog.main) {
 		ok, err := e.programHolds(prog, sc)
@@ -338,7 +346,9 @@ func (e *Executor) runNestProgram(prog *Program, sc *scratch, i int, stats *Stat
 	return nil
 }
 
-// programHolds is selectionHolds over the compiled WHERE program.
+// programHolds evaluates the WHERE clause under the existential semantics
+// of §4.5: "for some X(m+1) … for some X(n) if <selection expression> is
+// true".
 func (e *Executor) programHolds(prog *Program, sc *scratch) (bool, error) {
 	if prog.where == nil {
 		return true, nil
@@ -379,9 +389,9 @@ func (e *Executor) programSome(prog *Program, sc *scratch, j int) (bool, error) 
 	return false, nil
 }
 
-// runParallelProgram partitions the outermost domain exactly like
-// retrieveParallel, with each worker running the compiled nest against a
-// pooled scratch and its own arena.
+// runParallelProgram splits the outermost domain into one contiguous chunk
+// per worker, each running the compiled nest against a pooled scratch and
+// its own arena. Chunks are returned in domain order.
 func (e *Executor) runParallelProgram(ctx context.Context, prog *Program, params []value.Value, dom0 []inst, traced bool) ([]*partial, error) {
 	nw := e.workers
 	if nw > len(dom0) {
@@ -413,7 +423,7 @@ func (e *Executor) runParallelProgram(ctx context.Context, prog *Program, params
 }
 
 // runChunkProgram executes the compiled nest for one slice of the
-// outermost domain.
+// outermost domain, checking cancellation between outer-range rows.
 func (e *Executor) runChunkProgram(ctx context.Context, prog *Program, params []value.Value, chunk []inst, traced bool) (*partial, error) {
 	sc := e.getScratch(prog.nNodes, params)
 	defer e.putScratch(sc)

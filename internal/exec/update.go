@@ -52,7 +52,7 @@ func (e *Executor) Insert(ctx context.Context, stmt *ast.InsertStmt) (int, error
 			return 0, err
 		}
 		ev.role = append(ev.role, roleEvent{cl, s})
-		if err := e.applyAssigns(s, cl, stmt.Assigns, ev); err != nil {
+		if err := e.applyAssigns(ctx, s, cl, stmt.Assigns, ev); err != nil {
 			return 0, err
 		}
 		newRoles := append([]*catalog.Class{cl}, catalog.Ancestors(cl)...)
@@ -68,7 +68,7 @@ func (e *Executor) Insert(ctx context.Context, stmt *ast.InsertStmt) (int, error
 		if !catalog.IsAncestor(from, cl) {
 			return 0, fmt.Errorf("INSERT %s FROM %s: %s is not an ancestor of %s", cl.Name, from.Name, from.Name, cl.Name)
 		}
-		matches, err := e.SelectEntitiesCtx(ctx, from, stmt.FromWhere)
+		matches, err := e.SelectEntities(ctx, from, stmt.FromWhere)
 		if err != nil {
 			return 0, err
 		}
@@ -89,7 +89,7 @@ func (e *Executor) Insert(ctx context.Context, stmt *ast.InsertStmt) (int, error
 			for _, c := range added {
 				ev.role = append(ev.role, roleEvent{c, s})
 			}
-			if err := e.applyAssigns(s, cl, stmt.Assigns, ev); err != nil {
+			if err := e.applyAssigns(ctx, s, cl, stmt.Assigns, ev); err != nil {
 				return 0, err
 			}
 			if err := e.checkRequired(s, added); err != nil {
@@ -112,7 +112,7 @@ func (e *Executor) Modify(ctx context.Context, stmt *ast.ModifyStmt) (int, error
 	if err != nil {
 		return 0, err
 	}
-	matches, err := e.SelectEntitiesCtx(ctx, cl, stmt.Where)
+	matches, err := e.SelectEntities(ctx, cl, stmt.Where)
 	if err != nil {
 		return 0, err
 	}
@@ -124,7 +124,7 @@ func (e *Executor) Modify(ctx context.Context, stmt *ast.ModifyStmt) (int, error
 		if err := ctxErr(ctx); err != nil {
 			return 0, err
 		}
-		if err := e.applyAssigns(s, cl, stmt.Assigns, ev); err != nil {
+		if err := e.applyAssigns(ctx, s, cl, stmt.Assigns, ev); err != nil {
 			return 0, err
 		}
 	}
@@ -143,7 +143,7 @@ func (e *Executor) Delete(ctx context.Context, stmt *ast.DeleteStmt) (int, error
 	if err != nil {
 		return 0, err
 	}
-	matches, err := e.SelectEntitiesCtx(ctx, cl, stmt.Where)
+	matches, err := e.SelectEntities(ctx, cl, stmt.Where)
 	if err != nil {
 		return 0, err
 	}
@@ -221,36 +221,32 @@ func (e *Executor) UpdateTargets(ctx context.Context, stmt ast.Stmt) (*catalog.C
 		if err != nil {
 			return nil, nil, err
 		}
-		ss, err := e.SelectEntitiesCtx(ctx, from, s.FromWhere)
+		ss, err := e.SelectEntities(ctx, from, s.FromWhere)
 		return from, ss, err
 	case *ast.ModifyStmt:
 		cl, err := e.cat.MustClass(s.Class)
 		if err != nil {
 			return nil, nil, err
 		}
-		ss, err := e.SelectEntitiesCtx(ctx, cl, s.Where)
+		ss, err := e.SelectEntities(ctx, cl, s.Where)
 		return cl, ss, err
 	case *ast.DeleteStmt:
 		cl, err := e.cat.MustClass(s.Class)
 		if err != nil {
 			return nil, nil, err
 		}
-		ss, err := e.SelectEntitiesCtx(ctx, cl, s.Where)
+		ss, err := e.SelectEntities(ctx, cl, s.Where)
 		return cl, ss, err
 	}
 	return nil, nil, fmt.Errorf("exec: not an update statement: %T", stmt)
 }
 
 // SelectEntities returns the entities of cl satisfying where (all of them
-// when where is nil), in surrogate order. The result is materialized
-// before any mutation, as the DML's snapshot semantics require.
-func (e *Executor) SelectEntities(cl *catalog.Class, where ast.Expr) ([]value.Surrogate, error) {
-	return e.SelectEntitiesCtx(context.Background(), cl, where)
-}
-
-// SelectEntitiesCtx is SelectEntities under a context, checking
-// cancellation between rows of the enumerated class domain.
-func (e *Executor) SelectEntitiesCtx(ctx context.Context, cl *catalog.Class, where ast.Expr) ([]value.Surrogate, error) {
+// when where is nil), in surrogate order, checking cancellation between
+// candidates. The selection is planned like a Retrieve (the root's access
+// path) and runs as a compiled program. The result is materialized before
+// any mutation, as the DML's snapshot semantics require.
+func (e *Executor) SelectEntities(ctx context.Context, cl *catalog.Class, where ast.Expr) ([]value.Surrogate, error) {
 	t, err := query.BindSelection(e.cat, cl, where)
 	if err != nil {
 		return nil, err
@@ -259,41 +255,52 @@ func (e *Executor) SelectEntitiesCtx(ctx context.Context, cl *catalog.Class, whe
 	if err != nil {
 		return nil, err
 	}
-	en := newEnv(len(t.Nodes))
-	root := t.Roots[0]
-	dom, err := e.rootDomain(p, t, root)
+	prog, err := e.Compile(p)
 	if err != nil {
 		return nil, err
 	}
-	exist := t.ExistNodes()
+	sc := e.getScratch(prog.nNodes, nil)
+	defer e.putScratch(sc)
+	dom, err := prog.doms[prog.main[0].ID](sc, sc.getDomBuf())
+	defer sc.putDomBuf(dom)
+	if err != nil {
+		return nil, err
+	}
+	return e.selectFrom(ctx, prog, sc, dom)
+}
+
+// selectFrom keeps the surrogates of the root candidates in dom for which
+// the program's WHERE holds, checking cancellation between candidates.
+func (e *Executor) selectFrom(ctx context.Context, prog *Program, sc *scratch, dom []inst) ([]value.Surrogate, error) {
+	root := prog.main[0]
 	var out []value.Surrogate
-	for _, it := range dom {
+	for k := range dom {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		en.bind(root, it)
-		ok, err := e.selectionHolds(t, en, exist)
+		sc.bind(root, dom[k])
+		ok, err := e.programHolds(prog, sc)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out = append(out, it.surr)
+			out = append(out, dom[k].surr)
 		}
 	}
 	return out, nil
 }
 
 // applyAssigns applies an assignment list to one entity.
-func (e *Executor) applyAssigns(s value.Surrogate, cl *catalog.Class, assigns []ast.Assign, ev *events) error {
+func (e *Executor) applyAssigns(ctx context.Context, s value.Surrogate, cl *catalog.Class, assigns []ast.Assign, ev *events) error {
 	for _, a := range assigns {
-		if err := e.applyAssign(s, cl, a, ev); err != nil {
+		if err := e.applyAssign(ctx, s, cl, a, ev); err != nil {
 			return fmt.Errorf("%s := ...: %w", a.Attr, err)
 		}
 	}
 	return nil
 }
 
-func (e *Executor) applyAssign(s value.Surrogate, cl *catalog.Class, a ast.Assign, ev *events) error {
+func (e *Executor) applyAssign(ctx context.Context, s value.Surrogate, cl *catalog.Class, a ast.Assign, ev *events) error {
 	attr := catalog.ResolveAttr(cl, a.Attr)
 	if attr == nil {
 		return fmt.Errorf("class %s has no attribute %q", cl.Name, a.Attr)
@@ -304,7 +311,7 @@ func (e *Executor) applyAssign(s value.Surrogate, cl *catalog.Class, a ast.Assig
 	case catalog.Derived:
 		return fmt.Errorf("derived attribute %s is computed and cannot be assigned", attr)
 	case catalog.EVA:
-		return e.assignEVA(s, attr, a, ev)
+		return e.assignEVA(ctx, s, attr, a, ev)
 	}
 	// DVA.
 	if a.Entity != nil {
@@ -357,7 +364,7 @@ func (e *Executor) applyAssign(s value.Surrogate, cl *catalog.Class, a ast.Assig
 // For single-valued assignment and inclusion, the object name is the range
 // class; for exclusion it is the EVA itself, selecting among current
 // partners. Assigning NULL clears a single-valued EVA.
-func (e *Executor) assignEVA(s value.Surrogate, attr *catalog.Attribute, a ast.Assign, ev *events) error {
+func (e *Executor) assignEVA(ctx context.Context, s value.Surrogate, attr *catalog.Attribute, a ast.Assign, ev *events) error {
 	record := func(t value.Surrogate) { ev.eva = append(ev.eva, evaEvent{attr, s, t}) }
 
 	if a.Entity == nil {
@@ -401,7 +408,7 @@ func (e *Executor) assignEVA(s value.Surrogate, attr *catalog.Attribute, a ast.A
 		if err != nil {
 			return err
 		}
-		keep, err := e.filterEntities(attr.Range, cur, a.Entity.Where)
+		keep, err := e.filterEntities(ctx, attr.Range, cur, a.Entity.Where)
 		if err != nil {
 			return err
 		}
@@ -422,7 +429,7 @@ func (e *Executor) assignEVA(s value.Surrogate, attr *catalog.Attribute, a ast.A
 	if !catalog.IsAncestor(attr.Range, selCl) {
 		return fmt.Errorf("class %s is not in the range of %s (%s)", selCl.Name, attr, attr.Range.Name)
 	}
-	targets, err := e.SelectEntities(selCl, a.Entity.Where)
+	targets, err := e.SelectEntities(ctx, selCl, a.Entity.Where)
 	if err != nil {
 		return err
 	}
@@ -476,8 +483,9 @@ func nameMatchesAttr(name string, attr *catalog.Attribute) bool {
 }
 
 // filterEntities keeps the candidates satisfying where, evaluated with the
-// candidate as the perspective instance.
-func (e *Executor) filterEntities(cl *catalog.Class, candidates []value.Surrogate, where ast.Expr) ([]value.Surrogate, error) {
+// candidate as the perspective instance, checking cancellation between
+// candidates.
+func (e *Executor) filterEntities(ctx context.Context, cl *catalog.Class, candidates []value.Surrogate, where ast.Expr) ([]value.Surrogate, error) {
 	if where == nil {
 		return candidates, nil
 	}
@@ -485,20 +493,18 @@ func (e *Executor) filterEntities(cl *catalog.Class, candidates []value.Surrogat
 	if err != nil {
 		return nil, err
 	}
-	en := newEnv(len(t.Nodes))
-	exist := t.ExistNodes()
-	var out []value.Surrogate
-	for _, s := range candidates {
-		en.bind(t.Roots[0], inst{surr: s})
-		ok, err := e.selectionHolds(t, en, exist)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, s)
-		}
+	prog, err := e.compile(nil, t)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	sc := e.getScratch(prog.nNodes, nil)
+	defer e.putScratch(sc)
+	dom := sc.getDomBuf()
+	for _, s := range candidates {
+		dom = append(dom, inst{surr: s})
+	}
+	defer sc.putDomBuf(dom)
+	return e.selectFrom(ctx, prog, sc, dom)
 }
 
 // evalScalarFor evaluates an assignment right-hand side in the context of
@@ -523,33 +529,31 @@ func (e *Executor) evalScalarFor(s value.Surrogate, cl *catalog.Class, expr ast.
 			return value.Null, fmt.Errorf("assignment expression reads multi-valued %s; aggregate it instead", n.Edge)
 		}
 	}
-	en := newEnv(len(t.Nodes))
-	en.bind(t.Roots[0], inst{surr: s})
-	// Bind the remaining single-valued main nodes.
-	main := t.MainNodes()
-	var fill func(i int) error
-	fill = func(i int) error {
-		if i == len(main) {
-			return nil
-		}
-		n := main[i]
-		if !n.IsRoot() {
-			dom, err := e.domain(nil, t, n, en)
-			if err != nil {
-				return err
-			}
-			if len(dom) == 0 {
-				en.bind(n, inst{null: true})
-			} else {
-				en.bind(n, dom[0])
-			}
-		}
-		return fill(i + 1)
-	}
-	if err := fill(0); err != nil {
+	prog, err := e.compile(nil, t)
+	if err != nil {
 		return value.Null, err
 	}
-	return e.eval(t.Targets[0], en)
+	sc := e.getScratch(prog.nNodes, nil)
+	defer e.putScratch(sc)
+	sc.bind(t.Roots[0], inst{surr: s})
+	// Bind the remaining single-valued main nodes: the partner, or an
+	// outer-join dummy when the EVA is NULL.
+	for _, n := range prog.main {
+		if n.IsRoot() {
+			continue
+		}
+		dom, err := prog.doms[n.ID](sc, sc.getDomBuf())
+		it := inst{null: true}
+		if len(dom) > 0 {
+			it = dom[0]
+		}
+		sc.putDomBuf(dom)
+		if err != nil {
+			return value.Null, err
+		}
+		sc.bind(n, it)
+	}
+	return prog.target[0](sc)
 }
 
 // checkRequired verifies the REQUIRED option for the immediate attributes

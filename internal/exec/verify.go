@@ -5,7 +5,6 @@ import (
 
 	"sim/internal/catalog"
 	"sim/internal/integrity"
-	"sim/internal/query"
 	"sim/internal/value"
 )
 
@@ -13,6 +12,13 @@ import (
 // analyzed trigger set (from internal/integrity) plus the bound assertion
 // tree.
 type Constraint = integrity.Constraint
+
+// check is one installed constraint with its assertion compiled (see
+// SetConstraints).
+type check struct {
+	c    *Constraint
+	prog *Program
+}
 
 // ViolationError reports a failed VERIFY assertion; the database layer
 // rolls the statement back.
@@ -34,13 +40,13 @@ func (v *ViolationError) Error() string {
 // constraint's trigger set and re-verifies exactly the affected entities —
 // the paper's "trigger detection / query enhancement mechanism" (§3.3).
 func (e *Executor) checkConstraints(ev *events) error {
-	for _, c := range e.constraints {
-		affected, checkAll, err := e.affectedEntities(c, ev)
+	for _, ck := range e.checks {
+		affected, checkAll, err := e.affectedEntities(ck.c, ev)
 		if err != nil {
 			return err
 		}
 		if checkAll {
-			all, err := e.m.Surrogates(c.Verify.Class)
+			all, err := e.m.Surrogates(ck.c.Verify.Class)
 			if err != nil {
 				return err
 			}
@@ -52,7 +58,7 @@ func (e *Executor) checkConstraints(ev *events) error {
 				continue
 			}
 			seen[s] = true
-			if err := e.CheckEntity(c, s); err != nil {
+			if err := e.checkEntity(ck, s); err != nil {
 				return err
 			}
 		}
@@ -118,95 +124,96 @@ func (e *Executor) affectedEntities(c *Constraint, ev *events) ([]value.Surrogat
 	return out, false, nil
 }
 
-// CheckEntity verifies one entity against one constraint. Entities that no
-// longer hold the constraint class's role pass vacuously. An assertion
+// checkEntity verifies one entity against one constraint. Entities that
+// no longer hold the constraint class's role pass vacuously. An assertion
 // evaluating to UNKNOWN passes (only a definite False is a violation).
-func (e *Executor) CheckEntity(c *Constraint, s value.Surrogate) error {
-	ok, err := e.m.HasRole(s, c.Verify.Class)
+func (e *Executor) checkEntity(ck check, s value.Surrogate) error {
+	ok, err := e.m.HasRole(s, ck.c.Verify.Class)
 	if err != nil || !ok {
 		return err
 	}
-	t := c.Tree
-	en := newEnv(len(t.Nodes))
-	en.bind(t.Roots[0], inst{surr: s})
-	holds, err := e.assertionHolds(t, en)
+	sc := e.getScratch(ck.prog.nNodes, nil)
+	defer e.putScratch(sc)
+	sc.bind(ck.prog.main[0], inst{surr: s})
+	holds, err := e.programAsserts(ck.prog, sc)
 	if err != nil {
 		return err
 	}
 	if !holds {
-		return &ViolationError{Name: c.Verify.Name, Entity: s, Message: c.Verify.ElseMsg}
+		return &ViolationError{Name: ck.c.Verify.Name, Entity: s, Message: ck.c.Verify.ElseMsg}
 	}
 	return nil
 }
 
-// assertionHolds evaluates a constraint tree's condition for the pinned
-// root. Unlike WHERE filtering, a result of Unknown passes.
-func (e *Executor) assertionHolds(t *query.Tree, en *env) (bool, error) {
-	exist := t.ExistNodes()
-	if len(exist) == 0 {
-		tri, err := e.evalTri(t.Where, en)
-		if err != nil {
-			return false, err
-		}
-		return tri != value.False, nil
+// assertion records what an assertion's existential bindings evaluated to.
+type assertion struct {
+	bound, sawTrue, sawUnknown bool
+}
+
+// programAsserts evaluates a compiled assertion for the pinned root.
+// Unlike WHERE filtering, a result of Unknown passes. With existential
+// variables, definite falsity means no binding makes the condition True
+// or Unknown and at least one binding makes it False.
+func (e *Executor) programAsserts(prog *Program, sc *scratch) (bool, error) {
+	if prog.where == nil {
+		return true, nil
 	}
-	// Existentially quantified condition: definite falsity means no
-	// binding makes it true AND at least one binding makes it false.
-	anyTrue := false
-	anyUnknown := false
-	anyBinding := false
-	var walk func(j int) error
-	walk = func(j int) error {
-		if j == len(exist) {
-			anyBinding = true
-			tri, err := e.evalTri(t.Where, en)
-			if err != nil {
-				return err
-			}
-			switch tri {
-			case value.True:
-				anyTrue = true
-			case value.Unknown:
-				anyUnknown = true
-			}
-			return nil
-		}
-		n := exist[j]
-		dom, err := e.domain(nil, t, n, en)
+	var a assertion
+	if err := e.assertSome(prog, sc, 0, &a); err != nil {
+		return false, err
+	}
+	return a.sawTrue || a.sawUnknown || !a.bound, nil
+}
+
+// assertSome enumerates existential variables from depth j down,
+// recording each binding's truth value and stopping at the first True.
+func (e *Executor) assertSome(prog *Program, sc *scratch, j int, a *assertion) error {
+	if j == len(prog.exist) {
+		a.bound = true
+		t, err := prog.where(sc)
 		if err != nil {
 			return err
 		}
-		for _, it := range dom {
-			en.bind(n, it)
-			if err := walk(j + 1); err != nil {
-				return err
-			}
-			if anyTrue {
-				break
-			}
+		switch t {
+		case value.True:
+			a.sawTrue = true
+		case value.Unknown:
+			a.sawUnknown = true
 		}
-		en.unbind(n)
 		return nil
 	}
-	if err := walk(0); err != nil {
-		return false, err
-	}
-	if anyTrue || anyUnknown || !anyBinding {
-		return true, nil
-	}
-	return false, nil
-}
-
-// CheckAll verifies every entity of a constraint's class; the database
-// layer offers this as an administrative operation.
-func (e *Executor) CheckAll(c *Constraint) error {
-	ss, err := e.m.Surrogates(c.Verify.Class)
+	n := prog.exist[j]
+	dom, err := prog.doms[n.ID](sc, sc.getDomBuf())
+	defer sc.putDomBuf(dom)
 	if err != nil {
 		return err
 	}
-	for _, s := range ss {
-		if err := e.CheckEntity(c, s); err != nil {
+	for k := range dom {
+		sc.bind(n, dom[k])
+		if err := e.assertSome(prog, sc, j+1, a); err != nil {
 			return err
+		}
+		if a.sawTrue {
+			break
+		}
+	}
+	sc.unbind(n)
+	return nil
+}
+
+// CheckAll verifies every entity of every installed constraint's class,
+// reporting the first violation; the database layer offers this as an
+// administrative operation.
+func (e *Executor) CheckAll() error {
+	for _, ck := range e.checks {
+		ss, err := e.m.Surrogates(ck.c.Verify.Class)
+		if err != nil {
+			return err
+		}
+		for _, s := range ss {
+			if err := e.checkEntity(ck, s); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -41,9 +41,7 @@ const defaultPlanCacheSize = 256
 // names). Such a plan is exact for its own values only, so a shape with
 // fixed literals is cached as a shape record naming their slots, and its
 // plans under the shape key extended by those literals' spellings — one
-// plan per value, exactly what the optimizer would choose for it. A plan
-// the compiler declined (prog == nil) runs on the tree walker, which has
-// no parameter support: all its literals are fixed.
+// plan per value, exactly what the optimizer would choose for it.
 //
 // Eviction is CLOCK (second chance): a hit only sets the entry's
 // reference bit under the read lock, so concurrent readers never
@@ -72,7 +70,7 @@ type planEntry struct {
 
 	// A plan entry.
 	p     *plan.Plan
-	prog  *exec.Program       // compiled form; nil when the plan fell back to the tree walker
+	prog  *exec.Program       // compiled form
 	types []*catalog.DataType // per slot, the declared type its literal coerces to (nil: none)
 
 	// A shape record (p == nil): the slots whose literals extend the key
@@ -174,13 +172,8 @@ func (en *planEntry) touch() {
 // bind fills st.params with the statement's literals as the plan's
 // parameter vector: each parsed as the parser would and coerced to its
 // slot's declared type, as the binder would. It reports false when one
-// does not parse or coerce — the cold path then produces the error. A
-// plan without a program runs on its own literals (all of them are in its
-// key): no vector.
+// does not parse or coerce — the cold path then produces the error.
 func (en *planEntry) bind(st *stmtShape) ([]value.Value, bool) {
-	if en.prog == nil {
-		return nil, true
-	}
 	st.params = st.params[:0]
 	for i, lit := range st.lits {
 		v, err := parser.LiteralValue(lit.Kind, lit.Text)
@@ -208,13 +201,8 @@ func (c *planCache) put(st *stmtShape, p *plan.Plan, prog *exec.Program) {
 	var fixed []int
 	for _, l := range p.Tree.Lits {
 		en.types[l.Slot-1] = l.Type
-		if l.Fixed && prog != nil {
+		if l.Fixed {
 			fixed = append(fixed, l.Slot)
-		}
-	}
-	if prog == nil {
-		for slot := 1; slot <= len(st.lits); slot++ {
-			fixed = append(fixed, slot)
 		}
 	}
 	shape := st.key[:st.shapeN]

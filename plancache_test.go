@@ -313,30 +313,6 @@ func TestShapeCacheEdges(t *testing.T) {
 	same(`From department Retrieve name Where dept-nbr = 104.`)
 }
 
-// TestShapeCacheTreeWalk: with the reference evaluator forced there is no
-// program to parameterise, so plans stay keyed by all their literals — and
-// stay right.
-func TestShapeCacheTreeWalk(t *testing.T) {
-	cold := shapeDB(t, sim.Config{PlanCacheSize: -1})
-	walk := shapeDB(t, sim.Config{TreeWalkEval: true})
-	r := rand.New(rand.NewSource(5))
-	for round := 0; round < 3; round++ {
-		for _, tpl := range shapeTemplates {
-			sameResult(t, "tree walker", tpl.text(r), walk.Query, cold.Query)
-		}
-	}
-	q := `From student Retrieve name Where soc-sec-no = 200000005.`
-	sameResult(t, "tree walker", q, walk.Query, cold.Query)
-	before := walk.Stats().Plans
-	sameResult(t, "tree walker", q, walk.Query, cold.Query)
-	sameResult(t, "tree walker", `From student Retrieve name Where soc-sec-no = 200000006.`, walk.Query, cold.Query)
-	after := walk.Stats().Plans
-	if after.Hits != before.Hits+1 || after.Misses != before.Misses+1 {
-		t.Errorf("tree walker: repeat + new literal gave %d hits, %d misses; want 1 and 1",
-			after.Hits-before.Hits, after.Misses-before.Misses)
-	}
-}
-
 // TestTraceDescribesExecutingStatement: \analyze and QueryTrace.PlanDesc
 // render the executing statement's key, not the one the shared plan was
 // first made for.

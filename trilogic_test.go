@@ -2,103 +2,42 @@ package sim
 
 import (
 	"testing"
+
+	"sim/internal/university"
 )
 
-// triLogicQueries are the three-valued-logic edge cases pinned against
-// both evaluators: NULL flowing through comparisons, connectives and
-// quantifiers, aggregates over empty and all-NULL multisets, and the
-// short-circuit behavior of and/or under Kleene logic (§4.3: "a
-// three-valued logic (True, False, Unknown) is used"). The compiled
-// closure programs and the reference tree walker must agree exactly —
-// on rows, on row order, and on errors.
-var triLogicQueries = []string{
-	// NULL in arithmetic and comparisons: bonus is NULL for Ann Smith
-	// and Bob Stone, so salary + bonus is NULL and every comparison
-	// against it is Unknown (row filtered out, not an error).
-	`From instructor Retrieve name, salary + bonus Order By name.`,
-	`From instructor Retrieve name Where salary + bonus > 0 Order By name.`,
-	`From instructor Retrieve name Where bonus = 1000 Order By name.`,
-	`From instructor Retrieve name Where bonus <> 1000 Order By name.`,
-
-	// Kleene connectives: Unknown or True = True, Unknown and False =
-	// False, not Unknown = Unknown. Rows qualify only on True.
-	`From instructor Retrieve name Where bonus > 500 or salary > 55000 Order By name.`,
-	`From instructor Retrieve name Where bonus > 500 and salary > 40000 Order By name.`,
-	`From instructor Retrieve name Where not (bonus > 500) Order By name.`,
-	`From instructor Retrieve name Where not (bonus > 500) or salary < 50000 Order By name.`,
-
-	// Short-circuiting must not change results: the right operand's
-	// truth value is irrelevant once the left decides.
-	`From instructor Retrieve name Where salary > 0 or bonus > 999999 Order By name.`,
-	`From instructor Retrieve name Where salary < 0 and bonus > 0 Order By name.`,
-
-	// NULL through quantifiers: NoAdv Kid has no advisor (EVA NULL), and
-	// quantified comparisons against empty/NULL target sets.
-	`From student Retrieve name Where name of advisor = "Joe Bloke" Order By name.`,
-	`From instructor Retrieve name Where some(advisees) Order By name.`,
-	`From instructor Retrieve name Where no(advisees) Order By name.`,
-	`From student Retrieve name Where major-department = some(assigned-department of advisor) Order By name.`,
-	`From student Retrieve name Where major-department = all(assigned-department of advisor) Order By name.`,
-	`From student Retrieve name Where major-department = no(assigned-department of advisor) Order By name.`,
-
-	// Aggregates over empty multisets (count = 0, avg/sum/min/max NULL)
-	// and all-NULL multisets (NULLs are not aggregated; Math's only
-	// instructor has a NULL bonus).
-	`From student Retrieve name, count(courses-enrolled) Order By name.`,
-	`From department Retrieve name, avg(bonus of instructor) Order By name.`,
-	`From department Retrieve name, sum(bonus of instructor) Order By name.`,
-	`From department Retrieve name, max(bonus of instructor) Order By name.`,
-	`From instructor Retrieve name, count(advisees) Order By name.`,
-	`From student Retrieve name, sum(bonus of advisor) Order By name.`,
-	`From department Retrieve avg(salary of instructor) Where dept-nbr = 100.`,
-
-	// DISTINCT and structured output ride the same row pipeline.
-	`From course Retrieve Table Distinct credits.`,
-	`Retrieve Structure Name, Title of Courses-Enrolled of Student Where Student-Nbr = 1501.`,
-
-	// Errors must agree too (ORDER BY inside structured output).
-	`From instructor Retrieve name, salary * "x".`,
-}
-
-// TestCompiledTreeWalkerEquality runs every tri-logic query through the
-// compiled evaluator and the reference tree walker, serial and parallel,
-// and requires byte-identical formatted results (or identical errors).
-func TestCompiledTreeWalkerEquality(t *testing.T) {
-	type mode struct {
-		name string
-		cfg  Config
-	}
-	modes := []mode{
-		{"compiled", Config{Workers: 1}},
-		{"compiled-parallel", Config{}},
-		{"tree-walker", Config{Workers: 1, TreeWalkEval: true}},
-		{"tree-walker-parallel", Config{TreeWalkEval: true}},
-	}
-	dbs := make([]*Database, len(modes))
-	for i, m := range modes {
-		dbs[i] = universityDB(t, m.cfg)
-	}
-	for _, q := range triLogicQueries {
-		ref, refErr := dbs[0].Query(q)
-		for i, m := range modes[1:] {
-			got, err := dbs[i+1].Query(q)
-			if (err == nil) != (refErr == nil) {
-				t.Errorf("%s: error mismatch for %q: compiled err=%v, %s err=%v", m.name, q, refErr, m.name, err)
-				continue
-			}
-			if refErr != nil {
-				if err.Error() != refErr.Error() {
-					t.Errorf("%s: %q: error text %q, want %q", m.name, q, err, refErr)
-				}
-				continue
-			}
-			if got.Format() != ref.Format() {
-				t.Errorf("%s: %q:\ngot:\n%s\nwant:\n%s", m.name, q, got.Format(), ref.Format())
-			}
-			if got.FormatStructured() != ref.FormatStructured() {
-				t.Errorf("%s: %q: structured output diverges", m.name, q)
-			}
+// TestTriLogicSerialParallelEquality runs every tri-logic query serially
+// and on the partitioned parallel path (the student domain is grown past
+// the parallel threshold) and requires byte-identical formatted results
+// (or identical errors). The compiled-versus-oracle comparison of the same
+// set lives in internal/exec's differential test.
+func TestTriLogicSerialParallelEquality(t *testing.T) {
+	serial := universityDB(t, Config{Workers: 1})
+	parallel := universityDB(t, Config{Workers: 4})
+	bulkStudents(t, serial, 64)
+	bulkStudents(t, parallel, 64)
+	for _, q := range university.TriLogicQueries {
+		ref, refErr := serial.Query(q)
+		got, err := parallel.Query(q)
+		if (err == nil) != (refErr == nil) {
+			t.Errorf("error mismatch for %q: serial err=%v, parallel err=%v", q, refErr, err)
+			continue
 		}
+		if refErr != nil {
+			if err.Error() != refErr.Error() {
+				t.Errorf("%q: error text %q, want %q", q, err, refErr)
+			}
+			continue
+		}
+		if got.Format() != ref.Format() {
+			t.Errorf("%q:\nparallel:\n%s\nserial:\n%s", q, got.Format(), ref.Format())
+		}
+		if got.FormatStructured() != ref.FormatStructured() {
+			t.Errorf("%q: structured output diverges", q)
+		}
+	}
+	if parallel.Stats().Exec.Parallel == 0 {
+		t.Fatal("no query took the parallel path")
 	}
 }
 
