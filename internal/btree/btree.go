@@ -31,7 +31,9 @@ func Create(a Alloc) (*Tree, error) {
 }
 
 // Open attaches to an existing tree rooted at root. onRootChange (may be
-// nil) is invoked whenever the root page id changes.
+// nil) is invoked whenever the root page id changes. A root of
+// pager.Invalid opens an empty tree that only reads: Get finds nothing and
+// cursors start exhausted.
 func Open(a Alloc, root pager.PageID, onRootChange func(pager.PageID) error) *Tree {
 	return &Tree{a: a, root: root, onRootChange: onRootChange}
 }
@@ -291,6 +293,9 @@ func keyOfInteriorCell(cell []byte) []byte {
 // Get returns the value stored for key.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	id := t.root
+	if id == pager.Invalid {
+		return nil, false, nil // an empty tree (see Open)
+	}
 	for {
 		f, err := t.a.Get(id)
 		if err != nil {

@@ -8,19 +8,22 @@ import (
 
 // Cursor iterates key/value pairs in ascending key order. It snapshots one
 // leaf at a time, so the tree may be read (but not mutated) concurrently;
-// the executor materializes update target lists before mutating.
+// the executor materializes update target lists before mutating. A
+// bounded cursor (SeekRangeInto, SeekPrefixInto) snapshots only the cells
+// inside its bound: a point probe copies the keys it returns, not the rest
+// of the leaf.
 type Cursor struct {
-	t         *Tree
-	keys      [][]byte
-	vals      [][]byte
-	buf       []byte // single backing store for the snapshotted cells
-	offs      []int  // staging: key-end/value-end offset pairs into buf
-	i         int
-	next      pager.PageID
-	valid     bool
-	err       error
-	prefix    []byte // non-nil: iteration stops when keys leave this prefix
-	prefixBuf []byte // reused backing for prefix across SeekPrefixInto calls
+	t          *Tree
+	keys       [][]byte
+	vals       [][]byte
+	buf        []byte // single backing store for the snapshotted cells
+	offs       []int  // staging: key-end/value-end offset pairs into buf
+	i          int
+	next       pager.PageID
+	valid      bool
+	err        error
+	through    []byte // non-nil: inclusive upper bound on each key's first len(through) bytes
+	throughBuf []byte // reused backing for through across seeks
 }
 
 // First returns a cursor positioned at the smallest key.
@@ -29,21 +32,50 @@ func (t *Tree) First() (*Cursor, error) { return t.Seek(nil) }
 // Seek returns a cursor positioned at the first key >= key.
 func (t *Tree) Seek(key []byte) (*Cursor, error) {
 	c := &Cursor{}
-	if err := t.SeekInto(c, key); err != nil {
+	if err := t.SeekRangeInto(c, key, nil); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// SeekInto positions c at the first key >= key, reusing c's internal
-// buffers. A zero Cursor is ready for use; reusing one across seeks makes
-// repeated point probes allocation-free in the steady state.
-func (t *Tree) SeekInto(c *Cursor, key []byte) error {
+// SeekPrefix returns a cursor over exactly the keys beginning with prefix.
+func (t *Tree) SeekPrefix(prefix []byte) (*Cursor, error) {
+	c := &Cursor{}
+	if err := t.SeekPrefixInto(c, prefix); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// SeekPrefixInto is SeekPrefix into a caller-reused cursor: the range from
+// prefix through prefix, since a key at or above prefix whose first
+// len(prefix) bytes are at most prefix begins with it.
+func (t *Tree) SeekPrefixInto(c *Cursor, prefix []byte) error {
+	return t.SeekRangeInto(c, prefix, prefix)
+}
+
+// SeekRangeInto positions c at the first key >= lo and bounds it by
+// through: the cursor ends at the first key whose first len(through)
+// bytes compare above through. A nil through leaves the cursor unbounded.
+// Truncation preserves order, so every key after the first one outside
+// the bound is outside too; the cursor stops copying there and never
+// walks further siblings. c's internal buffers are reused: a zero Cursor
+// is ready for use, and reusing one across seeks makes repeated point
+// probes allocation-free in the steady state.
+func (t *Tree) SeekRangeInto(c *Cursor, lo, through []byte) error {
 	c.t = t
 	c.err = nil
 	c.valid = false
-	c.prefix = nil
+	c.through = nil
+	if through != nil {
+		c.throughBuf = append(c.throughBuf[:0], through...)
+		c.through = c.throughBuf
+	}
 	id := t.root
+	if id == pager.Invalid { // an empty tree (see Open)
+		c.keys, c.vals = c.keys[:0], c.vals[:0]
+		return nil
+	}
 	for {
 		f, err := t.a.Get(id)
 		if err != nil {
@@ -55,12 +87,12 @@ func (t *Tree) SeekInto(c *Cursor, key []byte) error {
 			return err
 		}
 		if !n.isLeaf() {
-			_, child := route(n, key)
+			_, child := route(n, lo)
 			t.a.Release(f)
 			id = child
 			continue
 		}
-		i, _ := leafSearch(n, key)
+		i, _ := leafSearch(n, lo)
 		if err := c.loadLeaf(n, i); err != nil {
 			t.a.Release(f)
 			return err
@@ -74,31 +106,23 @@ func (t *Tree) SeekInto(c *Cursor, key []byte) error {
 	return c.err
 }
 
-// SeekPrefix returns a cursor over exactly the keys beginning with prefix.
-func (t *Tree) SeekPrefix(prefix []byte) (*Cursor, error) {
-	c := &Cursor{}
-	if err := t.SeekPrefixInto(c, prefix); err != nil {
-		return nil, err
+// inside reports whether key k lies within the cursor's bound.
+func (c *Cursor) inside(k []byte) bool {
+	if c.through == nil {
+		return true
 	}
-	return c, nil
+	if len(k) > len(c.through) {
+		k = k[:len(c.through)]
+	}
+	return bytes.Compare(k, c.through) <= 0
 }
 
-// SeekPrefixInto is SeekPrefix into a caller-reused cursor.
-func (t *Tree) SeekPrefixInto(c *Cursor, prefix []byte) error {
-	if err := t.SeekInto(c, prefix); err != nil {
-		return err
-	}
-	c.prefixBuf = append(c.prefixBuf[:0], prefix...)
-	c.prefix = c.prefixBuf
-	c.checkPrefix()
-	return nil
-}
-
-// loadLeaf snapshots leaf n's cells from position i on. All cells share
-// the cursor's single backing buffer: extents are recorded first (growth
-// reallocates the buffer), then the key/value sub-slices are carved once
-// the buffer is final, capacity-capped so appending to one cannot reach
-// its neighbor.
+// loadLeaf snapshots leaf n's cells from position i on, up to the first
+// cell outside the bound; reaching that cell also ends the sibling walk.
+// All cells share the cursor's single backing buffer: extents are
+// recorded first (growth reallocates the buffer), then the key/value
+// sub-slices are carved once the buffer is final, capacity-capped so
+// appending to one cannot reach its neighbor.
 func (c *Cursor) loadLeaf(n node, i int) error {
 	c.keys = c.keys[:0]
 	c.vals = c.vals[:0]
@@ -108,7 +132,12 @@ func (c *Cursor) loadLeaf(n node, i int) error {
 	c.next = n.next()
 	nc := n.nCells()
 	for j := i; j < nc; j++ {
-		c.buf = append(c.buf, n.leafKey(j)...)
+		k := n.leafKey(j)
+		if !c.inside(k) {
+			c.next = pager.Invalid
+			break
+		}
+		c.buf = append(c.buf, k...)
 		c.offs = append(c.offs, len(c.buf))
 		inline, ovf, total := n.leafValueInfo(j)
 		if ovf == pager.Invalid {
@@ -177,12 +206,5 @@ func (c *Cursor) Next() {
 	c.i++
 	if c.i >= len(c.keys) {
 		c.advanceLeaf()
-	}
-	c.checkPrefix()
-}
-
-func (c *Cursor) checkPrefix() {
-	if c.prefix != nil && c.Valid() && !bytes.HasPrefix(c.Key(), c.prefix) {
-		c.valid = false
 	}
 }

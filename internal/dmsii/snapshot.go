@@ -3,7 +3,9 @@ package dmsii
 import (
 	"encoding/binary"
 	"errors"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"sim/internal/btree"
 	"sim/internal/pager"
@@ -47,6 +49,78 @@ func (a *snapAlloc) FreePage(pager.PageID) error      { return errSnapshotRO }
 func (a *snapAlloc) Prepare(*pager.Frame)             {}
 func (a *snapAlloc) MarkDirty(*pager.Frame)           {}
 
+// stampTable holds the read-only structure handles of one published
+// commit stamp and store generation, shared by every Snap pinned there:
+// the directory is read once per stamp, not once per statement. A handle
+// names a root page, which cannot change under a fixed stamp except when
+// the store's pages are replaced wholesale (a follower installing
+// replicated pages); invalidateCaches bumps the generation then, so the
+// next pin builds a fresh table. A structure absent from the directory at
+// the stamp had no rows then, so it reads as empty — and is cached as
+// such — rather than being created in the live store.
+type stampTable struct {
+	s     *Store
+	stamp uint64
+	gen   uint64
+	alloc snapAlloc
+
+	open atomic.Pointer[map[string]*Structure] // copy-on-write; lock-free hits
+	mu   sync.Mutex                            // serializes misses
+	dir  *btree.Tree                           // directory as of stamp, opened on the first miss
+}
+
+// tableAt returns the structure table for stamp at the current store
+// generation, sharing the newest one when it matches.
+func (s *Store) tableAt(stamp uint64) *stampTable {
+	gen := s.gen.Load()
+	if t := s.table.Load(); t != nil && t.stamp == stamp && t.gen == gen {
+		return t
+	}
+	t := &stampTable{s: s, stamp: stamp, gen: gen, alloc: snapAlloc{pool: s.pool, stamp: stamp}}
+	s.table.Store(t)
+	return t
+}
+
+// structure resolves name as of the table's stamp.
+func (t *stampTable) structure(name string) (*Structure, error) {
+	if m := t.open.Load(); m != nil {
+		if st, ok := (*m)[name]; ok {
+			return st, nil
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := t.open.Load()
+	if old != nil {
+		if st, ok := (*old)[name]; ok {
+			return st, nil
+		}
+	}
+	if t.dir == nil {
+		meta, err := t.s.pool.ViewPage(0, t.stamp)
+		if err != nil {
+			return nil, err
+		}
+		t.dir = btree.Open(&t.alloc, pager.PageID(binary.BigEndian.Uint32(meta[dirRootOff:])), nil)
+	}
+	rootBytes, found, err := t.dir.Get([]byte(name))
+	if err != nil {
+		return nil, err
+	}
+	root := pager.Invalid // absent at this stamp: an empty tree
+	if found {
+		root = pager.PageID(binary.BigEndian.Uint32(rootBytes))
+	}
+	st := &Structure{s: t.s, name: name, tree: btree.Open(&t.alloc, root, nil), ro: true}
+	next := map[string]*Structure{}
+	if old != nil {
+		next = maps.Clone(*old)
+	}
+	next[name] = st
+	t.open.Store(&next)
+	return st, nil
+}
+
 // Snap is a pinned, immutable read view of the store at one published
 // commit stamp. Its structures resolve pages through the pool's version
 // chains, so a Snap never takes the store write latch, never observes
@@ -55,73 +129,33 @@ func (a *snapAlloc) MarkDirty(*pager.Frame)           {}
 // query workers share one). Every PinSnapshot must be paired with
 // Release, which is what lets version GC reclaim old page images.
 type Snap struct {
-	s     *Store
-	alloc *snapAlloc
-	stamp uint64
-
-	mu       sync.Mutex
-	dir      *btree.Tree // directory as of stamp, opened lazily
-	open     map[string]*Structure
-	released bool
+	t        *stampTable // shared by every Snap at the same stamp
+	released atomic.Bool
 }
 
 // PinSnapshot pins a read view at the newest published commit stamp.
 func (s *Store) PinSnapshot() *Snap {
-	stamp := s.pool.PinView()
-	return &Snap{
-		s:     s,
-		stamp: stamp,
-		alloc: &snapAlloc{pool: s.pool, stamp: stamp},
-		open:  make(map[string]*Structure),
-	}
+	return &Snap{t: s.tableAt(s.pool.PinView())}
 }
 
 // Stamp returns the commit stamp the view is pinned at.
-func (sn *Snap) Stamp() uint64 { return sn.stamp }
+func (sn *Snap) Stamp() uint64 { return sn.t.stamp }
 
 // Release unpins the view, allowing version GC to advance past it. It is
 // idempotent; structures obtained from the view must not be used after.
 func (sn *Snap) Release() {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	if sn.released {
-		return
+	if sn.released.CompareAndSwap(false, true) {
+		sn.t.s.pool.UnpinView(sn.t.stamp)
 	}
-	sn.released = true
-	sn.s.pool.UnpinView(sn.stamp)
 }
 
 // Structure opens a read-only view of the named structure as of the
-// snapshot. A structure absent from the snapshot's directory (created
-// after the pin, or never) falls back to the live store — schema changes
-// are not snapshot-isolated, matching the statement-level DDL exclusion
-// the database layer already enforces.
-func (sn *Snap) Structure(name string) (*Structure, error) {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	if st, ok := sn.open[name]; ok {
-		return st, nil
-	}
-	if sn.dir == nil {
-		meta, err := sn.s.pool.ViewPage(0, sn.stamp)
-		if err != nil {
-			return nil, err
-		}
-		root := pager.PageID(binary.BigEndian.Uint32(meta[dirRootOff:]))
-		sn.dir = btree.Open(sn.alloc, root, nil)
-	}
-	rootBytes, found, err := sn.dir.Get([]byte(name))
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		return sn.s.Structure(name)
-	}
-	root := pager.PageID(binary.BigEndian.Uint32(rootBytes))
-	st := &Structure{s: sn.s, name: name, tree: btree.Open(sn.alloc, root, nil), ro: true}
-	sn.open[name] = st
-	return st, nil
-}
+// snapshot. Handles are shared by every Snap at the same stamp. A
+// structure absent from the snapshot's directory — created after the pin,
+// or never — reads as empty: it had no rows at the stamp, and a reader
+// never creates structures (which would allocate pages outside any
+// transaction).
+func (sn *Snap) Structure(name string) (*Structure, error) { return sn.t.structure(name) }
 
 // Published returns the newest commit stamp visible to new snapshots.
 func (s *Store) Published() uint64 { return s.pool.Published() }

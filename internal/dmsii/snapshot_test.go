@@ -1,0 +1,286 @@
+package dmsii
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+
+	"sim/internal/fault"
+	"sim/internal/pager"
+	"sim/internal/wal"
+)
+
+// Snaps at one stamp share a table of structure handles (stampTable).
+// These tests pin what makes that sharing safe: a follower replacing pages
+// under its unchanged stamp retires the table, and readers at a stamp
+// keep reading that stamp's state while a writer publishes newer ones.
+
+func rowKey(i int) []byte { return []byte(fmt.Sprintf("row-%05d", i)) }
+
+// readAll reads every key of name through sn with point Gets (which, unlike
+// a cursor's sibling walk, only reach keys routed from the handle's root),
+// failing on the first one missing.
+func readAll(t *testing.T, sn *Snap, name string, keys [][]byte) {
+	t.Helper()
+	st, err := sn.Structure(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if _, ok, err := st.Get(k); err != nil || !ok {
+			t.Fatalf("%s: key %q not found at stamp %d (err %v)", name, k, sn.Stamp(), err)
+		}
+	}
+}
+
+// TestFollowerRefreshesStampTable: a follower installs primary pages under
+// its own, unchanged published stamp. A table cached before the install
+// must not survive it — the install created structure b and split a's
+// root, and a reader pinned afterwards sees both.
+func TestFollowerRefreshesStampTable(t *testing.T) {
+	for _, ship := range []struct {
+		name string
+		do   func(t *testing.T, primary, follower *Store, groups []wal.CommitGroup)
+	}{
+		{"ApplyReplicated", func(t *testing.T, _, follower *Store, groups []wal.CommitGroup) {
+			for _, g := range groups {
+				if err := follower.ApplyReplicated(g.Images); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"ReplaceImage", func(t *testing.T, primary, follower *Store, _ []wal.CommitGroup) {
+			img, _, err := primary.SnapshotImage(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := follower.ReplaceImage(img); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(ship.name, func(t *testing.T) {
+			primary, _, _ := newFaultStore(t, fault.NewInjector())
+			follower, _, _ := newFaultStore(t, fault.NewInjector())
+			var mu sync.Mutex
+			var groups []wal.CommitGroup
+			if err := primary.SetCommitHook(func(g wal.CommitGroup) uint64 {
+				imgs := make([]pager.PageImage, len(g.Images))
+				for i, im := range g.Images {
+					imgs[i] = pager.PageImage{ID: im.ID, Data: bytes.Clone(im.Data)}
+				}
+				mu.Lock()
+				groups = append(groups, wal.CommitGroup{Images: imgs})
+				mu.Unlock()
+				return 0
+			}); err != nil {
+				t.Fatal(err)
+			}
+			a, err := primary.Structure("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var aKeys [][]byte
+			for i := 0; i < 10; i++ {
+				aKeys = append(aKeys, rowKey(i))
+				commitPut(t, primary, a, string(rowKey(i)), "small")
+			}
+			img, _, err := primary.SnapshotImage(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := follower.ReplaceImage(img); err != nil {
+				t.Fatal(err)
+			}
+
+			// A reader caches the follower's table: a's root, b absent.
+			before := follower.PinSnapshot()
+			readAll(t, before, "a", aKeys)
+			if st, err := before.Structure("b"); err != nil {
+				t.Fatal(err)
+			} else if _, ok, _ := st.Get(rowKey(0)); ok {
+				t.Fatal("b has rows before the primary created it")
+			}
+			before.Release()
+
+			// The primary creates b and grows a past a root split.
+			mu.Lock()
+			groups = nil
+			mu.Unlock()
+			rootBefore := a.tree.Root()
+			tx, err := primary.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := primary.Structure("b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(t, b, string(rowKey(0)), "b-row")
+			for i := 10; i < 200; i++ {
+				aKeys = append(aKeys, rowKey(i))
+				put(t, a, string(rowKey(i)), string(bytes.Repeat([]byte("v"), 100)))
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if a.tree.Root() == rootBefore {
+				t.Fatal("a's root did not split; the test needs more rows")
+			}
+			mu.Lock()
+			shipped := groups
+			mu.Unlock()
+			ship.do(t, primary, follower, shipped)
+
+			after := follower.PinSnapshot()
+			defer after.Release()
+			if after.Stamp() != before.Stamp() {
+				t.Fatalf("follower stamp moved %d → %d; the test needs pages to change under one stamp", before.Stamp(), after.Stamp())
+			}
+			readAll(t, after, "a", aKeys)
+			readAll(t, after, "b", [][]byte{rowKey(0)})
+		})
+	}
+}
+
+// TestSnapshotsShareStampTableUnderWriter: readers pinned at a stamp read
+// a consistent pair — every row has its index entry and nothing else —
+// while a writer publishes newer stamps, creates a structure midway and
+// splits roots; Snaps at one stamp share one table. Run under -race.
+func TestSnapshotsShareStampTableUnderWriter(t *testing.T) {
+	s := memStore(t)
+	const n, lateAt = 300, 150
+	val := func(i int) []byte {
+		return append([]byte(fmt.Sprintf("val-%05d-", i)), bytes.Repeat([]byte("v"), 48)...)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < n; i++ {
+			tx, err := s.Begin()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			write := func(name string, k, v []byte) error {
+				st, err := s.Structure(name)
+				if err != nil {
+					return err
+				}
+				return st.Put(k, v)
+			}
+			err = write("rows", rowKey(i), val(i))
+			if err == nil {
+				err = write("ix", val(i), rowKey(i))
+			}
+			if err == nil && i == lateAt {
+				err = write("late", rowKey(i), nil)
+			}
+			if err != nil {
+				tx.Rollback()
+				t.Error(err)
+				return
+			}
+			if err := tx.Commit(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	// check reads one snapshot's rows, index and late structure, returning
+	// the row count.
+	check := func(sn *Snap) (int, error) {
+		rows, err := sn.Structure("rows")
+		if err != nil {
+			return 0, err
+		}
+		ix, err := sn.Structure("ix")
+		if err != nil {
+			return 0, err
+		}
+		late, err := sn.Structure("late")
+		if err != nil {
+			return 0, err
+		}
+		c, err := rows.First()
+		if err != nil {
+			return 0, err
+		}
+		nrows := 0
+		for ; c.Valid(); c.Next() {
+			k, ok, err := ix.Get(c.Value())
+			if err != nil || !ok || !bytes.Equal(k, c.Key()) {
+				return 0, fmt.Errorf("stamp %d: row %q has index entry %q (found %v, err %v)", sn.Stamp(), c.Key(), k, ok, err)
+			}
+			nrows++
+		}
+		if err := c.Err(); err != nil {
+			return 0, err
+		}
+		ic, err := ix.First()
+		if err != nil {
+			return 0, err
+		}
+		nix := 0
+		for ; ic.Valid(); ic.Next() {
+			nix++
+		}
+		if nix != nrows {
+			return 0, fmt.Errorf("stamp %d: %d rows but %d index entries", sn.Stamp(), nrows, nix)
+		}
+		_, hasLate, err := late.Get(rowKey(lateAt))
+		if err != nil {
+			return 0, err
+		}
+		if hasLate != (nrows > lateAt) {
+			return 0, fmt.Errorf("stamp %d: %d rows, late structure row present=%v", sn.Stamp(), nrows, hasLate)
+		}
+		return nrows, nil
+	}
+
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				sn := s.PinSnapshot()
+				first, err := check(sn)
+				if err == nil {
+					runtime.Gosched() // let the writer publish past this stamp
+					var again int
+					if again, err = check(sn); err == nil && again != first {
+						err = fmt.Errorf("stamp %d: %d rows, then %d", sn.Stamp(), first, again)
+					}
+				}
+				sn.Release()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	sn1, sn2 := s.PinSnapshot(), s.PinSnapshot()
+	defer sn1.Release()
+	defer sn2.Release()
+	if sn1.t != sn2.t {
+		t.Fatal("two snapshots at one stamp built separate structure tables")
+	}
+	if got, err := check(sn1); err != nil || got != n {
+		t.Fatalf("final snapshot: %d rows, err %v; want %d", got, err, n)
+	}
+}

@@ -46,8 +46,8 @@ const checkpointThreshold = 8 << 20
 // Store is an open database file: a directory of named structures plus the
 // transaction machinery. Reads (Get/cursor traffic on already-open
 // structures) are safe from concurrent goroutines; dirMu serializes the
-// structure directory so concurrent readers can open structures, and the
-// database layer serializes writers against readers.
+// live structure directory, and the database layer serializes writers
+// against readers.
 //
 // Multiple transactions may be open concurrently (BeginSession), but their
 // write phases are serialized on the store-wide write latch: a transaction
@@ -61,7 +61,8 @@ const checkpointThreshold = 8 << 20
 // Reads are versioned: PinSnapshot returns a Snap pinned at the newest
 // published commit stamp, whose structures resolve pages through
 // copy-on-write version chains (pager.Pool.ViewPage) — snapshot readers
-// never block writers and never see uncommitted bytes.
+// never block writers and never see uncommitted bytes. Snaps pinned at
+// the same stamp share one table of structure handles (stampTable).
 type Store struct {
 	file      pager.File
 	pool      *pager.Pool
@@ -71,6 +72,9 @@ type Store struct {
 	open      map[string]*Structure
 	closed    atomic.Bool
 	recovered wal.RecoverInfo // what recovery did when the store opened
+
+	table atomic.Pointer[stampTable] // the newest snapshot structure table
+	gen   atomic.Uint64              // bumped when pages change under an unchanged stamp
 
 	writeSem   chan struct{} // capacity-1 store-wide write latch
 	writeHeld  atomic.Bool   // the write latch is currently held

@@ -18,9 +18,12 @@ type Structure struct {
 	ro   bool // snapshot view: reads only, pages resolved as of a pinned stamp
 }
 
-// Structure opens the named structure, creating it when absent. It is
-// safe for concurrent readers: the directory lookup and open-structure
-// cache are serialized behind the store's directory lock.
+// Structure opens the named structure in the live store, creating it when
+// absent. Creating allocates a page and writes the directory, so a caller
+// that may create holds the store write latch (a transaction in its write
+// phase) or owns the store outright; readers open structures through a
+// Snap, which never creates. The directory lookup and open-structure cache
+// are serialized behind the store's directory lock.
 func (s *Store) Structure(name string) (*Structure, error) {
 	s.dirMu.Lock()
 	defer s.dirMu.Unlock()
@@ -146,10 +149,12 @@ func (st *Structure) SeekPrefix(prefix []byte) (*btree.Cursor, error) {
 	return st.tree.SeekPrefix(prefix)
 }
 
-// SeekInto is Seek into a caller-reused cursor, so repeated probes reuse
-// the cursor's snapshot buffers instead of allocating per seek.
-func (st *Structure) SeekInto(cur *btree.Cursor, key []byte) error {
-	return st.tree.SeekInto(cur, key)
+// SeekRangeInto positions a caller-reused cursor at the first key >= lo,
+// ending it at the first key whose first len(through) bytes exceed
+// through (nil: unbounded); see btree.Tree.SeekRangeInto. Reusing the
+// cursor reuses its snapshot buffers instead of allocating per seek.
+func (st *Structure) SeekRangeInto(cur *btree.Cursor, lo, through []byte) error {
+	return st.tree.SeekRangeInto(cur, lo, through)
 }
 
 // SeekPrefixInto is SeekPrefix into a caller-reused cursor.

@@ -66,63 +66,55 @@ type Bound struct {
 // the index bounds the estimation cost while being exact for selective
 // predicates).
 func (m *Mapper) IndexCountApprox(a *catalog.Attribute, lo, hi Bound, limit int) (n int, capped bool, err error) {
-	st, err := m.indexStructure(a)
-	if err != nil {
-		return 0, false, err
-	}
-	var start []byte
-	if lo.Set {
-		start = value.AppendKey(nil, lo.Value)
-	}
-	var hiKey []byte
-	if hi.Set {
-		hiKey = value.AppendKey(nil, hi.Value)
-	}
-	c, err := st.Seek(start)
-	if err != nil {
-		return 0, false, err
-	}
-	for ; c.Valid(); c.Next() {
-		key := c.Key()
-		part := key[:len(key)-8]
-		if lo.Set && !lo.Inclusive && bytes.Equal(part, start) {
-			continue
-		}
-		if hi.Set {
-			cmp := bytes.Compare(part, hiKey)
-			if cmp > 0 || (cmp == 0 && !hi.Inclusive) {
-				break
-			}
-		}
+	err = m.indexRange(a, lo, hi, func(value.Surrogate) bool {
 		n++
-		if n >= limit {
-			return n, true, nil
-		}
-	}
-	return n, false, c.Err()
+		capped = n >= limit
+		return !capped
+	})
+	return n, capped, err
 }
 
 // IndexScan returns the surrogates whose indexed value of a lies within
 // [lo, hi], in value order.
 func (m *Mapper) IndexScan(a *catalog.Attribute, lo, hi Bound) ([]value.Surrogate, error) {
+	var out []value.Surrogate
+	err := m.indexRange(a, lo, hi, func(s value.Surrogate) bool {
+		out = append(out, s)
+		return true
+	})
+	return out, err
+}
+
+// indexRange calls yield with the owner of each index entry of a within
+// [lo, hi], in value order, until yield returns false. A set hi bounds
+// the cursor's leaf snapshots too: value.AppendKey encodings are
+// prefix-free, so an entry whose value sorts above hi already has a first
+// len(hiKey) bytes above hiKey, and the cursor never copies it. The loop
+// still applies each end's own inclusive/exclusive test.
+func (m *Mapper) indexRange(a *catalog.Attribute, lo, hi Bound, yield func(value.Surrogate) bool) error {
 	st, err := m.indexStructure(a)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var start []byte
+	p := m.getProbe()
+	defer m.putProbe(p)
+	p.key = p.key[:0]
 	if lo.Set {
-		start = value.AppendKey(nil, lo.Value)
+		p.key = value.AppendKey(p.key, lo.Value)
 	}
-	var hiKey []byte
+	n := len(p.key)
 	if hi.Set {
-		hiKey = value.AppendKey(nil, hi.Value)
+		p.key = value.AppendKey(p.key, hi.Value)
 	}
-	c, err := st.Seek(start)
-	if err != nil {
-		return nil, err
+	start := p.key[:n:n]
+	var hiKey []byte // nil: no upper bound
+	if hi.Set {
+		hiKey = p.key[n:]
 	}
-	var out []value.Surrogate
-	for ; c.Valid(); c.Next() {
+	if err := st.SeekRangeInto(&p.cur, start, hiKey); err != nil {
+		return err
+	}
+	for c := &p.cur; c.Valid(); c.Next() {
 		key := c.Key()
 		part := key[:len(key)-8]
 		if lo.Set && !lo.Inclusive && bytes.Equal(part, start) {
@@ -134,9 +126,11 @@ func (m *Mapper) IndexScan(a *catalog.Attribute, lo, hi Bound) ([]value.Surrogat
 				break
 			}
 		}
-		// Keys below the lower bound cannot appear (Seek started there),
-		// but NULL entries are never indexed, so no filtering is needed.
-		out = append(out, value.SurrogateFromKey(key[len(key)-8:]))
+		// Keys below the lower bound cannot appear (the seek started
+		// there), and NULL entries are never indexed.
+		if !yield(value.SurrogateFromKey(key[len(key)-8:])) {
+			break
+		}
 	}
-	return out, c.Err()
+	return p.cur.Err()
 }

@@ -137,6 +137,11 @@ type Mapper struct {
 	// class's record section, in declaration order.
 	slots map[*catalog.Class][]slot
 
+	// clNames and attrNames hold the structure names of every class and
+	// attribute, formatted once by Reconfigure so that no probe builds one.
+	clNames   map[*catalog.Class]classNames
+	attrNames map[*catalog.Attribute]attrNames
+
 	// surrNext is touched only on the write path (the database layer holds
 	// an exclusive lock there), so it needs no internal locking. Shared by
 	// reference across views.
@@ -319,17 +324,19 @@ type slot struct {
 // New builds the mapper, resolving every physical mapping decision.
 func New(store *dmsii.Store, cat *catalog.Catalog, cfg Config) (*Mapper, error) {
 	m := &Mapper{
-		store:    store,
-		cat:      cat,
-		hier:     make(map[*catalog.Class]HierarchyStrategy),
-		evas:     make(map[*catalog.Attribute]evaMapping),
-		mvSep:    make(map[*catalog.Attribute]bool),
-		idx:      make(map[*catalog.Attribute]bool),
-		slots:    make(map[*catalog.Class][]slot),
-		surrNext: make(map[int]value.Surrogate),
-		stat:     &statCache{m: make(map[string]int64)},
-		rc:       &recCache{},
-		probes:   new(sync.Pool),
+		store:     store,
+		cat:       cat,
+		hier:      make(map[*catalog.Class]HierarchyStrategy),
+		evas:      make(map[*catalog.Attribute]evaMapping),
+		mvSep:     make(map[*catalog.Attribute]bool),
+		idx:       make(map[*catalog.Attribute]bool),
+		slots:     make(map[*catalog.Class][]slot),
+		clNames:   make(map[*catalog.Class]classNames),
+		attrNames: make(map[*catalog.Attribute]attrNames),
+		surrNext:  make(map[int]value.Surrogate),
+		stat:      &statCache{m: make(map[string]int64)},
+		rc:        &recCache{},
+		probes:    new(sync.Pool),
 	}
 	for i := range m.rc.shards {
 		m.rc.shards[i].m = make(map[rcKey]rcEntry)
@@ -414,9 +421,18 @@ func (m *Mapper) Reconfigure(cfg Config) error {
 		}
 		m.idx[a] = true
 	}
-	// Slot tables.
+	// Slot tables and structure names.
 	for _, cl := range m.cat.Classes() {
 		m.slots[cl] = m.computeSlots(cl)
+		m.clNames[cl] = classNames{hier: fmt.Sprintf("h:%d", cl.ID), class: fmt.Sprintf("c:%d", cl.ID)}
+		for _, a := range cl.Attrs {
+			m.attrNames[a] = attrNames{
+				own:     fmt.Sprintf("eva:%d", a.ID),
+				fkIndex: fmt.Sprintf("fki:%d", a.ID),
+				mv:      fmt.Sprintf("mv:%d", a.ID),
+				index:   fmt.Sprintf("ix:%d", a.ID),
+			}
+		}
 	}
 	return nil
 }
@@ -515,12 +531,21 @@ func (m *Mapper) computeSlots(cl *catalog.Class) []slot {
 // Structure naming
 // ---------------------------------------------------------------------------
 
+// classNames are the structures one class may own: its hierarchy's
+// single-record unit (base classes) and its split-strategy section unit.
+type classNames struct{ hier, class string }
+
+// attrNames are the structures one attribute may own: the private EVA
+// structure and foreign-key index of a canonical EVA, the dependent unit
+// of a separate MV DVA, and a DVA's secondary index.
+type attrNames struct{ own, fkIndex, mv, index string }
+
 func (m *Mapper) hierStructure(base *catalog.Class) (*dmsii.Structure, error) {
-	return m.structure(fmt.Sprintf("h:%d", base.ID))
+	return m.structure(m.clNames[base].hier)
 }
 
 func (m *Mapper) classStructure(cl *catalog.Class) (*dmsii.Structure, error) {
-	return m.structure(fmt.Sprintf("c:%d", cl.ID))
+	return m.structure(m.clNames[cl].class)
 }
 
 func (m *Mapper) cesStructure() (*dmsii.Structure, error) {
@@ -528,19 +553,19 @@ func (m *Mapper) cesStructure() (*dmsii.Structure, error) {
 }
 
 func (m *Mapper) ownEVAStructure(can *catalog.Attribute) (*dmsii.Structure, error) {
-	return m.structure(fmt.Sprintf("eva:%d", can.ID))
+	return m.structure(m.attrNames[can].own)
 }
 
 func (m *Mapper) fkIndexStructure(can *catalog.Attribute) (*dmsii.Structure, error) {
-	return m.structure(fmt.Sprintf("fki:%d", can.ID))
+	return m.structure(m.attrNames[can].fkIndex)
 }
 
 func (m *Mapper) mvStructure(a *catalog.Attribute) (*dmsii.Structure, error) {
-	return m.structure(fmt.Sprintf("mv:%d", a.ID))
+	return m.structure(m.attrNames[a].mv)
 }
 
 func (m *Mapper) indexStructure(a *catalog.Attribute) (*dmsii.Structure, error) {
-	return m.structure(fmt.Sprintf("ix:%d", a.ID))
+	return m.structure(m.attrNames[a].index)
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sim/internal/university"
 )
 
 // Isolation anomaly suite. Each test pins one guarantee of the MVCC
@@ -267,6 +269,41 @@ func TestIsolationReadersNeverBlockWriters(t *testing.T) {
 	}
 	if got := acctBal(t, db.QueryCtx, 1); got != "300" {
 		t.Fatalf("fresh read after commit: bal=%s, want 300", got)
+	}
+}
+
+// TestIsolationReadersCreateNoStructures: a Retrieve over structures that
+// do not exist yet reads them as empty instead of creating them in the
+// live store — creation allocates pages and writes the directory, which a
+// reader holding neither the write latch nor a transaction must never do.
+func TestIsolationReadersCreateNoStructures(t *testing.T) {
+	db, err := Open("", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.DefineSchema(university.DDL); err != nil {
+		t.Fatal(err)
+	}
+	before, err := db.store.Structures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`From student Retrieve name of advisor.`,
+		`From student Retrieve name of advisor Where soc-sec-no = 1.`,
+		`From course Retrieve title Where title >= "A" and title < "B".`,
+	} {
+		if r := mustQuery(t, db, q); r.NumRows() != 0 {
+			t.Fatalf("%s: %d rows from an empty database", q, r.NumRows())
+		}
+	}
+	after, err := db.store.Structures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("reads changed the structure directory: %v → %v", before, after)
 	}
 }
 
