@@ -205,6 +205,26 @@ func BenchmarkParseRetrieve(b *testing.B) {
 	}
 }
 
+// The T9/T10 full scan with an EVA walk per row, serial and partitioned
+// across two workers. A per-row cost that grows with the root domain's
+// size (a recycled scan-sized buffer cleared through its capacity in the
+// inner loop, say) shows up here as ns/op growing faster than the rows.
+func BenchmarkFullScanJoin(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			w := benchWorkload
+			w.Students = 1000
+			db, err := bench.BuildUniversity(sim.Config{Workers: workers}, w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { db.Close() })
+			b.ReportAllocs()
+			benchQuery(b, db, `From student Retrieve name, name of advisor.`)
+		})
+	}
+}
+
 // Point lookups whose key literal changes on every call: with the plan
 // cache keyed by statement shape they all run one compiled program.
 func BenchmarkPointReadVaryingLiteral(b *testing.B) {

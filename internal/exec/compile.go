@@ -266,19 +266,22 @@ func (e *Executor) compileRootDomain(p *plan.Plan, t *query.Tree, n *query.Node)
 			return e.appendWithRole(sc, buf, ss, cl)
 		}
 	default:
+		// A full scan decodes each record from the cell its cursor is on
+		// (the zero Rec under the split strategy): no second descent per
+		// entity, and no record-cache traffic.
 		return func(sc *scratch, buf []inst) ([]inst, error) {
 			c, err := sc.m.Scan(cl)
 			if err != nil {
 				return buf, err
 			}
-			base := len(buf)
 			for ; c.Valid(); c.Next() {
-				buf = append(buf, inst{surr: c.Surrogate()})
+				rec, err := c.Rec()
+				if err != nil {
+					return buf, err
+				}
+				buf = append(buf, inst{surr: c.Surrogate(), rec: rec})
 			}
-			if err := c.Err(); err != nil {
-				return buf, err
-			}
-			return buf, e.fillRecs(sc, cl, buf[base:])
+			return buf, c.Err()
 		}
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,6 +50,12 @@ type univ struct {
 // students (enough to cross the parallel threshold when extra > 0), and
 // installs the schema's VERIFY assertions.
 func newUniv(t *testing.T, workers, extra int) *univ {
+	return newUnivMapped(t, workers, extra, luc.Config{})
+}
+
+// newUnivMapped is newUniv under a physical mapping other than the
+// default.
+func newUnivMapped(t *testing.T, workers, extra int, mapping luc.Config) *univ {
 	t.Helper()
 	store, err := dmsii.OpenMemory(dmsii.Options{})
 	if err != nil {
@@ -57,7 +64,7 @@ func newUniv(t *testing.T, workers, extra int) *univ {
 	t.Cleanup(func() { store.Close() })
 	u := &univ{t: t, store: store, cat: catalog.New()}
 	u.extend(university.DDL)
-	if u.m, err = luc.New(store, u.cat, luc.Config{}); err != nil {
+	if u.m, err = luc.New(store, u.cat, mapping); err != nil {
 		t.Fatal(err)
 	}
 	u.e = New(u.m)
@@ -173,47 +180,146 @@ func sameErr(a, b error) bool {
 	return a.Error() == b.Error()
 }
 
-// TestDifferentialRetrieve: the tri-logic query set, compiled (serial,
-// and partitioned across 4 workers) against the oracle.
+// retrieve runs one Retrieve compiled and on the oracle, reports any
+// disagreement, and returns the compiled result's structured rendering
+// (the error text when both fail alike).
+func (u *univ) retrieve(q string) string {
+	t := u.t
+	t.Helper()
+	stmt, err := parser.ParseStmt(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := query.Bind(u.cat, stmt.(*ast.RetrieveStmt))
+	if err != nil {
+		t.Fatalf("%q: %v", q, err)
+	}
+	p, err := plan.Optimize(tree, u.m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := u.e.Compile(p)
+	if err != nil {
+		t.Fatalf("%q: compile: %v", q, err)
+	}
+	got, gotErr := u.e.RetrieveProgram(context.Background(), p, prog, nil)
+	want, wantErr := u.e.retrieveTree(p)
+	if !sameErr(gotErr, wantErr) {
+		t.Errorf("%q: compiled err %v, oracle err %v", q, gotErr, wantErr)
+		return ""
+	}
+	if wantErr != nil {
+		return wantErr.Error()
+	}
+	if got.Format() != want.Format() || got.FormatStructured() != want.FormatStructured() {
+		t.Errorf("%q:\ncompiled:\n%s\noracle:\n%s", q, got.FormatStructured(), want.FormatStructured())
+	}
+	if got.Stats != want.Stats {
+		t.Errorf("%q: compiled stats %+v, oracle %+v", q, got.Stats, want.Stats)
+	}
+	return got.FormatStructured()
+}
+
+// checkDomFree inspects every scratch the executor's pool hands out and
+// fails if a free domain buffer holds a non-zero instance anywhere up to
+// its capacity: putDomBuf clears only the used prefix, so everything past
+// len must already be zero or pooled buffers would pin decoded records.
+// It returns how many buffers it inspected; the scratches go back to the
+// pool.
+func checkDomFree(t *testing.T, e *Executor, q string) int {
+	t.Helper()
+	var held []*scratch
+	n := 0
+	for {
+		sc, _ := e.scratchPool.Get().(*scratch)
+		if sc == nil {
+			break
+		}
+		held = append(held, sc)
+		for _, b := range sc.domFree {
+			for i, it := range b[:cap(b)] {
+				if it != (inst{}) {
+					t.Errorf("%q: free domain buffer (len %d, cap %d) holds %+v at %d", q, len(b), cap(b), it, i)
+					break
+				}
+			}
+			n++
+		}
+	}
+	for _, sc := range held {
+		e.scratchPool.Put(sc)
+	}
+	return n
+}
+
+// roleProbes are unique-index probes whose hit may lack the perspective's
+// role: appendWithRole filters the domain in place and must zero what it
+// drops.
+var roleProbes = []string{
+	`From instructor Retrieve name Where soc-sec-no = 456887766.`,
+	`From student Retrieve name Where soc-sec-no = 456887766.`,
+}
+
+// TestDifferentialRetrieve: the tri-logic query set and the role probes,
+// compiled (serial, and partitioned across 4 workers) against the oracle.
+// After every program the pooled domain buffers must be zero through
+// capacity.
 func TestDifferentialRetrieve(t *testing.T) {
 	for _, tc := range []struct{ workers, extra int }{{1, 0}, {4, 64}} {
 		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
 			u := newUniv(t, tc.workers, tc.extra)
-			for _, q := range university.TriLogicQueries {
-				stmt, err := parser.ParseStmt(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tree, err := query.Bind(u.cat, stmt.(*ast.RetrieveStmt))
-				if err != nil {
-					t.Fatalf("%q: %v", q, err)
-				}
-				p, err := plan.Optimize(tree, u.m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prog, err := u.e.Compile(p)
-				if err != nil {
-					t.Fatalf("%q: compile: %v", q, err)
-				}
-				got, gotErr := u.e.RetrieveProgram(context.Background(), p, prog, nil)
-				want, wantErr := u.e.retrieveTree(p)
-				if !sameErr(gotErr, wantErr) {
-					t.Errorf("%q: compiled err %v, oracle err %v", q, gotErr, wantErr)
-					continue
-				}
-				if wantErr != nil {
-					continue
-				}
-				if got.Format() != want.Format() || got.FormatStructured() != want.FormatStructured() {
-					t.Errorf("%q:\ncompiled:\n%s\noracle:\n%s", q, got.FormatStructured(), want.FormatStructured())
-				}
-				if got.Stats != want.Stats {
-					t.Errorf("%q: compiled stats %+v, oracle %+v", q, got.Stats, want.Stats)
-				}
+			inspected := 0
+			for _, q := range slices.Concat(university.TriLogicQueries, roleProbes) {
+				u.retrieve(q)
+				inspected += checkDomFree(t, u.e, q)
 			}
 			if par := u.e.met.Parallel.Load(); (tc.workers > 1) != (par > 0) {
 				t.Errorf("workers=%d: %d queries took the parallel path", tc.workers, par)
+			}
+			if inspected == 0 {
+				t.Error("no pooled domain buffer was inspected")
+			}
+		})
+	}
+}
+
+// fullScans are perspective scans with no usable index: their root domain
+// decodes each record from the scan cursor's cell. They cover a base class,
+// subclasses whose scan filters on the role list (one with two parents),
+// attributes from several role sections of one record, a subrole read off
+// the scanned record, EVA walks from scanned records, and a second
+// hierarchy.
+var fullScans = []string{
+	`From person Retrieve name, soc-sec-no, birthdate, profession.`,
+	`From student Retrieve name, name of advisor.`,
+	`From instructor Retrieve name, salary, bonus, employee-nbr, count(advisees).`,
+	`From teaching-assistant Retrieve name, teaching-load, student-nbr, employee-nbr, salary.`,
+	`From student Retrieve name, title of courses-enrolled Where student-nbr >= 1502 or name of advisor = "Ann Smith".`,
+	`From course Retrieve title, credits, count(students-enrolled).`,
+}
+
+// TestDifferentialFullScans: full scans compiled against the oracle at 1
+// and 4 workers, under the single-record mapping (records decoded from the
+// cursor) and the split mapping (no record: per-entity reads); both
+// mappings must return the same rows.
+func TestDifferentialFullScans(t *testing.T) {
+	split := luc.Config{Hierarchy: map[string]luc.HierarchyStrategy{"person": luc.HierarchySplit}}
+	for _, tc := range []struct{ workers, extra int }{{1, 0}, {4, 64}} {
+		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
+			single := newUniv(t, tc.workers, tc.extra)
+			splitU := newUnivMapped(t, tc.workers, tc.extra, split)
+			for _, q := range fullScans {
+				a, b := single.retrieve(q), splitU.retrieve(q)
+				if a != b {
+					t.Errorf("%q: single-record mapping\n%s\nsplit mapping\n%s", q, a, b)
+				}
+				checkDomFree(t, single.e, q)
+				checkDomFree(t, splitU.e, q)
+			}
+			for _, u := range []*univ{single, splitU} {
+				if par := u.e.met.Parallel.Load(); (tc.workers > 1) != (par > 0) {
+					t.Errorf("workers=%d: %d queries took the parallel path", tc.workers, par)
+				}
 			}
 		})
 	}

@@ -97,12 +97,15 @@ func (sc *scratch) getDomBuf() []inst {
 }
 
 // putDomBuf returns a domain buffer, zeroing it so pooled buffers don't
-// pin decoded records between queries.
+// pin decoded records between queries. Only the used prefix b[:len(b)]
+// needs clearing: everything past len is already zero, because a buffer
+// enters the free list zeroed, domain functions only append to it, and
+// appendWithRole zeroes the tail it drops when it filters in place. The
+// clear therefore costs what the domain returned, not the buffer's
+// capacity — which matters once a scan-sized root buffer is recycled into
+// an inner loop that returns one instance per outer row.
 func (sc *scratch) putDomBuf(b []inst) {
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = inst{}
-	}
+	clear(b)
 	sc.domFree = append(sc.domFree, b[:0])
 }
 

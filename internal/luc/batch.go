@@ -6,11 +6,12 @@ import (
 )
 
 // Rec is a read-only handle on one entity's decoded record, handed to the
-// executor so a binding's attribute references resolve against one cached
+// executor so a binding's attribute references resolve against one
 // decode instead of paying a cache probe (and its shard lock) per
-// reference. The underlying record is shared with the Mapper's read cache
-// and with concurrent queries; it is immutable once published, and holders
-// must never mutate what the accessors return.
+// reference. The underlying record may be shared — with the Mapper's read
+// cache and concurrent queries (ReadBatch), or with one query's parallel
+// workers (EntityCursor.Rec); it is immutable once handed out, and
+// holders must never mutate what the accessors return.
 //
 // The zero Rec is invalid and reports no roles and only NULL values;
 // callers fall back to the Mapper's per-entity read path when Valid is
@@ -34,7 +35,7 @@ func (rec Rec) Single(a *catalog.Attribute) value.Value {
 	if rec.r == nil || !rec.r.hasRole(a.Owner.ID) {
 		return value.Null
 	}
-	return rec.r.single[a.ID]
+	return rec.r.get(a.ID)
 }
 
 // FirstSubrole returns the first subrole name (in SubroleOf declaration
@@ -74,7 +75,7 @@ func (rec Rec) MultiRaw(a *catalog.Attribute) []value.Value {
 	if rec.r == nil || !rec.r.hasRole(a.Owner.ID) {
 		return nil
 	}
-	return rec.r.multi[a.ID]
+	return rec.r.getMulti(a.ID)
 }
 
 // Batchable reports whether cl's hierarchy supports batched record reads:

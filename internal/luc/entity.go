@@ -41,7 +41,7 @@ func (m *Mapper) NewEntity(cl *catalog.Class) (value.Surrogate, error) {
 	if err := m.touch(cl.Base, s); err != nil {
 		return 0, err
 	}
-	r := newRecord()
+	r := &record{}
 	r.addRole(cl.ID)
 	for _, anc := range catalog.Ancestors(cl) {
 		r.addRole(anc.ID)
@@ -164,9 +164,9 @@ func (m *Mapper) DeleteRoles(s value.Surrogate, cl *catalog.Class) error {
 	prev := append([]int(nil), r.roles...)
 	for _, d := range doomed {
 		r.removeRole(d.ID)
-		for _, sl := range m.slots[d] {
-			delete(r.single, sl.attr.ID)
-			delete(r.multi, sl.attr.ID)
+		for _, sl := range m.slots[d.ID] {
+			r.set(sl.attr.ID, value.Null)
+			r.setMulti(sl.attr.ID, nil)
 		}
 		if err := m.statAdd(fmt.Sprintf("c%d", d.ID), -1); err != nil {
 			return err
@@ -228,7 +228,7 @@ func (m *Mapper) GetSingle(s value.Surrogate, a *catalog.Attribute) (value.Value
 	if err != nil || !found {
 		return value.Null, err
 	}
-	return r.single[a.ID], nil
+	return r.get(a.ID), nil
 }
 
 // SetSingle writes a single-valued DVA, maintaining any index and
@@ -251,7 +251,7 @@ func (m *Mapper) SetSingle(s value.Surrogate, a *catalog.Attribute, v value.Valu
 	if !r.hasRole(a.Owner.ID) {
 		return fmt.Errorf("luc: entity #%d has no %s role for attribute %s", s, a.Owner.Name, a.Name)
 	}
-	old := r.single[a.ID]
+	old := r.get(a.ID)
 	if old.Equal(v) {
 		return nil
 	}
@@ -276,11 +276,7 @@ func (m *Mapper) SetSingle(s value.Surrogate, a *catalog.Attribute, v value.Valu
 			}
 		}
 	}
-	if v.IsNull() {
-		delete(r.single, a.ID)
-	} else {
-		r.single[a.ID] = v
-	}
+	r.set(a.ID, v)
 	return m.storeRecord(base, s, r, r.roles)
 }
 
@@ -298,7 +294,7 @@ func (m *Mapper) GetMV(s value.Surrogate, a *catalog.Attribute) ([]value.Value, 
 	if err != nil || !found {
 		return nil, err
 	}
-	return append([]value.Value(nil), r.multi[a.ID]...), nil
+	return append([]value.Value(nil), r.getMulti(a.ID)...), nil
 }
 
 // SetMV replaces the whole multiset.
@@ -328,11 +324,7 @@ func (m *Mapper) SetMV(s value.Surrogate, a *catalog.Attribute, vals []value.Val
 	if r == nil {
 		return ErrNotFound
 	}
-	if len(vals) == 0 {
-		delete(r.multi, a.ID)
-	} else {
-		r.multi[a.ID] = append([]value.Value(nil), vals...)
-	}
+	r.setMulti(a.ID, append([]value.Value(nil), vals...))
 	return m.storeRecord(base, s, r, r.roles)
 }
 

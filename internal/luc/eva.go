@@ -165,7 +165,7 @@ func (m *Mapper) getFKSlot(s value.Surrogate, a *catalog.Attribute) (value.Value
 	if err != nil || !found {
 		return value.Null, err
 	}
-	return r.single[a.ID], nil
+	return r.get(a.ID), nil
 }
 
 func (m *Mapper) setFKSlot(s value.Surrogate, a *catalog.Attribute, v value.Value) error {
@@ -177,11 +177,7 @@ func (m *Mapper) setFKSlot(s value.Surrogate, a *catalog.Attribute, v value.Valu
 	if r == nil {
 		return ErrNotFound
 	}
-	if v.IsNull() {
-		delete(r.single, a.ID)
-	} else {
-		r.single[a.ID] = v
-	}
+	r.set(a.ID, v)
 	return m.storeRecord(base, s, r, r.roles)
 }
 

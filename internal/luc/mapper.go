@@ -133,9 +133,10 @@ type Mapper struct {
 	mvSep map[*catalog.Attribute]bool          // separate-unit MV DVAs
 	idx   map[*catalog.Attribute]bool          // secondary-indexed DVAs
 
-	// slots caches, per class, the immediate attributes stored in that
-	// class's record section, in declaration order.
-	slots map[*catalog.Class][]slot
+	// slots caches, per class id, the immediate attributes stored in that
+	// class's record section, in declaration order. Indexed by id so a
+	// record decode resolves each section without a map probe.
+	slots [][]slot
 
 	// clNames and attrNames hold the structure names of every class and
 	// attribute, formatted once by Reconfigure so that no probe builds one.
@@ -330,7 +331,6 @@ func New(store *dmsii.Store, cat *catalog.Catalog, cfg Config) (*Mapper, error) 
 		evas:      make(map[*catalog.Attribute]evaMapping),
 		mvSep:     make(map[*catalog.Attribute]bool),
 		idx:       make(map[*catalog.Attribute]bool),
-		slots:     make(map[*catalog.Class][]slot),
 		clNames:   make(map[*catalog.Class]classNames),
 		attrNames: make(map[*catalog.Attribute]attrNames),
 		surrNext:  make(map[int]value.Surrogate),
@@ -422,8 +422,9 @@ func (m *Mapper) Reconfigure(cfg Config) error {
 		m.idx[a] = true
 	}
 	// Slot tables and structure names.
+	m.slots = make([][]slot, len(m.cat.Classes()))
 	for _, cl := range m.cat.Classes() {
-		m.slots[cl] = m.computeSlots(cl)
+		m.slots[cl.ID] = m.computeSlots(cl)
 		m.clNames[cl] = classNames{hier: fmt.Sprintf("h:%d", cl.ID), class: fmt.Sprintf("c:%d", cl.ID)}
 		for _, a := range cl.Attrs {
 			m.attrNames[a] = attrNames{

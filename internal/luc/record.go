@@ -13,16 +13,85 @@ import (
 // hierarchy: the set of role class ids plus the slot values of each role's
 // section. It is the Mapper's "variable-format record" (§5.2): the format
 // of the encoded record varies with the role set.
+//
+// Slot values are kept as small (attribute id, value) slices rather than
+// maps: a record holds a handful of slots, a linear scan over them beats a
+// hash probe, and a decode sizes each slice once from its role sections
+// instead of allocating two maps per record. Only set slots are present —
+// no NULL single slot and no empty multiset — so a record's contents are
+// a function of what it encodes. Decoded records list their slots in
+// section order; set appends a slot it adds at the end. Encoding walks the
+// role sections, never these slices, so their order is not part of the
+// format.
 type record struct {
-	roles  []int                 // sorted class ids
-	single map[int]value.Value   // attr id → value (single DVAs and FK EVAs)
-	multi  map[int][]value.Value // attr id → values (embedded MV DVAs)
+	roles  []int       // sorted class ids
+	single []singleVal // single DVAs and FK EVAs, non-NULL only
+	multi  []multiVal  // embedded MV DVAs, non-empty only
 }
 
-func newRecord() *record {
-	return &record{
-		single: make(map[int]value.Value),
-		multi:  make(map[int][]value.Value),
+type singleVal struct {
+	attr int
+	v    value.Value
+}
+
+type multiVal struct {
+	attr int
+	vals []value.Value
+}
+
+// get returns the single slot of attribute id, NULL when unset.
+func (r *record) get(id int) value.Value {
+	for i := range r.single {
+		if r.single[i].attr == id {
+			return r.single[i].v
+		}
+	}
+	return value.Null
+}
+
+// set stores v in the single slot of attribute id; NULL unsets it.
+func (r *record) set(id int, v value.Value) {
+	for i := range r.single {
+		if r.single[i].attr == id {
+			if v.IsNull() {
+				r.single = append(r.single[:i], r.single[i+1:]...)
+			} else {
+				r.single[i].v = v
+			}
+			return
+		}
+	}
+	if !v.IsNull() {
+		r.single = append(r.single, singleVal{id, v})
+	}
+}
+
+// getMulti returns the embedded multiset of attribute id (nil when empty),
+// aliasing the record.
+func (r *record) getMulti(id int) []value.Value {
+	for i := range r.multi {
+		if r.multi[i].attr == id {
+			return r.multi[i].vals
+		}
+	}
+	return nil
+}
+
+// setMulti stores vals (not copied) as the embedded multiset of attribute
+// id; an empty vals unsets it.
+func (r *record) setMulti(id int, vals []value.Value) {
+	for i := range r.multi {
+		if r.multi[i].attr == id {
+			if len(vals) == 0 {
+				r.multi = append(r.multi[:i], r.multi[i+1:]...)
+			} else {
+				r.multi[i].vals = vals
+			}
+			return
+		}
+	}
+	if len(vals) > 0 {
+		r.multi = append(r.multi, multiVal{id, vals})
 	}
 }
 
@@ -54,12 +123,12 @@ func (r *record) removeRole(id int) {
 
 // encodeSection appends the slot values of one class section.
 func (m *Mapper) encodeSection(dst []byte, cl *catalog.Class, r *record) []byte {
-	for _, s := range m.slots[cl] {
+	for _, s := range m.slots[cl.ID] {
 		switch s.kind {
 		case slotSingle, slotFK:
-			dst = value.Append(dst, r.single[s.attr.ID])
+			dst = value.Append(dst, r.get(s.attr.ID))
 		case slotMulti:
-			vals := r.multi[s.attr.ID]
+			vals := r.getMulti(s.attr.ID)
 			dst = binary.AppendUvarint(dst, uint64(len(vals)))
 			for _, v := range vals {
 				dst = value.Append(dst, v)
@@ -69,9 +138,10 @@ func (m *Mapper) encodeSection(dst []byte, cl *catalog.Class, r *record) []byte 
 	return dst
 }
 
+// decodeSection appends the set slots of one class section to r.
 func (m *Mapper) decodeSection(b []byte, cl *catalog.Class, r *record) ([]byte, error) {
 	var err error
-	for _, s := range m.slots[cl] {
+	for _, s := range m.slots[cl.ID] {
 		switch s.kind {
 		case slotSingle, slotFK:
 			var v value.Value
@@ -80,29 +150,49 @@ func (m *Mapper) decodeSection(b []byte, cl *catalog.Class, r *record) ([]byte, 
 				return nil, fmt.Errorf("luc: record of %s, attr %s: %w", cl.Name, s.attr.Name, err)
 			}
 			if !v.IsNull() {
-				r.single[s.attr.ID] = v
+				r.single = append(r.single, singleVal{s.attr.ID, v})
 			}
 		case slotMulti:
 			n, used := binary.Uvarint(b)
-			if used <= 0 {
+			// Every encoded value takes at least one byte, so a count
+			// beyond the bytes left is corrupt, not a reason to allocate.
+			if used <= 0 || n > uint64(len(b)-used) {
 				return nil, fmt.Errorf("luc: record of %s, attr %s: bad count", cl.Name, s.attr.Name)
 			}
 			b = b[used:]
-			vals := make([]value.Value, 0, n)
-			for i := uint64(0); i < n; i++ {
-				var v value.Value
-				v, b, err = value.Decode(b)
+			if n == 0 {
+				continue
+			}
+			vals := make([]value.Value, n)
+			for i := range vals {
+				vals[i], b, err = value.Decode(b)
 				if err != nil {
 					return nil, fmt.Errorf("luc: record of %s, attr %s[%d]: %w", cl.Name, s.attr.Name, i, err)
 				}
-				vals = append(vals, v)
 			}
-			if len(vals) > 0 {
-				r.multi[s.attr.ID] = vals
-			}
+			r.multi = append(r.multi, multiVal{s.attr.ID, vals})
 		}
 	}
 	return b, nil
+}
+
+// reserve sizes r's slot slices for the sections of the given class ids,
+// so a decode allocates each slice once.
+func (m *Mapper) reserve(r *record, ids ...int) {
+	ns, nm := 0, 0
+	for _, id := range ids {
+		for _, s := range m.slots[id] {
+			if s.kind == slotMulti {
+				nm++
+			} else {
+				ns++
+			}
+		}
+	}
+	r.single = make([]singleVal, 0, ns)
+	if nm > 0 {
+		r.multi = make([]multiVal, 0, nm)
+	}
 }
 
 // encodeRecord serializes a full single-record-strategy record:
@@ -119,28 +209,27 @@ func (m *Mapper) encodeRecord(base *catalog.Class, r *record) []byte {
 }
 
 func (m *Mapper) decodeRecord(base *catalog.Class, b []byte) (*record, error) {
-	r := newRecord()
 	n, used := binary.Uvarint(b)
-	if used <= 0 {
+	if used <= 0 || n > uint64(len(b)-used) {
 		return nil, fmt.Errorf("luc: corrupt record header in hierarchy %s", base.Name)
 	}
 	b = b[used:]
-	for i := uint64(0); i < n; i++ {
+	r := &record{roles: make([]int, n)}
+	for i := range r.roles {
 		id, used := binary.Uvarint(b)
 		if used <= 0 {
 			return nil, fmt.Errorf("luc: corrupt role list in hierarchy %s", base.Name)
 		}
 		b = b[used:]
-		r.roles = append(r.roles, int(id))
-	}
-	var err error
-	for _, id := range r.roles {
-		cl := m.classByID(id)
-		if cl == nil {
+		if m.classByID(int(id)) == nil {
 			return nil, fmt.Errorf("luc: record names unknown class id %d", id)
 		}
-		b, err = m.decodeSection(b, cl, r)
-		if err != nil {
+		r.roles[i] = int(id)
+	}
+	m.reserve(r, r.roles...)
+	var err error
+	for _, id := range r.roles {
+		if b, err = m.decodeSection(b, m.classByID(id), r); err != nil {
 			return nil, err
 		}
 	}
@@ -215,34 +304,40 @@ func (m *Mapper) readSection(cl *catalog.Class, s value.Surrogate) (*record, boo
 	if err != nil || !found {
 		return nil, false, err
 	}
-	r := newRecord()
-	r.roles = []int{cl.ID}
+	r := &record{roles: []int{cl.ID}}
+	m.reserve(r, cl.ID)
 	if _, err := m.decodeSection(raw, cl, r); err != nil {
 		return nil, false, err
 	}
 	return r, true, nil
 }
 
-// loadRecord reads an entity's record. For the split strategy it assembles
-// the record from the per-class structures (each holding one section).
+// loadRecord reads an entity's record. For the single-record strategy it
+// decodes straight from a pooled probe cursor's one-cell snapshot (the
+// decode copies every byte it keeps), so a load allocates nothing beyond
+// the decoded record.
+// For the split strategy it assembles the record from the per-class
+// structures (each holding one section).
 func (m *Mapper) loadRecord(base *catalog.Class, s value.Surrogate) (*record, error) {
-	key := value.AppendSurrogateKey(nil, s)
 	if m.hier[base] == HierarchySingleRecord {
 		st, err := m.hierStructure(base)
 		if err != nil {
 			return nil, err
 		}
-		raw, found, err := st.Get(key)
-		if err != nil {
+		p := m.getProbe()
+		defer m.putProbe(p)
+		p.key = value.AppendSurrogateKey(p.key[:0], s)
+		if err := st.SeekPrefixInto(&p.cur, p.key); err != nil {
 			return nil, err
 		}
-		if !found {
-			return nil, nil
+		if !p.cur.Valid() {
+			return nil, p.cur.Err()
 		}
-		return m.decodeRecord(base, raw)
+		return m.decodeRecord(base, p.cur.Value())
 	}
+	key := value.AppendSurrogateKey(nil, s)
 	// Split strategy: probe each class structure of the hierarchy.
-	r := newRecord()
+	r := &record{}
 	for _, cl := range catalog.HierarchyClasses(base) {
 		st, err := m.classStructure(cl)
 		if err != nil {

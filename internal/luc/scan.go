@@ -16,7 +16,8 @@ import (
 type EntityCursor struct {
 	c      *btree.Cursor
 	m      *Mapper
-	filter int // class id to require in the role list; -1 = none
+	base   *catalog.Class // hierarchy whose full records the cursor walks; nil under the split strategy
+	filter int            // class id to require in the role list; -1 = none
 	err    error
 }
 
@@ -41,7 +42,7 @@ func (m *Mapper) Scan(cl *catalog.Class) (*EntityCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	ec := &EntityCursor{c: c, m: m, filter: cl.ID}
+	ec := &EntityCursor{c: c, m: m, base: cl.Base, filter: cl.ID}
 	if cl.IsBase() {
 		ec.filter = -1 // every record in the hierarchy has the base role
 	}
@@ -65,6 +66,25 @@ func (e *EntityCursor) Surrogate() value.Surrogate {
 	return value.SurrogateFromKey(e.c.Key())
 }
 
+// Rec decodes the current entity's record from the cell the cursor is
+// already on: a full scan pays no second B+tree descent per entity, and
+// its records bypass the Mapper's record cache, which keeps the point-probe
+// working set instead of one pass's worth of records nobody re-reads. The
+// record belongs to the caller's scan alone and reflects the cursor's
+// read state (the mapper's pinned snapshot, if any). Under the split
+// strategy a cell holds one section, not a record, and Rec returns the
+// zero Rec.
+func (e *EntityCursor) Rec() (Rec, error) {
+	if e.base == nil {
+		return Rec{}, nil
+	}
+	r, err := e.m.decodeRecord(e.base, e.c.Value())
+	if err != nil {
+		return Rec{}, err
+	}
+	return Rec{r}, nil
+}
+
 // Next advances to the next entity of the scanned class.
 func (e *EntityCursor) Next() {
 	e.c.Next()
@@ -76,37 +96,37 @@ func (e *EntityCursor) skipNonMembers() {
 		return
 	}
 	for e.c.Valid() {
-		roles, err := decodeRoles(e.c.Value())
+		ok, err := holdsRole(e.c.Value(), e.filter)
 		if err != nil {
 			e.err = err
 			return
 		}
-		for _, id := range roles {
-			if id == e.filter {
-				return
-			}
+		if ok {
+			return
 		}
 		e.c.Next()
 	}
 }
 
-// decodeRoles reads just the role list from an encoded hierarchy record.
-func decodeRoles(b []byte) ([]int, error) {
+// holdsRole reports whether an encoded hierarchy record's role list names
+// class id, walking the uvarint list in place.
+func holdsRole(b []byte, id int) (bool, error) {
 	n, used := binary.Uvarint(b)
 	if used <= 0 {
-		return nil, fmt.Errorf("luc: corrupt record header")
+		return false, fmt.Errorf("luc: corrupt record header")
 	}
 	b = b[used:]
-	roles := make([]int, 0, n)
 	for i := uint64(0); i < n; i++ {
-		id, used := binary.Uvarint(b)
+		rid, used := binary.Uvarint(b)
 		if used <= 0 {
-			return nil, fmt.Errorf("luc: corrupt role list")
+			return false, fmt.Errorf("luc: corrupt role list")
+		}
+		if int(rid) == id {
+			return true, nil
 		}
 		b = b[used:]
-		roles = append(roles, int(id))
 	}
-	return roles, nil
+	return false, nil
 }
 
 // Surrogates collects every entity of cl (a convenience for small scans).
