@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"sim/internal/university"
@@ -123,6 +124,48 @@ func TestRepeatedReopenSoak(t *testing.T) {
 		if round%2 == 0 {
 			db.Close() // clean close (checkpoint)
 		} // odd rounds: crash (recovery path)
+	}
+}
+
+// Concurrent autocommit writers on a file-backed database: group commit
+// lets them share fsyncs, but the WAL still counts exactly one commit per
+// acknowledged Exec, and every acknowledged row is present. How many
+// fsyncs were shared depends on scheduling and is not asserted.
+func TestGroupCommitCountsEveryAck(t *testing.T) {
+	db, err := Open(filepath.Join(t.TempDir(), "group.sim"), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.DefineSchema(`Class Ledger ( entry-no: integer unique required; amount: integer );`); err != nil {
+		t.Fatal(err)
+	}
+	const writers, per = 4, 25
+	before := db.Stats().WAL.Commits
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if _, err := db.Exec(fmt.Sprintf(`Insert ledger (entry-no := %d, amount := %d).`, g*per+i, i)); err != nil {
+					errs <- fmt.Errorf("writer %d: %w", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := db.Stats().WAL.Commits - before; got != writers*per {
+		t.Fatalf("WAL recorded %d commits, want %d acknowledged", got, writers*per)
+	}
+	if got := mustQuery(t, db, `From ledger Retrieve entry-no.`).NumRows(); got != writers*per {
+		t.Fatalf("ledger has %d entries, want %d", got, writers*per)
 	}
 }
 

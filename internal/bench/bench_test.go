@@ -49,8 +49,6 @@ func TestExperimentsProduceTables(t *testing.T) {
 		{"t5", func() (*Table, error) { return T5(tiny, 1) }},
 		{"t6", func() (*Table, error) { return T6(tiny, 1) }},
 		{"t8", func() (*Table, error) { return T8(tiny, 1) }},
-		{"t9", func() (*Table, error) { return T9(tiny, 1, 2) }},
-		{"obs", func() (*Table, error) { return Obs(tiny, 1) }},
 	}
 	for _, e := range exps {
 		tbl, err := e.fn()

@@ -2,10 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"testing"
 	"time"
 
 	"sim"
@@ -20,40 +17,6 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  string
-	// Mem carries per-operation allocation measurements; every BENCH_*.json
-	// artifact records them so regressions in allocs/op are machine-checkable.
-	Mem []MemRow `json:",omitempty"`
-}
-
-// MemRow is one allocation measurement, taken with testing.Benchmark: the
-// steady-state per-operation cost of the named operation.
-type MemRow struct {
-	Op          string
-	NsPerOp     int64
-	AllocsPerOp int64
-	BytesPerOp  int64
-}
-
-// measureMem benchmarks one operation and records its per-op time and
-// allocation footprint. The operation runs b.N times under the standard
-// benchmark driver, so the numbers match `go test -bench` output.
-func measureMem(op string, f func() error) (MemRow, error) {
-	var err error
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if e := f(); e != nil {
-				if err == nil {
-					err = e
-				}
-				return
-			}
-		}
-	})
-	if err != nil {
-		return MemRow{}, err
-	}
-	return MemRow{Op: op, NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp()}, nil
 }
 
 // Format renders the table as aligned text.
@@ -88,13 +51,6 @@ func (t *Table) Format() string {
 	line(sep)
 	for _, row := range t.Rows {
 		line(row)
-	}
-	if len(t.Mem) > 0 {
-		b.WriteString("allocations:\n")
-		for _, m := range t.Mem {
-			fmt.Fprintf(&b, "  %-40s %12d ns/op  %8d allocs/op  %10d B/op\n",
-				m.Op, m.NsPerOp, m.AllocsPerOp, m.BytesPerOp)
-		}
 	}
 	if t.Notes != "" {
 		b.WriteString(t.Notes)
@@ -453,112 +409,4 @@ func stripVerifies() string {
 		}
 	}
 	return strings.Join(out, "\n")
-}
-
-// T9 — parallel read path (this repo's extension beyond the paper):
-// aggregate throughput with concurrent clients sharing one database, and
-// the plan cache's cold vs warm planning cost. Before measuring, parallel
-// output is checked byte-identical against a Workers:1 database.
-func T9(w Workload, reps, maxClients int) (*Table, error) {
-	t := &Table{
-		ID:     "T9",
-		Title:  "Parallel read path: concurrent clients and plan cache",
-		Header: []string{"section", "config", "time/query", "agg qps", "speedup"},
-		Notes: fmt.Sprintf("GOMAXPROCS=%d; queries share one database under a read lock; each Retrieve\nmay also split its outermost range across Config.Workers goroutines.\nParallel output verified byte-identical to a Workers:1 database first.",
-			runtime.GOMAXPROCS(0)),
-	}
-	db, err := BuildUniversity(sim.Config{}, w)
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
-
-	const q = `From student Retrieve name, name of advisor.`
-	serial, err := BuildUniversity(sim.Config{Workers: 1}, w)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := serial.Query(q)
-	if err == nil {
-		var rp *sim.Result
-		if rp, err = db.Query(q); err == nil && rs.Format() != rp.Format() {
-			err = fmt.Errorf("parallel result diverged from serial result")
-		}
-	}
-	serial.Close()
-	if err != nil {
-		return nil, err
-	}
-
-	iters := 20 * reps
-	var baseQPS float64
-	for c := 1; c <= maxClients; c *= 2 {
-		start := time.Now()
-		var wg sync.WaitGroup
-		errc := make(chan error, c)
-		for g := 0; g < c; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < iters; i++ {
-					if _, err := db.Query(q); err != nil {
-						errc <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		close(errc)
-		if err := <-errc; err != nil {
-			return nil, err
-		}
-		el := time.Since(start)
-		qps := float64(c*iters) / el.Seconds()
-		if c == 1 {
-			baseQPS = qps
-		}
-		t.Rows = append(t.Rows, []string{"concurrency", fmt.Sprintf("%d clients", c),
-			dur(el / time.Duration(c*iters)), fmt.Sprintf("%.0f", qps),
-			fmt.Sprintf("%.2fx", qps/baseQPS)})
-	}
-
-	// Plan cache: a selective point query where parse+bind+optimize is a
-	// large share of the per-query cost.
-	const pq = `From person Retrieve name Where soc-sec-no = 100000001.`
-	var coldPer, warmPer time.Duration
-	for _, cc := range []struct {
-		name string
-		cfg  sim.Config
-		per  *time.Duration
-	}{
-		{"cold (cache disabled)", sim.Config{PlanCacheSize: -1}, &coldPer},
-		{"warm (cached plan)", sim.Config{}, &warmPer},
-	} {
-		cdb, err := BuildUniversity(cc.cfg, w)
-		if err != nil {
-			return nil, err
-		}
-		el, _, _, err := timeQuery(cdb, pq, iters)
-		cdb.Close()
-		if err != nil {
-			return nil, err
-		}
-		*cc.per = el
-	}
-	t.Rows = append(t.Rows, []string{"plan cache", "cold (cache disabled)", dur(coldPer), "", "1.00x"})
-	t.Rows = append(t.Rows, []string{"plan cache", "warm (cached plan)", dur(warmPer), "",
-		fmt.Sprintf("%.2fx", float64(coldPer)/float64(warmPer))})
-	for _, m := range []struct{ op, query string }{
-		{"Query scan+eva (warm plan)", q},
-		{"Query point lookup (warm plan)", pq},
-	} {
-		mq := m.query
-		row, err := measureMem(m.op, func() error { _, err := db.Query(mq); return err })
-		if err != nil {
-			return nil, err
-		}
-		t.Mem = append(t.Mem, row)
-	}
-	return t, nil
 }

@@ -11,6 +11,20 @@ import (
 
 func universityDDL() string { return university.DDL }
 
+// summaryReader returns a lookup of the "key: value" lines of the
+// database's schema summary; a missing key reads as "?".
+func summaryReader(db *sim.Database) func(key string) string {
+	sum := db.SchemaSummary()
+	return func(key string) string {
+		for _, line := range strings.Split(sum, "\n") {
+			if strings.HasPrefix(line, key) {
+				return strings.TrimSpace(strings.TrimPrefix(line, key+":"))
+			}
+		}
+		return "?"
+	}
+}
+
 // Fig2 reproduces Figure 2: the UNIVERSITY schema compiles and its catalog
 // shape matches the paper's drawing.
 func Fig2() (*Table, error) {
@@ -27,15 +41,7 @@ func Fig2() (*Table, error) {
 		Title:  "Figure 2 / §7: UNIVERSITY schema catalog shape",
 		Header: []string{"measure", "paper", "measured"},
 	}
-	sum := db.SchemaSummary()
-	read := func(key string) string {
-		for _, line := range strings.Split(sum, "\n") {
-			if strings.HasPrefix(line, key) {
-				return strings.TrimSpace(strings.TrimPrefix(line, key+":"))
-			}
-		}
-		return "?"
-	}
+	read := summaryReader(db)
 	t.Rows = [][]string{
 		{"base classes (PERSON, COURSE, DEPARTMENT)", "3", read("base classes")},
 		{"subclasses (STUDENT, INSTRUCTOR, TEACHING-ASSISTANT)", "3", read("subclasses")},
@@ -55,15 +61,7 @@ func ADDS() (*Table, error) {
 	if err := db.DefineSchema(adds.DDL()); err != nil {
 		return nil, err
 	}
-	sum := db.SchemaSummary()
-	read := func(key string) string {
-		for _, line := range strings.Split(sum, "\n") {
-			if strings.HasPrefix(line, key) {
-				return strings.TrimSpace(strings.TrimPrefix(line, key+":"))
-			}
-		}
-		return "?"
-	}
+	read := summaryReader(db)
 	return &Table{
 		ID:     "ADDS",
 		Title:  "§6: ADDS data dictionary scale (synthetic schema at the published shape)",
