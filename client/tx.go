@@ -88,7 +88,10 @@ func (tx *Tx) Query(ctx context.Context, dml string) (*sim.Result, error) {
 
 // Exec executes one update statement inside the transaction and returns
 // the affected-entity count. A server-side statement failure aborts the
-// transaction (see sim.Tx); a conflict (wire.CodeConflict) does not.
+// transaction (see sim.Tx); a conflict (wire.CodeConflict) does not. Only
+// a transaction that has not written yet can conflict: its statement
+// targets an entity written by the server's current write-latch holder,
+// and it may retry once that holder finishes.
 func (tx *Tx) Exec(ctx context.Context, dml string) (int, error) {
 	resp, err := tx.op(ctx, wire.TExec, req([]byte(dml)), wire.TExecOK)
 	if err != nil {
@@ -111,7 +114,7 @@ func (tx *Tx) Commit(ctx context.Context) error {
 }
 
 // TraceCommit is Commit with a server-side span breakdown: it returns
-// where the commit spent its time (latch waits, the wait for the
+// where the commit spent its time (the write-latch wait, the wait for the
 // group-commit leader, the shared fsync) plus the commit group's size and
 // replication position. The request ID in the returned CommitInfo names
 // this commit in the flight recorder of the primary and of every follower

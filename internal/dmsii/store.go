@@ -53,9 +53,12 @@ const checkpointThreshold = 8 << 20
 // write phases are serialized on the store-wide write latch: a transaction
 // holds the latch from its first write until its commit snapshot, at which
 // point the next writer may proceed while the first one's fsync is still
-// in flight. That pipeline is what feeds WAL group commit. Per-entity
-// latches (Txn.LatchEntity) give fail-fast first-writer-wins conflicts
-// between open transactions targeting the same entity; transactions
+// in flight. That pipeline is what feeds WAL group commit. The store
+// remembers the entities the write-latch holder has written
+// (Txn.RecordWrite); a transaction that has not written yet checks its
+// targets against that set before queueing (Txn.CheckEntity) and fails
+// fast with ErrConflict on a hit. The holder never conflicts, so a
+// conflict never aborts a transaction that has written, and transactions
 // writing distinct entities of the same class do not conflict.
 //
 // Reads are versioned: PinSnapshot returns a Snap pinned at the newest
@@ -81,7 +84,7 @@ type Store struct {
 	writeLatch *obs.Latch    // contention profile for the store write latch
 
 	latchMu     sync.Mutex
-	latches     map[EntityKey]*Txn        // per-entity write latches, first writer wins
+	touched     map[entityKey]struct{}    // entities the write-latch holder has written (latchMu)
 	classConf   map[string]*atomic.Uint64 // per-class conflict counters (latchMu)
 	conflictEnt atomic.Uint64             // entity-granularity conflicts (sim_conflict_entities)
 
@@ -170,7 +173,6 @@ func open(file pager.File, log *wal.Log, opts Options) (*Store, error) {
 		open:       make(map[string]*Structure),
 		writeSem:   make(chan struct{}, 1),
 		writeLatch: obs.NewLatch("store_write"),
-		latches:    make(map[EntityKey]*Txn),
 		classConf:  make(map[string]*atomic.Uint64),
 	}
 	s.pendCond = sync.NewCond(&s.pendMu)
@@ -359,7 +361,7 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 	if cf, ok := s.file.(*pager.ChecksumFile); ok {
 		cf.RegisterMetrics(r)
 	}
-	r.CounterFunc("sim_txn_conflicts_total", "First-writer-wins write-latch conflicts.",
+	r.CounterFunc("sim_txn_conflicts_total", "First-writer-wins conflicts with the write-latch holder.",
 		func() float64 { return float64(s.conflicts.Load()) })
 	r.CounterFunc("sim_conflict_entities", "First-writer-wins conflicts at entity (surrogate) granularity.",
 		func() float64 { return float64(s.conflictEnt.Load()) })
@@ -387,8 +389,8 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 // Transactions
 // ---------------------------------------------------------------------------
 
-// ErrConflict is wrapped by Latch when a structure is already write-latched
-// by another open transaction: first writer wins, the later one fails fast
+// ErrConflict is wrapped by CheckEntity when the write-latch holder has
+// already written the entity: first writer wins, the later one fails fast
 // instead of queueing behind an open transaction known to conflict.
 var ErrConflict = errors.New("dmsii: write-write conflict")
 
@@ -396,10 +398,9 @@ var ErrConflict = errors.New("dmsii: write-write conflict")
 // store's current cached state — read-uncommitted with respect to open
 // transactions, last-committed otherwise.
 type Txn struct {
-	s       *Store
-	done    bool
-	wrote   bool        // holds the store-wide write latch
-	latched []EntityKey // entity latches held until commit/rollback
+	s     *Store
+	done  bool
+	wrote bool // holds the store-wide write latch
 
 	id        uint64           // request/trace ID, 0 when untraced
 	ct        *obs.CommitTrace // spans filled across the commit, nil unless tracing
@@ -474,40 +475,54 @@ func (tx *Txn) AcquireWrite(ctx context.Context) error {
 	return nil
 }
 
-// EntityKey identifies one entity for write-latching purposes: its base
-// class name (latching granularity is the entity, shared across the
-// subclass hierarchy it threads through) and its surrogate.
-type EntityKey struct {
-	Base string
-	Surr uint64
+// entityKey identifies one entity for conflict checks: its base class
+// name (the granularity is the entity, shared across the subclass
+// hierarchy it threads through) and its surrogate.
+type entityKey struct {
+	base string
+	surr uint64
 }
 
-// LatchEntity takes the write latch for one entity of the named base
-// class, failing fast with ErrConflict when another open transaction
-// holds it (first writer wins). Two transactions writing distinct
-// entities of the same class do not conflict. Latches are held until
-// commit or rollback.
-func (tx *Txn) LatchEntity(base string, surr uint64) error {
+// RecordWrite notes that this transaction, the write-latch holder, is
+// writing one entity of the named base class. The record lives until the
+// holder releases the write latch. A transaction that does not hold the
+// write latch records nothing.
+func (tx *Txn) RecordWrite(base string, surr uint64) {
+	if !tx.wrote {
+		return
+	}
+	s := tx.s
+	s.latchMu.Lock()
+	if s.touched == nil {
+		s.touched = make(map[entityKey]struct{})
+	}
+	s.touched[entityKey{base, surr}] = struct{}{}
+	s.latchMu.Unlock()
+}
+
+// CheckEntity is the conflict check a transaction runs before queueing on
+// the write latch: it fails fast with ErrConflict when the write-latch
+// holder has written the entity (first writer wins). It never waits, and
+// the holder's own check never conflicts. Two transactions writing
+// distinct entities of the same class do not conflict.
+func (tx *Txn) CheckEntity(base string, surr uint64) error {
 	if tx.done {
 		return fmt.Errorf("dmsii: transaction already finished")
 	}
-	key := EntityKey{Base: base, Surr: surr}
+	if tx.wrote {
+		return nil
+	}
 	s := tx.s
 	s.latchMu.Lock()
 	defer s.latchMu.Unlock()
-	if holder, ok := s.latches[key]; ok {
-		if holder == tx {
-			return nil
-		}
-		s.conflicts.Add(1)
-		s.conflictEnt.Add(1)
-		s.classConflictLocked(base)
-		s.flightTxn.Load().Event("txn", "conflict", tx.id, 0, int64(surr), base)
-		return fmt.Errorf("%w: entity %d of %q is write-latched by another open transaction (first writer wins)", ErrConflict, surr, base)
+	if _, ok := s.touched[entityKey{base, surr}]; !ok {
+		return nil
 	}
-	s.latches[key] = tx
-	tx.latched = append(tx.latched, key)
-	return nil
+	s.conflicts.Add(1)
+	s.conflictEnt.Add(1)
+	s.classConflictLocked(base)
+	s.flightTxn.Load().Event("txn", "conflict", tx.id, 0, int64(surr), base)
+	return fmt.Errorf("%w: entity %d of %q is written by the open transaction holding the write latch (first writer wins)", ErrConflict, surr, base)
 }
 
 // EntityConflicts reports entity-granularity first-writer-wins conflicts
@@ -549,28 +564,17 @@ func metricName(name string) string {
 	}, name)
 }
 
-func (tx *Txn) releaseLatches() {
-	if len(tx.latched) == 0 {
-		return
-	}
-	s := tx.s
-	s.latchMu.Lock()
-	for _, key := range tx.latched {
-		if s.latches[key] == tx {
-			delete(s.latches, key)
-		}
-	}
-	s.latchMu.Unlock()
-	tx.latched = nil
-}
-
 func (tx *Txn) releaseWrite() {
 	if !tx.wrote {
 		return
 	}
 	tx.wrote = false
-	tx.s.writeHeld.Store(false)
-	<-tx.s.writeSem
+	s := tx.s
+	s.latchMu.Lock()
+	s.touched = nil
+	s.latchMu.Unlock()
+	s.writeHeld.Store(false)
+	<-s.writeSem
 }
 
 // Commit durably applies the transaction. The write phase ends at the
@@ -589,12 +593,10 @@ func (tx *Txn) Commit() error {
 	defer tx.s.active.Add(-1)
 	s := tx.s
 	if !tx.wrote {
-		tx.releaseLatches()
 		return nil
 	}
 	snap := s.pool.Snapshot()
 	if snap.Len() == 0 {
-		tx.releaseLatches()
 		tx.releaseWrite()
 		return nil
 	}
@@ -609,7 +611,6 @@ func (tx *Txn) Commit() error {
 	if s.log != nil {
 		p = s.log.EnqueueTraced(snap.Frames(), tx.id, tx.ct)
 	}
-	tx.releaseLatches()
 	tx.releaseWrite()
 	if p != nil {
 		if err := p.Wait(); err != nil {
@@ -657,11 +658,9 @@ func (tx *Txn) Rollback() error {
 	defer tx.s.active.Add(-1)
 	s := tx.s
 	if !tx.wrote {
-		tx.releaseLatches()
 		return nil
 	}
 	defer tx.releaseWrite()
-	defer tx.releaseLatches()
 	// Committed predecessors must reach the database file before state is
 	// reloaded from it.
 	s.drainPending()
@@ -794,7 +793,7 @@ func (s *Store) discardUncommitted() error {
 	return nil
 }
 
-// Conflicts reports first-writer-wins latch conflicts since open.
+// Conflicts reports first-writer-wins conflicts since open.
 func (s *Store) Conflicts() uint64 { return s.conflicts.Load() }
 
 // ActiveTxns reports the number of open transactions.

@@ -90,49 +90,71 @@ func TestWritePhaseSerialized(t *testing.T) {
 	}
 }
 
+// TestLatchConflict: the entities the write-latch holder writes conflict
+// at another session's door check, never at the holder's own, and the set
+// dies with the holder's Commit or Rollback.
 func TestLatchConflict(t *testing.T) {
 	s := memStore(t)
-	tx1, err := s.BeginSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx1.LatchEntity("persons", 1); err != nil {
-		t.Fatal(err)
-	}
-	// Re-latching by the holder is a no-op.
-	if err := tx1.LatchEntity("persons", 1); err != nil {
-		t.Fatal(err)
-	}
-	tx2, err := s.BeginSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.LatchEntity("persons", 1); !errors.Is(err, ErrConflict) {
-		t.Fatalf("LatchEntity on held entity = %v, want ErrConflict", err)
-	}
-	// A different entity of the SAME class is free: conflicts are
-	// entity-granular, not class-granular.
-	if err := tx2.LatchEntity("persons", 2); err != nil {
-		t.Errorf("LatchEntity on free entity of held class: %v", err)
-	}
-	if err := tx2.LatchEntity("orders", 1); err != nil {
-		t.Errorf("LatchEntity on free class: %v", err)
-	}
-	if got := s.Conflicts(); got != 1 {
-		t.Errorf("Conflicts() = %d, want 1", got)
-	}
-	if got := s.EntityConflicts(); got != 1 {
-		t.Errorf("EntityConflicts() = %d, want 1", got)
-	}
-	// Rollback releases latches; the other session may now take them.
-	if err := tx1.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.LatchEntity("persons", 1); err != nil {
-		t.Errorf("LatchEntity after holder rollback: %v", err)
-	}
-	if err := tx2.Rollback(); err != nil {
-		t.Fatal(err)
+	for _, finish := range []string{"commit", "rollback"} {
+		t.Run(finish, func(t *testing.T) {
+			conflicts, entConflicts := s.Conflicts(), s.EntityConflicts()
+			holder, err := s.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			holder.RecordWrite("persons", 1)
+			holder.RecordWrite("persons", 1) // recording twice is harmless
+			queued, err := s.BeginSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := queued.CheckEntity("persons", 1); !errors.Is(err, ErrConflict) {
+				t.Fatalf("CheckEntity on the holder's entity = %v, want ErrConflict", err)
+			}
+			// The holder's own check never conflicts.
+			if err := holder.CheckEntity("persons", 1); err != nil {
+				t.Errorf("holder's own CheckEntity: %v", err)
+			}
+			// A session that does not hold the write latch records nothing.
+			queued.RecordWrite("orders", 7)
+			// A different entity of the SAME class is free: conflicts are
+			// entity-granular, not class-granular.
+			if err := queued.CheckEntity("persons", 2); err != nil {
+				t.Errorf("CheckEntity on another entity of the holder's class: %v", err)
+			}
+			if err := queued.CheckEntity("orders", 1); err != nil {
+				t.Errorf("CheckEntity on another class: %v", err)
+			}
+			if err := queued.CheckEntity("orders", 7); err != nil {
+				t.Errorf("CheckEntity on an entity recorded by a non-holder: %v", err)
+			}
+			if got := s.Conflicts() - conflicts; got != 1 {
+				t.Errorf("Conflicts() delta = %d, want 1", got)
+			}
+			if got := s.EntityConflicts() - entConflicts; got != 1 {
+				t.Errorf("EntityConflicts() delta = %d, want 1", got)
+			}
+			if finish == "commit" {
+				err = holder.Commit()
+			} else {
+				err = holder.Rollback()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.latchMu.Lock()
+			n := len(s.touched)
+			s.latchMu.Unlock()
+			if n != 0 {
+				t.Errorf("%d recorded entities after the holder's %s, want 0", n, finish)
+			}
+			if err := queued.CheckEntity("persons", 1); err != nil {
+				t.Errorf("CheckEntity after the holder's %s: %v", finish, err)
+			}
+			if err := queued.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

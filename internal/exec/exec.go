@@ -32,12 +32,6 @@ type Executor struct {
 	workers int      // per-query parallelism cap (<=1 disables)
 	met     *Metrics // nil until SetMetrics
 
-	// claim, when set, is invoked by the update statements after their
-	// target entities are materialized and before anything is mutated, so
-	// a transaction can take per-entity write latches while a conflict is
-	// still side-effect-free (see WithClaim).
-	claim func(cl *catalog.Class, surrs []value.Surrogate) error
-
 	// scratchPool is shared by pointer across View clones so snapshot
 	// executors reuse the same warmed scratches as the live one.
 	scratchPool *sync.Pool // *scratch, reused across compiled executions
@@ -77,16 +71,6 @@ func (e *Executor) View(m *luc.Mapper) *Executor {
 
 // Mapper returns the mapper this executor reads and writes through.
 func (e *Executor) Mapper() *luc.Mapper { return e.m }
-
-// WithClaim returns a shallow clone whose update statements call fn with
-// their materialized target entities before mutating any of them. An
-// error from fn (typically a write-latch conflict) fails the statement
-// before it has side effects.
-func (e *Executor) WithClaim(fn func(cl *catalog.Class, surrs []value.Surrogate) error) *Executor {
-	v := *e
-	v.claim = fn
-	return &v
-}
 
 // SetConstraints compiles the bound integrity assertions and installs
 // them for enforcement on updates.

@@ -75,9 +75,6 @@ func (e *Executor) Insert(ctx context.Context, stmt *ast.InsertStmt) (int, error
 		if len(matches) == 0 {
 			return 0, fmt.Errorf("INSERT %s FROM %s selected no entities", cl.Name, from.Name)
 		}
-		if err := e.claimTargets(cl, matches); err != nil {
-			return 0, err
-		}
 		for _, s := range matches {
 			if err := ctxErr(ctx); err != nil {
 				return 0, err
@@ -116,9 +113,6 @@ func (e *Executor) Modify(ctx context.Context, stmt *ast.ModifyStmt) (int, error
 	if err != nil {
 		return 0, err
 	}
-	if err := e.claimTargets(cl, matches); err != nil {
-		return 0, err
-	}
 	ev := &events{}
 	for _, s := range matches {
 		if err := ctxErr(ctx); err != nil {
@@ -145,9 +139,6 @@ func (e *Executor) Delete(ctx context.Context, stmt *ast.DeleteStmt) (int, error
 	}
 	matches, err := e.SelectEntities(ctx, cl, stmt.Where)
 	if err != nil {
-		return 0, err
-	}
-	if err := e.claimTargets(cl, matches); err != nil {
 		return 0, err
 	}
 	ev := &events{}
@@ -191,22 +182,12 @@ func (e *Executor) Delete(ctx context.Context, stmt *ast.DeleteStmt) (int, error
 	return len(matches), nil
 }
 
-// claimTargets hands an update statement's materialized targets to the
-// claim hook (WithClaim) before any mutation. A nil hook (autocommit,
-// direct executor use) claims nothing.
-func (e *Executor) claimTargets(cl *catalog.Class, ss []value.Surrogate) error {
-	if e.claim == nil || len(ss) == 0 {
-		return nil
-	}
-	return e.claim(cl, ss)
-}
-
 // UpdateTargets resolves the entities an update statement would write —
 // its target selection, materialized without mutating anything. Insert
 // without FROM creates a fresh entity and so has no pre-existing targets
-// (a nil slice). Transactions use this on a read snapshot to claim
-// per-entity write latches before blocking on the store write latch; the
-// result is advisory, since the statement re-selects when it executes.
+// (a nil slice). A transaction that has not written yet resolves them on
+// its read snapshot and checks them against the write-latch holder's
+// writes before queueing on the store write latch.
 func (e *Executor) UpdateTargets(ctx context.Context, stmt ast.Stmt) (*catalog.Class, []value.Surrogate, error) {
 	switch s := stmt.(type) {
 	case *ast.InsertStmt:

@@ -93,7 +93,8 @@ func RecBatch() int { return recBatch }
 
 // ReadBatch fills recs[i] with the decoded record of surrs[i], touching
 // each cache shard once per batch instead of once per surrogate. Cache
-// misses are loaded from storage and published for later readers. Entities
+// misses are loaded from storage and published for later readers. Like
+// readRecord, the live mapper bypasses the cache. Entities
 // with no record leave the zero (invalid) Rec in place. The hierarchy must
 // be Batchable; recs must be at least as long as surrs.
 func (m *Mapper) ReadBatch(cl *catalog.Class, surrs []value.Surrogate, recs []Rec) error {
@@ -102,7 +103,7 @@ func (m *Mapper) ReadBatch(cl *catalog.Class, surrs []value.Surrogate, recs []Re
 	var hits, misses uint64
 	// Pass 1: one read-locked sweep per shard resolves every cached entry
 	// decoded at this reader's stamp.
-	for shard := uint64(0); shard < rcShards; shard++ {
+	for shard := uint64(0); m.snap != nil && shard < rcShards; shard++ {
 		sh := &m.rc.shards[shard]
 		locked := false
 		for i, s := range surrs {

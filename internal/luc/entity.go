@@ -38,9 +38,7 @@ func (m *Mapper) NewEntity(cl *catalog.Class) (value.Surrogate, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := m.touch(cl.Base, s); err != nil {
-		return 0, err
-	}
+	m.touch(cl.Base, s)
 	r := &record{}
 	r.addRole(cl.ID)
 	for _, anc := range catalog.Ancestors(cl) {
@@ -61,9 +59,7 @@ func (m *Mapper) NewEntity(cl *catalog.Class) (value.Surrogate, error) {
 // entity — the INSERT ... FROM operation of §4.8. It returns the set of
 // classes actually added.
 func (m *Mapper) ExtendRole(s value.Surrogate, cl *catalog.Class) ([]*catalog.Class, error) {
-	if err := m.touch(cl.Base, s); err != nil {
-		return nil, err
-	}
+	m.touch(cl.Base, s)
 	r, err := m.loadRecord(cl.Base, s)
 	if err != nil {
 		return nil, err
@@ -127,9 +123,7 @@ func (m *Mapper) Roles(base *catalog.Class, s value.Surrogate) ([]*catalog.Class
 // Mapper's structural-integrity duty (§5.1).
 func (m *Mapper) DeleteRoles(s value.Surrogate, cl *catalog.Class) error {
 	base := cl.Base
-	if err := m.touch(base, s); err != nil {
-		return err
-	}
+	m.touch(base, s)
 	r, err := m.loadRecord(base, s)
 	if err != nil {
 		return err
@@ -238,9 +232,7 @@ func (m *Mapper) SetSingle(s value.Surrogate, a *catalog.Attribute, v value.Valu
 		return fmt.Errorf("luc: SetSingle on %s (%v, mv=%v)", a, a.Kind, a.Options.MV)
 	}
 	base := a.Owner.Base
-	if err := m.touch(base, s); err != nil {
-		return err
-	}
+	m.touch(base, s)
 	r, err := m.loadRecord(base, s)
 	if err != nil {
 		return err
@@ -302,9 +294,7 @@ func (m *Mapper) SetMV(s value.Surrogate, a *catalog.Attribute, vals []value.Val
 	if err := m.checkMVConstraints(a, vals); err != nil {
 		return err
 	}
-	if err := m.touch(a.Owner.Base, s); err != nil {
-		return err
-	}
+	m.touch(a.Owner.Base, s)
 	if m.mvSep[a] {
 		if err := m.clearSeparateMV(s, a); err != nil {
 			return err
@@ -330,9 +320,7 @@ func (m *Mapper) SetMV(s value.Surrogate, a *catalog.Attribute, vals []value.Val
 
 // IncludeMV adds one value to an MV DVA, enforcing DISTINCT and MAX.
 func (m *Mapper) IncludeMV(s value.Surrogate, a *catalog.Attribute, v value.Value) error {
-	if err := m.touch(a.Owner.Base, s); err != nil {
-		return err
-	}
+	m.touch(a.Owner.Base, s)
 	cur, err := m.GetMV(s, a)
 	if err != nil {
 		return err

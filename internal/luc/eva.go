@@ -295,9 +295,7 @@ func (m *Mapper) SetEVA(s value.Surrogate, a *catalog.Attribute, t *value.Surrog
 
 // addEVAInstance stores (s, t) for attribute a without integrity checks.
 func (m *Mapper) addEVAInstance(a *catalog.Attribute, s, t value.Surrogate) error {
-	if err := m.touchEVA(a, s, t); err != nil {
-		return err
-	}
+	m.touchEVA(a, s, t)
 	can := canonical(a)
 	inv := a.Inverse
 	switch m.evas[can] {
@@ -358,9 +356,7 @@ func (m *Mapper) addEVAInstance(a *catalog.Attribute, s, t value.Surrogate) erro
 
 // removeEVAInstance deletes the stored instance (s, t) of attribute a.
 func (m *Mapper) removeEVAInstance(a *catalog.Attribute, s, t value.Surrogate) error {
-	if err := m.touchEVA(a, s, t); err != nil {
-		return err
-	}
+	m.touchEVA(a, s, t)
 	can := canonical(a)
 	inv := a.Inverse
 	switch m.evas[can] {

@@ -124,9 +124,10 @@ type Mapper struct {
 	snap *dmsii.Snap
 
 	// onWrite, when non-nil, runs before any mutation touching an entity
-	// (base class + surrogate), once per mutator entry — the database
-	// layer's per-entity conflict-latch backstop.
-	onWrite func(base *catalog.Class, s value.Surrogate) error
+	// (base class + surrogate), once per mutator entry. The database layer
+	// uses it to record what the write-latch holder has written, which is
+	// what other transactions' conflict checks read. It cannot fail.
+	onWrite func(base *catalog.Class, s value.Surrogate)
 
 	hier  map[*catalog.Class]HierarchyStrategy // by base class
 	evas  map[*catalog.Attribute]evaMapping    // by canonical attribute
@@ -219,10 +220,9 @@ func (m *Mapper) View(snap *dmsii.Snap) *Mapper {
 }
 
 // WithOnWrite returns a live clone whose mutators call fn with the target
-// entity (base class, surrogate) before touching it — the database
-// layer's per-entity write-latch backstop. The clone shares every cache
-// with m.
-func (m *Mapper) WithOnWrite(fn func(base *catalog.Class, s value.Surrogate) error) *Mapper {
+// entity (base class, surrogate) before touching it. The clone shares
+// every cache with m.
+func (m *Mapper) WithOnWrite(fn func(base *catalog.Class, s value.Surrogate)) *Mapper {
 	v := *m
 	v.snap = nil
 	v.onWrite = fn
@@ -253,22 +253,18 @@ func (m *Mapper) readStamp() uint64 {
 }
 
 // touch runs the onWrite hook for one entity about to be mutated.
-func (m *Mapper) touch(base *catalog.Class, s value.Surrogate) error {
-	if m.onWrite == nil {
-		return nil
+func (m *Mapper) touch(base *catalog.Class, s value.Surrogate) {
+	if m.onWrite != nil {
+		m.onWrite(base, s)
 	}
-	return m.onWrite(base, s)
 }
 
 // touchEVA runs the onWrite hook for both partners of an EVA instance.
-func (m *Mapper) touchEVA(a *catalog.Attribute, s, t value.Surrogate) error {
-	if m.onWrite == nil {
-		return nil
+func (m *Mapper) touchEVA(a *catalog.Attribute, s, t value.Surrogate) {
+	if m.onWrite != nil {
+		m.onWrite(a.Owner.Base, s)
+		m.onWrite(a.Range.Base, t)
 	}
-	if err := m.onWrite(a.Owner.Base, s); err != nil {
-		return err
-	}
-	return m.onWrite(a.Range.Base, t)
 }
 
 // CacheStats reports the decoded-record read cache's traffic.

@@ -252,10 +252,16 @@ func (m *Mapper) classByID(id int) *catalog.Class {
 //
 // The cache is stamp-exact: an entry serves only readers observing the
 // same commit stamp it was decoded at, so every commit implicitly
-// invalidates it. Only snapshot views fill the cache — the live mapper
-// runs inside write transactions, where a fill could capture uncommitted
-// state under a published stamp.
+// invalidates it. Only snapshot views use the cache. The live mapper runs
+// inside write transactions, whose uncommitted writes sit under the
+// published stamp: a fill could capture them, and a hit could return the
+// committed image a snapshot reader refilled after storeRecord dropped the
+// entry, losing the writer's own update.
 func (m *Mapper) readRecord(base *catalog.Class, s value.Surrogate) (*record, error) {
+	if m.snap == nil {
+		m.rc.misses.Add(1)
+		return m.loadRecord(base, s)
+	}
 	key := rcKey{base.ID, s}
 	stamp := m.readStamp()
 	sh := m.rc.shardOf(s)
@@ -270,9 +276,6 @@ func (m *Mapper) readRecord(base *catalog.Class, s value.Surrogate) (*record, er
 	r, err := m.loadRecord(base, s)
 	if err != nil {
 		return nil, err
-	}
-	if m.snap == nil {
-		return r, nil
 	}
 	// Concurrent readers may race to fill the same key with equal decoded
 	// contents; last write wins.

@@ -32,28 +32,21 @@ func helloAt(t *testing.T, addr string, v byte) (wire.Type, []byte) {
 	return typ, payload
 }
 
-// TestHandshakeVersionCompat: the server accepts every version in
-// [MinVersion, Version] and echoes the client's own version back (an
-// old client checks for strict equality with its own); anything outside
-// the window is refused with CodeProtocol.
+// TestHandshakeVersionCompat: the server accepts exactly its own protocol
+// version, 4, and echoes it; versions 3 and 5 are refused with
+// CodeProtocol.
 func TestHandshakeVersionCompat(t *testing.T) {
 	db := testDB(t)
 	_, addr := startServer(t, db, server.Config{})
 
-	for v := wire.MinVersion; v <= wire.Version; v++ {
-		typ, payload := helloAt(t, addr, byte(v))
-		if typ != wire.THello {
-			t.Fatalf("version %d: response %v, want Hello", v, typ)
-		}
-		got, err := wire.DecodeHello(payload)
-		if err != nil {
-			t.Fatalf("version %d: %v", v, err)
-		}
-		if got != byte(v) {
-			t.Fatalf("version %d: server echoed %d, want the client's own version", v, got)
-		}
+	typ, payload := helloAt(t, addr, 4)
+	if typ != wire.THello {
+		t.Fatalf("version 4: response %v, want Hello", typ)
 	}
-	for _, v := range []byte{wire.MinVersion - 1, wire.Version + 1} {
+	if got, err := wire.DecodeHello(payload); err != nil || got != 4 {
+		t.Fatalf("version 4: server echoed %d (%v), want 4", got, err)
+	}
+	for _, v := range []byte{3, 5} {
 		typ, payload := helloAt(t, addr, v)
 		if typ != wire.TError {
 			t.Fatalf("version %d: response %v, want TError", v, typ)

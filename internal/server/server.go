@@ -355,14 +355,12 @@ func (s *Server) handshake(conn net.Conn) error {
 		s.writeFrame(conn, wire.TError, wire.EncodeError(wire.CodeProtocol, err.Error()))
 		return err
 	}
-	if v < wire.MinVersion || v > wire.Version {
-		msg := fmt.Sprintf("protocol version %d not supported (server speaks %d-%d)",
-			v, wire.MinVersion, wire.Version)
+	if v != wire.Version {
+		msg := fmt.Sprintf("protocol version %d not supported (server speaks %d)", v, wire.Version)
 		s.writeFrame(conn, wire.TError, wire.EncodeError(wire.CodeProtocol, msg))
 		return errors.New(msg)
 	}
-	// Echo the client's version: an older client checks for its own.
-	return s.writeFrame(conn, wire.THello, append([]byte(wire.Magic), v))
+	return s.writeFrame(conn, wire.THello, wire.EncodeHello())
 }
 
 // serveRequest executes one request and writes its response, reporting

@@ -23,8 +23,8 @@ func TestBeginRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBeginFlaglessCompat: a version-3 Begin payload (bare request ID,
-// no flag byte) decodes as a read-write transaction.
+// TestBeginFlaglessCompat: a Begin payload without a flag byte (a bare
+// request ID) decodes as a read-write transaction.
 func TestBeginFlaglessCompat(t *testing.T) {
 	id, flags, err := DecodeBegin(EncodeRequest(99, nil))
 	if err != nil {

@@ -27,10 +27,9 @@ import (
 // Magic opens every Hello payload.
 const Magic = "SIMW"
 
-// Version is the protocol version this build speaks. A server accepts any
-// Hello from MinVersion through Version and echoes the client's own
-// version back, so an older client's strict equality check still passes;
-// anything outside that window is refused with CodeProtocol.
+// Version is the protocol version this build speaks. A server accepts a
+// Hello of exactly this version and echoes it; any other version is
+// refused with CodeProtocol.
 //
 // Version 2 added trace-context propagation: request payloads that name a
 // statement or transaction-control action (Query, Exec, QueryTrace,
@@ -46,14 +45,8 @@ const Magic = "SIMW"
 // Version 4 added transaction options: a Begin payload may carry one flag
 // byte after its request ID (see EncodeBegin), bit 0 marking the
 // transaction read-only — a snapshot-pinned reader that never conflicts
-// and that a replica can serve. A flagless Begin (every version-3 client)
-// still decodes as an ordinary read-write transaction.
+// and that a replica can serve.
 const Version = 4
-
-// MinVersion is the oldest client protocol version a server still
-// accepts. Version 4 only *added* an optional Begin flag byte, so a
-// version-3 session — which never sends one — runs unchanged.
-const MinVersion = 3
 
 // DefaultMaxFrame bounds the frames a peer will accept (length field
 // inclusive of the type byte). Large result sets stream inside a single
@@ -285,8 +278,7 @@ const (
 )
 
 // EncodeBegin builds a Begin payload: the uvarint request ID followed —
-// only when some flag is set — by one flag byte. Flagless payloads keep
-// version-3 servers working unchanged.
+// only when some flag is set — by one flag byte.
 func EncodeBegin(id uint64, flags byte) []byte {
 	b := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+1), id)
 	if flags != 0 {
@@ -296,9 +288,8 @@ func EncodeBegin(id uint64, flags byte) []byte {
 }
 
 // DecodeBegin splits a Begin payload into its request ID and flag byte.
-// The flag byte is optional (version-3 clients never send one) and
-// defaults to zero; unknown flag bits are rejected so a future client
-// cannot silently get weaker semantics than it asked for.
+// An omitted flag byte means no flags; unknown flag bits are rejected so a
+// future client cannot silently get weaker semantics than it asked for.
 func DecodeBegin(b []byte) (uint64, byte, error) {
 	id, rest, err := DecodeRequest(b)
 	if err != nil {

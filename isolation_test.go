@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -140,7 +141,7 @@ func TestIsolationFirstWriterWinsEntity(t *testing.T) {
 	if err := tx1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// The entity latch died with tx1: tx2 can now take it.
+	// tx1's write record died with its write latch: tx2 can now write.
 	if _, err := tx2.Exec(ctx, `Modify acct (bal := bal + 10) Where id = 1.`); err != nil {
 		t.Fatalf("retry after winner committed: %v", err)
 	}
@@ -436,4 +437,249 @@ func TestIsolationReadOnlyRefusesWrites(t *testing.T) {
 	if err := ro.Commit(); err != nil {
 		t.Fatalf("read-only commit: %v", err)
 	}
+}
+
+// teamDB builds an in-memory database of teams and their players.
+func teamDB(t *testing.T) *Database {
+	t.Helper()
+	db, err := Open("", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if err := db.DefineSchema(`
+Class Team (
+  tname: string[20] unique required;
+  members: player inverse is team-of mv );
+
+Class Player (
+  pname: string[20] unique required );`); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestIsolationQueuedTxNeverAbortsWriter: a transaction queued on the
+// write latch cannot make the latch holder fail. The holder w renames a
+// team, then adds as a member a player whose rename b has queued behind
+// it; w's statement must succeed and both transactions commit, w first.
+func TestIsolationQueuedTxNeverAbortsWriter(t *testing.T) {
+	db := teamDB(t)
+	mustExec(t, db, `Insert player (pname := "Alice").`)
+	mustExec(t, db, `Insert team (tname := "Reds").`)
+	ctx := context.Background()
+	conflicts := db.store.EntityConflicts()
+
+	w, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Rollback()
+	if _, err := w.Exec(ctx, `Modify team (tname := "Reds2") Where tname = "Reds".`); err != nil {
+		t.Fatalf("w renames the team: %v", err)
+	}
+	b, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Rollback()
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.Exec(ctx, `Modify player (pname := "Alicia") Where pname = "Alice".`)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("b returned while w held the write latch: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := w.Exec(ctx, `Modify team (members := include player with (pname = "Alice")) Where tname = "Reds2".`); err != nil {
+		t.Errorf("w adds the player b is queued on: %v", err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Errorf("w commit: %v", err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("b after w finished: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("b never ran after w finished")
+	}
+	if err := b.Commit(); err != nil {
+		t.Errorf("b commit: %v", err)
+	}
+	rows := mustQuery(t, db, `From team Retrieve tname, pname of members.`).Rows()
+	if got := fmt.Sprint(rows); got != "[[Reds2 Alicia]]" {
+		t.Errorf("rows = %s, want [[Reds2 Alicia]]", got)
+	}
+	if got := db.store.EntityConflicts(); got != conflicts {
+		t.Errorf("entity conflicts rose by %d, want 0", got-conflicts)
+	}
+}
+
+// TestIsolationConflictHistory runs seeded histories of explicit
+// transactions over a few hot accounts and checks the conflict rule on
+// every one: ErrConflict comes only from a statement of a transaction that
+// has not written yet and leaves it usable, no conflict aborts anything,
+// every committed increment lands, and each conflict is counted once.
+func TestIsolationConflictHistory(t *testing.T) {
+	const goroutines, txns, ids = 4, 25, 6
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			db := txDB(t)
+			for id := 2; id <= ids; id++ {
+				mustExec(t, db, fmt.Sprintf(`Insert acct (id := %d, bal := 100).`, id))
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			before := db.store.EntityConflicts()
+			var (
+				mu        sync.Mutex
+				committed int // Σ affected counts of committed transactions
+				conflicts int // ErrConflicts returned
+			)
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed*100 + int64(g)))
+					for i := 0; i < txns; i++ {
+						tx, err := db.Begin(ctx)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						wrote, affected, conflicted := false, 0, 0
+						for k := 1 + rng.Intn(3); k > 0; k-- {
+							where := fmt.Sprintf("id = %d", 1+rng.Intn(ids))
+							if rng.Intn(2) == 0 {
+								where += fmt.Sprintf(" or id = %d", 1+rng.Intn(ids))
+							}
+							n, err := tx.Exec(ctx, `Modify acct (bal := bal + 1) Where `+where+`.`)
+							switch {
+							case errors.Is(err, ErrConflict):
+								conflicted++
+								if wrote {
+									t.Errorf("goroutine %d tx %d: ErrConflict after the transaction wrote: %v", g, i, err)
+								}
+							case err != nil:
+								t.Errorf("goroutine %d tx %d: %v", g, i, err)
+								tx.Rollback()
+								return
+							default:
+								wrote = true
+								affected += n
+							}
+							time.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
+						}
+						if conflicted > 0 {
+							// A conflict leaves the transaction usable.
+							if _, err := tx.Query(ctx, `From acct Retrieve bal Where id = 1.`); err != nil {
+								t.Errorf("goroutine %d tx %d: read after a conflict: %v", g, i, err)
+							}
+						}
+						commit := rng.Intn(2) == 0
+						if commit {
+							err = tx.Commit()
+						} else {
+							err = tx.Rollback()
+						}
+						if err != nil {
+							t.Errorf("goroutine %d tx %d: finish (commit=%v): %v", g, i, commit, err)
+							return
+						}
+						mu.Lock()
+						conflicts += conflicted
+						if commit {
+							committed += affected
+						}
+						mu.Unlock()
+					}
+				}(g)
+			}
+			wg.Wait()
+			sum := 0
+			for _, row := range mustQuery(t, db, `From acct Retrieve bal.`).Rows() {
+				n, err := strconv.Atoi(row[0].String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += n
+			}
+			if want := ids*100 + committed; sum != want {
+				t.Errorf("Σ bal = %d, want %d (seed total %d + %d committed increments)", sum, want, ids*100, committed)
+			}
+			if got := int(db.store.EntityConflicts() - before); got != conflicts {
+				t.Errorf("entity conflicts counted %d, want the %d ErrConflicts returned", got, conflicts)
+			}
+			t.Logf("committed increments %d, conflicts %d", committed, conflicts)
+		})
+	}
+}
+
+// TestIsolationWriterIgnoresSnapshotCacheFill: a snapshot reader that
+// decodes an entity after an open transaction wrote it caches the
+// committed image under the published stamp; the writer must still read
+// its own write, not that image — through a point read ("point") and
+// through the batched partner reads of an EVA traversal ("batch").
+func TestIsolationWriterIgnoresSnapshotCacheFill(t *testing.T) {
+	ctx := context.Background()
+	t.Run("point", func(t *testing.T) {
+		db := txDB(t)
+		// Enough rows that the point read plans a unique lookup, the path
+		// that fills the record cache.
+		for id := 2; id <= 6; id++ {
+			mustExec(t, db, fmt.Sprintf(`Insert acct (id := %d, bal := 100).`, id))
+		}
+		tx, err := db.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Rollback()
+		for i := 0; i < 2; i++ {
+			if _, err := tx.Exec(ctx, `Modify acct (bal := bal + 1) Where id = 1.`); err != nil {
+				t.Fatal(err)
+			}
+			if got := acctBal(t, db.QueryCtx, 1); got != "100" {
+				t.Fatalf("snapshot read: bal=%s, want 100", got)
+			}
+		}
+		if got := acctBal(t, tx.Query, 1); got != "102" {
+			t.Fatalf("writer reads bal=%s, want 102", got)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := acctBal(t, db.QueryCtx, 1); got != "102" {
+			t.Fatalf("committed bal=%s, want 102", got)
+		}
+	})
+	t.Run("batch", func(t *testing.T) {
+		db := teamDB(t)
+		mustExec(t, db, `Insert player (pname := "Alice").`)
+		mustExec(t, db, `Insert player (pname := "Bob").`)
+		mustExec(t, db, `Insert team (tname := "Reds", members := player with (pname = "Alice" or pname = "Bob")).`)
+		tx, err := db.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Rollback()
+		if _, err := tx.Exec(ctx, `Modify player (pname := "Alicia") Where pname = "Alice".`); err != nil {
+			t.Fatal(err)
+		}
+		const q = `From team Retrieve pname of members.`
+		if got := fmt.Sprint(mustQuery(t, db, q).Rows()); got != "[[Alice] [Bob]]" {
+			t.Fatalf("snapshot read: %s, want [[Alice] [Bob]]", got)
+		}
+		r, err := tx.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(r.Rows()); got != "[[Alicia] [Bob]]" {
+			t.Fatalf("writer reads %s, want [[Alicia] [Bob]]", got)
+		}
+	})
 }

@@ -599,7 +599,7 @@ func (db *Database) ExecCtx(ctx context.Context, dml string) (int, error) {
 }
 
 // execOne runs one parsed update statement as its own transaction. The
-// autocommit flag skips the snapshot pin and the per-entity latches: the
+// autocommit flag skips the snapshot pin and the conflict check: the
 // statement executes and commits without ever being open-idle, so it
 // queues behind other writers instead of raising first-writer-wins
 // conflicts.

@@ -30,10 +30,11 @@ var (
 	ErrTxAborted = errors.New("sim: transaction aborted")
 
 	// ErrConflict is wrapped by Tx.Exec when an entity the statement
-	// targets is write-latched by another open transaction: first writer
-	// wins, the loser fails fast instead of waiting. A conflict does not
-	// abort the transaction — the caller may commit what it has, retry the
-	// statement later, or roll back. Two transactions writing distinct
+	// targets was written by the open transaction holding the store write
+	// latch: first writer wins, the loser fails fast instead of waiting.
+	// Only a transaction that has not written yet can get it, and a
+	// conflict does not abort the transaction — the caller may retry the
+	// statement later or roll back. Two transactions writing distinct
 	// entities never conflict, even within one class.
 	ErrConflict = dmsii.ErrConflict
 
@@ -69,15 +70,19 @@ func ReadOnly() TxOption {
 // write latch — so statements see the transaction's own uncommitted
 // writes.
 //
-// Write isolation is first-writer-wins at entity granularity: each
-// update statement write-latches the entities it targets for the life of
-// the transaction, and a second transaction writing any of the same
-// entities fails with ErrConflict. Transactions writing distinct
-// entities — even of the same class — do not conflict. A failed
-// statement (constraint violation, type error, cancellation mid-update)
-// aborts the whole transaction — there are no savepoints — after which
-// every method reports ErrTxAborted wrapping the cause. Conflicts and
-// parse errors do not abort.
+// Writes are single-writer, as in the paper's substrate: the first update
+// statement takes the store's write latch and the transaction holds it
+// until Commit or Rollback. Write isolation is first-writer-wins at entity
+// granularity: before it queues on the write latch, an update statement of
+// a transaction that has not written yet resolves its targets on its
+// snapshot and fails with ErrConflict if the latch holder has written any
+// of them. The holder itself never conflicts. Transactions writing
+// distinct entities — even of the same class — do not conflict; the later
+// one waits for the write latch. A failed statement (constraint
+// violation, type error, cancellation mid-update) aborts the whole
+// transaction — there are no savepoints — after which every method
+// reports ErrTxAborted wrapping the cause. Conflicts and parse errors do
+// not abort.
 //
 // A Tx is not safe for concurrent use by multiple goroutines.
 type Tx struct {
@@ -88,7 +93,7 @@ type Tx struct {
 	viewOf *luc.Mapper    // mapper the view was built over (schema-change invalidation)
 	ro     bool
 	done   bool
-	auto   bool  // one-statement autocommit: skip snapshot + entity latches (see execStmt)
+	auto   bool  // one-statement autocommit: skip snapshot + conflict check (see execStmt)
 	wrote  bool  // the substrate write latch has been acquired
 	err    error // sticky abort cause; effects already rolled back
 }
@@ -106,7 +111,7 @@ func (db *Database) Begin(ctx context.Context, opts ...TxOption) (*Tx, error) {
 // begin is Begin plus the internal autocommit flag. Autocommit
 // transactions execute one statement entirely under the store's write
 // latch and commit immediately, so they skip the snapshot pin (they never
-// read before writing) and the entity latches (they cannot interleave
+// read before writing) and the conflict check (they cannot interleave
 // with anyone; against an open transaction they queue on the write latch
 // instead of conflicting).
 func (db *Database) begin(ctx context.Context, auto bool, opts ...TxOption) (*Tx, error) {
@@ -183,10 +188,10 @@ func (tx *Tx) readViewLocked() *exec.Executor {
 }
 
 // Exec executes one update statement (Insert, Modify or Delete) inside
-// the transaction and returns the number of affected entities. Exec
-// first claims per-entity write latches for the statement's targets —
-// failing fast with ErrConflict if another open transaction holds any of
-// them — then acquires the store's write latch (blocking, under ctx,
+// the transaction and returns the number of affected entities. Until the
+// transaction's first write, Exec first checks the statement's targets —
+// failing fast with ErrConflict if the write-latch holder has written any
+// of them — then acquires the store's write latch (blocking, under ctx,
 // while another transaction is in its write phase). On a statement error
 // the transaction aborts: its earlier effects are rolled back and the Tx
 // is dead (ErrTxAborted). Parse errors and conflicts do not abort.
@@ -239,7 +244,7 @@ func (tx *Tx) Commit() error {
 }
 
 // CommitTraced is Commit with a span breakdown: it returns where the
-// commit spent its time — entity-latch and write-latch waits, the wait
+// commit spent its time — the write-latch wait, the wait
 // for the group-commit leader to pick the batch up, the shared fsync, and
 // the replication position the commit group published at. The trace ID is
 // taken from ctx (see obs.WithRequestID); the same ID is then findable in
@@ -299,25 +304,22 @@ func (tx *Tx) usable() error {
 	return nil
 }
 
-// latchBase is the entity-latch namespace for a class: the hierarchy's
+// latchBase is the conflict-check namespace for a class: the hierarchy's
 // base class, lower-cased. Surrogates identify entities within it, so
 // statements targeting the same entity through different subclasses
-// contend on the same latch.
+// conflict.
 func latchBase(cl *catalog.Class) string {
 	return strings.ToLower(cl.Base.Name)
 }
 
-// prelatch resolves the statement's target entities on the transaction's
-// read view and claims their write latches before blocking on the store
-// write latch. This keeps first-writer-wins fail-fast: a conflicting
-// statement returns ErrConflict immediately — before acquiring or waiting
-// on any store-wide lock, and before mutating anything — so it does not
-// abort the transaction and cannot deadlock against the latch holder.
-// The resolution is advisory (the statement re-selects its targets when
-// it executes; the claim and write hooks below latch whatever it then
-// touches), so resolution errors are ignored here and surface from the
-// real execution.
-func (tx *Tx) prelatch(ctx context.Context, stmt ast.Stmt) error {
+// checkTargets is the conflict check at the write-latch door, run by a
+// transaction that has not written yet: it resolves the statement's
+// target entities on the transaction's snapshot and fails fast with
+// ErrConflict if the write-latch holder has written any of them — before
+// waiting on any store-wide lock and before mutating anything. It never
+// waits. Resolution errors are ignored here and surface from the real
+// execution.
+func (tx *Tx) checkTargets(ctx context.Context, stmt ast.Stmt) error {
 	db := tx.db
 	db.mu.RLock()
 	exe := tx.readViewLocked()
@@ -328,7 +330,7 @@ func (tx *Tx) prelatch(ctx context.Context, stmt ast.Stmt) error {
 	}
 	base := latchBase(cl)
 	for _, s := range surrs {
-		if err := tx.txn.LatchEntity(base, uint64(s)); err != nil {
+		if err := tx.txn.CheckEntity(base, uint64(s)); err != nil {
 			return err
 		}
 	}
@@ -347,15 +349,15 @@ func (tx *Tx) execStmt(ctx context.Context, stmt ast.Stmt) (int, error) {
 	default:
 		return 0, fmt.Errorf("sim: unsupported statement %T", stmt)
 	}
-	// First writer wins, per entity: resolve the statement's targets on
-	// the transaction's read view and latch them, failing fast while the
-	// conflict is still side-effect-free. Autocommit transactions skip
-	// entity latches entirely: they execute and commit under the store's
-	// write latch, so they cannot interleave with anyone; against an open
-	// transaction they queue on the write latch (bounded by ctx) instead
-	// of conflicting.
-	if !tx.auto {
-		if err := tx.prelatch(ctx, stmt); err != nil {
+	// First writer wins, per entity: until its first write, a transaction
+	// checks its targets against the write-latch holder's writes and fails
+	// fast while the conflict is still side-effect-free. Once it holds the
+	// write latch it is the holder and never conflicts. Autocommit
+	// transactions check nothing: they execute and commit under the write
+	// latch, and against an open transaction they queue on it (bounded by
+	// ctx) instead of conflicting.
+	if !tx.auto && !tx.wrote {
+		if err := tx.checkTargets(ctx, stmt); err != nil {
 			return 0, err
 		}
 	}
@@ -372,32 +374,13 @@ func (tx *Tx) execStmt(ctx context.Context, stmt ast.Stmt) (int, error) {
 	db := tx.db
 	db.mu.RLock()
 	exe := db.exe
-	// written flips once the statement mutates anything; an entity
-	// conflict raised before that (the claim hook, or the write hook on
-	// the statement's first touch) is side-effect-free and must not abort.
-	written := false
 	if !tx.auto {
-		claim := func(cl *catalog.Class, surrs []value.Surrogate) error {
-			base := latchBase(cl)
-			for _, s := range surrs {
-				if err := tx.txn.LatchEntity(base, uint64(s)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// The write hook is the backstop for entities the target
-		// resolution cannot see — EVA partners, entities displaced by a
-		// UNIQUE reassignment, freshly created entities. Latching is
-		// reentrant, so re-touching a claimed entity is free.
-		hook := func(base *catalog.Class, s value.Surrogate) error {
-			if err := tx.txn.LatchEntity(latchBase(base), uint64(s)); err != nil {
-				return err
-			}
-			written = true
-			return nil
-		}
-		exe = db.exe.View(db.mapper.WithOnWrite(hook)).WithClaim(claim)
+		// Record every entity the statement writes — its targets, EVA
+		// partners, entities displaced by a UNIQUE reassignment, fresh
+		// entities — for the conflict checks of queued transactions.
+		exe = db.exe.View(db.mapper.WithOnWrite(func(base *catalog.Class, s value.Surrogate) {
+			tx.txn.RecordWrite(latchBase(base), uint64(s))
+		}))
 	}
 	var n int
 	var err error
@@ -411,11 +394,8 @@ func (tx *Tx) execStmt(ctx context.Context, stmt ast.Stmt) (int, error) {
 	}
 	db.mu.RUnlock()
 	if err != nil {
-		if errors.Is(err, ErrConflict) && !written {
-			// Nothing was mutated: the transaction keeps its earlier
-			// effects and latches, and the caller may commit or retry.
-			return 0, err
-		}
+		// The statement ran as the write-latch holder, which never
+		// conflicts: every error here aborts.
 		return 0, tx.abort(err)
 	}
 	return n, nil

@@ -150,7 +150,7 @@ func TestTxConflictFirstWriterWins(t *testing.T) {
 	if _, err := tx1.Exec(ctx, `Modify acct (bal := 50) Where id = 1.`); err != nil {
 		t.Fatal(err)
 	}
-	// tx1 write-latched the id-1 entity: tx2, targeting the same entity,
+	// tx1 holds the write latch and wrote the id-1 entity: tx2, targeting it,
 	// fails fast with ErrConflict instead of waiting — before it ever
 	// blocks on the store write latch — and the conflict does not abort
 	// tx2.
