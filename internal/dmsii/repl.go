@@ -151,12 +151,16 @@ func (s *Store) ReplaceImage(img []byte) error {
 // invalidateCaches drops every pool frame and reattaches the directory
 // from the (just rewritten) meta page, so reads observe the replicated
 // bytes. It is the one place pages change under an unchanged published
-// stamp, so it also bumps the store generation: snapshots pinned from
-// here on resolve structure roots afresh instead of sharing a table read
-// before the change. The caller holds the write latch; concurrent readers
-// may briefly pin frames, so the drop retries like resetUncommitted.
+// stamp, so it also bumps the store generation and retires the current
+// view: readers from here on resolve structure roots afresh instead of
+// sharing a view read before the change. The caller holds the write
+// latch; concurrent readers may briefly pin frames, so the drop retries
+// like resetUncommitted.
 func (s *Store) invalidateCaches() error {
-	defer s.gen.Add(1)
+	defer func() {
+		s.gen.Add(1)
+		s.retireStale()
+	}()
 	var err error
 	for i := 0; i < 1000; i++ {
 		if err = s.pool.DropAll(); err == nil {

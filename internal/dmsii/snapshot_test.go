@@ -12,9 +12,9 @@ import (
 	"sim/internal/wal"
 )
 
-// Snaps at one stamp share a table of structure handles (stampTable).
-// These tests pin what makes that sharing safe: a follower replacing pages
-// under its unchanged stamp retires the table, and readers at a stamp
+// Snaps at one stamp share one View and its structure handles. These
+// tests pin what makes that sharing safe: a follower replacing pages
+// under its unchanged stamp retires the view, and readers at a stamp
 // keep reading that stamp's state while a writer publishes newer ones.
 
 func rowKey(i int) []byte { return []byte(fmt.Sprintf("row-%05d", i)) }
@@ -36,7 +36,7 @@ func readAll(t *testing.T, sn *Snap, name string, keys [][]byte) {
 }
 
 // TestFollowerRefreshesStampTable: a follower installs primary pages under
-// its own, unchanged published stamp. A table cached before the install
+// its own, unchanged published stamp. A view cached before the install
 // must not survive it — the install created structure b and split a's
 // root, and a reader pinned afterwards sees both.
 func TestFollowerRefreshesStampTable(t *testing.T) {
@@ -95,7 +95,7 @@ func TestFollowerRefreshesStampTable(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// A reader caches the follower's table: a's root, b absent.
+			// A reader caches the follower's view: a's root, b absent.
 			before := follower.PinSnapshot()
 			readAll(t, before, "a", aKeys)
 			if st, err := before.Structure("b"); err != nil {
@@ -148,7 +148,7 @@ func TestFollowerRefreshesStampTable(t *testing.T) {
 // TestSnapshotsShareStampTableUnderWriter: readers pinned at a stamp read
 // a consistent pair — every row has its index entry and nothing else —
 // while a writer publishes newer stamps, creates a structure midway and
-// splits roots; Snaps at one stamp share one table. Run under -race.
+// splits roots; Snaps at one stamp share one view. Run under -race.
 func TestSnapshotsShareStampTableUnderWriter(t *testing.T) {
 	s := memStore(t)
 	const n, lateAt = 300, 150
@@ -277,10 +277,90 @@ func TestSnapshotsShareStampTableUnderWriter(t *testing.T) {
 	sn1, sn2 := s.PinSnapshot(), s.PinSnapshot()
 	defer sn1.Release()
 	defer sn2.Release()
-	if sn1.t != sn2.t {
-		t.Fatal("two snapshots at one stamp built separate structure tables")
+	if sn1.View != sn2.View {
+		t.Fatal("two snapshots at one stamp built separate views")
 	}
 	if got, err := check(sn1); err != nil || got != n {
 		t.Fatalf("final snapshot: %d rows, err %v; want %d", got, err, n)
+	}
+}
+
+// TestSnapReleaseIsPerHolder: Snaps at one stamp are holders of one
+// shared view. Releasing one Snap twice drops only its own reference:
+// the other keeps reading its stamp and keeps it pinned after a later
+// commit retires the view; its release unpins it.
+func TestSnapReleaseIsPerHolder(t *testing.T) {
+	s := memStore(t)
+	st, err := s.Structure("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitPut(t, s, st, "old", "v")
+	sn1, sn2 := s.PinSnapshot(), s.PinSnapshot()
+	if sn1.View != sn2.View {
+		t.Fatal("two snapshots at one stamp hold different views")
+	}
+	sn1.Release()
+	sn1.Release()
+	commitPut(t, s, st, "new", "v")
+	if got := s.OldestPinned(); got != sn2.Stamp() {
+		t.Fatalf("oldest pinned stamp %d, want the remaining holder's %d", got, sn2.Stamp())
+	}
+	readAll(t, sn2, "a", [][]byte{[]byte("old")})
+	if a, err := sn2.Structure("a"); err != nil {
+		t.Fatal(err)
+	} else if _, ok, _ := a.Get([]byte("new")); ok {
+		t.Fatal("a holder pinned before a commit sees its row")
+	}
+	sn2.Release()
+	sn2.Release()
+	if oldest, pub := s.OldestPinned(), s.Published(); oldest != pub {
+		t.Fatalf("every holder released: oldest pinned stamp %d, published %d", oldest, pub)
+	}
+}
+
+// TestViewFreshUnderConcurrentBuilds: readers rebuild the current view as
+// fast as commits retire it, so builds overlap publishes. A view acquired
+// after a commit returned is at that commit's stamp, and once the readers
+// stop no stale view is left current to pin its stamp. Run under -race.
+func TestViewFreshUnderConcurrentBuilds(t *testing.T) {
+	s := memStore(t)
+	st, err := s.Structure("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s.AcquireView().Release()
+			}
+		}()
+	}
+	func() {
+		defer func() {
+			close(stop)
+			wg.Wait()
+		}()
+		for i := 0; i < 2000; i++ {
+			commitPut(t, s, st, "k", fmt.Sprint(i))
+			v := s.AcquireView()
+			stamp := v.Stamp()
+			v.Release()
+			if pub := s.Published(); stamp != pub {
+				t.Fatalf("commit %d: view acquired after it returned is at stamp %d, published %d", i, stamp, pub)
+			}
+		}
+	}()
+	if oldest, pub := s.OldestPinned(), s.Published(); oldest != pub {
+		t.Fatalf("readers gone: oldest pinned stamp %d, published %d", oldest, pub)
 	}
 }

@@ -61,11 +61,12 @@ const checkpointThreshold = 8 << 20
 // conflict never aborts a transaction that has written, and transactions
 // writing distinct entities of the same class do not conflict.
 //
-// Reads are versioned: PinSnapshot returns a Snap pinned at the newest
+// Reads are versioned: AcquireView returns the read view of the newest
 // published commit stamp, whose structures resolve pages through
 // copy-on-write version chains (pager.Pool.ViewPage) — snapshot readers
-// never block writers and never see uncommitted bytes. Snaps pinned at
-// the same stamp share one table of structure handles (stampTable).
+// never block writers and never see uncommitted bytes. Every reader at
+// one stamp shares that one View: its version-GC pin, its structure
+// handles and whatever the upper layers attach to it.
 type Store struct {
 	file      pager.File
 	pool      *pager.Pool
@@ -76,8 +77,8 @@ type Store struct {
 	closed    atomic.Bool
 	recovered wal.RecoverInfo // what recovery did when the store opened
 
-	table atomic.Pointer[stampTable] // the newest snapshot structure table
-	gen   atomic.Uint64              // bumped when pages change under an unchanged stamp
+	view atomic.Pointer[View] // the current read view; nil once retired
+	gen  atomic.Uint64        // bumped when pages change under an unchanged stamp
 
 	writeSem   chan struct{} // capacity-1 store-wide write latch
 	writeHeld  atomic.Bool   // the write latch is currently held
@@ -634,8 +635,10 @@ func (tx *Txn) Commit() error {
 	// this point see these changes. Group commit makes every batch in the
 	// same fsync durable together and stamps are assigned in write-phase
 	// order, so max-publishing this stamp never exposes a non-durable
-	// predecessor.
+	// predecessor. The current read view is retired with it, so an idle
+	// one stops pinning the stamp it was built at.
 	s.pool.Publish(snap.Stamp())
+	s.retireStale()
 	s.flightTxn.Load().Event("txn", "commit", tx.id, 0, int64(snap.Len()), "")
 	s.awaitHead(snap)
 	werr := s.pool.WriteBack(snap)

@@ -121,7 +121,7 @@ type Mapper struct {
 	// snap, when non-nil, pins every read this mapper performs to one
 	// commit stamp: structure access resolves through the snapshot's
 	// version chains and the record cache matches on the snapshot stamp.
-	snap *dmsii.Snap
+	snap Snapshot
 
 	// onWrite, when non-nil, runs before any mutation touching an entity
 	// (base class + surrogate), once per mutator entry. The database layer
@@ -203,19 +203,24 @@ func (m *Mapper) getProbe() *probe {
 
 func (m *Mapper) putProbe(p *probe) { m.probes.Put(p) }
 
+// Snapshot is what a mapper view reads through: a dmsii.View shared by
+// every reader at one stamp, or one holder's dmsii.Snap on it.
+type Snapshot interface {
+	Stamp() uint64
+	Structure(name string) (*dmsii.Structure, error)
+}
+
 // View returns a mapper whose reads are pinned to snap: structures
 // resolve through the snapshot's version chains, the shared record cache
 // matches on the snapshot's stamp, and statistics are privately cached so
-// snapshot-consistent counts never leak into the live mapper. A nil snap
-// returns a clone reading the live state. Mutations through a snapshot
-// view fail in the store layer.
-func (m *Mapper) View(snap *dmsii.Snap) *Mapper {
+// snapshot-consistent counts never leak into the live mapper. Every
+// reader of snap may share the view. Mutations through a snapshot view
+// fail in the store layer.
+func (m *Mapper) View(snap Snapshot) *Mapper {
 	v := *m
 	v.snap = snap
 	v.onWrite = nil
-	if snap != nil {
-		v.stat = &statCache{m: make(map[string]int64)}
-	}
+	v.stat = &statCache{m: make(map[string]int64)}
 	return &v
 }
 
@@ -228,10 +233,6 @@ func (m *Mapper) WithOnWrite(fn func(base *catalog.Class, s value.Surrogate)) *M
 	v.onWrite = fn
 	return &v
 }
-
-// Snap returns the snapshot this mapper reads through, nil for the live
-// mapper.
-func (m *Mapper) Snap() *dmsii.Snap { return m.snap }
 
 // structure resolves a named structure: through the pinned snapshot for
 // views, else live.

@@ -165,7 +165,7 @@ func (p *Pool) RegisterMetrics(r *obs.Registry) {
 		func() float64 { return float64(p.published.Load()) })
 	r.GaugeFunc("sim_mvcc_oldest_pinned_stamp", "Oldest stamp a live snapshot is pinned at (the version-GC floor).",
 		func() float64 { return float64(p.minPinned.Load()) })
-	r.GaugeFunc("sim_mvcc_pinned_views", "Live pinned read snapshots.",
+	r.GaugeFunc("sim_mvcc_pinned_views", "Pinned read views: one per stamp that is current or still has readers.",
 		func() float64 { return float64(p.PinnedViews()) })
 	r.GaugeFunc("sim_mvcc_live_versions", "Retained copy-on-write page pre-images awaiting GC.",
 		func() float64 { return float64(p.liveVersions.Load()) })
@@ -356,7 +356,7 @@ func (p *Pool) recomputeFloorLocked() {
 // the published stamp when no snapshot is pinned (the GC floor).
 func (p *Pool) OldestPinned() uint64 { return p.minPinned.Load() }
 
-// PinnedViews returns the number of live pinned snapshots.
+// PinnedViews returns the number of live PinView pins.
 func (p *Pool) PinnedViews() int {
 	p.pinMu.Lock()
 	n := 0

@@ -267,18 +267,7 @@ func TestIsolationDistinctEntitiesBothCommit(t *testing.T) {
 // pin keeps the versions the pinned reader still needs; the checkpoint
 // after the pin is released sweeps them all.
 func TestVersionGCFollowsOldestPin(t *testing.T) {
-	db, err := Open(filepath.Join(t.TempDir(), "gc.sim"), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	if err := db.DefineSchema(`Class Acct ( id: integer unique required; bal: integer );`); err != nil {
-		t.Fatal(err)
-	}
-	const rows = 64
-	for id := 1; id <= rows; id++ {
-		mustExec(t, db, fmt.Sprintf(`Insert acct (id := %d, bal := 100).`, id))
-	}
+	db := gcDB(t)
 	ctx := context.Background()
 	live := func() float64 { return db.Metrics().Snapshot()["sim_mvcc_live_versions"] }
 
@@ -287,11 +276,7 @@ func TestVersionGCFollowsOldestPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinned := acctBal(t, ro.Query, 1)
-	for i := 0; i < 200; i++ {
-		if _, err := db.ExecCtx(ctx, fmt.Sprintf(`Modify acct (bal := bal + 1) Where id = %d.`, 1+i%rows)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	gcChurn(t, db)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -309,6 +294,71 @@ func TestVersionGCFollowsOldestPin(t *testing.T) {
 	}
 	if released := live(); released != 0 {
 		t.Fatalf("live versions after the pin's release and a checkpoint = %v, want 0", released)
+	}
+}
+
+const gcRows = 64
+
+// gcDB opens a file-backed database of gcRows accounts.
+func gcDB(t *testing.T) *Database {
+	t.Helper()
+	db, err := Open(filepath.Join(t.TempDir(), "gc.sim"), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if err := db.DefineSchema(`Class Acct ( id: integer unique required; bal: integer );`); err != nil {
+		t.Fatal(err)
+	}
+	for id := 1; id <= gcRows; id++ {
+		mustExec(t, db, fmt.Sprintf(`Insert acct (id := %d, bal := 100).`, id))
+	}
+	return db
+}
+
+// gcChurn commits 200 autocommit Modifies, each leaving page pre-images.
+func gcChurn(t *testing.T, db *Database) {
+	t.Helper()
+	for i := 0; i < 200; i++ {
+		mustExec(t, db, fmt.Sprintf(`Modify acct (bal := bal + 1) Where id = %d.`, 1+i%gcRows))
+	}
+}
+
+// TestVersionGCIgnoresIdleView: the read view that readers share stays
+// current until the next commit, but no longer. A reader that finished
+// before a burst of commits, with no read after it, pins nothing: the
+// checkpoint sweeps every pre-image.
+func TestVersionGCIgnoresIdleView(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		read func(t *testing.T, db *Database)
+	}{
+		{"query", func(t *testing.T, db *Database) { acctBal(t, db.QueryCtx, 1) }},
+		{"read-only tx", func(t *testing.T, db *Database) {
+			ro, err := db.Begin(context.Background(), ReadOnly())
+			if err != nil {
+				t.Fatal(err)
+			}
+			acctBal(t, ro.Query, 1)
+			if err := ro.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := gcDB(t)
+			tc.read(t, db)
+			gcChurn(t, db)
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if oldest, pub := db.store.OldestPinned(), db.store.Published(); oldest != pub {
+				t.Fatalf("oldest pinned stamp %d, published %d: an idle view still pins its stamp", oldest, pub)
+			}
+			if n := db.store.LiveVersions(); n != 0 {
+				t.Fatalf("live versions after the checkpoint = %d, want 0", n)
+			}
+		})
 	}
 }
 

@@ -61,9 +61,9 @@ func (db *Database) queryTraceCtx(ctx context.Context, dml string, tr *obs.Query
 	poolBefore := db.store.Stats()
 	cacheBefore := db.mapper.CacheStats()
 	// Traced queries read the same pinned-snapshot path as Query.
-	snap := db.store.PinSnapshot()
-	defer snap.Release()
-	res, err := db.queryOn(ctx, dml, db.exe.View(db.mapper.View(snap)), tr)
+	v, exe := db.readView()
+	defer v.Release()
+	res, err := db.queryOn(ctx, dml, exe, tr)
 	if err != nil {
 		return nil, err
 	}

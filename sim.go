@@ -443,12 +443,42 @@ func (db *Database) QueryCtx(ctx context.Context, dml string) (*Result, error) {
 func (db *Database) queryCtx(ctx context.Context, dml string) (*Result, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	// Pin the latest committed version stamp for the statement: the query
-	// traverses page versions as of this stamp, never blocking on — or
-	// being torn by — a concurrent transaction's write phase.
-	snap := db.store.PinSnapshot()
-	defer snap.Release()
-	return db.queryOn(ctx, dml, db.exe.View(db.mapper.View(snap)), nil)
+	v, exe := db.readView()
+	defer v.Release()
+	return db.queryOn(ctx, dml, exe, nil)
+}
+
+// viewAttachment is what the database layer attaches to a read view: the
+// executor the view's statements run on, and the live executor it was
+// derived from.
+type viewAttachment struct {
+	of  *exec.Executor
+	exe *exec.Executor
+}
+
+// readView pins the latest committed version stamp for a statement: it
+// takes a reference on the store's current read view — released by the
+// caller exactly once — and returns it with the executor that reads it.
+// The statement traverses page versions as of the view's stamp, never
+// blocking on — or being torn by — a concurrent transaction's write
+// phase. Every read outside a transaction that has written starts here.
+// The caller holds db.mu (read suffices).
+func (db *Database) readView() (*dmsii.View, *exec.Executor) {
+	v := db.store.AcquireView()
+	return v, db.viewExec(v)
+}
+
+// viewExec returns the executor reading v. It is built once per view and
+// schema — a snapshot mapper and an executor over it — and attached to
+// the view, so every statement at one published stamp shares it; a
+// schema change since makes it rebuild. The caller holds db.mu.
+func (db *Database) viewExec(v *dmsii.View) *exec.Executor {
+	if a, ok := v.Attached().(*viewAttachment); ok && a.of == db.exe {
+		return a.exe
+	}
+	a := &viewAttachment{of: db.exe, exe: db.exe.View(db.mapper.View(v))}
+	v.Attach(a)
+	return a.exe
 }
 
 // queryOn executes one Retrieve statement on the given executor — a
@@ -566,9 +596,9 @@ func (db *Database) ExplainCtx(ctx context.Context, dml string) (string, error) 
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	snap := db.store.PinSnapshot()
-	defer snap.Release()
-	p, err := db.planRetrieveOn(ret, db.mapper.View(snap))
+	v, exe := db.readView()
+	defer v.Release()
+	p, err := db.planRetrieveOn(ret, exe.Mapper())
 	if err != nil {
 		return "", err
 	}
@@ -689,9 +719,9 @@ func (db *Database) RunCtx(ctx context.Context, script string) ([]*Result, error
 				// its own uncommitted writes.
 				r, err = db.runRetrieveOn(ctx, s, tx.readViewLocked())
 			} else {
-				snap := db.store.PinSnapshot()
-				r, err = db.runRetrieveOn(ctx, s, db.exe.View(db.mapper.View(snap)))
-				snap.Release()
+				v, exe := db.readView()
+				r, err = db.runRetrieveOn(ctx, s, exe)
+				v.Release()
 			}
 			db.mu.RUnlock()
 			if err != nil {
@@ -717,9 +747,9 @@ func (db *Database) RunCtx(ctx context.Context, script string) ([]*Result, error
 func (db *Database) CheckIntegrity() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	snap := db.store.PinSnapshot()
-	defer snap.Release()
-	return db.exe.View(db.mapper.View(snap)).CheckAll()
+	v, exe := db.readView()
+	defer v.Release()
+	return exe.CheckAll()
 }
 
 // Checkpoint flushes committed data to the database file and truncates the

@@ -11,7 +11,6 @@ import (
 	"sim/internal/catalog"
 	"sim/internal/dmsii"
 	"sim/internal/exec"
-	"sim/internal/luc"
 	"sim/internal/obs"
 	"sim/internal/parser"
 	"sim/internal/value"
@@ -86,16 +85,14 @@ func ReadOnly() TxOption {
 //
 // A Tx is not safe for concurrent use by multiple goroutines.
 type Tx struct {
-	db     *Database
-	txn    *dmsii.Txn     // nil for read-only transactions
-	snap   *dmsii.Snap    // pinned read snapshot; nil once the tx has written
-	view   *exec.Executor // cached snapshot-view executor for snap
-	viewOf *luc.Mapper    // mapper the view was built over (schema-change invalidation)
-	ro     bool
-	done   bool
-	auto   bool  // one-statement autocommit: skip snapshot + conflict check (see execStmt)
-	wrote  bool  // the substrate write latch has been acquired
-	err    error // sticky abort cause; effects already rolled back
+	db    *Database
+	txn   *dmsii.Txn  // nil for read-only transactions
+	view  *dmsii.View // read view pinned at Begin; nil once the tx has written or finished
+	ro    bool
+	done  bool
+	auto  bool  // one-statement autocommit: skip snapshot + conflict check (see execStmt)
+	wrote bool  // the substrate write latch has been acquired
+	err   error // sticky abort cause; effects already rolled back
 }
 
 // Begin starts an explicit transaction. Reads are pinned to the
@@ -123,7 +120,8 @@ func (db *Database) begin(ctx context.Context, auto bool, opts ...TxOption) (*Tx
 		fn(&o)
 	}
 	if o.readOnly {
-		return &Tx{db: db, ro: true, snap: db.store.PinSnapshot()}, nil
+		// A read-only transaction is a read view held across statements.
+		return &Tx{db: db, ro: true, view: db.store.AcquireView()}, nil
 	}
 	txn, err := db.store.BeginSession()
 	if err != nil {
@@ -135,7 +133,7 @@ func (db *Database) begin(ctx context.Context, auto bool, opts ...TxOption) (*Tx
 	txn.SetTrace(obs.RequestID(ctx), nil)
 	tx := &Tx{db: db, txn: txn, auto: auto}
 	if !auto {
-		tx.snap = db.store.PinSnapshot()
+		tx.view = db.store.AcquireView()
 	}
 	return tx, nil
 }
@@ -173,18 +171,13 @@ func (tx *Tx) query(ctx context.Context, dml string) (*Result, error) {
 // A transaction that has written holds the store write latch until it
 // finishes, so reading the live pages is stable and sees its own writes;
 // before the first write (and for read-only transactions) reads go
-// through the snapshot pinned at Begin, via a cached view executor.
-// The caller holds db.mu (read suffices).
+// through the view pinned at Begin, on the executor shared by every
+// reader of that view. The caller holds db.mu (read suffices).
 func (tx *Tx) readViewLocked() *exec.Executor {
-	db := tx.db
-	if tx.snap == nil {
-		return db.exe
+	if tx.view == nil {
+		return tx.db.exe
 	}
-	if tx.view == nil || tx.viewOf != db.mapper {
-		tx.view = db.exe.View(db.mapper.View(tx.snap))
-		tx.viewOf = db.mapper
-	}
-	return tx.view
+	return tx.db.viewExec(tx.view)
 }
 
 // Exec executes one update statement (Insert, Modify or Delete) inside
@@ -222,7 +215,7 @@ func (tx *Tx) Commit() error {
 		return ErrTxDone
 	}
 	tx.done = true
-	tx.releaseSnap()
+	tx.releaseView()
 	if tx.err != nil {
 		return tx.err // effects already rolled back at abort time
 	}
@@ -269,7 +262,7 @@ func (tx *Tx) Rollback() error {
 		return nil
 	}
 	tx.done = true
-	tx.releaseSnap()
+	tx.releaseView()
 	if tx.txn == nil {
 		return nil
 	}
@@ -283,13 +276,14 @@ func (tx *Tx) Rollback() error {
 // option.
 func (tx *Tx) ReadOnly() bool { return tx.ro }
 
-// releaseSnap unpins the transaction's read snapshot so checkpoint-time
-// version GC can reclaim the page versions it held visible. Idempotent.
-func (tx *Tx) releaseSnap() {
-	if tx.snap != nil {
-		tx.snap.Release()
-		tx.snap = nil
-		tx.view, tx.viewOf = nil, nil
+// releaseView drops the transaction's reference on its read view so
+// checkpoint-time version GC can reclaim the page versions it held
+// visible. Idempotent for this holder: the view is shared, so a second
+// release must not drop another reader's reference.
+func (tx *Tx) releaseView() {
+	if tx.view != nil {
+		tx.view.Release()
+		tx.view = nil
 	}
 }
 
@@ -369,7 +363,7 @@ func (tx *Tx) execStmt(ctx context.Context, stmt ast.Stmt) (int, error) {
 		// Reads switch from the Begin-time snapshot to the live pages:
 		// stable under the write latch just acquired, and the only view
 		// that includes this transaction's own writes.
-		tx.releaseSnap()
+		tx.releaseView()
 	}
 	db := tx.db
 	db.mu.RLock()
@@ -405,7 +399,7 @@ func (tx *Tx) execStmt(ctx context.Context, stmt ast.Stmt) (int, error) {
 // makes the Tx sticky-fail with the cause.
 func (tx *Tx) abort(cause error) error {
 	tx.err = fmt.Errorf("%w: %w", ErrTxAborted, cause)
-	tx.releaseSnap()
+	tx.releaseView()
 	if derr := tx.discard(); derr != nil {
 		return fmt.Errorf("%w (rollback also failed: %v)", cause, derr)
 	}
