@@ -1,22 +1,22 @@
 package dmsii
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
 
-	"sim/internal/btree"
 	"sim/internal/pager"
 	"sim/internal/wal"
 )
 
 // This file is the store half of the replication subsystem: the hooks a
 // primary needs to publish its committed page groups and base image, and
-// the apply path a follower uses to install them. Both sides reuse the
-// commit machinery — a follower journals each incoming group through its
-// own WAL before touching the database file, so a follower crash at any
-// frame boundary recovers exactly like a primary crash: the WAL's
-// committed-prefix replay finishes or discards the interrupted group.
+// the apply path a follower uses to install them. A follower applies each
+// incoming group as a commit of its own: through the same pipeline as a
+// local transaction — copy-on-write frames, its own WAL, a new published
+// stamp, ordered write-back — so readers pinned before the group never see
+// it, and a follower crash at any frame boundary recovers exactly like a
+// primary crash: the WAL's committed-prefix replay finishes or discards
+// the interrupted group.
 
 // SetCommitHook installs fn on the store's WAL: it observes every commit
 // group — deduplicated page images plus the request IDs that rode the
@@ -64,46 +64,55 @@ func (s *Store) SnapshotImage(pos func() uint64) ([]byte, uint64, error) {
 }
 
 // ApplyReplicated applies one committed page group shipped from a
-// primary: journal the images through this store's own WAL (crash
-// safety), then write them to the database file and drop the pool so
-// reads observe the new bytes. Page images must be full pages. The WAL
-// is truncated once the file is synced and the log crosses the
-// checkpoint threshold, bounding follower log growth just like primary
-// commits do.
+// primary as a commit of this store. Under the write latch every image
+// replaces its page in a dirty frame — Prepare first, so the page's
+// version chain keeps the image that pinned readers see; ids past the end
+// of the file are allocated — and the live directory handles are
+// reattached, since the shipped pages move structure roots. The group
+// then commits like a local transaction: one snapshot journaled through
+// this store's WAL, a new published stamp, write-back in pipeline order
+// and the usual checkpoint threshold. Readers pinned before the group
+// keep reading the state they pinned; readers after it see all of it.
+// Page images must be full pages.
 func (s *Store) ApplyReplicated(pages []pager.PageImage) error {
 	if s.log == nil {
 		return fmt.Errorf("dmsii: replication needs a durable store (no WAL)")
 	}
-	frames := make([]*pager.Frame, len(pages))
-	for i, p := range pages {
+	for _, p := range pages {
 		if len(p.Data) != pager.PageSize {
 			return fmt.Errorf("dmsii: replicated page %d has %d bytes", p.ID, len(p.Data))
 		}
-		frames[i] = &pager.Frame{ID: p.ID, Data: p.Data}
 	}
-	unlock, err := s.lockWrites()
+	tx, err := s.Begin()
 	if err != nil {
 		return err
 	}
-	defer unlock()
-	if err := s.log.Commit(frames); err != nil {
+	if err := s.installImages(pages); err != nil {
+		tx.Rollback()
 		return err
 	}
+	return tx.Commit()
+}
+
+// installImages writes shipped page images into the pool as the write
+// phase of a commit; the caller holds the write latch.
+func (s *Store) installImages(pages []pager.PageImage) error {
 	for _, p := range pages {
-		if err := s.file.WritePage(p.ID, p.Data); err != nil {
+		var f *pager.Frame
+		var err error
+		if uint32(p.ID) >= s.pool.NumPages() {
+			f, err = s.pool.AllocateAt(p.ID)
+		} else if f, err = s.pool.Get(p.ID); err == nil {
+			s.pool.Prepare(f)
+		}
+		if err != nil {
 			return err
 		}
+		copy(f.Data, p.Data)
+		s.pool.MarkDirty(f)
+		s.pool.Release(f)
 	}
-	if err := s.invalidateCaches(); err != nil {
-		return err
-	}
-	if s.log.Size() > checkpointThreshold {
-		if err := s.file.Sync(); err != nil {
-			return err
-		}
-		return s.log.Truncate()
-	}
-	return nil
+	return s.reattachDir()
 }
 
 // ReplaceImage atomically replaces the entire database file with a base
@@ -149,13 +158,13 @@ func (s *Store) ReplaceImage(img []byte) error {
 }
 
 // invalidateCaches drops every pool frame and reattaches the directory
-// from the (just rewritten) meta page, so reads observe the replicated
-// bytes. It is the one place pages change under an unchanged published
-// stamp, so it also bumps the store generation and retires the current
-// view: readers from here on resolve structure roots afresh instead of
-// sharing a view read before the change. The caller holds the write
-// latch; concurrent readers may briefly pin frames, so the drop retries
-// like resetUncommitted.
+// from the (just rewritten) meta page, so reads observe the installed
+// image. Only the snapshot install changes pages under an unchanged
+// published stamp, so it also bumps the store generation and retires the
+// current view: readers from here on resolve structure roots afresh
+// instead of sharing a view read before the install. The caller holds the
+// write latch; concurrent readers may briefly pin frames, so the drop
+// retries like resetUncommitted.
 func (s *Store) invalidateCaches() error {
 	defer func() {
 		s.gen.Add(1)
@@ -171,15 +180,5 @@ func (s *Store) invalidateCaches() error {
 	if err != nil {
 		return err
 	}
-	meta, err := s.pool.Get(0)
-	if err != nil {
-		return err
-	}
-	dirRoot := pager.PageID(binary.BigEndian.Uint32(meta.Data[dirRootOff:]))
-	s.pool.Release(meta)
-	s.dirMu.Lock()
-	s.open = make(map[string]*Structure)
-	s.dir = btree.Open(s, dirRoot, s.setDirRoot)
-	s.dirMu.Unlock()
-	return nil
+	return s.reattachDir()
 }

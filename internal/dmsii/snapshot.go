@@ -54,8 +54,10 @@ func (a *snapAlloc) MarkDirty(*pager.Frame)           {}
 // pool's version-GC pin once, reads the directory once, and caches the
 // read-only structure handles it resolves. A handle names a root page,
 // which cannot change under a fixed stamp except when the store's pages
-// are replaced wholesale (a follower installing replicated pages);
+// are replaced wholesale (a follower installing a snapshot image);
 // invalidateCaches bumps the generation then, which makes the view stale.
+// A follower applying a replicated group publishes a new stamp like any
+// commit.
 // A structure absent from the directory at the stamp had no rows then, so
 // it reads as empty — and is cached as such — rather than being created
 // in the live store.
@@ -130,7 +132,8 @@ func (s *Store) buildView() *View {
 // retireStale retires the current view when a publish or a page
 // replacement has passed it: the store drops its reference, and the pin
 // goes with the view's last reader. The commit path calls it after every
-// publish, invalidateCaches after every page replacement.
+// publish (a follower's applied groups included), invalidateCaches after
+// every snapshot install.
 func (s *Store) retireStale() {
 	if v := s.view.Load(); v != nil && !v.fresh() && s.view.CompareAndSwap(v, nil) {
 		v.Release()

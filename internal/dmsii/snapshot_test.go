@@ -35,23 +35,27 @@ func readAll(t *testing.T, sn *Snap, name string, keys [][]byte) {
 	}
 }
 
-// TestFollowerRefreshesStampTable: a follower installs primary pages under
-// its own, unchanged published stamp. A view cached before the install
-// must not survive it — the install created structure b and split a's
-// root, and a reader pinned afterwards sees both.
+// TestFollowerRefreshesStampTable: a follower installs primary pages. A
+// snapshot install replaces them under its own, unchanged published
+// stamp; an applied group commits them under a new one. Either way a view
+// cached before the install must not serve readers after it — the install
+// created structure b and split a's root, and a reader pinned afterwards
+// sees both — and a reader still holding a view from before an applied
+// group keeps reading the state it pinned.
 func TestFollowerRefreshesStampTable(t *testing.T) {
 	for _, ship := range []struct {
-		name string
-		do   func(t *testing.T, primary, follower *Store, groups []wal.CommitGroup)
+		name       string
+		stampMoves bool
+		do         func(t *testing.T, primary, follower *Store, groups []wal.CommitGroup)
 	}{
-		{"ApplyReplicated", func(t *testing.T, _, follower *Store, groups []wal.CommitGroup) {
+		{"ApplyReplicated", true, func(t *testing.T, _, follower *Store, groups []wal.CommitGroup) {
 			for _, g := range groups {
 				if err := follower.ApplyReplicated(g.Images); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}},
-		{"ReplaceImage", func(t *testing.T, primary, follower *Store, _ []wal.CommitGroup) {
+		{"ReplaceImage", false, func(t *testing.T, primary, follower *Store, _ []wal.CommitGroup) {
 			img, _, err := primary.SnapshotImage(nil)
 			if err != nil {
 				t.Fatal(err)
@@ -132,12 +136,22 @@ func TestFollowerRefreshesStampTable(t *testing.T) {
 			mu.Lock()
 			shipped := groups
 			mu.Unlock()
+			held := follower.PinSnapshot()
+			defer held.Release()
 			ship.do(t, primary, follower, shipped)
 
 			after := follower.PinSnapshot()
 			defer after.Release()
-			if after.Stamp() != before.Stamp() {
-				t.Fatalf("follower stamp moved %d → %d; the test needs pages to change under one stamp", before.Stamp(), after.Stamp())
+			if moved := after.Stamp() != before.Stamp(); moved != ship.stampMoves {
+				t.Fatalf("follower stamp %d → %d; want moved=%v", before.Stamp(), after.Stamp(), ship.stampMoves)
+			}
+			if ship.stampMoves {
+				readAll(t, held, "a", aKeys[:10])
+				if st, err := held.Structure("b"); err != nil {
+					t.Fatal(err)
+				} else if _, ok, _ := st.Get(rowKey(0)); ok {
+					t.Fatal("a view pinned before the applied group sees its structure b")
+				}
 			}
 			readAll(t, after, "a", aKeys)
 			readAll(t, after, "b", [][]byte{rowKey(0)})

@@ -78,7 +78,7 @@ type Store struct {
 	recovered wal.RecoverInfo // what recovery did when the store opened
 
 	view atomic.Pointer[View] // the current read view; nil once retired
-	gen  atomic.Uint64        // bumped when pages change under an unchanged stamp
+	gen  atomic.Uint64        // bumped when a snapshot install replaces pages under an unchanged stamp
 
 	writeSem   chan struct{} // capacity-1 store-wide write latch
 	writeHeld  atomic.Bool   // the write latch is currently held
@@ -783,6 +783,13 @@ func (s *Store) discardUncommitted() error {
 	if err := s.pool.DiscardDirty(); err != nil {
 		return err
 	}
+	return s.reattachDir()
+}
+
+// reattachDir reopens the live directory from the meta page in the pool
+// and drops the open-structure handles, whose cached roots may no longer
+// match the pages. The caller holds the write latch.
+func (s *Store) reattachDir() error {
 	meta, err := s.pool.Get(0)
 	if err != nil {
 		return err

@@ -570,8 +570,9 @@ func (m *Mapper) indexStructure(a *catalog.Attribute) (*dmsii.Structure, error) 
 // Surrogates and statistics
 // ---------------------------------------------------------------------------
 
-// ResetCaches drops in-memory surrogate and statistics caches; the database
-// layer calls this after a rollback.
+// ResetCaches drops in-memory surrogate, statistics and record caches; the
+// database layer calls this after a rollback and when a follower is
+// promoted.
 func (m *Mapper) ResetCaches() {
 	m.surrNext = make(map[int]value.Surrogate)
 	m.stat.mu.Lock()

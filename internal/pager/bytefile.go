@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -93,12 +94,21 @@ func (m *MemByteFile) ReadAt(p []byte, off int64) (int, error) {
 func (m *MemByteFile) WriteAt(p []byte, off int64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if end := off + int64(len(p)); end > int64(len(m.data)) {
-		grown := make([]byte, end)
-		copy(grown, m.data)
-		m.data = grown
-	}
+	m.growLocked(off + int64(len(p)))
 	return copy(m.data[off:], p), nil
+}
+
+// growLocked extends the file to size bytes of zeros, with amortised
+// capacity growth so that appending to a log costs linear time overall.
+// Capacity kept past a shrinking Truncate may hold old bytes, so the new
+// range is cleared.
+func (m *MemByteFile) growLocked(size int64) {
+	n := len(m.data)
+	if size <= int64(n) {
+		return
+	}
+	m.data = slices.Grow(m.data, int(size)-n)[:size]
+	clear(m.data[n:])
 }
 
 // Truncate implements ByteFile.
@@ -109,9 +119,7 @@ func (m *MemByteFile) Truncate(size int64) error {
 		m.data = m.data[:size]
 		return nil
 	}
-	grown := make([]byte, size)
-	copy(grown, m.data)
-	m.data = grown
+	m.growLocked(size)
 	return nil
 }
 

@@ -204,12 +204,18 @@ func (p *Pool) Allocate() (*Frame, error) {
 	return f, nil
 }
 
-// AllocateAt pins page id (a recycled free page) with zeroed contents. No
-// pre-image is pushed: a recycled page is unreachable from every committed
-// structure root, so no pinned snapshot can traverse to it — readers that
-// predate the page's FreePage commit are served by the pre-image that
-// FreePage's own Prepare pushed.
+// AllocateAt pins page id (a recycled free page, or one a follower
+// installs past the end of the file) with zeroed contents, advancing the
+// page count past id. No pre-image is pushed: such a page is unreachable
+// from every committed structure root, so no pinned snapshot can traverse
+// to it — readers that predate a recycled page's FreePage commit are
+// served by the pre-image that FreePage's own Prepare pushed.
 func (p *Pool) AllocateAt(id PageID) (*Frame, error) {
+	for n := p.next.Load(); uint32(id) >= n; n = p.next.Load() {
+		if p.next.CompareAndSwap(n, uint32(id)+1) {
+			break
+		}
+	}
 	sh := p.shardOf(id)
 	p.lock(sh)
 	defer sh.mu.Unlock()
@@ -570,15 +576,15 @@ func (p *Pool) repairCleanLocked(sh *shard, f *Frame) {
 
 // DropAll empties the pool: every frame — clean or dirty — is discarded,
 // so subsequent reads observe the file's current contents, and the
-// next-allocation cursor is reset from the file size. Replica apply uses
-// this after overwriting pages underneath the pool. The MVCC version
-// state goes with the frames: retained pre-images and capture stamps
-// describe a history the file no longer continues (a rejoining fenced
-// primary's own commits, overwritten by the new primary's image), and a
-// surviving chain entry would satisfy ViewPage ahead of the disk
-// fallback, serving pre-replacement bytes forever. Frames must be
-// unpinned (the caller holds the store's write latch and has drained
-// readers).
+// next-allocation cursor is reset from the file size. A follower's
+// snapshot install uses this after overwriting the whole file underneath
+// the pool. The MVCC version state goes with the frames: retained
+// pre-images and capture stamps describe a history the file no longer
+// continues (a rejoining fenced primary's own commits, overwritten by the
+// new primary's image), and a surviving chain entry would satisfy
+// ViewPage ahead of the disk fallback, serving pre-replacement bytes
+// forever. Frames must be unpinned (the caller holds the store's write
+// latch and has drained readers).
 func (p *Pool) DropAll() error {
 	for i := range p.shards {
 		sh := &p.shards[i]

@@ -14,10 +14,11 @@ import (
 // the crash-safe core of the follower, separated from the networking so
 // the fault harness can drive it directly against scripted storage.
 //
-// Crash safety, window by window: ApplyGroup journals the group through
-// the replica's own WAL (Store.ApplyReplicated) before the sidecar is
-// rewritten, so a crash before the save resumes at the previous position
-// and re-receives a group the database may already contain — harmless,
+// Crash safety, window by window: ApplyGroup commits the group through
+// the replica's own commit pipeline (Store.ApplyReplicated: WAL fsync,
+// then a published stamp and write-back) before the sidecar is rewritten,
+// so a crash before the save resumes at the previous position and
+// re-receives a group the database may already contain — harmless,
 // because page-image application is idempotent. A crash mid-snapshot is
 // covered by invalidating the sidecar before the image is installed:
 // restart finds position 0 and requests a fresh snapshot instead of

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"sim/internal/pager"
 	"sim/internal/university"
+	"sim/internal/wal"
 )
 
 // Isolation anomaly suite. Each test pins one guarantee of the MVCC
@@ -359,6 +362,97 @@ func TestVersionGCIgnoresIdleView(t *testing.T) {
 				t.Fatalf("live versions after the checkpoint = %d, want 0", n)
 			}
 		})
+	}
+}
+
+// TestFollowerVersionGC is TestVersionGCIgnoresIdleView on a follower:
+// every applied group commits under its own stamp and leaves pre-images
+// like a local commit. With no reader open across 200 groups, the next
+// checkpoint sweeps every one of them; a ReadOnly transaction held across
+// 200 more keeps its pre-images — and its reads — until it ends.
+func TestFollowerVersionGC(t *testing.T) {
+	primary := gcDB(t)
+	img, _, err := primary.ReplSnapshot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var groups [][]pager.PageImage
+	if err := primary.SetCommitHook(func(g wal.CommitGroup) uint64 {
+		imgs := make([]pager.PageImage, len(g.Images))
+		for i, im := range g.Images {
+			imgs[i] = pager.PageImage{ID: im.ID, Data: bytes.Clone(im.Data)}
+		}
+		mu.Lock()
+		groups = append(groups, imgs)
+		mu.Unlock()
+		return 0
+	}); err != nil {
+		t.Fatal(err)
+	}
+	follower, err := Open(filepath.Join(t.TempDir(), "follower.sim"), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { follower.Close() })
+	if err := follower.ApplySnapshot(img); err != nil {
+		t.Fatal(err)
+	}
+	// replicate churns the primary and applies its 200 groups.
+	replicate := func() {
+		t.Helper()
+		gcChurn(t, primary)
+		mu.Lock()
+		gs := groups
+		groups = nil
+		mu.Unlock()
+		if len(gs) != 200 {
+			t.Fatalf("%d groups shipped, want 200", len(gs))
+		}
+		pub := follower.store.Published()
+		for _, g := range gs {
+			if err := follower.ApplyReplicated(g, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := follower.store.Published(); got != pub+200 {
+			t.Fatalf("published stamp %d → %d over 200 groups", pub, got)
+		}
+	}
+	checkpoint := func() (oldest, pub uint64, live int64) {
+		t.Helper()
+		if err := follower.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		return follower.store.OldestPinned(), follower.store.Published(), follower.store.LiveVersions()
+	}
+
+	acctBal(t, follower.QueryCtx, 1) // a reader that finished before the groups
+	replicate()
+	if oldest, pub, live := checkpoint(); oldest != pub || live != 0 {
+		t.Fatalf("no reader open: oldest pinned %d, published %d, live versions %d; want %d, %d, 0", oldest, pub, live, pub, pub)
+	}
+
+	ro, err := follower.Begin(context.Background(), ReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := acctBal(t, ro.Query, 1)
+	replicate()
+	if oldest, pub, live := checkpoint(); oldest >= pub || live == 0 {
+		t.Fatalf("held read-only tx: oldest pinned %d, published %d, live versions %d; want its pre-images kept", oldest, pub, live)
+	}
+	if got := acctBal(t, ro.Query, 1); got != pinned {
+		t.Fatalf("held read-only tx read bal %s, then %s across applied groups", pinned, got)
+	}
+	if now := acctBal(t, follower.QueryCtx, 1); now == pinned {
+		t.Fatalf("a new query still reads bal %s after 200 applied groups", now)
+	}
+	if err := ro.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if oldest, pub, live := checkpoint(); oldest != pub || live != 0 {
+		t.Fatalf("after Rollback: oldest pinned %d, published %d, live versions %d; want %d, %d, 0", oldest, pub, live, pub, pub)
 	}
 }
 

@@ -58,13 +58,20 @@ func (db *Database) ReplSnapshot(pos func() uint64) ([]byte, uint64, error) {
 }
 
 // ApplyReplicated applies one committed page group shipped from a
-// primary. It takes the statement lock exclusively, so no query observes
-// a half-applied group. When reloadSchema is set (the group carried a
-// schema-generation change) the catalog, mapper and executor are rebuilt
-// from the replicated "~schema" structure; otherwise only the mapper's
-// record caches are reset — compiled plans survive, since the schema
-// they were compiled against is unchanged.
+// primary. The store commits the group under a new published stamp, so
+// queries run alongside the apply: one pinned before the group reads the
+// state before it, one after reads all of it. A group that carried a
+// schema-generation change (reloadSchema) also rebuilds the catalog,
+// mapper and executor from the replicated "~schema" structure; such a
+// group takes the statement lock exclusively across the apply and the
+// reload, so no query sees the new stamp with the old catalog.
 func (db *Database) ApplyReplicated(pages []pager.PageImage, reloadSchema bool) error {
+	if !reloadSchema {
+		if len(pages) == 0 {
+			return nil
+		}
+		return db.store.ApplyReplicated(pages)
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if len(pages) > 0 {
@@ -72,11 +79,18 @@ func (db *Database) ApplyReplicated(pages []pager.PageImage, reloadSchema bool) 
 			return err
 		}
 	}
-	if reloadSchema {
-		return db.loadSchema()
-	}
+	return db.loadSchema()
+}
+
+// ResetLiveState drops the live mapper's in-memory state — surrogate
+// counters, cached statistics and records — so the first write after a
+// follower's promotion starts from what the replicated groups left rather
+// than from anything cached before them. (The store's live directory
+// handles already follow every applied group.)
+func (db *Database) ResetLiveState() {
+	db.mu.Lock()
 	db.mapper.ResetCaches()
-	return nil
+	db.mu.Unlock()
 }
 
 // ApplySnapshot atomically replaces the database with a base image
