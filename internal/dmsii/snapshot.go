@@ -17,10 +17,13 @@ import (
 var errSnapshotRO = errors.New("dmsii: snapshot views are read-only")
 
 // snapAlloc adapts ViewPage to btree.Alloc so an unmodified B+tree can
-// traverse the store as of one commit stamp. Get hands out lightweight
-// Frame wrappers around the immutable version buffers — there is no pin
-// accounting to do (version GC is governed by the view pin, not by frame
-// pins), so wrappers are pooled and recycled on Release.
+// traverse the store as of one commit stamp. Get hands out ViewPage
+// handles over immutable page buffers — there is no pin accounting to do
+// (version GC is governed by the view pin, not by frame pins). A handle's
+// Data is valid from Get to Release: Release ends the read (EndView), after
+// which the pool may reuse a frame buffer for another page, so the B+tree
+// copies whatever it keeps (cursor cells, Get values, overflow chains)
+// before releasing. Handles are pooled and recycled on Release.
 type snapAlloc struct {
 	pool  *pager.Pool
 	stamp uint64
@@ -29,18 +32,16 @@ type snapAlloc struct {
 var snapFrames = sync.Pool{New: func() any { return new(pager.Frame) }}
 
 func (a *snapAlloc) Get(id pager.PageID) (*pager.Frame, error) {
-	data, err := a.pool.ViewPage(id, a.stamp)
-	if err != nil {
+	f := snapFrames.Get().(*pager.Frame)
+	if err := a.pool.ViewPage(id, a.stamp, f); err != nil {
+		snapFrames.Put(f)
 		return nil, err
 	}
-	f := snapFrames.Get().(*pager.Frame)
-	f.ID = id
-	f.Data = data
 	return f, nil
 }
 
 func (a *snapAlloc) Release(f *pager.Frame) {
-	f.Data = nil
+	a.pool.EndView(f)
 	snapFrames.Put(f)
 }
 
@@ -204,11 +205,13 @@ func (v *View) Structure(name string) (*Structure, error) {
 		}
 	}
 	if v.dir == nil {
-		meta, err := v.s.pool.ViewPage(0, v.stamp)
+		meta, err := v.alloc.Get(0)
 		if err != nil {
 			return nil, err
 		}
-		v.dir = btree.Open(&v.alloc, pager.PageID(binary.BigEndian.Uint32(meta[dirRootOff:])), nil)
+		dirRoot := pager.PageID(binary.BigEndian.Uint32(meta.Data[dirRootOff:]))
+		v.alloc.Release(meta)
+		v.dir = btree.Open(&v.alloc, dirRoot, nil)
 	}
 	rootBytes, found, err := v.dir.Get([]byte(name))
 	if err != nil {

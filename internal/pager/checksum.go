@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 	"sync/atomic"
 
 	"sim/internal/obs"
@@ -36,6 +37,12 @@ func (e *CorruptPageError) Unwrap() error { return ErrCorruptPage }
 // ids map to byte offsets by id*slotSize.
 const slotSize = PageSize + 4
 
+// slots recycles the slot buffers ReadPage and WritePage stage a page and
+// its trailer in. A slot handed to ByteFile.ReadAt/WriteAt escapes to the
+// heap, so a stack array would cost an allocation on every pool miss and
+// every page write.
+var slots = sync.Pool{New: func() any { return new([slotSize]byte) }}
+
 // ChecksumFile is a File over byte storage with a per-page CRC32 trailer.
 // WritePage seals each page with the checksum of its contents; ReadPage
 // verifies it and returns *CorruptPageError on mismatch. This turns silent
@@ -63,7 +70,8 @@ func OpenOSFile(path string) (*ChecksumFile, error) {
 
 // ReadPage implements File, verifying the page checksum.
 func (c *ChecksumFile) ReadPage(id PageID, buf []byte) error {
-	var slot [slotSize]byte
+	slot := slots.Get().(*[slotSize]byte)
+	defer slots.Put(slot)
 	if _, err := c.bf.ReadAt(slot[:], int64(id)*slotSize); err != nil {
 		return fmt.Errorf("pager: read page %d: %w", id, err)
 	}
@@ -90,7 +98,8 @@ func (c *ChecksumFile) ReadPageRaw(id PageID, buf []byte) error {
 
 // WritePage implements File, sealing the page with its checksum.
 func (c *ChecksumFile) WritePage(id PageID, buf []byte) error {
-	var slot [slotSize]byte
+	slot := slots.Get().(*[slotSize]byte)
+	defer slots.Put(slot)
 	copy(slot[:PageSize], buf[:PageSize])
 	crc := crc32.ChecksumIEEE(slot[:PageSize])
 	slot[PageSize] = byte(crc >> 24)

@@ -25,6 +25,19 @@ func commitPage(t *testing.T, p *Pool, id PageID, content string) uint64 {
 	return snap.Stamp()
 }
 
+// viewCopy reads page id as of stamp through ViewPage and returns a copy,
+// ending the view before returning.
+func viewCopy(t *testing.T, p *Pool, id PageID, stamp uint64) []byte {
+	t.Helper()
+	var v Frame
+	if err := p.ViewPage(id, stamp, &v); err != nil {
+		t.Fatal(err)
+	}
+	got := bytes.Clone(v.Data)
+	p.EndView(&v)
+	return got
+}
+
 // TestViewPageResolvesPinnedVersion: a reader pinned before a commit
 // keeps seeing the pre-image out of the version chain, while a reader
 // pinned after sees the new bytes.
@@ -51,19 +64,13 @@ func TestViewPageResolvesPinnedVersion(t *testing.T) {
 	defer p.UnpinView(old)
 	commitPage(t, p, id, "v2")
 
-	got, err := p.ViewPage(id, old)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := viewCopy(t, p, id, old)
 	if !bytes.Equal(got[:2], []byte("v1")) {
 		t.Fatalf("pinned view read %q, want the pre-image v1", got[:2])
 	}
 	cur := p.PinView()
 	defer p.UnpinView(cur)
-	got, err = p.ViewPage(id, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got = viewCopy(t, p, id, cur)
 	if !bytes.Equal(got[:2], []byte("v2")) {
 		t.Fatalf("fresh view read %q, want v2", got[:2])
 	}
@@ -116,10 +123,7 @@ func TestDropAllDiscardsVersionState(t *testing.T) {
 
 	view := p.PinView()
 	defer p.UnpinView(view)
-	got, err := p.ViewPage(id, view)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := viewCopy(t, p, id, view)
 	if !bytes.Equal(got[:6], []byte("remote")) {
 		t.Fatalf("post-DropAll view read %q, want the file's replaced bytes", got[:6])
 	}
@@ -174,18 +178,12 @@ func TestViewPageAfterEvictionReadsCommittedImage(t *testing.T) {
 
 	cur := p.PinView()
 	defer p.UnpinView(cur)
-	got, err := p.ViewPage(id, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := viewCopy(t, p, id, cur)
 	if !bytes.Equal(got[:2], []byte("v2")) {
 		t.Fatalf("view at the commit's stamp read %q after eviction, want v2", got[:2])
 	}
 	// The older reader still resolves its pre-image from the chain.
-	got, err = p.ViewPage(id, old)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got = viewCopy(t, p, id, old)
 	if !bytes.Equal(got[:2], []byte("v1")) {
 		t.Fatalf("pinned view read %q, want the pre-image v1", got[:2])
 	}

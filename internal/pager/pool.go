@@ -17,28 +17,48 @@ type Stats struct {
 	Hits       uint64 // page found in pool
 	Misses     uint64 // page read from the file
 	PageWrites uint64 // pages written back to the file
+
+	// Every frame a miss or page allocation loads gets a buffer: the
+	// evicted frame's (BuffersReused), or a new one (BuffersAllocated)
+	// while the pool is still filling or a snapshot reader holds the
+	// victim's.
+	BuffersReused    uint64
+	BuffersAllocated uint64
 }
 
 // Frame is a pinned page in the pool. Callers must Release every frame
 // they Get, Prepare frames before mutating them in place, and MarkDirty
-// frames they mutated. The pins/dirty/gen/unc/elem fields are guarded by
-// the owning shard's mutex.
+// frames they mutated. The pins/dirty/gen/unc/shared/elem fields are
+// guarded by the owning shard's mutex.
+//
+// A Frame is also the handle of a snapshot read (ViewPage fills one,
+// EndView ends it); such a handle is never pinned and only its ID and
+// Data are meaningful.
 type Frame struct {
 	ID     PageID
 	Data   []byte // PageSize bytes
 	pins   int
 	dirty  bool
 	unc    bool          // holds uncommitted bytes: Data was re-buffered by Prepare/Allocate and not yet captured
+	shared bool          // Data came back off the version chain (rollback), where uncounted readers may hold it
 	gen    uint64        // bumped on every MarkDirty/Allocate; see Snapshot
 	capGen uint64        // gen when last captured by a Snapshot
 	elem   *list.Element // position in the shard LRU list when unpinned
+
+	// readers counts snapshot reads between ViewPage and EndView that were
+	// answered with this frame's Data (whichever buffer it held then).
+	// Eviction reuses the frame's buffer only at zero. Incremented under
+	// the shard lock, decremented without it.
+	readers atomic.Int32
+	src     *Frame // on a ViewPage handle: the frame whose readers count it holds, nil for a version-chain buffer
 }
 
 // pageVersion is one committed pre-image on a page's version chain: the
 // page bytes as of commit stamp. Chains are kept in ascending stamp order
 // and entries are immutable once pushed — ViewPage hands the data slice to
 // readers zero-copy, relying on the swap-don't-overwrite discipline of
-// Prepare (a frame buffer pushed onto the chain is never written again).
+// Prepare (a frame buffer pushed onto the chain is never written again,
+// and never reused by eviction: chain readers are not counted).
 type pageVersion struct {
 	stamp uint64
 	data  []byte
@@ -74,6 +94,8 @@ type Pool struct {
 	hits       atomic.Uint64
 	misses     atomic.Uint64
 	pageWrites atomic.Uint64
+	bufReused  atomic.Uint64
+	bufAlloc   atomic.Uint64
 
 	// MVCC state. stampSeq is the monotonic commit-stamp counter, bumped
 	// by Snapshot under the store's write latch; published is the newest
@@ -136,9 +158,11 @@ func (p *Pool) lock(sh *shard) {
 // shard locks, so it is safe to call while queries run.
 func (p *Pool) Stats() Stats {
 	return Stats{
-		Hits:       p.hits.Load(),
-		Misses:     p.misses.Load(),
-		PageWrites: p.pageWrites.Load(),
+		Hits:             p.hits.Load(),
+		Misses:           p.misses.Load(),
+		PageWrites:       p.pageWrites.Load(),
+		BuffersReused:    p.bufReused.Load(),
+		BuffersAllocated: p.bufAlloc.Load(),
 	}
 }
 
@@ -147,6 +171,8 @@ func (p *Pool) ResetStats() {
 	p.hits.Store(0)
 	p.misses.Store(0)
 	p.pageWrites.Store(0)
+	p.bufReused.Store(0)
+	p.bufAlloc.Store(0)
 }
 
 // RegisterMetrics publishes the pool's counters on an obs registry. The
@@ -159,6 +185,10 @@ func (p *Pool) RegisterMetrics(r *obs.Registry) {
 		func() float64 { return float64(p.misses.Load()) })
 	r.CounterFunc("sim_pager_page_writes_total", "Pages written back to the database file.",
 		func() float64 { return float64(p.pageWrites.Load()) })
+	r.CounterFunc("sim_pager_buffers_reused_total", "Frames loaded (misses and page allocations) into the buffer of the frame they evicted.",
+		func() float64 { return float64(p.bufReused.Load()) })
+	r.CounterFunc("sim_pager_buffers_allocated_total", "Frames loaded into a new buffer: the pool was still filling, or a snapshot reader held the victim's.",
+		func() float64 { return float64(p.bufAlloc.Load()) })
 	r.GaugeFunc("sim_pager_pages", "Allocated pages, including not-yet-flushed allocations.",
 		func() float64 { return float64(p.next.Load()) })
 	r.GaugeFunc("sim_mvcc_published_stamp", "Newest commit stamp visible to new read snapshots.",
@@ -228,6 +258,7 @@ func (p *Pool) AllocateAt(id PageID) (*Frame, error) {
 		// been handed out by ViewPage and must stay immutable.
 		f.Data = make([]byte, PageSize)
 		f.unc = true
+		f.shared = false
 	} else {
 		for i := range f.Data {
 			f.Data[i] = 0
@@ -257,6 +288,7 @@ func (p *Pool) Prepare(f *Frame) {
 	nd := make([]byte, PageSize)
 	copy(nd, old)
 	f.Data = nd
+	f.shared = false
 	sh.versions[f.ID] = append(sh.versions[f.ID], pageVersion{stamp: sh.stamps[f.ID], data: old})
 	p.liveVersions.Add(1)
 	p.pruneLocked(sh, f.ID)
@@ -376,9 +408,13 @@ func (p *Pool) PinnedViews() int {
 // LiveVersions returns the number of retained page pre-images.
 func (p *Pool) LiveVersions() int64 { return p.liveVersions.Load() }
 
-// ViewPage resolves the bytes of page id as of the pinned stamp, without
-// pinning: the returned slice is immutable (writers swap buffers, never
-// overwrite) and stays valid for as long as the caller references it.
+// ViewPage resolves the bytes of page id as of the pinned stamp into the
+// handle v (v.ID, v.Data), without pinning. v.Data is immutable (writers
+// swap buffers, never overwrite) and stays valid until EndView(v), which
+// every successful ViewPage must be paired with: an answer from a frame
+// counts the read on the frame, so eviction cannot reuse that buffer
+// before the reader is done.
+//
 // When the page's last capture is not newer than the view, the newest
 // committed image is the answer and nothing on the version chain may
 // stand in for it: the frame itself when it holds that image, or — frame
@@ -387,27 +423,30 @@ func (p *Pool) LiveVersions() int64 { return p.liveVersions.Load() }
 // mid copy-on-write cycle, or the last capture is newer than the view)
 // does the newest chain entry at or below the view answer. Any other
 // state is a GC bug and returns a counted error rather than wrong bytes.
-func (p *Pool) ViewPage(id PageID, stamp uint64) ([]byte, error) {
+func (p *Pool) ViewPage(id PageID, stamp uint64, v *Frame) error {
 	sh := p.shardOf(id)
 	p.lock(sh)
 	defer sh.mu.Unlock()
+	v.ID = id
 	f, ok := sh.frames[id]
 	if sh.stamps[id] <= stamp {
 		if !ok {
 			nf, err := p.getLocked(sh, id, true)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			// getLocked pinned the frame; release it inline (lock already held).
 			nf.pins--
 			if nf.pins == 0 {
 				nf.elem = sh.lru.PushBack(nf)
 			}
-			return nf.Data, nil
+			viewFrameLocked(v, nf)
+			return nil
 		}
 		if !f.unc {
 			p.hits.Add(1)
-			return f.Data, nil
+			viewFrameLocked(v, f)
+			return nil
 		}
 		// Mid-cycle frame: Prepare pushed the committed image as the
 		// chain's top entry, which the search below finds.
@@ -425,11 +464,30 @@ func (p *Pool) ViewPage(id PageID, stamp uint64) ([]byte, error) {
 		}
 		if lo > 0 {
 			p.hits.Add(1)
-			return ch[lo-1].data, nil
+			v.Data = ch[lo-1].data
+			return nil
 		}
 	}
 	p.versionErrs.Add(1)
-	return nil, fmt.Errorf("pager: no version of page %d visible at stamp %d (last capture %d)", id, stamp, sh.stamps[id])
+	return fmt.Errorf("pager: no version of page %d visible at stamp %d (last capture %d)", id, stamp, sh.stamps[id])
+}
+
+// viewFrameLocked answers the view v with frame f's buffer and counts the
+// read on f; the shard lock is held, so eviction sees the count.
+func viewFrameLocked(v, f *Frame) {
+	f.readers.Add(1)
+	v.Data = f.Data
+	v.src = f
+}
+
+// EndView ends a snapshot read begun by ViewPage: v.Data must not be used
+// after, and the buffer becomes reusable once no other reader holds it.
+func (p *Pool) EndView(v *Frame) {
+	if v.src != nil {
+		v.src.readers.Add(-1)
+		v.src = nil
+	}
+	v.Data = nil
 }
 
 func (p *Pool) getLocked(sh *shard, id PageID, read bool) (*Frame, error) {
@@ -442,8 +500,17 @@ func (p *Pool) getLocked(sh *shard, id PageID, read bool) (*Frame, error) {
 		f.pins++
 		return f, nil
 	}
-	evictLocked(sh)
-	f := &Frame{ID: id, Data: make([]byte, PageSize), pins: 1}
+	buf := evictLocked(sh)
+	if buf == nil {
+		p.bufAlloc.Add(1)
+		buf = make([]byte, PageSize)
+	} else {
+		p.bufReused.Add(1)
+		if !read {
+			clear(buf)
+		}
+	}
+	f := &Frame{ID: id, Data: buf, pins: 1}
 	if read {
 		p.misses.Add(1)
 		if err := p.file.ReadPage(id, f.Data); err != nil {
@@ -459,7 +526,13 @@ func (p *Pool) getLocked(sh *shard, id PageID, read bool) (*Frame, error) {
 // WAL journals them at commit, so only clean unpinned frames are eviction
 // victims. When every frame is dirty or pinned the shard grows past its
 // soft capacity for the remainder of the transaction.
-func evictLocked(sh *shard) {
+//
+// It returns the victim's buffer for the new frame when nothing else can
+// read it: no snapshot read is between ViewPage and EndView on the victim,
+// and the buffer never sat on a version chain. Otherwise — or when the
+// shard had room — it returns nil and the caller allocates.
+func evictLocked(sh *shard) []byte {
+	var buf []byte
 	for len(sh.frames) >= sh.capacity {
 		var victim *Frame
 		for e := sh.lru.Front(); e != nil; e = e.Next() {
@@ -469,12 +542,17 @@ func evictLocked(sh *shard) {
 			}
 		}
 		if victim == nil {
-			return // soft capacity: all candidates dirty or pinned
+			return buf // soft capacity: all candidates dirty or pinned
 		}
 		sh.lru.Remove(victim.elem)
 		victim.elem = nil
 		delete(sh.frames, victim.ID)
+		if buf == nil && !victim.shared && victim.readers.Load() == 0 {
+			buf = victim.Data
+			victim.Data = nil
+		}
 	}
+	return buf
 }
 
 // Release unpins the frame.
@@ -557,6 +635,8 @@ func (p *Pool) DiscardDirty() error {
 // repairCleanLocked undoes an open copy-on-write cycle on a frame the
 // rollback keeps (Prepared but never re-dirtied): the chain's top entry is
 // the committed image Prepare displaced, so restore it and pop the entry.
+// Readers that found the entry on the chain hold it uncounted, so the
+// frame is marked shared: eviction never reuses this buffer.
 func (p *Pool) repairCleanLocked(sh *shard, f *Frame) {
 	if !f.unc {
 		return
@@ -565,6 +645,7 @@ func (p *Pool) repairCleanLocked(sh *shard, f *Frame) {
 	ch := sh.versions[f.ID]
 	if len(ch) > 0 && ch[len(ch)-1].stamp == sh.stamps[f.ID] {
 		f.Data = ch[len(ch)-1].data
+		f.shared = true
 		if len(ch) == 1 {
 			delete(sh.versions, f.ID)
 		} else {

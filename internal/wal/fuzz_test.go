@@ -24,16 +24,16 @@ func sealRecord(rec []byte) []byte {
 // truncated log must be a no-op.
 func FuzzReplay(f *testing.F) {
 	// A complete committed batch (one page + commit record).
-	valid := record(recPage, 7, bytes.Repeat([]byte{0x7A}, pager.PageSize))
+	valid := appendRecord(nil, recPage, 7, bytes.Repeat([]byte{0x7A}, pager.PageSize))
 	var seqb [8]byte
 	binary.BigEndian.PutUint64(seqb[:], 1)
-	valid = append(valid, record(recCommit, 0, seqb[:])...)
+	valid = appendRecord(valid, recCommit, 0, seqb[:])
 	f.Add(valid)
 
 	// Truncated header.
 	f.Add([]byte{recPage, 0, 0, 0})
 	// Header claiming a payload that never arrives.
-	f.Add(record(recPage, 3, bytes.Repeat([]byte{1}, pager.PageSize))[:headerSize+10])
+	f.Add(appendRecord(nil, recPage, 3, bytes.Repeat([]byte{1}, pager.PageSize))[:headerSize+10])
 	// Zero-length payload with a valid CRC (page records must be PageSize).
 	zero := make([]byte, headerSize)
 	zero[0] = recPage
@@ -59,7 +59,7 @@ func FuzzReplay(f *testing.F) {
 	binary.BigEndian.PutUint32(huge[5:9], 1<<30)
 	f.Add(huge)
 	// A batch with pages but no commit marker.
-	f.Add(record(recPage, 1, bytes.Repeat([]byte{2}, pager.PageSize)))
+	f.Add(appendRecord(nil, recPage, 1, bytes.Repeat([]byte{2}, pager.PageSize)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bf := pager.NewMemByteFile()

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,6 +39,12 @@ import (
 	"sim/internal/obs"
 	"sim/internal/pager"
 )
+
+// maxKeptBuf caps the encoding buffer a flush keeps for the next one, at
+// 32 page images: ordinary commit groups reuse it, while a group as large
+// as a bulk load's is encoded once and dropped rather than held (and
+// doubled by the GC's heap target) for the life of the log.
+const maxKeptBuf = 128 << 10
 
 // Record kinds.
 const (
@@ -101,6 +108,7 @@ type Log struct {
 
 	flushMu  sync.Mutex                     // held by the group leader during write+sync
 	seq      uint64                         // group sequence number; guarded by flushMu
+	buf      []byte                         // the group being encoded, reused across flushes; guarded by flushMu
 	onCommit func(CommitGroup) uint64       // replication hook; guarded by flushMu
 	latch    *obs.Latch                     // leader hand-off contention (always on)
 	flight   atomic.Pointer[obs.FlightRing] // flush events; set by RegisterMetrics
@@ -241,16 +249,17 @@ func (l *Log) RegisterMetrics(r *obs.Registry) {
 	}
 }
 
-func record(kind byte, pageID pager.PageID, payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	buf[0] = kind
-	binary.BigEndian.PutUint32(buf[1:5], uint32(pageID))
-	binary.BigEndian.PutUint32(buf[5:9], uint32(len(payload)))
-	copy(buf[headerSize:], payload)
-	crc := crc32.ChecksumIEEE(buf[0:9])
+// appendRecord encodes one record onto buf and returns the extended
+// slice: header (kind, page id, payload length, CRC32 over both and the
+// payload) followed by the payload.
+func appendRecord(buf []byte, kind byte, pageID pager.PageID, payload []byte) []byte {
+	buf = append(buf, kind)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(pageID))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+	crc := crc32.ChecksumIEEE(buf[len(buf)-9:])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.BigEndian.PutUint32(buf[9:13], crc)
-	return buf
+	buf = binary.BigEndian.AppendUint32(buf, crc)
+	return append(buf, payload...)
 }
 
 // Commit durably journals the given page frames as one atomic batch:
@@ -350,14 +359,17 @@ func (l *Log) flush(batch []*pendingCommit) {
 			last[fr.ID] = fr.Data
 		}
 	}
-	var buf []byte
+	buf := slices.Grow(l.buf[:0], len(order)*(headerSize+pager.PageSize)+headerSize+8)
 	for _, id := range order {
-		buf = append(buf, record(recPage, id, last[id])...)
+		buf = appendRecord(buf, recPage, id, last[id])
 	}
 	l.seq++
 	var seqb [8]byte
 	binary.BigEndian.PutUint64(seqb[:], l.seq)
-	buf = append(buf, record(recCommit, 0, seqb[:])...)
+	buf = appendRecord(buf, recCommit, 0, seqb[:])
+	if cap(buf) <= maxKeptBuf {
+		l.buf = buf
+	}
 	ioStart := time.Now()
 	if _, err := l.f.WriteAt(buf, l.size.Load()); err != nil {
 		l.setPoison(err)

@@ -107,7 +107,7 @@ func TestUncommittedBatchDiscarded(t *testing.T) {
 	l.Commit([]*pager.Frame{frame(1, 0xAA)})
 	// Hand-append page records WITHOUT a commit marker.
 	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	img := record(recPage, 9, bytes.Repeat([]byte{0xBB}, pager.PageSize))
+	img := appendRecord(nil, recPage, 9, bytes.Repeat([]byte{0xBB}, pager.PageSize))
 	f.Write(img)
 	f.Close()
 

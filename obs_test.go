@@ -284,6 +284,8 @@ func TestMetricsPrometheus(t *testing.T) {
 	for _, family := range []string{
 		"sim_pager_hits_total",
 		"sim_pager_pages",
+		"sim_pager_buffers_reused_total",
+		"sim_pager_buffers_allocated_total",
 		"sim_luc_cache_hits_total",
 		"sim_plan_cache_misses_total",
 		"sim_exec_queries_total",
