@@ -1,19 +1,18 @@
 package sim_test
 
-// One testing.B benchmark per experiment of EXPERIMENTS.md (the paper has
-// no performance tables; these regenerate the §5 claim measurements — run
-// `go run ./cmd/simbench` for the full labelled tables).
+// One testing.B benchmark per experiment of EXPERIMENTS.md: the timed form
+// of the T1–T8 claims whose shapes TestPaperClaims asserts on counters.
 
 import (
 	"fmt"
 	"testing"
 
 	"sim"
-	"sim/internal/bench"
 	"sim/internal/luc"
+	"sim/internal/university"
 )
 
-var benchWorkload = bench.Workload{
+var benchWorkload = university.Workload{
 	Departments: 4,
 	Instructors: 20,
 	Students:    200,
@@ -24,12 +23,7 @@ var benchWorkload = bench.Workload{
 
 func buildBench(b *testing.B, cfg sim.Config) *sim.Database {
 	b.Helper()
-	db, err := bench.BuildUniversity(cfg, benchWorkload)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { db.Close() })
-	return db
+	return openUniversity(b, cfg, benchWorkload)
 }
 
 func benchQuery(b *testing.B, db *sim.Database, q string) {
@@ -90,11 +84,8 @@ func BenchmarkHierarchyMappingSplitSubclassScan(b *testing.B) {
 // T3 — MV DVA mapping ablation (§5.2).
 func benchNotes(b *testing.B, strat luc.MVDVAStrategy, q string) {
 	b.Helper()
-	db, err := bench.BuildNotes(sim.Config{Mapping: luc.Config{MVDVA: map[string]luc.MVDVAStrategy{"note.tags": strat}}}, 100, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { db.Close() })
+	db := openLoaded(b, sim.Config{Mapping: luc.Config{MVDVA: map[string]luc.MVDVAStrategy{"note.tags": strat}}},
+		func(db university.DB) error { return university.BuildNotes(db, 100, 16) })
 	benchQuery(b, db, q)
 }
 
@@ -150,11 +141,7 @@ func BenchmarkType2FullEnumeration(b *testing.B) {
 func BenchmarkTransitiveClosure(b *testing.B) {
 	for _, n := range []int{8, 64} {
 		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
-			db, err := bench.BuildPrereqChain(sim.Config{}, n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { db.Close() })
+			db := openLoaded(b, sim.Config{}, func(db university.DB) error { return university.BuildPrereqChain(db, n) })
 			benchQuery(b, db, fmt.Sprintf(
 				`From course Retrieve count distinct (transitive(prerequisites)) Where course-no = %d.`, n))
 		})
@@ -214,11 +201,7 @@ func BenchmarkFullScanJoin(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			w := benchWorkload
 			w.Students = 1000
-			db, err := bench.BuildUniversity(sim.Config{Workers: workers}, w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { db.Close() })
+			db := openUniversity(b, sim.Config{Workers: workers}, w)
 			b.ReportAllocs()
 			benchQuery(b, db, `From student Retrieve name, name of advisor.`)
 		})
@@ -230,11 +213,7 @@ func BenchmarkFullScanJoin(b *testing.B) {
 func BenchmarkPointReadVaryingLiteral(b *testing.B) {
 	w := benchWorkload
 	w.Students = 1000 // four times the plan cache's default capacity
-	db, err := bench.BuildUniversity(sim.Config{}, w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { db.Close() })
+	db := openUniversity(b, sim.Config{}, w)
 	texts := make([]string, w.Students)
 	for s := range texts {
 		texts[s] = fmt.Sprintf(`From student Retrieve name, student-nbr Where soc-sec-no = %d.`, 200000000+s)

@@ -68,11 +68,14 @@ func (e *Executor) compile(p *plan.Plan, t *query.Tree) (*Program, error) {
 		nNodes: len(t.Nodes),
 	}
 	for _, n := range prog.main {
-		prog.doms[n.ID] = e.compileDomain(p, t, n)
+		prog.doms[n.ID] = e.compileDomain(p, t, n, true)
 	}
 	for _, n := range prog.exist {
-		// Existential domains enumerate with no plan.
-		prog.doms[n.ID] = e.compileDomain(nil, t, n)
+		// Existential domains enumerate with no plan, and stop at their
+		// first witness (§4.5): a batch prefetch would read records the
+		// loop never reaches, so their expressions read each record as
+		// they get to it.
+		prog.doms[n.ID] = e.compileDomain(nil, t, n, false)
 	}
 	prog.target = make([]evalFn, len(t.Targets))
 	for i, tg := range t.Targets {
@@ -109,9 +112,10 @@ func unboundErr(n *query.Node) error {
 
 // compileDomain resolves node n's enumeration strategy once: root access
 // path, EVA walk, transitive closure, subrole or MV DVA expansion. The
-// returned closure appends instances to buf and batch-prefetches decoded
-// records for entity domains in single-record hierarchies.
-func (e *Executor) compileDomain(p *plan.Plan, t *query.Tree, n *query.Node) domFn {
+// returned closure appends instances to buf and, with prefetch set,
+// batch-prefetches decoded records for the entities an EVA walk or closure
+// reaches in single-record hierarchies.
+func (e *Executor) compileDomain(p *plan.Plan, t *query.Tree, n *query.Node, prefetch bool) domFn {
 	if n.IsRoot() || (n.Sub && n.Parent == nil) {
 		return e.compileRootDomain(p, t, n)
 	}
@@ -134,6 +138,9 @@ func (e *Executor) compileDomain(p *plan.Plan, t *query.Tree, n *query.Node) dom
 			}
 			base := len(buf)
 			buf = append(buf, out...)
+			if !prefetch {
+				return buf, nil
+			}
 			return buf, e.fillRecs(sc, cl, buf[base:])
 		}
 	case edge.Kind == catalog.EVA:
@@ -160,6 +167,9 @@ func (e *Executor) compileDomain(p *plan.Plan, t *query.Tree, n *query.Node) dom
 					buf = append(buf, inst{surr: s})
 				}
 				sc.surrs = ss[:0]
+			}
+			if !prefetch {
+				return buf, nil
 			}
 			return buf, e.fillRecs(sc, cl, buf[base:])
 		}
@@ -770,7 +780,7 @@ func (e *Executor) compileSub(t *query.Tree, sq *query.SubQuery) (subFn, error) 
 	doms := make([]domFn, len(nodes))
 	for i, n := range nodes {
 		// Chains enumerate with no plan: their anchors always scan.
-		doms[i] = e.compileDomain(nil, t, n)
+		doms[i] = e.compileDomain(nil, t, n, true)
 	}
 	var run func(sc *scratch, i int) error
 	run = func(sc *scratch, i int) error {

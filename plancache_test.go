@@ -13,9 +13,9 @@ import (
 
 	"sim"
 	"sim/client"
-	"sim/internal/bench"
 	"sim/internal/luc"
 	"sim/internal/server"
+	"sim/internal/university"
 	"sim/internal/wire"
 )
 
@@ -24,7 +24,7 @@ import (
 // against a database with the cache disabled, which parses, binds,
 // optimizes and compiles every statement for its own literals.
 
-var shapeWorkload = bench.Workload{Departments: 6, Instructors: 40, Students: 400, Courses: 60, EnrollPer: 3, AdvisePer: 8}
+var shapeWorkload = university.Workload{Departments: 6, Instructors: 40, Students: 400, Courses: 60, EnrollPer: 3, AdvisePer: 8}
 
 // shapeDB builds the shared population with the benchmark's two secondary
 // indexes (so name and title predicates cost index probes, as there) and a
@@ -32,11 +32,7 @@ var shapeWorkload = bench.Workload{Departments: 6, Instructors: 40, Students: 40
 func shapeDB(t testing.TB, cfg sim.Config) *sim.Database {
 	t.Helper()
 	cfg.Mapping = luc.Config{Indexes: []string{"person.name", "course.title"}}
-	db, err := bench.BuildUniversity(cfg, shapeWorkload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
+	db := openUniversity(t, cfg, shapeWorkload)
 	for c := 2; c <= 12; c++ {
 		stmt := fmt.Sprintf(`Modify course (prerequisites := include course with (course-no = %d)) Where course-no = %d.`, c-1, c)
 		if _, err := db.Exec(stmt); err != nil {

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"sim"
-	"sim/internal/bench"
 	"sim/internal/luc"
+	"sim/internal/university"
 	"sim/internal/value"
 )
 
@@ -45,7 +45,7 @@ func TestScaleWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test skipped in -short mode")
 	}
-	w := bench.Workload{
+	w := university.Workload{
 		Departments: 8,
 		Instructors: 80,
 		Students:    1500,
@@ -53,11 +53,7 @@ func TestScaleWorkload(t *testing.T) {
 		EnrollPer:   3,
 		AdvisePer:   10,
 	}
-	db, err := bench.BuildUniversity(sim.Config{Mapping: luc.Config{Indexes: []string{"person.name", "course.title"}}}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	db := openUniversity(t, sim.Config{Mapping: luc.Config{Indexes: []string{"person.name", "course.title"}}}, w)
 
 	// Cardinalities.
 	if v := xSingle(t, db, `From student Retrieve Table Distinct count(soc-sec-no of student).`); v.String() != "1500" {
@@ -138,12 +134,8 @@ func TestOversizedIndexKeyRollsBack(t *testing.T) {
 // what the next snapshot reads — not the pre-images their own
 // copy-on-write left on the version chains.
 func TestCommittedUpdateVisibleAfterEviction(t *testing.T) {
-	w := bench.Workload{Departments: 4, Instructors: 60, Students: 600, Courses: 20, EnrollPer: 1, AdvisePer: 5}
-	db, err := bench.BuildUniversity(sim.Config{PoolPages: 16, Workers: 1}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	w := university.Workload{Departments: 4, Instructors: 60, Students: 600, Courses: 20, EnrollPer: 1, AdvisePer: 5}
+	db := openUniversity(t, sim.Config{PoolPages: 16, Workers: 1}, w)
 	ctx := context.Background()
 
 	const transfers = 100
