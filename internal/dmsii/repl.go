@@ -2,7 +2,6 @@ package dmsii
 
 import (
 	"fmt"
-	"runtime"
 
 	"sim/internal/pager"
 	"sim/internal/wal"
@@ -38,7 +37,7 @@ func (s *Store) SetCommitHook(fn func(wal.CommitGroup) uint64) error {
 // held, letting the publisher record the position the image is current
 // as of without racing later commits.
 func (s *Store) SnapshotImage(pos func() uint64) ([]byte, uint64, error) {
-	unlock, err := s.lockWrites()
+	unlock, err := s.lockWrites(false)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -68,30 +67,42 @@ func (s *Store) SnapshotImage(pos func() uint64) ([]byte, uint64, error) {
 // replaces its page in a dirty frame — Prepare first, so the page's
 // version chain keeps the image that pinned readers see; ids past the end
 // of the file are allocated — and the live directory handles are
-// reattached, since the shipped pages move structure roots. The group
-// then commits like a local transaction: one snapshot journaled through
-// this store's WAL, a new published stamp, write-back in pipeline order
-// and the usual checkpoint threshold. Readers pinned before the group
+// reattached, since the shipped pages move structure roots. prepare, if
+// not nil, runs next under the latch, seeing the shipped state through
+// the live structures (see Txn.OnPublish). The group then commits like a
+// local transaction: journaled through this store's WAL, a new published
+// stamp, write-back in pipeline order. Readers pinned before the group
 // keep reading the state they pinned; readers after it see all of it.
 // Page images must be full pages.
-func (s *Store) ApplyReplicated(pages []pager.PageImage) error {
+func (s *Store) ApplyReplicated(pages []pager.PageImage, prepare func(*Txn) error) error {
+	_, err := s.applyImages(pages, prepare)
+	return err
+}
+
+// applyImages is ApplyReplicated returning the commit's stamp.
+func (s *Store) applyImages(pages []pager.PageImage, prepare func(*Txn) error) (uint64, error) {
 	if s.log == nil {
-		return fmt.Errorf("dmsii: replication needs a durable store (no WAL)")
+		return 0, fmt.Errorf("dmsii: replication needs a durable store (no WAL)")
 	}
 	for _, p := range pages {
 		if len(p.Data) != pager.PageSize {
-			return fmt.Errorf("dmsii: replicated page %d has %d bytes", p.ID, len(p.Data))
+			return 0, fmt.Errorf("dmsii: replicated page %d has %d bytes", p.ID, len(p.Data))
 		}
 	}
 	tx, err := s.Begin()
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if err := s.installImages(pages); err != nil {
+	err = s.installImages(pages)
+	if err == nil && prepare != nil {
+		err = prepare(tx)
+	}
+	if err != nil {
 		tx.Rollback()
-		return err
+		return 0, err
 	}
-	return tx.Commit()
+	err = tx.Commit()
+	return tx.stamp, err
 }
 
 // installImages writes shipped page images into the pool as the write
@@ -115,70 +126,50 @@ func (s *Store) installImages(pages []pager.PageImage) error {
 	return s.reattachDir()
 }
 
-// ReplaceImage atomically replaces the entire database file with a base
-// image shipped from a primary (snapshot install). The WAL is truncated
-// first: its contents describe the old image, and replaying them over the
-// new one after a crash mid-install would corrupt it. A crash between the
-// truncate and the final sync leaves a partially written file, which is
-// why the follower invalidates its position sidecar before calling this —
-// restart then forces a fresh snapshot rather than trusting the file.
-func (s *Store) ReplaceImage(img []byte) error {
-	if s.log == nil {
-		return fmt.Errorf("dmsii: replication needs a durable store (no WAL)")
-	}
+// imageTail is a snapshot install whose image may be shorter than the
+// file: views pinned before the install may still read the pages past it.
+type imageTail struct {
+	pages uint32 // the image's page count
+	stamp uint64 // the install's commit stamp
+}
+
+// ReplaceImage replaces the database with a base image shipped from a
+// primary (snapshot install) as one commit of this store, applied like a
+// replicated group of every page (see ApplyReplicated): views pinned
+// before it keep reading the state they pinned, views after it read the
+// image. Pages past the image are cut off the file by the first
+// checkpoint after no view from before the install remains. A crash
+// mid-install recovers like any commit.
+func (s *Store) ReplaceImage(img []byte, prepare func(*Txn) error) error {
 	if len(img)%pager.PageSize != 0 || len(img) == 0 {
 		return fmt.Errorf("dmsii: snapshot image of %d bytes is not whole pages", len(img))
 	}
 	if [8]byte(img[magicOff:magicOff+8]) != magic {
 		return fmt.Errorf("dmsii: snapshot image is not a SIM database")
 	}
-	unlock, err := s.lockWrites()
+	pages := make([]pager.PageImage, len(img)/pager.PageSize)
+	for i := range pages {
+		pages[i] = pager.PageImage{ID: pager.PageID(i), Data: img[i*pager.PageSize : (i+1)*pager.PageSize]}
+	}
+	stamp, err := s.applyImages(pages, prepare)
 	if err != nil {
 		return err
 	}
-	defer unlock()
-	if err := s.log.Truncate(); err != nil {
-		return err
-	}
-	n := uint32(len(img) / pager.PageSize)
-	for id := uint32(0); id < n; id++ {
-		if err := s.file.WritePage(pager.PageID(id), img[int(id)*pager.PageSize:(int(id)+1)*pager.PageSize]); err != nil {
-			return err
-		}
-	}
-	if tr, ok := s.file.(pager.PageTruncator); ok {
-		if err := tr.TruncatePages(n); err != nil {
-			return err
-		}
-	}
-	if err := s.file.Sync(); err != nil {
-		return err
-	}
-	return s.invalidateCaches()
+	s.tail.Store(&imageTail{pages: uint32(len(pages)), stamp: stamp})
+	return nil
 }
 
-// invalidateCaches drops every pool frame and reattaches the directory
-// from the (just rewritten) meta page, so reads observe the installed
-// image. Only the snapshot install changes pages under an unchanged
-// published stamp, so it also bumps the store generation and retires the
-// current view: readers from here on resolve structure roots afresh
-// instead of sharing a view read before the install. The caller holds the
-// write latch; concurrent readers may briefly pin frames, so the drop
-// retries like resetUncommitted.
-func (s *Store) invalidateCaches() error {
-	defer func() {
-		s.gen.Add(1)
-		s.retireStale()
-	}()
-	var err error
-	for i := 0; i < 1000; i++ {
-		if err = s.pool.DropAll(); err == nil {
-			break
-		}
-		runtime.Gosched()
+// cutTail truncates the pages past the last snapshot install's image once
+// no view pinned before the install remains (see Pool.Shrink). The caller
+// holds the write latch with the pool flushed.
+func (s *Store) cutTail() error {
+	t := s.tail.Load()
+	if t == nil || s.pool.OldestPinned() < t.stamp {
+		return nil
 	}
-	if err != nil {
+	if err := s.pool.Shrink(t.pages, t.stamp); err != nil {
 		return err
 	}
-	return s.reattachDir()
+	s.tail.CompareAndSwap(t, nil)
+	return nil
 }

@@ -52,7 +52,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 	if s.active.Load() > 0 {
 		return rep, fmt.Errorf("dmsii: Scrub with an open transaction")
 	}
-	unlock, err := s.lockWrites()
+	unlock, err := s.lockWrites(false)
 	if err != nil {
 		return rep, err
 	}

@@ -51,14 +51,11 @@ func (a *snapAlloc) Prepare(*pager.Frame)             {}
 func (a *snapAlloc) MarkDirty(*pager.Frame)           {}
 
 // View is an immutable read view of the store at one published commit
-// stamp and store generation, shared by every reader there. It holds the
-// pool's version-GC pin once, reads the directory once, and caches the
-// read-only structure handles it resolves. A handle names a root page,
-// which cannot change under a fixed stamp except when the store's pages
-// are replaced wholesale (a follower installing a snapshot image);
-// invalidateCaches bumps the generation then, which makes the view stale.
-// A follower applying a replicated group publishes a new stamp like any
-// commit.
+// stamp, shared by every reader there. It holds the pool's version-GC pin
+// once, reads the directory once, and caches the read-only structure
+// handles it resolves. A handle names a root page, which cannot change
+// under a fixed stamp: every change to the pages — a local commit, a
+// replicated group, a snapshot install — publishes a new stamp.
 // A structure absent from the directory at the stamp had no rows then, so
 // it reads as empty — and is cached as such — rather than being created
 // in the live store.
@@ -66,14 +63,13 @@ func (a *snapAlloc) MarkDirty(*pager.Frame)           {}
 // Lifecycle: AcquireView hands out the current view with one reference
 // taken, building it on the first read after it was retired; Release
 // drops the reference. While current, the view holds one more reference
-// of the store's own. A commit's publish and a page replacement retire
-// the current view, dropping that reference, so a view nobody reads any
-// more unpins at once and an idle reader never holds back version GC.
-// The pin is dropped with the last reference.
+// of the store's own. A commit's publish retires the current view,
+// dropping that reference, so a view nobody reads any more unpins at once
+// and an idle reader never holds back version GC. The pin is dropped with
+// the last reference.
 type View struct {
 	s     *Store
 	stamp uint64
-	gen   uint64
 	alloc snapAlloc
 	refs  atomic.Int64 // holders, plus the store's own while current
 
@@ -86,9 +82,9 @@ type View struct {
 
 // AcquireView returns the current read view with one reference taken;
 // the caller calls Release exactly once. The view is the newest
-// published stamp's: a view that a publish or page replacement has made
-// stale is retired here rather than handed out, so a read started after
-// a commit returned sees that commit.
+// published stamp's: a view that a publish has made stale is retired
+// here rather than handed out, so a read started after a commit returned
+// sees that commit.
 func (s *Store) AcquireView() *View {
 	for {
 		v := s.view.Load()
@@ -118,9 +114,8 @@ func (s *Store) AcquireView() *View {
 // view was built makes it stale on arrival; it is retired again at once,
 // or it would keep its stamp pinned until the next commit.
 func (s *Store) buildView() *View {
-	gen := s.gen.Load()
 	stamp := s.pool.PinView()
-	v := &View{s: s, stamp: stamp, gen: gen, alloc: snapAlloc{pool: s.pool, stamp: stamp}}
+	v := &View{s: s, stamp: stamp, alloc: snapAlloc{pool: s.pool, stamp: stamp}}
 	v.refs.Store(2) // the builder's and, once installed, the store's
 	if !s.view.CompareAndSwap(nil, v) {
 		v.refs.Store(1)
@@ -130,11 +125,10 @@ func (s *Store) buildView() *View {
 	return v
 }
 
-// retireStale retires the current view when a publish or a page
-// replacement has passed it: the store drops its reference, and the pin
-// goes with the view's last reader. The commit path calls it after every
-// publish (a follower's applied groups included), invalidateCaches after
-// every snapshot install.
+// retireStale retires the current view when a publish has passed it: the
+// store drops its reference, and the pin goes with the view's last reader.
+// The commit path calls it after every publish (a follower's applied
+// groups and snapshot installs included).
 func (s *Store) retireStale() {
 	if v := s.view.Load(); v != nil && !v.fresh() && s.view.CompareAndSwap(v, nil) {
 		v.Release()
@@ -143,7 +137,7 @@ func (s *Store) retireStale() {
 
 // fresh reports whether v still reads the newest published state.
 func (v *View) fresh() bool {
-	return v.stamp == v.s.pool.Published() && v.gen == v.s.gen.Load()
+	return v.stamp == v.s.pool.Published()
 }
 
 // ref takes a reference unless the view has already drained.

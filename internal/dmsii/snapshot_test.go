@@ -13,9 +13,9 @@ import (
 )
 
 // Snaps at one stamp share one View and its structure handles. These
-// tests pin what makes that sharing safe: a follower replacing pages
-// under its unchanged stamp retires the view, and readers at a stamp
-// keep reading that stamp's state while a writer publishes newer ones.
+// tests pin what makes that sharing safe: every change to a follower's
+// pages publishes a new stamp, and readers at a stamp keep reading that
+// stamp's state while a writer publishes newer ones.
 
 func rowKey(i int) []byte { return []byte(fmt.Sprintf("row-%05d", i)) }
 
@@ -35,32 +35,30 @@ func readAll(t *testing.T, sn *Snap, name string, keys [][]byte) {
 	}
 }
 
-// TestFollowerRefreshesStampTable: a follower installs primary pages. A
-// snapshot install replaces them under its own, unchanged published
-// stamp; an applied group commits them under a new one. Either way a view
-// cached before the install must not serve readers after it — the install
-// created structure b and split a's root, and a reader pinned afterwards
-// sees both — and a reader still holding a view from before an applied
-// group keeps reading the state it pinned.
+// TestFollowerRefreshesStampTable: a follower installs primary pages,
+// either as applied groups or as a snapshot install; both commit them
+// under a new published stamp. A view cached before must not serve
+// readers after — the install created structure b and split a's root, and
+// a reader pinned afterwards sees both — and a reader still holding a
+// view from before keeps reading the state it pinned.
 func TestFollowerRefreshesStampTable(t *testing.T) {
 	for _, ship := range []struct {
-		name       string
-		stampMoves bool
-		do         func(t *testing.T, primary, follower *Store, groups []wal.CommitGroup)
+		name string
+		do   func(t *testing.T, primary, follower *Store, groups []wal.CommitGroup)
 	}{
-		{"ApplyReplicated", true, func(t *testing.T, _, follower *Store, groups []wal.CommitGroup) {
+		{"ApplyReplicated", func(t *testing.T, _, follower *Store, groups []wal.CommitGroup) {
 			for _, g := range groups {
-				if err := follower.ApplyReplicated(g.Images); err != nil {
+				if err := follower.ApplyReplicated(g.Images, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}},
-		{"ReplaceImage", false, func(t *testing.T, primary, follower *Store, _ []wal.CommitGroup) {
+		{"ReplaceImage", func(t *testing.T, primary, follower *Store, _ []wal.CommitGroup) {
 			img, _, err := primary.SnapshotImage(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := follower.ReplaceImage(img); err != nil {
+			if err := follower.ReplaceImage(img, nil); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -95,7 +93,7 @@ func TestFollowerRefreshesStampTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := follower.ReplaceImage(img); err != nil {
+			if err := follower.ReplaceImage(img, nil); err != nil {
 				t.Fatal(err)
 			}
 
@@ -142,16 +140,14 @@ func TestFollowerRefreshesStampTable(t *testing.T) {
 
 			after := follower.PinSnapshot()
 			defer after.Release()
-			if moved := after.Stamp() != before.Stamp(); moved != ship.stampMoves {
-				t.Fatalf("follower stamp %d → %d; want moved=%v", before.Stamp(), after.Stamp(), ship.stampMoves)
+			if after.Stamp() == held.Stamp() {
+				t.Fatalf("follower stamp stayed at %d across the install", held.Stamp())
 			}
-			if ship.stampMoves {
-				readAll(t, held, "a", aKeys[:10])
-				if st, err := held.Structure("b"); err != nil {
-					t.Fatal(err)
-				} else if _, ok, _ := st.Get(rowKey(0)); ok {
-					t.Fatal("a view pinned before the applied group sees its structure b")
-				}
+			readAll(t, held, "a", aKeys[:10])
+			if st, err := held.Structure("b"); err != nil {
+				t.Fatal(err)
+			} else if _, ok, _ := st.Get(rowKey(0)); ok {
+				t.Fatal("a view pinned before the install sees its structure b")
 			}
 			readAll(t, after, "a", aKeys)
 			readAll(t, after, "b", [][]byte{rowKey(0)})
@@ -376,5 +372,170 @@ func TestViewFreshUnderConcurrentBuilds(t *testing.T) {
 	}()
 	if oldest, pub := s.OldestPinned(), s.Published(); oldest != pub {
 		t.Fatalf("readers gone: oldest pinned stamp %d, published %d", oldest, pub)
+	}
+}
+
+// TestReplaceImageOverLocalHistory pins the fenced-rejoin case: a node
+// that committed history of its own — version chains, capture stamps and
+// more pages than the image — installs a primary's image. A view pinned
+// before the install keeps reading the local history; views after it read
+// the image's bytes, never a surviving chain entry. The pages past the
+// image stay while the old view may read them, and the first checkpoint
+// after it is gone cuts the file back to the image — but not below a
+// page a later replicated group wrote there.
+func TestReplaceImageOverLocalHistory(t *testing.T) {
+	primary, _, _ := newFaultStore(t, fault.NewInjector())
+	node, _, _ := newFaultStore(t, fault.NewInjector())
+	pa, err := primary.Structure("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitPut(t, primary, pa, "k", "remote")
+	na, err := node.Structure("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := node.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		put(t, na, string(rowKey(i)), string(bytes.Repeat([]byte("l"), 100)))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	commitPut(t, node, na, "k", "local-1")
+	commitPut(t, node, na, "k", "local-2") // leaves local-1 on a version chain
+	if node.LiveVersions() == 0 {
+		t.Fatal("no retained version; the test lost its preconditions")
+	}
+	img, _, err := primary.SnapshotImage(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgPages := uint32(len(img) / pager.PageSize)
+	if n := node.pool.NumPages(); n <= imgPages {
+		t.Fatalf("node has %d pages, image %d; the test needs a longer node", n, imgPages)
+	}
+
+	get := func(sn *Snap, key string) string {
+		t.Helper()
+		st, err := sn.Structure("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok, err := st.Get([]byte(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return ""
+		}
+		return string(v)
+	}
+	filePages := func() uint32 {
+		t.Helper()
+		n, err := node.file.NumPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	held := node.PinSnapshot()
+	if err := node.ReplaceImage(img, nil); err != nil {
+		t.Fatal(err)
+	}
+	after := node.PinSnapshot()
+	if got := get(after, "k"); got != "remote" {
+		t.Fatalf("view after the install reads %q, want the image's remote", got)
+	}
+	if got := get(after, string(rowKey(0))); got != "" {
+		t.Fatalf("view after the install reads local row %q", got)
+	}
+	after.Release()
+	if got := get(held, "k"); got != "local-2" {
+		t.Fatalf("view pinned before the install reads %q, want local-2", got)
+	}
+	if err := node.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := get(held, string(rowKey(299))); got == "" {
+		t.Fatal("a checkpoint cut pages a view pinned before the install still reads")
+	}
+	if filePages() <= imgPages {
+		t.Fatal("the file was cut while a view from before the install remains")
+	}
+	held.Release()
+	if err := node.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := filePages(); got != imgPages {
+		t.Fatalf("file holds %d pages after the old view went, want the image's %d", got, imgPages)
+	}
+
+	// Install again over the same local history, then apply a group in
+	// which the primary grew past the image: the cut stops above it.
+	if na, err = node.Structure("a"); err != nil {
+		t.Fatal(err)
+	}
+	tx, err = node.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		put(t, na, string(rowKey(i)), string(bytes.Repeat([]byte("l"), 100)))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.ReplaceImage(img, nil); err != nil {
+		t.Fatal(err)
+	}
+	var group []pager.PageImage
+	if err := primary.SetCommitHook(func(g wal.CommitGroup) uint64 {
+		for _, im := range g.Images {
+			group = append(group, pager.PageImage{ID: im.ID, Data: bytes.Clone(im.Data)})
+		}
+		return 0
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tx, err = primary.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		put(t, pa, string(rowKey(i)), string(bytes.Repeat([]byte("r"), 100)))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	grown := primary.pool.NumPages()
+	if grown <= imgPages || grown >= node.pool.NumPages() {
+		t.Fatalf("primary grew to %d pages (image %d, node %d); the test needs it in between", grown, imgPages, node.pool.NumPages())
+	}
+	if err := node.ApplyReplicated(group, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := filePages(); got != grown {
+		t.Fatalf("file holds %d pages after the group, want the primary's %d", got, grown)
+	}
+	sn := node.PinSnapshot()
+	defer sn.Release()
+	if got := get(sn, "k"); got != "remote" {
+		t.Fatalf("after the group the node reads k=%q, want remote", got)
+	}
+	for i := 0; i < 100; i++ {
+		if got := get(sn, string(rowKey(i))); got != string(bytes.Repeat([]byte("r"), 100)) {
+			t.Fatalf("after the group the node reads row %d = %q", i, got)
+		}
+	}
+	if rep, err := node.Scrub(); err != nil || !rep.OK() {
+		t.Fatalf("scrub after the cut: %v %+v", err, rep)
 	}
 }

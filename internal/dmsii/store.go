@@ -7,9 +7,9 @@
 //
 // Concurrency model: any number of transactions may be open (BeginSession),
 // their write phases serialized on a store-wide latch while commit fsync and
-// write-back are pipelined — see Store and Txn. Reads on open structures are
-// safe from concurrent goroutines; sim.Database layers statement-level
-// reader/writer exclusion on top, as DMSII did on the paper's behalf.
+// write-back are pipelined — see Store and Txn. Readers never take a lock
+// the writer holds: they read versioned views (AcquireView), so sim.Database
+// needs no statement-level reader/writer exclusion on top.
 package dmsii
 
 import (
@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,10 +43,9 @@ var magic = [8]byte{'S', 'I', 'M', 'D', 'B', '0', '0', '1'}
 const checkpointThreshold = 8 << 20
 
 // Store is an open database file: a directory of named structures plus the
-// transaction machinery. Reads (Get/cursor traffic on already-open
-// structures) are safe from concurrent goroutines; dirMu serializes the
-// live structure directory, and the database layer serializes writers
-// against readers.
+// transaction machinery. The live structures are the write-latch holder's;
+// dirMu serializes the live structure directory. Everyone else reads
+// through versioned views (see below).
 //
 // Multiple transactions may be open concurrently (BeginSession), but their
 // write phases are serialized on the store-wide write latch: a transaction
@@ -77,8 +75,8 @@ type Store struct {
 	closed    atomic.Bool
 	recovered wal.RecoverInfo // what recovery did when the store opened
 
-	view atomic.Pointer[View] // the current read view; nil once retired
-	gen  atomic.Uint64        // bumped when a snapshot install replaces pages under an unchanged stamp
+	view atomic.Pointer[View]      // the current read view; nil once retired
+	tail atomic.Pointer[imageTail] // pages a snapshot install left past its image, awaiting cutTail
 
 	writeSem   chan struct{} // capacity-1 store-wide write latch
 	writeHeld  atomic.Bool   // the write latch is currently held
@@ -100,6 +98,7 @@ type Store struct {
 	active     atomic.Int64 // open transactions
 	conflicts  atomic.Uint64
 	needsReset atomic.Bool // a commit group failed; discard before next write
+	onDiscard  func()      // see SetOnDiscard
 }
 
 // Options configures Open.
@@ -246,7 +245,7 @@ func (s *Store) Close() error {
 	if s.active.Load() > 0 {
 		return fmt.Errorf("dmsii: Close with an open transaction")
 	}
-	unlock, err := s.lockWrites()
+	unlock, err := s.lockWrites(false)
 	if err != nil {
 		return err
 	}
@@ -267,7 +266,7 @@ func (s *Store) Close() error {
 // takes the store write latch itself, so callers must not hold it; open
 // transactions block it until they finish.
 func (s *Store) Checkpoint() error {
-	unlock, err := s.lockWrites()
+	unlock, err := s.lockWrites(false)
 	if err != nil {
 		return err
 	}
@@ -282,8 +281,12 @@ func (s *Store) checkpointLocked() error {
 	if err := s.pool.FlushAll(); err != nil {
 		return err
 	}
-	// With the file current, prune every page-version chain no pinned
-	// snapshot can still see.
+	// With the file current, cut what a snapshot install left past its
+	// image and prune every page-version chain no pinned snapshot can still
+	// see.
+	if err := s.cutTail(); err != nil {
+		return err
+	}
 	s.pool.SweepVersions()
 	if s.log != nil {
 		if err := s.log.Truncate(); err != nil {
@@ -297,9 +300,18 @@ func (s *Store) checkpointLocked() error {
 // lockWrites acquires the store write latch outside any transaction,
 // drains the commit pipeline (so the database file reflects every durable
 // commit) and repairs state after a failed commit group. The returned
-// func releases the latch.
-func (s *Store) lockWrites() (func(), error) {
-	s.acquireSem(nil)
+// func releases the latch. With try set it gives up at once, returning a
+// nil func, when another writer holds the latch.
+func (s *Store) lockWrites(try bool) (func(), error) {
+	if !try {
+		s.acquireSem(nil)
+	} else {
+		select {
+		case s.writeSem <- struct{}{}:
+		default:
+			return nil, nil
+		}
+	}
 	s.writeHeld.Store(true)
 	release := func() { s.writeHeld.Store(false); <-s.writeSem }
 	s.drainPending()
@@ -406,7 +418,15 @@ type Txn struct {
 	id        uint64           // request/trace ID, 0 when untraced
 	ct        *obs.CommitTrace // spans filled across the commit, nil unless tracing
 	latchWait time.Duration    // accumulated store-write-latch wait
+	stamp     uint64           // the commit's stamp, once captured
+	onPublish func()           // see OnPublish
 }
+
+// OnPublish arranges for fn to run once the transaction's commit is
+// durable, just before its stamp becomes visible to new read views: what
+// fn publishes is in place for every reader of the commit's pages. It
+// runs only for a commit that wrote pages, and not when the commit fails.
+func (tx *Txn) OnPublish(fn func()) { tx.onPublish = fn }
 
 // SetTrace attaches a request ID to this transaction — it rides into the
 // flight recorder, the WAL flush group and the replication stream — and,
@@ -597,6 +617,7 @@ func (tx *Txn) Commit() error {
 		return nil
 	}
 	snap := s.pool.Snapshot()
+	tx.stamp = snap.Stamp()
 	if snap.Len() == 0 {
 		tx.releaseWrite()
 		return nil
@@ -618,11 +639,13 @@ func (tx *Txn) Commit() error {
 			// The batch never became durable: the transaction did not
 			// commit. The pool still holds its half-applied pages (and a
 			// later writer may already be stacking more on top — its
-			// commit will fail on the poisoned log too); discard them
-			// before the next write phase.
+			// commit will fail on the poisoned log too); discard them now
+			// if the write latch is free, else before the next write phase.
 			s.removePending(snap)
 			s.needsReset.Store(true)
-			s.tryReset()
+			if unlock, _ := s.lockWrites(true); unlock != nil {
+				unlock()
+			}
 			return err
 		}
 	}
@@ -637,6 +660,9 @@ func (tx *Txn) Commit() error {
 	// order, so max-publishing this stamp never exposes a non-durable
 	// predecessor. The current read view is retired with it, so an idle
 	// one stops pinning the stamp it was built at.
+	if tx.onPublish != nil {
+		tx.onPublish()
+	}
 	s.pool.Publish(snap.Stamp())
 	s.retireStale()
 	s.flightTxn.Load().Event("txn", "commit", tx.id, 0, int64(snap.Len()), "")
@@ -647,7 +673,14 @@ func (tx *Txn) Commit() error {
 		return werr
 	}
 	if s.log != nil && s.log.Size() > checkpointThreshold {
-		return s.tryCheckpoint()
+		// With another writer in its write phase the next threshold
+		// crossing retries.
+		unlock, err := s.lockWrites(true)
+		if unlock == nil {
+			return err
+		}
+		defer unlock()
+		return s.checkpointLocked()
 	}
 	return nil
 }
@@ -712,54 +745,15 @@ func (s *Store) drainPending() {
 
 // resetUncommitted repairs the store after a failed commit group: drains
 // the pipeline and discards every dirty frame so the cache matches the
-// last durable state. The caller holds the write latch. Concurrent
-// readers may briefly pin dirty frames, so the discard retries.
+// last durable state. The caller holds the write latch; nothing else pins
+// a frame (readers resolve pages through views, which never do).
 func (s *Store) resetUncommitted() error {
 	s.drainPending()
-	var err error
-	for i := 0; i < 1000; i++ {
-		if err = s.discardUncommitted(); err == nil {
-			s.needsReset.Store(false)
-			return nil
-		}
-		runtime.Gosched()
+	if err := s.discardUncommitted(); err != nil {
+		return err
 	}
-	return err
-}
-
-// tryReset repairs post-commit-failure state immediately when the write
-// latch is free — the common case, preserving the pre-session behavior
-// where a failed commit left the cache already clean. With an open writer
-// the flag stays set and the next AcquireWrite/lockWrites repairs.
-func (s *Store) tryReset() {
-	select {
-	case s.writeSem <- struct{}{}:
-	default:
-		return
-	}
-	s.writeHeld.Store(true)
-	s.resetUncommitted() // best effort; the flag stays set on failure
-	s.writeHeld.Store(false)
-	<-s.writeSem
-}
-
-// tryCheckpoint checkpoints if the write latch is free; with an active
-// writer the next threshold crossing retries.
-func (s *Store) tryCheckpoint() error {
-	select {
-	case s.writeSem <- struct{}{}:
-	default:
-		return nil
-	}
-	s.writeHeld.Store(true)
-	defer func() { s.writeHeld.Store(false); <-s.writeSem }()
-	s.drainPending()
-	if s.needsReset.Load() {
-		if err := s.resetUncommitted(); err != nil {
-			return err
-		}
-	}
-	return s.checkpointLocked()
+	s.needsReset.Store(false)
+	return nil
 }
 
 // commitPages is the serial commit used when formatting a new database:
@@ -778,13 +772,27 @@ func (s *Store) commitPages() error {
 
 // discardUncommitted drops all dirty pool state and reattaches the
 // directory from the durable meta page — the shared abort path for
-// Rollback and for commits whose journaling failed.
+// Rollback and for commits whose journaling failed — then runs the
+// SetOnDiscard hook. The caller holds the write latch.
 func (s *Store) discardUncommitted() error {
 	if err := s.pool.DiscardDirty(); err != nil {
 		return err
 	}
-	return s.reattachDir()
+	if err := s.reattachDir(); err != nil {
+		return err
+	}
+	if s.onDiscard != nil {
+		s.onDiscard()
+	}
+	return nil
 }
+
+// SetOnDiscard installs fn to run, under the write latch, whenever the
+// store discards uncommitted state: a rollback of a transaction that
+// wrote, and the repair after a failed commit group. The database layer
+// resets its live mapper's state there. Call it before the store is
+// shared.
+func (s *Store) SetOnDiscard(fn func()) { s.onDiscard = fn }
 
 // reattachDir reopens the live directory from the meta page in the pool
 // and drops the open-structure handles, whose cached roots may no longer

@@ -116,7 +116,7 @@ func (u *univ) inTx(fn func()) {
 		if err := tx.Rollback(); err != nil {
 			u.t.Fatal(err)
 		}
-		u.m.ResetCaches()
+		u.m.ResetLiveState()
 	}()
 	fn()
 }

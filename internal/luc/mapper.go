@@ -32,7 +32,6 @@ import (
 	"sim/internal/btree"
 	"sim/internal/catalog"
 	"sim/internal/dmsii"
-	"sim/internal/obs"
 	"sim/internal/value"
 )
 
@@ -144,9 +143,9 @@ type Mapper struct {
 	clNames   map[*catalog.Class]classNames
 	attrNames map[*catalog.Attribute]attrNames
 
-	// surrNext is touched only on the write path (the database layer holds
-	// an exclusive lock there), so it needs no internal locking. Shared by
-	// reference across views.
+	// surrNext is touched only on the write path, under the store write
+	// latch, so it needs no internal locking. Shared by reference across
+	// views and never reassigned (ResetLiveState clears it in place).
 	surrNext map[int]value.Surrogate // per base class id
 
 	// stat caches entity/instance counts. The live mapper and its write
@@ -570,20 +569,18 @@ func (m *Mapper) indexStructure(a *catalog.Attribute) (*dmsii.Structure, error) 
 // Surrogates and statistics
 // ---------------------------------------------------------------------------
 
-// ResetCaches drops in-memory surrogate, statistics and record caches; the
-// database layer calls this after a rollback and when a follower is
-// promoted.
-func (m *Mapper) ResetCaches() {
-	m.surrNext = make(map[int]value.Surrogate)
+// ResetLiveState clears, in place, the live state the write path caches
+// ahead of the store — surrogate counters and statistics — so the next
+// writer reloads them from the committed pages. The database layer calls
+// it under the store write latch whenever uncommitted state is discarded,
+// and when a follower is promoted. Record-cache entries stay: the live
+// mapper never reads them, and a snapshot view matches only entries of
+// its own published stamp.
+func (m *Mapper) ResetLiveState() {
+	clear(m.surrNext)
 	m.stat.mu.Lock()
-	m.stat.m = make(map[string]int64)
+	clear(m.stat.m)
 	m.stat.mu.Unlock()
-	for i := range m.rc.shards {
-		sh := &m.rc.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[rcKey]rcEntry)
-		sh.mu.Unlock()
-	}
 }
 
 // nextSurrogate allocates the next surrogate for a hierarchy.
@@ -671,15 +668,6 @@ func (m *Mapper) CacheStats() CacheStats {
 func (m *Mapper) ResetCacheStats() {
 	m.rc.hits.Store(0)
 	m.rc.misses.Store(0)
-}
-
-// RegisterMetrics publishes the mapper's cache counters on an obs
-// registry.
-func (m *Mapper) RegisterMetrics(r *obs.Registry) {
-	r.CounterFunc("sim_luc_cache_hits_total", "LUC decoded-record cache hits.",
-		func() float64 { return float64(m.rc.hits.Load()) })
-	r.CounterFunc("sim_luc_cache_misses_total", "LUC decoded-record cache misses.",
-		func() float64 { return float64(m.rc.misses.Load()) })
 }
 
 // Count returns the number of entities holding a role in cl.

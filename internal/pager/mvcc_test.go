@@ -76,59 +76,6 @@ func TestViewPageResolvesPinnedVersion(t *testing.T) {
 	}
 }
 
-// TestDropAllDiscardsVersionState pins the fenced-rejoin regression: a
-// node that committed locally (populating version chains and capture
-// stamps) and then has its file replaced underneath the pool — replica
-// snapshot install — must not serve pre-replacement bytes out of a
-// surviving chain entry. DropAll discards the version state along with
-// the frames, so readers fall through to the file.
-func TestDropAllDiscardsVersionState(t *testing.T) {
-	file := NewMemFile()
-	p, err := NewPool(file, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := p.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := f.ID
-	copy(f.Data, "v1")
-	p.MarkDirty(f)
-	p.Release(f)
-	snap := p.Snapshot()
-	if err := p.WriteBack(snap); err != nil {
-		t.Fatal(err)
-	}
-	p.Publish(snap.Stamp())
-	// A second commit leaves "v1" in the version chain.
-	commitPage(t, p, id, "v2")
-	if p.LiveVersions() == 0 {
-		t.Fatal("no retained version; the test lost its preconditions")
-	}
-
-	// Replica install: new bytes written straight to the file, then the
-	// pool is dropped.
-	remote := make([]byte, PageSize)
-	copy(remote, "remote")
-	if err := file.WritePage(id, remote); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.DropAll(); err != nil {
-		t.Fatal(err)
-	}
-	if n := p.LiveVersions(); n != 0 {
-		t.Fatalf("LiveVersions = %d after DropAll, want 0", n)
-	}
-
-	view := p.PinView()
-	defer p.UnpinView(view)
-	got := viewCopy(t, p, id, view)
-	if !bytes.Equal(got[:6], []byte("remote")) {
-		t.Fatalf("post-DropAll view read %q, want the file's replaced bytes", got[:6])
-	}
-}
-
 // TestViewPageAfterEvictionReadsCommittedImage pins the stale-snapshot
 // regression: once the frame holding a committed image is evicted, a view
 // at (or after) that commit must be answered by the file — which is

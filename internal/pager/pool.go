@@ -3,6 +3,7 @@ package pager
 import (
 	"container/list"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -655,46 +656,51 @@ func (p *Pool) repairCleanLocked(sh *shard, f *Frame) {
 	}
 }
 
-// DropAll empties the pool: every frame — clean or dirty — is discarded,
-// so subsequent reads observe the file's current contents, and the
-// next-allocation cursor is reset from the file size. A follower's
-// snapshot install uses this after overwriting the whole file underneath
-// the pool. The MVCC version state goes with the frames: retained
-// pre-images and capture stamps describe a history the file no longer
-// continues (a rejoining fenced primary's own commits, overwritten by the
-// new primary's image), and a surviving chain entry would satisfy
-// ViewPage ahead of the disk fallback, serving pre-replacement bytes
-// forever. Frames must be unpinned (the caller holds the store's write
-// latch and has drained readers).
-func (p *Pool) DropAll() error {
+// Shrink cuts the pool and its file back to n pages — or to just past the
+// highest page at or beyond n that a commit after stamp since captured,
+// which is in use again. Frames, version chains and capture stamps of the
+// cut pages go with them. The caller vouches that nothing committed up to
+// since reaches a page at or past n (a snapshot install of an n-page image
+// at since) and that no view older than since remains; it holds the
+// store's write latch with the pool flushed.
+func (p *Pool) Shrink(n uint32, since uint64) error {
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		for id, st := range sh.stamps {
+			if uint32(id) >= n && st > since {
+				n = uint32(id) + 1
+			}
+		}
+		sh.mu.Unlock()
+	}
+	if n >= p.next.Load() {
+		return nil
+	}
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
 		for id, f := range sh.frames {
-			if f.pins > 0 {
-				sh.mu.Unlock()
-				return fmt.Errorf("pager: DropAll: page %d still pinned", id)
+			if uint32(id) >= n {
+				if f.elem != nil {
+					sh.lru.Remove(f.elem)
+				}
+				delete(sh.frames, id)
 			}
-			if f.elem != nil {
-				sh.lru.Remove(f.elem)
-				f.elem = nil
-			}
-			delete(sh.frames, id)
 		}
 		for id, ch := range sh.versions {
-			p.liveVersions.Add(int64(-len(ch)))
-			delete(sh.versions, id)
+			if uint32(id) >= n {
+				p.liveVersions.Add(int64(-len(ch)))
+				delete(sh.versions, id)
+			}
 		}
-		for id := range sh.stamps {
-			delete(sh.stamps, id)
-		}
+		maps.DeleteFunc(sh.stamps, func(id PageID, _ uint64) bool { return uint32(id) >= n })
 		sh.mu.Unlock()
 	}
-	n, err := p.file.NumPages()
-	if err != nil {
-		return err
+	p.next.Store(n)
+	if tr, ok := p.file.(PageTruncator); ok {
+		return tr.TruncatePages(n)
 	}
-	p.next.Store(uint32(n))
 	return nil
 }
 

@@ -19,17 +19,17 @@ import (
 // then a published stamp and write-back) before the sidecar is rewritten,
 // so a crash before the save resumes at the previous position and
 // re-receives a group the database may already contain — harmless,
-// because page-image application is idempotent. A crash mid-snapshot is
-// covered by invalidating the sidecar before the image is installed:
-// restart finds position 0 and requests a fresh snapshot instead of
-// trusting a half-written file.
+// because page-image application is idempotent. A snapshot install is a
+// commit too, but the sidecar is invalidated before it: once the image is
+// durable the old position describes another database, so a crash before
+// the new position is saved restarts from position 0 and requests a fresh
+// snapshot.
 type Applier struct {
 	db        *sim.Database
 	statePath string
 
-	mu  sync.Mutex
-	st  State
-	gen uint64 // schema generation the database currently holds
+	mu sync.Mutex
+	st State
 }
 
 // NewApplier wraps db with replication apply state persisted at
@@ -40,7 +40,6 @@ func NewApplier(db *sim.Database, statePath string) *Applier {
 		db:        db,
 		statePath: statePath,
 		st:        LoadState(statePath),
-		gen:       db.SchemaGen(),
 	}
 }
 
@@ -54,8 +53,8 @@ func (a *Applier) State() State {
 // Pos returns the durable applied position.
 func (a *Applier) Pos() uint64 { return a.State().Pos }
 
-// ApplySnapshot atomically replaces the database with a base image that
-// is current as of pos within (epoch, run).
+// ApplySnapshot replaces the database with a base image that is current
+// as of pos within (epoch, run), as one commit of the follower.
 func (a *Applier) ApplySnapshot(epoch, run, pos uint64, img []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -69,7 +68,6 @@ func (a *Applier) ApplySnapshot(epoch, run, pos uint64, img []byte) error {
 		return err
 	}
 	a.st = State{Epoch: epoch, Run: run, Pos: pos}
-	a.gen = a.db.SchemaGen()
 	return SaveState(a.statePath, a.st)
 }
 
@@ -77,7 +75,8 @@ func (a *Applier) ApplySnapshot(epoch, run, pos uint64, img []byte) error {
 // the applied position are skipped (idempotent redelivery after a
 // resume); a gap, an epoch change, or a publisher-run change is an
 // error — the follower reconnects and lets the primary decide between
-// tail and snapshot.
+// tail and snapshot. A group's schema generation (f.Gen) is not read:
+// the database publishes the schema a group committed from its pages.
 func (a *Applier) ApplyGroup(f wire.ReplFrames) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -95,10 +94,9 @@ func (a *Applier) ApplyGroup(f wire.ReplFrames) error {
 	for i, pg := range f.Pages {
 		pages[i] = pager.PageImage{ID: pager.PageID(pg.ID), Data: pg.Data}
 	}
-	if err := a.db.ApplyReplicated(pages, f.Gen != a.gen); err != nil {
+	if err := a.db.ApplyReplicated(pages); err != nil {
 		return err
 	}
 	a.st.Pos = f.Pos
-	a.gen = f.Gen
 	return SaveState(a.statePath, a.st)
 }

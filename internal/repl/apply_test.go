@@ -163,6 +163,84 @@ func TestFollowerReadOnlyRepeatable(t *testing.T) {
 	}
 }
 
+// resnapshot re-seeds the follower from a fresh base image of the primary,
+// as a follower does when the publisher's ring no longer holds its
+// position, and continues the stream after it.
+func (ms *memStream) resnapshot() error {
+	img, pos, _, sub, err := ms.pub.Snapshot()
+	if err != nil {
+		return err
+	}
+	ms.pub.Unsubscribe(ms.sub)
+	ms.sub = sub
+	return ms.a.ApplySnapshot(ms.pub.Epoch(), ms.pub.Run(), pos, img)
+}
+
+// TestFollowerReadOnlyRepeatableAcrossResnapshot: a snapshot install is
+// one more commit on the follower. A ReadOnly transaction begun before it
+// keeps reading the state it pinned; statements after it read the image,
+// and the stream continues on top of it.
+func TestFollowerReadOnlyRepeatableAcrossResnapshot(t *testing.T) {
+	ms := newMemStream(t, fault.NewInjector())
+	if err := ms.pdb.DefineSchema(testSchema); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 5; i++ {
+		mustExec(t, ms.pdb, fmt.Sprintf(`Insert item (item-no := %d, name := "item %d").`, i, i))
+	}
+	if _, err := ms.catchUp(); err != nil {
+		t.Fatal(err)
+	}
+	const q = `From item Retrieve item-no, name Order By item-no.`
+	ctx := context.Background()
+	ro, err := ms.rdb.Begin(ctx, sim.ReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Rollback()
+	first, err := ro.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.NumRows() != 5 {
+		t.Fatalf("read-only tx reads %d rows, want 5", first.NumRows())
+	}
+
+	for i := 6; i <= 200; i++ {
+		mustExec(t, ms.pdb, fmt.Sprintf(`Insert item (item-no := %d, name := "item %d").`, i, i))
+	}
+	mustExec(t, ms.pdb, `Modify item (name := "renamed") Where item-no = 1.`)
+	if err := ms.resnapshot(); err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := ro.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Format() != first.Format() {
+		t.Fatalf("read-only tx on the follower is not repeatable across a snapshot install: %d rows, then %d", first.NumRows(), again.NumRows())
+	}
+	fresh, err := ms.rdb.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.NumRows() != 200 || !strings.Contains(fresh.Format(), "renamed") {
+		t.Fatalf("a new query after the install reads %d rows (want 200 with the rename)", fresh.NumRows())
+	}
+
+	mustExec(t, ms.pdb, `Insert item (item-no := 201, name := "after").`)
+	if _, err := ms.catchUp(); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := ms.rdb.Query(q); err != nil || r.NumRows() != 201 {
+		t.Fatalf("after the install the stream continues: %v rows (err %v), want 201", r, err)
+	}
+	if err := ms.rdb.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFollowerScansNeverTorn: follower full scans running while the
 // follower applies balance transfers each read exactly one group
 // boundary — the total balance always equals the invariant. Run under

@@ -183,10 +183,10 @@ func TestFollowerCrashMatrix(t *testing.T) {
 					t.Fatal("crash never fired")
 				}
 				// Reboot over the frozen images and redeliver the stream.
-				// A crash mid-snapshot-install leaves a torn image with an
-				// invalidated sidecar; the recovery there is a fresh
-				// snapshot into fresh storage, exactly what a real
-				// follower requests when its position is zero.
+				// A crash mid-snapshot-install leaves an invalidated
+				// sidecar, so the resume installs the snapshot again, as a
+				// real follower at position zero requests; should that
+				// fail, the recovery is a fresh snapshot into fresh storage.
 				if err := applyAll(fault.NewInjector(), dbImg, walImg, statePath); err != nil {
 					if repl.LoadState(statePath) != (repl.State{}) {
 						t.Fatalf("resume failed with a durable position: %v", err)

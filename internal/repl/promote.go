@@ -60,7 +60,9 @@ func (f *Follower) Promote(cfg PromoteConfig) (*Promotion, error) {
 	}
 	// Applying groups never touches the live mapper, which only writers
 	// use: start the first write from the replicated state.
-	f.db.ResetLiveState()
+	if err := f.db.ResetLiveState(); err != nil {
+		return nil, err
+	}
 	// Strictly above both the epoch we followed and anything this node has
 	// ever witnessed, and durable before the first group is published.
 	newEpoch := st.Epoch

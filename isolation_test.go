@@ -411,7 +411,7 @@ func TestFollowerVersionGC(t *testing.T) {
 		}
 		pub := follower.store.Published()
 		for _, g := range gs {
-			if err := follower.ApplyReplicated(g, false); err != nil {
+			if err := follower.ApplyReplicated(g); err != nil {
 				t.Fatal(err)
 			}
 		}

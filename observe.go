@@ -56,19 +56,17 @@ func (db *Database) QueryTraceCtx(ctx context.Context, dml string) (*Result, *ob
 }
 
 func (db *Database) queryTraceCtx(ctx context.Context, dml string, tr *obs.QueryTrace) (*Result, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	poolBefore := db.store.Stats()
-	cacheBefore := db.mapper.CacheStats()
 	// Traced queries read the same pinned-snapshot path as Query.
-	v, exe := db.readView()
+	v, g, exe := db.readView()
 	defer v.Release()
-	res, err := db.queryOn(ctx, dml, exe, tr)
+	cacheBefore := g.mapper.CacheStats()
+	res, err := db.queryOn(ctx, dml, g, exe, tr)
 	if err != nil {
 		return nil, err
 	}
 	poolAfter := db.store.Stats()
-	cacheAfter := db.mapper.CacheStats()
+	cacheAfter := g.mapper.CacheStats()
 	tr.PagerHits = poolAfter.Hits - poolBefore.Hits
 	tr.PagerMisses = poolAfter.Misses - poolBefore.Misses
 	tr.CacheHits = cacheAfter.Hits - cacheBefore.Hits

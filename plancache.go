@@ -8,7 +8,6 @@ import (
 	"sim/internal/catalog"
 	"sim/internal/exec"
 	"sim/internal/lexer"
-	"sim/internal/obs"
 	"sim/internal/parser"
 	"sim/internal/plan"
 	"sim/internal/value"
@@ -45,10 +44,10 @@ const defaultPlanCacheSize = 256
 //
 // Eviction is CLOCK (second chance): a hit only sets the entry's
 // reference bit under the read lock, so concurrent readers never
-// serialize on the cache. The database layer clears the cache whenever
-// the schema — and with it the catalog every plan points into — is
-// rebuilt. A nil *planCache is a valid always-miss cache
-// (Config.PlanCacheSize < 0).
+// serialize on the cache. Every plan points into one schema generation's
+// catalog, so each generation has a cache of its own, starting empty; the
+// hit and miss counts are the database's, across generations. A nil
+// *planCache is a valid always-miss cache (Config.PlanCacheSize < 0).
 type planCache struct {
 	mu   sync.RWMutex
 	cap  int
@@ -56,11 +55,17 @@ type planCache struct {
 	ring []*planEntry // insertion ring the clock hand sweeps
 	hand int
 
+	counts *planCounts
+}
+
+// planCounts counts plan-cache hits and misses across generations.
+type planCounts struct {
 	hits   atomic.Uint64
 	misses atomic.Uint64
-
-	stmts sync.Pool // *stmtShape
 }
+
+// stmtShapes recycles *stmtShape across statements and generations.
+var stmtShapes sync.Pool
 
 // planEntry is immutable once inserted, but for its reference bit.
 type planEntry struct {
@@ -87,14 +92,14 @@ type stmtShape struct {
 	params []value.Value
 }
 
-func newPlanCache(capacity int) *planCache {
+func newPlanCache(capacity int, counts *planCounts) *planCache {
 	if capacity < 0 {
 		return nil
 	}
 	if capacity == 0 {
 		capacity = defaultPlanCacheSize
 	}
-	return &planCache{cap: capacity, m: make(map[string]*planEntry, capacity)}
+	return &planCache{cap: capacity, m: make(map[string]*planEntry, capacity), counts: counts}
 }
 
 // shapeOf normalises dml into a pooled stmtShape; release returns it. Nil
@@ -104,7 +109,7 @@ func (c *planCache) shapeOf(dml string) *stmtShape {
 	if c == nil {
 		return nil
 	}
-	st, _ := c.stmts.Get().(*stmtShape)
+	st, _ := stmtShapes.Get().(*stmtShape)
 	if st == nil {
 		st = &stmtShape{}
 	}
@@ -125,7 +130,7 @@ func (c *planCache) release(st *stmtShape) {
 	// Literal texts and string parameters point into the statement text.
 	clear(st.lits)
 	clear(st.params)
-	c.stmts.Put(st)
+	stmtShapes.Put(st)
 }
 
 // appendValues extends a shape key to a value key: a separator no shape
@@ -238,57 +243,30 @@ func (c *planCache) insert(key string, en *planEntry) {
 	c.m[key] = en
 }
 
-// clear drops every cached plan (schema change invalidation).
-func (c *planCache) clear() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = make(map[string]*planEntry, c.cap)
-	c.ring, c.hand = nil, 0
-}
-
-// resetStats zeroes the hit/miss counters without touching cached plans.
-func (c *planCache) resetStats() {
-	if c == nil {
-		return
-	}
-	c.hits.Store(0)
-	c.misses.Store(0)
-}
-
 // hit and miss count one statement; safe on a nil (disabled) cache, which
 // counts nothing.
 func (c *planCache) hit() {
 	if c != nil {
-		c.hits.Add(1)
+		c.counts.hits.Add(1)
 	}
 }
 
 func (c *planCache) miss() {
 	if c != nil {
-		c.misses.Add(1)
+		c.counts.misses.Add(1)
 	}
 }
 
-func (c *planCache) stats() PlanCacheStats {
+// planStats reports the published generation's plan cache: its entries
+// and the database's hit and miss counts (all zero when caching is
+// disabled).
+func (db *Database) planStats() PlanCacheStats {
+	c := db.gen.Load().plans
 	if c == nil {
 		return PlanCacheStats{}
 	}
 	c.mu.RLock()
 	n := len(c.m)
 	c.mu.RUnlock()
-	return PlanCacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
-}
-
-// registerMetrics publishes the cache counters; safe on a nil (disabled)
-// cache, where the readers report zero.
-func (c *planCache) registerMetrics(r *obs.Registry) {
-	r.CounterFunc("sim_plan_cache_hits_total", "Queries served from a cached plan.",
-		func() float64 { return float64(c.stats().Hits) })
-	r.CounterFunc("sim_plan_cache_misses_total", "Queries that paid parse+bind+optimize+compile.",
-		func() float64 { return float64(c.stats().Misses) })
-	r.GaugeFunc("sim_plan_cache_entries", "Plan-cache entries (plans and shape records).",
-		func() float64 { return float64(c.stats().Entries) })
+	return PlanCacheStats{Hits: c.counts.hits.Load(), Misses: c.counts.misses.Load(), Entries: n}
 }

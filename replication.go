@@ -32,22 +32,19 @@ func (db *Database) SetCommitHook(fn func(wal.CommitGroup) uint64) error {
 }
 
 // SetSchemaHook installs fn to be called with the new schema generation
-// after every successful DefineSchema. The publisher uses it to tell
-// followers to reload their catalogs.
+// after every successful DefineSchema (nil removes it). The publisher uses
+// it to append a schema marker to the stream.
 func (db *Database) SetSchemaHook(fn func(gen uint64)) {
-	db.mu.Lock()
-	db.schemaHook = fn
-	db.mu.Unlock()
+	if fn == nil {
+		db.schemaHook.Store(nil)
+		return
+	}
+	db.schemaHook.Store(&fn)
 }
 
-// SchemaGen returns the schema generation: the number of DDL batches
-// defined so far. A follower compares generations across replicated
-// groups to decide when a catalog reload is needed.
-func (db *Database) SchemaGen() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return uint64(len(db.ddl))
-}
+// SchemaGen returns the schema generation: the number of DDL batches of
+// the published schema.
+func (db *Database) SchemaGen() uint64 { return uint64(len(db.gen.Load().ddl)) }
 
 // ReplSnapshot returns a point-in-time image of the whole database file
 // plus the publisher position it is current as of (pos is read while the
@@ -60,46 +57,64 @@ func (db *Database) ReplSnapshot(pos func() uint64) ([]byte, uint64, error) {
 // ApplyReplicated applies one committed page group shipped from a
 // primary. The store commits the group under a new published stamp, so
 // queries run alongside the apply: one pinned before the group reads the
-// state before it, one after reads all of it. A group that carried a
-// schema-generation change (reloadSchema) also rebuilds the catalog,
-// mapper and executor from the replicated "~schema" structure; such a
-// group takes the statement lock exclusively across the apply and the
-// reload, so no query sees the new stamp with the old catalog.
-func (db *Database) ApplyReplicated(pages []pager.PageImage, reloadSchema bool) error {
-	if !reloadSchema {
-		if len(pages) == 0 {
-			return nil
-		}
-		return db.store.ApplyReplicated(pages)
+// state before it, one after reads all of it. A group that committed a
+// DDL batch also publishes the schema generation it extends (see reload).
+func (db *Database) ApplyReplicated(pages []pager.PageImage) error {
+	if len(pages) == 0 {
+		return nil
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if len(pages) > 0 {
-		if err := db.store.ApplyReplicated(pages); err != nil {
+	return db.store.ApplyReplicated(pages, db.reload(false))
+}
+
+// ApplySnapshot replaces the database with a base image shipped from a
+// primary, as one commit under a new published stamp — statements pinned
+// before it keep reading the state they pinned — and publishes the
+// image's schema.
+func (db *Database) ApplySnapshot(img []byte) error {
+	return db.store.ReplaceImage(img, db.reload(true))
+}
+
+// reload is the prepare step of a replicated commit (see
+// dmsii.Store.ApplyReplicated): under the write latch, with the shipped
+// pages in place, it builds the generation of the "~schema" batches they
+// hold and has the commit publish it just before its stamp, so no reader
+// pins the shipped pages under an older schema. A snapshot install
+// (replace) publishes the image's schema whatever it holds; a group only
+// one that grew past the published generation's batches.
+func (db *Database) reload(replace bool) func(*dmsii.Txn) error {
+	return func(tx *dmsii.Txn) error {
+		// Every shipped state has the structure (a database creates it when
+		// it opens), so opening it here never allocates.
+		st, err := db.store.Structure("~schema")
+		if err != nil {
 			return err
 		}
+		if _, grew, err := st.Get(batchKey(len(db.gen.Load().ddl))); err != nil || !grew && !replace {
+			return err
+		}
+		g, err := db.load()
+		if err != nil {
+			return err
+		}
+		if replace {
+			tx.OnPublish(func() { db.gen.Store(g) })
+		} else {
+			tx.OnPublish(func() { db.publish(g) })
+		}
+		return nil
 	}
-	return db.loadSchema()
 }
 
 // ResetLiveState drops the live mapper's in-memory state — surrogate
-// counters, cached statistics and records — so the first write after a
-// follower's promotion starts from what the replicated groups left rather
-// than from anything cached before them. (The store's live directory
-// handles already follow every applied group.)
-func (db *Database) ResetLiveState() {
-	db.mu.Lock()
-	db.mapper.ResetCaches()
-	db.mu.Unlock()
-}
-
-// ApplySnapshot atomically replaces the database with a base image
-// shipped from a primary and reloads the schema from it.
-func (db *Database) ApplySnapshot(img []byte) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.store.ReplaceImage(img); err != nil {
+// counters and cached statistics — so the first write after a follower's
+// promotion starts from what the replicated groups left rather than from
+// anything cached before them. It runs under the store write latch: a
+// rollback with nothing written takes the store's discard path, which
+// resets the live mapper (see openStore).
+func (db *Database) ResetLiveState() error {
+	tx, err := db.store.Begin()
+	if err != nil {
 		return err
 	}
-	return db.loadSchema()
+	return tx.Rollback()
 }

@@ -25,7 +25,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"sim/internal/ast"
@@ -148,7 +148,8 @@ func (c Config) queryWorkers() int { return c.Workers }
 // a writer's page mutations. Writers serialize on the store's write
 // latch; commit durability (WAL fsync + write-back) happens outside it,
 // so concurrent committers share fsyncs (group commit; see Begin and
-// internal/dmsii).
+// internal/dmsii). No statement takes a database-wide lock: the schema a
+// statement runs under is a published generation (see generation).
 //
 // Context convention: every operation has a context-first form suffixed
 // Ctx (QueryCtx, ExecCtx, ExplainCtx, RunCtx, QueryTraceCtx,
@@ -156,16 +157,12 @@ func (c Config) queryWorkers() int { return c.Workers }
 // Xxx(args) = XxxCtx(context.Background(), args) — a documented one-line
 // wrapper with no behavioral drift between the pair.
 type Database struct {
-	mu     sync.RWMutex
-	store  *dmsii.Store
-	cfg    Config
-	ddl    []string // schema batches, in definition order
-	cat    *catalog.Catalog
-	mapper *luc.Mapper
-	exe    *exec.Executor
-	plans  *planCache
+	store *dmsii.Store
+	cfg   Config
+	gen   atomic.Pointer[generation] // the published schema generation
 
-	schemaHook func(gen uint64) // replication: notified after DefineSchema commits
+	planCounts planCounts                       // plan-cache hits and misses, across generations
+	schemaHook atomic.Pointer[func(gen uint64)] // replication: notified after DefineSchema commits
 
 	reg       *obs.Registry  // unified metric registry (see Metrics)
 	slow      *obs.SlowLog   // queries over Config.SlowQuery
@@ -173,6 +170,25 @@ type Database struct {
 	execHist  *obs.Histogram // sim_update_seconds
 	queryErrs *obs.Counter   // sim_query_errors_total
 	slowCount *obs.Counter   // sim_slow_queries_total
+}
+
+// generation is one published state of the directory — the paper treats
+// the schema as data (§6, ADDS) — and everything built from it: the DDL
+// batches committed so far, their catalog, the live mapper and executor
+// over it, and the plans compiled against them. A generation is immutable
+// once published. The commit that persisted its batch publishes it once
+// durable, just before that commit's stamp — DefineSchema's, or a
+// follower's apply of a group or image carrying batches — and publication
+// is monotonic in the batch count. Data written under a generation
+// therefore commits after the generation was published, so a reader that
+// loads the generation after pinning its read view never decodes a
+// record with a catalog older than the record.
+type generation struct {
+	ddl    []string
+	cat    *catalog.Catalog
+	mapper *luc.Mapper
+	exe    *exec.Executor
+	plans  *planCache
 }
 
 // Open opens (creating if necessary) the database at path; an empty path
@@ -210,7 +226,6 @@ func openStore(store *dmsii.Store, cfg Config) (*Database, error) {
 	db := &Database{
 		store: store,
 		cfg:   cfg,
-		plans: newPlanCache(cfg.PlanCacheSize),
 		reg:   obs.NewRegistry(),
 		slow:  obs.NewSlowLog(cfg.SlowQuery),
 	}
@@ -219,11 +234,17 @@ func openStore(store *dmsii.Store, cfg Config) (*Database, error) {
 	db.queryErrs = db.reg.Counter("sim_query_errors_total", "Retrieve statements that returned an error.")
 	db.slowCount = db.reg.Counter("sim_slow_queries_total", "Queries slower than the configured slow-query threshold.")
 	store.RegisterMetrics(db.reg)
-	db.plans.registerMetrics(db.reg)
-	if err := db.loadSchema(); err != nil {
+	db.registerMetrics()
+	g, err := db.load()
+	if err != nil {
 		store.Close()
 		return nil, err
 	}
+	db.gen.Store(g)
+	// Every discard of uncommitted state — a rollback, the repair after a
+	// failed commit group — runs under the write latch, and resets the live
+	// mapper's surrogate counters and statistics with it.
+	store.SetOnDiscard(func() { db.Mapper().ResetLiveState() })
 	return db, nil
 }
 
@@ -233,46 +254,60 @@ func (db *Database) Close() error {
 	return db.store.Close()
 }
 
-// loadSchema replays persisted DDL batches and rebuilds the catalog,
-// mapper and executor.
-func (db *Database) loadSchema() error {
+// batchKey is the "~schema" key of the i-th DDL batch (0-based).
+func batchKey(i int) []byte { return []byte(fmt.Sprintf("%08d", i)) }
+
+// load builds the generation of the DDL batches in the live "~schema"
+// structure plus ddl, which it stores as the next batch. The caller holds
+// the write latch or owns the store outright.
+func (db *Database) load(ddl ...string) (*generation, error) {
 	st, err := db.store.Structure("~schema")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	c, err := st.First()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var batches []string
 	for ; c.Valid(); c.Next() {
 		batches = append(batches, string(c.Value()))
 	}
 	if err := c.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	return db.rebuild(batches)
+	g, err := db.build(append(batches, ddl...))
+	if err != nil {
+		return nil, err
+	}
+	for i, b := range ddl {
+		if err := st.Put(batchKey(len(batches)+i), []byte(b)); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
 }
 
-// rebuild constructs catalog + mapper + executor from DDL batches.
-func (db *Database) rebuild(batches []string) error {
+// build constructs a generation — catalog, mapper, executor and an empty
+// plan cache — from DDL batches. It publishes nothing.
+func (db *Database) build(batches []string) (*generation, error) {
 	cat := catalog.New()
 	for i, ddl := range batches {
 		sch, err := parser.ParseSchema(ddl)
 		if err != nil {
-			return fmt.Errorf("sim: stored schema batch %d: %w", i, err)
+			return nil, fmt.Errorf("sim: stored schema batch %d: %w", i, err)
 		}
 		if err := cat.Extend(sch); err != nil {
-			return fmt.Errorf("sim: stored schema batch %d: %w", i, err)
+			return nil, fmt.Errorf("sim: stored schema batch %d: %w", i, err)
 		}
 	}
 	mapper, err := luc.New(db.store, cat, db.cfg.Mapping)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	constraints, err := integrity.Analyze(cat)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Validate derived-attribute definitions by probing a binding of each
 	// (their expressions are otherwise only checked at first reference).
@@ -283,103 +318,94 @@ func (db *Database) rebuild(batches []string) error {
 			}
 			probe := &ast.Path{Steps: []ast.PathStep{{Name: a.Name}, {Name: cl.Name}}}
 			if _, err := query.BindScalar(cat, cl, probe); err != nil {
-				return fmt.Errorf("derived attribute %s: %w", a, err)
+				return nil, fmt.Errorf("derived attribute %s: %w", a, err)
 			}
 		}
 	}
 	exe := exec.New(mapper)
 	if err := exe.SetConstraints(constraints); err != nil {
-		return err
+		return nil, err
 	}
 	exe.SetWorkers(db.cfg.queryWorkers())
-	// Owned counters come back identical across rebuilds (totals keep
-	// accumulating); the mapper's func-backed readers are re-pointed at the
-	// fresh instance.
+	// Owned counters come back identical across generations (totals keep
+	// accumulating).
 	exe.SetMetrics(db.reg)
-	mapper.RegisterMetrics(db.reg)
-	db.ddl = batches
-	db.cat = cat
-	db.mapper = mapper
-	db.exe = exe
-	// Every cached plan points into the old catalog and mapper.
-	db.plans.clear()
-	return nil
+	return &generation{ddl: batches, cat: cat, mapper: mapper, exe: exe, plans: newPlanCache(db.cfg.PlanCacheSize, &db.planCounts)}, nil
+}
+
+// publish makes g the generation new statements run under, unless one
+// with as many batches is already published (definers racing past each
+// other's commit).
+func (db *Database) publish(g *generation) {
+	for {
+		cur := db.gen.Load()
+		if len(cur.ddl) >= len(g.ddl) || db.gen.CompareAndSwap(cur, g) {
+			return
+		}
+	}
 }
 
 // DefineSchema parses and applies a DDL text (Type/Class/Subclass/Verify
 // declarations). The schema may be extended incrementally across calls;
 // each batch is validated against everything defined before it and
-// persisted with the database.
+// persisted with the database. The new schema is published once the
+// batch's commit is durable, before its stamp is; statements that started
+// before keep the generation they loaded.
 func (db *Database) DefineSchema(ddl string) error {
-	// Take the substrate write latch before db.mu (the store-wide lock
-	// order), waiting out any transaction in its write phase.
+	// Under the write latch the live "~schema" structure holds every batch
+	// committed before this one, so concurrent definers extend each other
+	// under distinct keys.
 	tx, err := db.store.Begin()
 	if err != nil {
 		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	batches := append(append([]string(nil), db.ddl...), ddl)
-	prev := struct {
-		cat *catalog.Catalog
-		m   *luc.Mapper
-		e   *exec.Executor
-	}{db.cat, db.mapper, db.exe}
-	if err := db.rebuild(batches); err != nil {
-		db.revertSchema(prev.cat, prev.m, prev.e, batches)
-		tx.Rollback()
-		return err
-	}
-	// Persist the batch.
-	st, err := db.store.Structure("~schema")
+	g, err := db.load(ddl)
 	if err != nil {
 		tx.Rollback()
 		return err
 	}
-	key := fmt.Sprintf("%08d", len(db.ddl)-1)
-	if err := st.Put([]byte(key), []byte(ddl)); err != nil {
-		tx.Rollback()
-		db.revertSchema(prev.cat, prev.m, prev.e, batches)
-		return err
-	}
+	tx.OnPublish(func() { db.publish(g) })
 	if err := tx.Commit(); err != nil {
-		// The batch never became durable (e.g. a poisoned WAL). Revert the
-		// in-memory schema too, or this database would answer queries
-		// against classes that vanish on reopen.
-		db.revertSchema(prev.cat, prev.m, prev.e, batches)
 		return err
 	}
-	if db.schemaHook != nil {
+	if hook := db.schemaHook.Load(); hook != nil {
 		// The batch's page images are already published (the commit hook ran
 		// inside tx.Commit), so followers see the marker after the pages.
-		db.schemaHook(uint64(len(db.ddl)))
+		(*hook)(uint64(len(g.ddl)))
 	}
 	return nil
 }
 
-// revertSchema restores the pre-DefineSchema engine state after a failed
-// validation or persist.
-func (db *Database) revertSchema(cat *catalog.Catalog, m *luc.Mapper, e *exec.Executor, batches []string) {
-	db.cat, db.mapper, db.exe = cat, m, e
-	db.ddl = batches[:len(batches)-1]
-	db.plans.clear()
+// Catalog exposes the published schema catalog for introspection.
+func (db *Database) Catalog() *catalog.Catalog { return db.gen.Load().cat }
+
+// Mapper exposes the published generation's live LUC Mapper (advanced
+// use: statistics, direct scans).
+func (db *Database) Mapper() *luc.Mapper { return db.gen.Load().mapper }
+
+// registerMetrics publishes the counters that outlive a generation: the
+// plan cache's, and the LUC record cache's of the published mapper.
+func (db *Database) registerMetrics() {
+	r := db.reg
+	r.CounterFunc("sim_plan_cache_hits_total", "Queries served from a cached plan.",
+		func() float64 { return float64(db.planStats().Hits) })
+	r.CounterFunc("sim_plan_cache_misses_total", "Queries that paid parse+bind+optimize+compile.",
+		func() float64 { return float64(db.planStats().Misses) })
+	r.GaugeFunc("sim_plan_cache_entries", "Plan-cache entries (plans and shape records).",
+		func() float64 { return float64(db.planStats().Entries) })
+	r.CounterFunc("sim_luc_cache_hits_total", "LUC decoded-record cache hits.",
+		func() float64 { return float64(db.Mapper().CacheStats().Hits) })
+	r.CounterFunc("sim_luc_cache_misses_total", "LUC decoded-record cache misses.",
+		func() float64 { return float64(db.Mapper().CacheStats().Misses) })
 }
-
-// Catalog exposes the schema catalog for introspection.
-func (db *Database) Catalog() *catalog.Catalog { return db.cat }
-
-// Mapper exposes the LUC Mapper (advanced use: statistics, direct scans).
-func (db *Database) Mapper() *luc.Mapper { return db.mapper }
 
 // Stats returns engine counters. It is safe to call while queries run.
 func (db *Database) Stats() Stats {
-	db.mu.RLock()
-	mapper, reg := db.mapper, db.reg
-	db.mu.RUnlock()
+	reg := db.reg
 	return Stats{
 		Pool:  db.store.Stats(),
-		Plans: db.plans.stats(),
-		Cache: mapper.CacheStats(),
+		Plans: db.planStats(),
+		Cache: db.Mapper().CacheStats(),
 		WAL:   db.store.WALStats(),
 		Exec: ExecStats{
 			Queries:   uint64(reg.Get("sim_exec_queries_total")),
@@ -403,12 +429,10 @@ func (db *Database) Stats() Stats {
 // page-count gauge, replication positions/lag gauges and the slow-query
 // log are cumulative and survive a reset.
 func (db *Database) ResetStats() {
-	db.mu.RLock()
-	mapper := db.mapper
-	db.mu.RUnlock()
 	db.store.ResetStats()
-	db.plans.resetStats()
-	mapper.ResetCacheStats()
+	db.planCounts.hits.Store(0)
+	db.planCounts.misses.Store(0)
+	db.Mapper().ResetCacheStats()
 	db.reg.ResetCounters()
 }
 
@@ -441,42 +465,41 @@ func (db *Database) QueryCtx(ctx context.Context, dml string) (*Result, error) {
 }
 
 func (db *Database) queryCtx(ctx context.Context, dml string) (*Result, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	v, exe := db.readView()
+	v, g, exe := db.readView()
 	defer v.Release()
-	return db.queryOn(ctx, dml, exe, nil)
+	return db.queryOn(ctx, dml, g, exe, nil)
 }
 
 // viewAttachment is what the database layer attaches to a read view: the
-// executor the view's statements run on, and the live executor it was
-// derived from.
+// executor the view's statements run on, and the generation it was built
+// under.
 type viewAttachment struct {
-	of  *exec.Executor
+	of  *generation
 	exe *exec.Executor
 }
 
 // readView pins the latest committed version stamp for a statement: it
 // takes a reference on the store's current read view — released by the
-// caller exactly once — and returns it with the executor that reads it.
-// The statement traverses page versions as of the view's stamp, never
-// blocking on — or being torn by — a concurrent transaction's write
-// phase. Every read outside a transaction that has written starts here.
-// The caller holds db.mu (read suffices).
-func (db *Database) readView() (*dmsii.View, *exec.Executor) {
+// caller exactly once — and returns it with the published generation and
+// the executor that reads the view under it. The statement traverses page
+// versions as of the view's stamp, never blocking on — or being torn by —
+// a concurrent transaction's write phase. Every read outside a
+// transaction that has written starts here.
+func (db *Database) readView() (*dmsii.View, *generation, *exec.Executor) {
 	v := db.store.AcquireView()
-	return v, db.viewExec(v)
+	g := db.gen.Load() // after the pin: never older than the data it reads
+	return v, g, g.viewExec(v)
 }
 
-// viewExec returns the executor reading v. It is built once per view and
-// schema — a snapshot mapper and an executor over it — and attached to
-// the view, so every statement at one published stamp shares it; a
-// schema change since makes it rebuild. The caller holds db.mu.
-func (db *Database) viewExec(v *dmsii.View) *exec.Executor {
-	if a, ok := v.Attached().(*viewAttachment); ok && a.of == db.exe {
+// viewExec returns the executor reading v under g. It is built once per
+// view and generation — a snapshot mapper and an executor over it — and
+// attached to the view, so every statement at one published stamp shares
+// it; a generation published since makes it rebuild.
+func (g *generation) viewExec(v *dmsii.View) *exec.Executor {
+	if a, ok := v.Attached().(*viewAttachment); ok && a.of == g {
 		return a.exe
 	}
-	a := &viewAttachment{of: db.exe, exe: db.exe.View(db.mapper.View(v))}
+	a := &viewAttachment{of: g, exe: g.exe.View(g.mapper.View(v))}
 	v.Attach(a)
 	return a.exe
 }
@@ -489,15 +512,15 @@ func (db *Database) viewExec(v *dmsii.View) *exec.Executor {
 // caches the result for the shape and runs it on its own literals. The
 // cache is shared across views: compiled programs read all data through
 // the running executor's mapper, so one cached program serves every
-// snapshot. When tr is non-nil the parse, plan and execute spans are
-// recorded and execution is traced. The caller holds db.mu (read
-// suffices).
-func (db *Database) queryOn(ctx context.Context, dml string, exe *exec.Executor, tr *obs.QueryTrace) (*Result, error) {
-	st := db.plans.shapeOf(dml)
-	defer db.plans.release(st)
-	if en := db.plans.lookup(st); en != nil {
+// snapshot. The cache and the catalog are g's, the generation exe runs
+// under. When tr is non-nil the parse, plan and execute spans are
+// recorded and execution is traced.
+func (db *Database) queryOn(ctx context.Context, dml string, g *generation, exe *exec.Executor, tr *obs.QueryTrace) (*Result, error) {
+	st := g.plans.shapeOf(dml)
+	defer g.plans.release(st)
+	if en := g.plans.lookup(st); en != nil {
 		if params, ok := en.bind(st); ok {
-			db.plans.hit()
+			g.plans.hit()
 			if tr != nil {
 				tr.PlanCached = true
 			}
@@ -506,7 +529,7 @@ func (db *Database) queryOn(ctx context.Context, dml string, exe *exec.Executor,
 		// A literal that does not fit its slot's declared type: the cold
 		// path reports it the way it always was.
 	}
-	db.plans.miss()
+	g.plans.miss()
 	parseStart := time.Now()
 	stmt, err := parser.ParseStmt(dml)
 	if err != nil {
@@ -520,18 +543,18 @@ func (db *Database) queryOn(ctx context.Context, dml string, exe *exec.Executor,
 		tr.Parse = time.Since(parseStart)
 	}
 	planStart := time.Now()
-	p, err := db.planRetrieveOn(ret, exe.Mapper())
+	p, err := planRetrieveOn(g.cat, ret, exe.Mapper())
 	if err != nil {
 		return nil, err
 	}
 	if tr != nil {
 		tr.Plan = time.Since(planStart)
 	}
-	prog, err := db.exe.Compile(p)
+	prog, err := g.exe.Compile(p)
 	if err != nil {
 		return nil, err
 	}
-	db.plans.put(st, p, prog)
+	g.plans.put(st, p, prog)
 	return runPlan(ctx, exe, p, prog, nil, tr)
 }
 
@@ -549,12 +572,12 @@ func runPlan(ctx context.Context, exe *exec.Executor, p *plan.Plan, prog *exec.P
 	return res, err
 }
 
-// planRetrieveOn binds and optimizes a parsed Retrieve under the read
-// lock, reading optimizer statistics through the given mapper — a
-// snapshot view when the caller reads a snapshot, so planning never
-// touches live pages concurrently with a writer.
-func (db *Database) planRetrieveOn(ret *ast.RetrieveStmt, m *luc.Mapper) (*plan.Plan, error) {
-	tree, err := query.Bind(db.cat, ret)
+// planRetrieveOn binds a parsed Retrieve against cat and optimizes it,
+// reading optimizer statistics through the given mapper — a snapshot view
+// when the caller reads a snapshot, so planning never touches live pages
+// concurrently with a writer.
+func planRetrieveOn(cat *catalog.Catalog, ret *ast.RetrieveStmt, m *luc.Mapper) (*plan.Plan, error) {
+	tree, err := query.Bind(cat, ret)
 	if err != nil {
 		return nil, err
 	}
@@ -562,9 +585,10 @@ func (db *Database) planRetrieveOn(ret *ast.RetrieveStmt, m *luc.Mapper) (*plan.
 }
 
 // runRetrieveOn plans, compiles and runs one Retrieve on the given
-// executor, bypassing the plan cache (the script path; see RunCtx).
-func (db *Database) runRetrieveOn(ctx context.Context, ret *ast.RetrieveStmt, exe *exec.Executor) (*Result, error) {
-	p, err := db.planRetrieveOn(ret, exe.Mapper())
+// executor of generation g, bypassing the plan cache (the script path;
+// see RunCtx).
+func runRetrieveOn(ctx context.Context, ret *ast.RetrieveStmt, g *generation, exe *exec.Executor) (*Result, error) {
+	p, err := planRetrieveOn(g.cat, ret, exe.Mapper())
 	if err != nil {
 		return nil, err
 	}
@@ -594,11 +618,9 @@ func (db *Database) ExplainCtx(ctx context.Context, dml string) (string, error) 
 	if !ok {
 		return "", fmt.Errorf("sim: Explain wants a Retrieve statement")
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	v, exe := db.readView()
+	v, g, exe := db.readView()
 	defer v.Release()
-	p, err := db.planRetrieveOn(ret, exe.Mapper())
+	p, err := planRetrieveOn(g.cat, ret, exe.Mapper())
 	if err != nil {
 		return "", err
 	}
@@ -710,20 +732,19 @@ func (db *Database) RunCtx(ctx context.Context, script string) ([]*Result, error
 			}
 			out = append(out, nil)
 		case *ast.RetrieveStmt:
-			db.mu.RLock()
 			var r *Result
 			var err error
 			if tx != nil {
 				// Inside a BEGIN block the Retrieve reads the transaction's
 				// view: the Begin-time snapshot, or — once the block wrote —
 				// its own uncommitted writes.
-				r, err = db.runRetrieveOn(ctx, s, tx.readViewLocked())
+				g, exe := tx.reader()
+				r, err = runRetrieveOn(ctx, s, g, exe)
 			} else {
-				v, exe := db.readView()
-				r, err = db.runRetrieveOn(ctx, s, exe)
+				v, g, exe := db.readView()
+				r, err = runRetrieveOn(ctx, s, g, exe)
 				v.Release()
 			}
-			db.mu.RUnlock()
 			if err != nil {
 				return fail(err)
 			}
@@ -745,9 +766,7 @@ func (db *Database) RunCtx(ctx context.Context, script string) ([]*Result, error
 // CheckIntegrity re-verifies every VERIFY assertion against every entity
 // of its class, reporting the first violation.
 func (db *Database) CheckIntegrity() error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	v, exe := db.readView()
+	v, _, exe := db.readView()
 	defer v.Release()
 	return exe.CheckAll()
 }
@@ -790,8 +809,6 @@ func (db *Database) Scrub() (ScrubReport, error) {
 // the counts the paper reports for ADDS (§6): base classes, subclasses,
 // EVA-inverse pairs, DVAs and maximum generalization depth.
 func (db *Database) SchemaSummary() string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	var base, subs, dvas, pairs int
 	maxDepth := 0
 	seenPair := map[*catalog.Attribute]bool{}
@@ -805,7 +822,7 @@ func (db *Database) SchemaSummary() string {
 		}
 		return d
 	}
-	for _, cl := range db.cat.Classes() {
+	for _, cl := range db.Catalog().Classes() {
 		if cl.IsBase() {
 			base++
 		} else {

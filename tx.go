@@ -161,23 +161,22 @@ func (tx *Tx) Query(ctx context.Context, dml string) (*Result, error) {
 }
 
 func (tx *Tx) query(ctx context.Context, dml string) (*Result, error) {
-	db := tx.db
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.queryOn(ctx, dml, tx.readViewLocked(), nil)
+	g, exe := tx.reader()
+	return tx.db.queryOn(ctx, dml, g, exe, nil)
 }
 
-// readViewLocked returns the executor this transaction's reads run on.
-// A transaction that has written holds the store write latch until it
-// finishes, so reading the live pages is stable and sees its own writes;
-// before the first write (and for read-only transactions) reads go
-// through the view pinned at Begin, on the executor shared by every
-// reader of that view. The caller holds db.mu (read suffices).
-func (tx *Tx) readViewLocked() *exec.Executor {
+// reader returns the published generation and the executor this
+// transaction's reads run on. A transaction that has written holds the
+// store write latch until it finishes, so reading the live pages is
+// stable and sees its own writes; before the first write (and for
+// read-only transactions) reads go through the view pinned at Begin, on
+// the executor shared by every reader of that view.
+func (tx *Tx) reader() (*generation, *exec.Executor) {
+	g := tx.db.gen.Load()
 	if tx.view == nil {
-		return tx.db.exe
+		return g, g.exe
 	}
-	return tx.db.viewExec(tx.view)
+	return g, g.viewExec(tx.view)
 }
 
 // Exec executes one update statement (Insert, Modify or Delete) inside
@@ -222,18 +221,10 @@ func (tx *Tx) Commit() error {
 	if tx.txn == nil {
 		return nil // read-only: nothing to apply
 	}
-	if err := tx.txn.Commit(); err != nil {
-		// The commit group never became durable (e.g. a poisoned WAL) and
-		// the substrate discarded — or will discard — the uncommitted
-		// pages. The record caches may still hold this transaction's
-		// entities; drop them — under db.mu, excluding concurrent
-		// executors — so reads go back to the durable pages.
-		tx.db.mu.Lock()
-		tx.db.mapper.ResetCaches()
-		tx.db.mu.Unlock()
-		return err
-	}
-	return nil
+	// A commit group that never became durable (e.g. a poisoned WAL) is
+	// discarded at the store's next write-latch acquisition, and the live
+	// mapper's state with it (see openStore).
+	return tx.txn.Commit()
 }
 
 // CommitTraced is Commit with a span breakdown: it returns where the
@@ -266,10 +257,7 @@ func (tx *Tx) Rollback() error {
 	if tx.txn == nil {
 		return nil
 	}
-	if !tx.wrote {
-		return tx.txn.Rollback()
-	}
-	return tx.discard()
+	return tx.txn.Rollback()
 }
 
 // ReadOnly reports whether the transaction was opened with the ReadOnly
@@ -314,11 +302,8 @@ func latchBase(cl *catalog.Class) string {
 // waits. Resolution errors are ignored here and surface from the real
 // execution.
 func (tx *Tx) checkTargets(ctx context.Context, stmt ast.Stmt) error {
-	db := tx.db
-	db.mu.RLock()
-	exe := tx.readViewLocked()
+	_, exe := tx.reader()
 	cl, surrs, err := exe.UpdateTargets(ctx, stmt)
-	db.mu.RUnlock()
 	if err != nil || cl == nil || len(surrs) == 0 {
 		return nil
 	}
@@ -365,14 +350,15 @@ func (tx *Tx) execStmt(ctx context.Context, stmt ast.Stmt) (int, error) {
 		// that includes this transaction's own writes.
 		tx.releaseView()
 	}
-	db := tx.db
-	db.mu.RLock()
-	exe := db.exe
+	// Loaded under the write latch: a generation published from here on
+	// extends this one, and its live mapper reads the same pages.
+	g := tx.db.gen.Load()
+	exe := g.exe
 	if !tx.auto {
 		// Record every entity the statement writes — its targets, EVA
 		// partners, entities displaced by a UNIQUE reassignment, fresh
 		// entities — for the conflict checks of queued transactions.
-		exe = db.exe.View(db.mapper.WithOnWrite(func(base *catalog.Class, s value.Surrogate) {
+		exe = g.exe.View(g.mapper.WithOnWrite(func(base *catalog.Class, s value.Surrogate) {
 			tx.txn.RecordWrite(latchBase(base), uint64(s))
 		}))
 	}
@@ -386,7 +372,6 @@ func (tx *Tx) execStmt(ctx context.Context, stmt ast.Stmt) (int, error) {
 	case *ast.DeleteStmt:
 		n, err = exe.Delete(ctx, s)
 	}
-	db.mu.RUnlock()
 	if err != nil {
 		// The statement ran as the write-latch holder, which never
 		// conflicts: every error here aborts.
@@ -400,19 +385,8 @@ func (tx *Tx) execStmt(ctx context.Context, stmt ast.Stmt) (int, error) {
 func (tx *Tx) abort(cause error) error {
 	tx.err = fmt.Errorf("%w: %w", ErrTxAborted, cause)
 	tx.releaseView()
-	if derr := tx.discard(); derr != nil {
+	if derr := tx.txn.Rollback(); derr != nil {
 		return fmt.Errorf("%w (rollback also failed: %v)", cause, derr)
 	}
 	return cause
-}
-
-// discard rolls back the substrate transaction and resets the record
-// caches, excluding readers (db.mu) so no page is pinned mid-discard.
-// The caller holds the write latch (tx.wrote), which orders before db.mu.
-func (tx *Tx) discard() error {
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	err := tx.txn.Rollback()
-	tx.db.mapper.ResetCaches()
-	return err
 }

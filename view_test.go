@@ -15,11 +15,11 @@ import (
 )
 
 // Every read outside a writing transaction shares the store's current
-// read view: one pin, snapshot mapper and executor per published stamp,
-// store generation and schema. These tests pin the contract that sharing
-// has to keep: a read sees every commit, schema change and page
-// replacement that returned before it, and one holder's finish never
-// drops another holder's reference.
+// read view: one pin, snapshot mapper and executor per published stamp
+// and schema generation. These tests pin the contract that sharing has to
+// keep: a read sees every commit, schema change and snapshot install that
+// returned before it, and one holder's finish never drops another
+// holder's reference.
 
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
@@ -161,10 +161,11 @@ func TestReadViewSeesSchemaChange(t *testing.T) {
 	}
 }
 
-// TestReadViewSeesResnapshot: a follower installing a base image keeps
-// its published stamp, so only the store generation tells the view built
-// before the install from the pages after it. A read right after the
-// install sees the replaced pages.
+// TestReadViewSeesResnapshot: a follower installing a base image commits
+// it under a new published stamp, like any applied group, so the view
+// built before the install goes stale with it. A read right after the
+// install sees the replaced pages; a read-only transaction begun before
+// it keeps reading the state it pinned.
 func TestReadViewSeesResnapshot(t *testing.T) {
 	primary := gcDB(t)
 	follower, err := Open(filepath.Join(t.TempDir(), "follower.sim"), Config{})
@@ -186,14 +187,23 @@ func TestReadViewSeesResnapshot(t *testing.T) {
 	if got := acctBal(t, follower.QueryCtx, 1); got != "100" {
 		t.Fatalf("follower bal=%s, want 100", got)
 	}
+	ctx := context.Background()
+	ro, err := follower.Begin(ctx, ReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Rollback()
 	stamp := follower.store.Published()
 	mustExec(t, primary, `Modify acct (bal := 7) Where id = 1.`)
 	install()
-	if got := follower.store.Published(); got != stamp {
-		t.Fatalf("follower stamp moved %d → %d; the test needs pages replaced under one stamp", stamp, got)
+	if got := follower.store.Published(); got <= stamp {
+		t.Fatalf("follower stamp %d → %d; the install must publish a new one", stamp, got)
 	}
 	if got := acctBal(t, follower.QueryCtx, 1); got != "7" {
 		t.Fatalf("follower read after resnapshot: bal=%s, want 7", got)
+	}
+	if got := acctBal(t, ro.Query, 1); got != "100" {
+		t.Fatalf("read-only tx begun before the resnapshot: bal=%s, want 100", got)
 	}
 }
 
