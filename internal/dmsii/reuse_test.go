@@ -54,24 +54,7 @@ func TestSnapshotReadsUnderBufferReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	st, err := s.Structure("acct")
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([][]byte, reuseAccounts)
-	tx, err := s.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range keys {
-		keys[i] = rowKey(i)
-		if err := st.Put(keys[i], reuseValue(keys[i], reuseOpening)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	keys := openAccounts(t, s)
 	const total = reuseAccounts * reuseOpening
 
 	stop := make(chan struct{})
@@ -83,7 +66,7 @@ func TestSnapshotReadsUnderBufferReuse(t *testing.T) {
 		defer close(stop)
 		rng := rand.New(rand.NewSource(1))
 		for n := 0; n < reuseTransfers; n++ {
-			if err := transfer(s, st, keys, rng, n%4 == 3); err != nil {
+			if err := transfer(s, keys, rng, n%4 == 3); err != nil {
 				errs <- err
 				return
 			}
@@ -117,12 +100,44 @@ func TestSnapshotReadsUnderBufferReuse(t *testing.T) {
 	}
 }
 
-// transfer moves a random amount between two accounts in one commit. With
-// abort set it also opens copy-on-write cycles on a few pages without
-// changing them, and rolls the whole transaction back.
-func transfer(s *Store, st *Structure, keys [][]byte, rng *rand.Rand, abort bool) error {
+// openAccounts commits the opening balance of every account and returns
+// the account keys.
+func openAccounts(t *testing.T, s *Store) [][]byte {
+	t.Helper()
 	tx, err := s.Begin()
 	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Structure("acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]byte, reuseAccounts)
+	for i := range keys {
+		keys[i] = rowKey(i)
+		if err := st.Put(keys[i], reuseValue(keys[i], reuseOpening)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
+// transfer moves a random amount between two accounts in one commit. With
+// abort set it also opens copy-on-write cycles on a few pages without
+// changing them, and rolls the whole transaction back. It opens the
+// accounts structure under the write latch: a rollback drops the live
+// structure handles.
+func transfer(s *Store, keys [][]byte, rng *rand.Rand, abort bool) error {
+	tx, err := s.Begin()
+	if err != nil {
+		return err
+	}
+	st, err := s.Structure("acct")
+	if err != nil {
+		tx.Rollback()
 		return err
 	}
 	from, to := keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]

@@ -99,6 +99,11 @@ type Store struct {
 	conflicts  atomic.Uint64
 	needsReset atomic.Bool // a commit group failed; discard before next write
 	onDiscard  func()      // see SetOnDiscard
+
+	// auditCapture, when a test sets it, sees every commit snapshot right
+	// after its capture (writeBack false) and again just before its
+	// write-back (writeBack true).
+	auditCapture func(snap *pager.Snapshot, writeBack bool)
 }
 
 // Options configures Open.
@@ -221,8 +226,21 @@ func (s *Store) initialize() error {
 	if err := s.setDirRoot(dir.Root()); err != nil {
 		return err
 	}
-	// Persist the empty database shell.
-	return s.commitPages()
+	// Persist the empty database shell through the commit path: capture,
+	// journal, write back, publish. The format stamp must be published, or
+	// a view pinned at stamp 0 would find the shell's pages captured at a
+	// newer stamp with no older version to read.
+	snap := s.pool.Snapshot()
+	if s.log != nil {
+		if err := s.log.Commit(snap.Frames()); err != nil {
+			return err
+		}
+	}
+	if err := s.pool.WriteBack(snap); err != nil {
+		return err
+	}
+	s.pool.Publish(snap.Stamp())
+	return nil
 }
 
 func (s *Store) setDirRoot(id pager.PageID) error {
@@ -599,7 +617,8 @@ func (tx *Txn) releaseWrite() {
 }
 
 // Commit durably applies the transaction. The write phase ends at the
-// commit snapshot: the dirty page images are copied and their WAL batch
+// commit snapshot: the dirty page images are captured (shared with their
+// frames, not copied; see pager.Pool.Snapshot) and their WAL batch
 // enqueued while the write latch is still held (so batches hit the log in
 // write-phase order), then the latch is released and the committer waits
 // for its group's fsync — the next writer executes while this fsync is in
@@ -621,6 +640,9 @@ func (tx *Txn) Commit() error {
 	if snap.Len() == 0 {
 		tx.releaseWrite()
 		return nil
+	}
+	if s.auditCapture != nil {
+		s.auditCapture(snap, false)
 	}
 	s.pendMu.Lock()
 	s.pending = append(s.pending, snap)
@@ -667,6 +689,9 @@ func (tx *Txn) Commit() error {
 	s.retireStale()
 	s.flightTxn.Load().Event("txn", "commit", tx.id, 0, int64(snap.Len()), "")
 	s.awaitHead(snap)
+	if s.auditCapture != nil {
+		s.auditCapture(snap, true)
+	}
 	werr := s.pool.WriteBack(snap)
 	s.removePending(snap)
 	if werr != nil {
@@ -754,20 +779,6 @@ func (s *Store) resetUncommitted() error {
 	}
 	s.needsReset.Store(false)
 	return nil
-}
-
-// commitPages is the serial commit used when formatting a new database:
-// journal all dirty pages, then write them back.
-func (s *Store) commitPages() error {
-	if s.log != nil {
-		if err := s.log.Commit(s.pool.DirtyPages()); err != nil {
-			if derr := s.discardUncommitted(); derr != nil {
-				return fmt.Errorf("%w (and discarding the failed transaction: %v)", err, derr)
-			}
-			return err
-		}
-	}
-	return s.pool.WriteBackDirty()
 }
 
 // discardUncommitted drops all dirty pool state and reattaches the

@@ -130,7 +130,7 @@ func TestPoolCleanEviction(t *testing.T) {
 		ids = append(ids, f.ID)
 		p.Release(f)
 	}
-	if err := p.WriteBackDirty(); err != nil {
+	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	// Now clean; filling the pool evicts them without writes.
@@ -163,7 +163,7 @@ func TestPoolDiscardDirty(t *testing.T) {
 	p.MarkDirty(f)
 	id := f.ID
 	p.Release(f)
-	if err := p.WriteBackDirty(); err != nil {
+	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	// Dirty it again, then discard.
@@ -228,7 +228,7 @@ func TestAllocateAtZeroes(t *testing.T) {
 	p.MarkDirty(f)
 	id := f.ID
 	p.Release(f)
-	if err := p.WriteBackDirty(); err != nil {
+	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	g, err := p.AllocateAt(id)

@@ -1,10 +1,11 @@
 package pager
 
 import (
+	"cmp"
 	"container/list"
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +30,8 @@ type Stats struct {
 
 // Frame is a pinned page in the pool. Callers must Release every frame
 // they Get, Prepare frames before mutating them in place, and MarkDirty
-// frames they mutated. The pins/dirty/gen/unc/shared/elem fields are
-// guarded by the owning shard's mutex.
+// frames they mutated. The pins/dirty/gen/unc/shared/listed/elem fields
+// are guarded by the owning shard's mutex.
 //
 // A Frame is also the handle of a snapshot read (ViewPage fills one,
 // EndView ends it); such a handle is never pinned and only its ID and
@@ -44,6 +45,7 @@ type Frame struct {
 	shared bool          // Data came back off the version chain (rollback), where uncounted readers may hold it
 	gen    uint64        // bumped on every MarkDirty/Allocate; see Snapshot
 	capGen uint64        // gen when last captured by a Snapshot
+	listed bool          // on its shard's dirty list
 	elem   *list.Element // position in the shard LRU list when unpinned
 
 	// readers counts snapshot reads between ViewPage and EndView that were
@@ -73,10 +75,18 @@ const poolShards = 8
 // shard is one independently locked slice of the pool with its own LRU.
 // versions and stamps outlive the frames: a page's version chain and its
 // latest commit stamp stay valid while the frame itself is evicted.
+//
+// dirty lists every frame that is dirty or holds uncommitted bytes (a
+// frame joins when a write cycle opens on it: Allocate, AllocateAt,
+// Prepare, MarkDirty), plus entries a walk has yet to drop — frames since
+// written back and closed, or no longer resident. Commit, rollback and
+// checkpoint walk this list instead of frames, so their cost follows the
+// pages written since the last walk, not the pool's size.
 type shard struct {
 	mu       sync.Mutex
 	capacity int
 	frames   map[PageID]*Frame
+	dirty    []*Frame
 	lru      *list.List               // unpinned frames, least recently used at front
 	versions map[PageID][]pageVersion // committed pre-images, ascending stamp
 	stamps   map[PageID]uint64        // latest commit stamp that captured the page (absent = 0, "as old as the file")
@@ -141,6 +151,35 @@ func NewPool(file File, capacity int) (*Pool, error) {
 }
 
 func (p *Pool) shardOf(id PageID) *shard { return &p.shards[uint32(id)%poolShards] }
+
+// listLocked puts f on the shard's dirty list unless it is there already.
+func (sh *shard) listLocked(f *Frame) {
+	if !f.listed {
+		f.listed = true
+		sh.dirty = append(sh.dirty, f)
+	}
+}
+
+// resident reports whether f is still the shard's frame for its page; a
+// listed frame that was evicted, discarded or cut off is a stale entry.
+func (sh *shard) resident(f *Frame) bool { return sh.frames[f.ID] == f }
+
+// compactLocked ends a walk of the dirty list: it drops the entries no
+// longer resident and the frames that are clean with no write cycle open,
+// and keeps the rest in order.
+func (sh *shard) compactLocked() {
+	n := 0
+	for _, f := range sh.dirty {
+		if sh.resident(f) && (f.dirty || f.unc) {
+			sh.dirty[n] = f
+			n++
+		} else {
+			f.listed = false
+		}
+	}
+	clear(sh.dirty[n:])
+	sh.dirty = sh.dirty[:n]
+}
 
 // lock acquires a shard mutex through the contention profile: an
 // uncontended TryLock adds one atomic to the hot path; a contended
@@ -232,6 +271,7 @@ func (p *Pool) Allocate() (*Frame, error) {
 	f.dirty = true
 	f.unc = true
 	f.gen++
+	sh.listLocked(f)
 	return f, nil
 }
 
@@ -267,6 +307,7 @@ func (p *Pool) AllocateAt(id PageID) (*Frame, error) {
 	}
 	f.dirty = true
 	f.gen++
+	sh.listLocked(f)
 	return f, nil
 }
 
@@ -275,8 +316,9 @@ func (p *Pool) AllocateAt(id PageID) (*Frame, error) {
 // frame per commit cycle pushes the current committed image onto the
 // page's version chain — tagged with the stamp of the commit that produced
 // it — and swaps in a private copy for the writer, so every buffer a
-// reader may hold stays immutable (copy-on-write by buffer swap). Later
-// Prepares in the same cycle are no-ops until Snapshot captures the frame.
+// reader or a pending commit snapshot may hold stays immutable
+// (copy-on-write by buffer swap). Later Prepares in the same cycle are
+// no-ops until Snapshot captures the frame.
 func (p *Pool) Prepare(f *Frame) {
 	sh := p.shardOf(f.ID)
 	p.lock(sh)
@@ -285,6 +327,7 @@ func (p *Pool) Prepare(f *Frame) {
 		return
 	}
 	f.unc = true
+	sh.listLocked(f)
 	old := f.Data
 	nd := make([]byte, PageSize)
 	copy(nd, old)
@@ -572,58 +615,51 @@ func (p *Pool) Release(f *Frame) {
 
 // MarkDirty records that the frame's contents changed. Every call bumps
 // the frame's dirty generation, so a commit snapshot taken between two
-// mutations can tell whether the frame changed again after it was copied.
+// mutations can tell whether the frame changed again after it was
+// captured.
 func (p *Pool) MarkDirty(f *Frame) {
 	sh := p.shardOf(f.ID)
 	p.lock(sh)
 	defer sh.mu.Unlock()
 	f.dirty = true
 	f.gen++
-}
-
-// DirtyPages returns the ids and contents of all dirty frames, sorted by
-// id. The WAL uses this at commit to journal page images.
-func (p *Pool) DirtyPages() []*Frame {
-	var out []*Frame
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if f.dirty {
-				out = append(out, f)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	sh.listLocked(f)
 }
 
 // DiscardDirty drops every dirty frame from the pool, so subsequent reads
-// observe the last durable contents. Frames must be unpinned. Page
-// allocations since the last clean point are rolled back by resetting the
-// next-allocation cursor to the file's size. This implements transaction
-// abort for the commit-journal WAL scheme.
+// observe the last durable contents, and closes the copy-on-write cycle of
+// every frame it keeps. Frames must be unpinned. Page allocations since
+// the last clean point are rolled back by resetting the next-allocation
+// cursor to the file's size. This implements transaction abort for the
+// commit-journal WAL scheme.
 func (p *Pool) DiscardDirty() error {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		for id, f := range sh.frames {
+		var err error
+		for _, f := range sh.dirty {
+			if !sh.resident(f) {
+				continue
+			}
 			if !f.dirty {
 				p.repairCleanLocked(sh, f)
 				continue
 			}
 			if f.pins > 0 {
-				sh.mu.Unlock()
-				return fmt.Errorf("pager: DiscardDirty: page %d still pinned", id)
+				err = fmt.Errorf("pager: DiscardDirty: page %d still pinned", f.ID)
+				break
 			}
 			if f.elem != nil {
 				sh.lru.Remove(f.elem)
 				f.elem = nil
 			}
-			delete(sh.frames, id)
+			delete(sh.frames, f.ID)
 		}
+		sh.compactLocked()
 		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	n, err := p.file.NumPages()
 	if err != nil {
@@ -704,26 +740,20 @@ func (p *Pool) Shrink(n uint32, since uint64) error {
 	return nil
 }
 
-// WriteBackDirty writes every dirty frame to the file without syncing and
-// clears the dirty bits. Called at commit after the WAL has journaled the
-// same images: clean frames may then be evicted safely, and a crash is
-// repaired by WAL replay.
-func (p *Pool) WriteBackDirty() error {
-	return p.writeDirty()
-}
-
-// snapPage is one dirty frame captured by Snapshot: the frame, the dirty
-// generation at capture time, and a private copy of its bytes.
+// snapPage is one dirty frame captured by Snapshot: the frame, its dirty
+// generation at capture time, and the buffer it held then. The buffer is
+// shared with the frame, not copied; see Snapshot for why it cannot
+// change before WriteBack has written it.
 type snapPage struct {
 	f    *Frame
 	gen  uint64
 	data []byte
 }
 
-// Snapshot is a point-in-time copy of the pool's dirty frames, taken at
-// commit. The copies are what the WAL journals and what WriteBack later
-// writes to the database file, so the committing transaction's images
-// stay stable even while later transactions re-dirty the same frames.
+// Snapshot is the set of page images one commit captured from the pool's
+// dirty frames. The images are what the WAL journals and what WriteBack
+// later writes to the database file, and they stay stable even while
+// later transactions re-dirty the same frames.
 type Snapshot struct {
 	pages []snapPage
 	stamp uint64
@@ -737,8 +767,9 @@ func (s *Snapshot) Stamp() uint64 { return s.stamp }
 // Len returns the number of captured pages.
 func (s *Snapshot) Len() int { return len(s.pages) }
 
-// Frames returns the snapshot as detached frames (copied data), sorted by
-// page id — the shape the WAL journals.
+// Frames returns the snapshot as detached frames sorted by page id — the
+// shape the WAL journals. Their Data are the captured images themselves,
+// which stay unchanged (see Snapshot).
 func (s *Snapshot) Frames() []*Frame {
 	out := make([]*Frame, len(s.pages))
 	for i, sp := range s.pages {
@@ -748,35 +779,45 @@ func (s *Snapshot) Frames() []*Frame {
 }
 
 // Snapshot captures the dirty frames the committing transaction changed:
-// a copy of each frame's bytes plus its dirty generation, sorted by page
-// id. A dirty frame whose generation is unchanged since an earlier
-// snapshot captured it is skipped — that predecessor's commit already
-// journaled the identical image (and its queued WriteBack will write it),
-// so re-capturing would only grow WAL batches with the depth of the
-// commit pipeline. Replay stays correct because WAL batches are appended
-// in commit order: a durable batch implies every predecessor batch is
-// durable too. The caller must hold the store's write latch so no writer
-// mutates frames mid-copy; concurrent readers are fine.
+// each frame's buffer and dirty generation, sorted by page id. It walks
+// the shards' dirty lists, not their frames, so its cost follows the pages
+// written since the last walk. A dirty frame whose generation is unchanged
+// since an earlier snapshot captured it is skipped — that predecessor's
+// commit already journaled the identical image (and its queued WriteBack
+// will write it), so re-capturing would only grow WAL batches with the
+// depth of the commit pipeline. Replay stays correct because WAL batches
+// are appended in commit order: a durable batch implies every predecessor
+// batch is durable too. The caller must hold the store's write latch so
+// no writer mutates frames mid-capture; concurrent readers are fine.
+//
+// The capture shares each frame's buffer instead of copying it, which is
+// safe by the invariant snapshot readers already rely on: once Snapshot
+// closes the frame's copy-on-write cycle (clears unc), no one writes that
+// buffer in place again. The next writer's Prepare swaps a fresh buffer
+// into the frame and pushes the captured one onto the version chain,
+// where it is never written or reused; AllocateAt re-buffers likewise.
+// And the captured frame stays dirty until WriteBack writes this image,
+// so eviction, which recycles only clean frames' buffers, cannot hand the
+// buffer to another page while the WAL or the write-back still needs it.
 func (p *Pool) Snapshot() *Snapshot {
 	snap := &Snapshot{stamp: p.stampSeq.Add(1)}
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if f.dirty && f.gen != f.capGen {
+		for _, f := range sh.dirty {
+			if sh.resident(f) && f.dirty && f.gen != f.capGen {
 				f.capGen = f.gen
-				data := make([]byte, len(f.Data))
-				copy(data, f.Data)
-				snap.pages = append(snap.pages, snapPage{f: f, gen: f.gen, data: data})
+				snap.pages = append(snap.pages, snapPage{f: f, gen: f.gen, data: f.Data})
 				// The frame now holds this commit's image: stamp it and
 				// end the copy-on-write cycle Prepare opened.
 				sh.stamps[f.ID] = snap.stamp
 				f.unc = false
 			}
 		}
+		sh.compactLocked()
 		sh.mu.Unlock()
 	}
-	sort.Slice(snap.pages, func(i, j int) bool { return snap.pages[i].f.ID < snap.pages[j].f.ID })
+	slices.SortFunc(snap.pages, func(a, b snapPage) int { return cmp.Compare(a.f.ID, b.f.ID) })
 	return snap
 }
 
@@ -812,28 +853,34 @@ func (p *Pool) FlushAll() error {
 	return p.file.Sync()
 }
 
+// writeDirty writes every listed dirty frame to the file and closes every
+// listed frame's copy-on-write cycle. Every caller holds the store write
+// latch with the commit pipeline drained, so frame contents are
+// committed: a cycle left open (Prepared and never re-dirtied) would keep
+// the frame invisible to snapshot reads forever.
 func (p *Pool) writeDirty() error {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		for _, f := range sh.frames {
+		var err error
+		for _, f := range sh.dirty {
+			if !sh.resident(f) {
+				continue
+			}
 			if f.dirty {
 				p.pageWrites.Add(1)
-				if err := p.file.WritePage(f.ID, f.Data); err != nil {
-					sh.mu.Unlock()
-					return err
+				if err = p.file.WritePage(f.ID, f.Data); err != nil {
+					break
 				}
 				f.dirty = false
 			}
-			// Every caller holds the store write latch with the commit
-			// pipeline drained, so frame contents are committed: end any
-			// copy-on-write cycle still open (format-time allocations are
-			// written outside a transaction and never pass through
-			// Snapshot), or the frame would stay invisible to snapshot
-			// reads forever.
 			f.unc = false
 		}
+		sh.compactLocked()
 		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

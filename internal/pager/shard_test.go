@@ -26,7 +26,7 @@ func TestPoolConcurrentReaders(t *testing.T) {
 		ids = append(ids, f.ID)
 		p.Release(f)
 	}
-	if err := p.WriteBackDirty(); err != nil {
+	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +82,7 @@ func TestPoolShardedEvictionBounded(t *testing.T) {
 		}
 		p.MarkDirty(f)
 		p.Release(f)
-		if err := p.WriteBackDirty(); err != nil {
+		if err := p.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
 	}

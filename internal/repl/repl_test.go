@@ -128,6 +128,22 @@ func waitConverged(t *testing.T, pdb, rdb *sim.Database, q string) {
 	}
 }
 
+// waitQuiescent waits until db has no open transaction. A follower
+// publishes an applied group or snapshot image before that commit's
+// write-back ends, so a converged follower may still be finishing the
+// commit that converged it — and Scrub refuses to run beside an open
+// transaction.
+func waitQuiescent(t *testing.T, db *sim.Database) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for db.Metrics().Snapshot()["sim_txn_active"] != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("a transaction stayed open for 30 s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func mustExec(t *testing.T, db *sim.Database, stmt string) {
 	t.Helper()
 	if _, err := db.Exec(stmt); err != nil {

@@ -278,7 +278,8 @@ func (l *Log) Commit(frames []*pager.Frame) error {
 // containing it. Batches are flushed in enqueue order, so callers that
 // must preserve commit order (the store's commit pipeline) serialize
 // their Enqueue calls. The frame images must stay unchanged until Wait
-// returns (the store passes detached snapshot copies).
+// returns (the store passes the buffers its commit snapshot captured,
+// which no writer touches again; see pager.Pool.Snapshot).
 func (l *Log) Enqueue(frames []*pager.Frame) *Pending {
 	return l.EnqueueTraced(frames, 0, nil)
 }
@@ -430,7 +431,8 @@ func (l *Log) flush(batch []*pendingCommit) {
 // order plus the request IDs that rode the group. Hooks run under the
 // flush lock, so they observe groups in commit order; they must be fast
 // (they extend the commit path) and must copy the image bytes before
-// returning — the Data slices alias the committers' snapshot buffers.
+// returning — the Data slices alias the committers' snapshot buffers,
+// which are frame buffers the pool may reuse once written back.
 // The returned value is the replication position the group published at
 // (0 when unreplicated), copied into each member's CommitTrace. The
 // replication publisher is the only intended client.
