@@ -54,6 +54,12 @@ func dumpFlightOnFailure(t *testing.T, dbp **Database) {
 	f.Close()
 }
 
+// walRecordSize is one WAL page record, header (13 bytes) and image: a
+// commit group's write torn after it stops exactly on a record boundary.
+// The other torn sizes: 0 = clean cut at the op boundary, 13 = inside a
+// WAL record header, PageSize+1 = inside a page slot's data.
+const walRecordSize = 13 + pager.PageSize
+
 const crashMatrixSchema = `Class Item ( num: integer unique required; tag: string[16] );`
 
 // crashStep is one transaction of the crash-matrix workload plus a model
@@ -96,8 +102,14 @@ func prefixState(k int, steps []crashStep) map[string]string {
 	return m
 }
 
+// crashCheckpointAfter is the transaction after which the crash workloads
+// checkpoint: the WAL starts its second cycle over the first one's bytes,
+// so every later crash boundary tears a group over old-cycle records.
+const crashCheckpointAfter = 3
+
 // runCrashWorkload runs the workload until the first failure, returning
-// the number of steps (schema batch = step 1) that reported success.
+// the number of steps (schema batch = step 1) that reported success. A
+// checkpoint partway through is not a step.
 func runCrashWorkload(inj *fault.Injector, dbImg, walImg *pager.MemByteFile) int {
 	db, err := openFaultDB(inj, dbImg, walImg)
 	if err != nil {
@@ -107,11 +119,14 @@ func runCrashWorkload(inj *fault.Injector, dbImg, walImg *pager.MemByteFile) int
 		return 0
 	}
 	done := 1
-	for _, st := range crashMatrixSteps() {
+	for i, st := range crashMatrixSteps() {
 		if _, err := db.Exec(st.dml); err != nil {
 			break
 		}
 		done++
+		if i+1 == crashCheckpointAfter && db.Checkpoint() != nil {
+			break
+		}
 	}
 	return done
 }
@@ -154,6 +169,8 @@ func equalState(a, b map[string]string) bool {
 // that reported success, plus at most the one in flight (which is
 // allowed to have become durable if the crash landed after its WAL
 // sync). Scrub and CheckIntegrity must pass on every recovered image.
+// The workload checkpoints partway through, so the boundaries after it
+// crash over a reused WAL.
 //
 // By default the matrix samples every third boundary; SIM_CRASH_MATRIX=full
 // (the CI crash-matrix job) covers every boundary.
@@ -183,9 +200,7 @@ func TestCrashMatrix(t *testing.T) {
 	if os.Getenv("SIM_CRASH_MATRIX") == "full" {
 		stride = 1
 	}
-	// Torn sizes: 0 = clean cut at the op boundary, 13 = inside a WAL
-	// record header, PageSize+1 = inside a page slot's data.
-	tornSizes := []int{0, 13, pager.PageSize + 1}
+	tornSizes := []int{0, 13, pager.PageSize + 1, walRecordSize}
 
 	var cur *Database // most recently rebooted database, for the failure dump
 	defer dumpFlightOnFailure(t, &cur)
@@ -262,7 +277,9 @@ func TestCrashMatrix(t *testing.T) {
 //   - every recovered row must be one the workload actually issued, and
 //   - each explicit transaction's two rows recover both-or-neither.
 //
-// CheckIntegrity and Scrub must pass on every recovered image.
+// CheckIntegrity and Scrub must pass on every recovered image. The
+// explicit-transaction writer checkpoints partway through, concurrently
+// with the other writers, so later boundaries crash over a reused WAL.
 func TestCrashMatrixConcurrent(t *testing.T) {
 	const (
 		autoWriters = 3
@@ -350,6 +367,9 @@ func TestCrashMatrixConcurrent(t *testing.T) {
 				}
 				ack(a, atag)
 				ack(b, btag)
+				if p+1 == pairs/2 && db.Checkpoint() != nil {
+					return
+				}
 			}
 		}()
 		wg.Wait()
@@ -396,7 +416,7 @@ func TestCrashMatrixConcurrent(t *testing.T) {
 	defer dumpFlightOnFailure(t, &cur)
 	runs := 0
 	for c := uint64(2); c <= totalOps; c += stride {
-		for _, torn := range []int{0, 13} {
+		for _, torn := range []int{0, 13, walRecordSize} {
 			runs++
 			name := fmt.Sprintf("crash at op %d torn %d", c, torn)
 			inj := fault.NewInjector()

@@ -42,6 +42,12 @@ var magic = [8]byte{'S', 'I', 'M', 'D', 'B', '0', '0', '1'}
 // checkpoint at commit.
 const checkpointThreshold = 8 << 20
 
+// walKeep is the WAL file length a checkpoint keeps for the next log
+// cycle to overwrite: the threshold plus one ordinary commit group. A
+// file one very large group (a bulk load, a snapshot install) left
+// longer is cut back to it.
+const walKeep = checkpointThreshold + 128<<10
+
 // Store is an open database file: a directory of named structures plus the
 // transaction machinery. The live structures are the write-latch holder's;
 // dirMu serializes the live structure directory. Everyone else reads
@@ -280,7 +286,8 @@ func (s *Store) Close() error {
 	return s.file.Close()
 }
 
-// Checkpoint makes the database file current and truncates the WAL. It
+// Checkpoint makes the database file current and starts a new WAL cycle
+// (see wal.Log.Reset). It
 // takes the store write latch itself, so callers must not hold it; open
 // transactions block it until they finish.
 func (s *Store) Checkpoint() error {
@@ -292,8 +299,9 @@ func (s *Store) Checkpoint() error {
 	return s.checkpointLocked()
 }
 
-// checkpointLocked flushes the pool and truncates the WAL; the caller
-// holds the write latch with the commit pipeline drained.
+// checkpointLocked flushes the pool and resets the WAL, which keeps its
+// file for the next cycle to overwrite; the caller holds the write latch
+// with the commit pipeline drained.
 func (s *Store) checkpointLocked() error {
 	start := time.Now()
 	if err := s.pool.FlushAll(); err != nil {
@@ -307,7 +315,7 @@ func (s *Store) checkpointLocked() error {
 	}
 	s.pool.SweepVersions()
 	if s.log != nil {
-		if err := s.log.Truncate(); err != nil {
+		if err := s.log.Reset(walKeep); err != nil {
 			return err
 		}
 	}

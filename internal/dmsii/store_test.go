@@ -8,6 +8,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sim/internal/pager"
+	"sim/internal/wal"
 )
 
 func memStore(t *testing.T) *Store {
@@ -432,7 +435,10 @@ func TestNotADatabaseFile(t *testing.T) {
 	}
 }
 
-func TestCheckpointTruncatesWAL(t *testing.T) {
+// A checkpoint empties the WAL logically — no bytes in its cycle, and a
+// reopen replays nothing and salvages nothing — while the file keeps its
+// blocks for the next cycle to overwrite, within the kept length.
+func TestCheckpointResetsWAL(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.sim")
 	s, err := OpenFile(path, Options{})
@@ -444,15 +450,31 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 	st, _ := s.Structure("d")
 	put(t, st, "k", "v")
 	tx.Commit()
+	before, err := os.Stat(path + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	if n := s.log.Size(); n != 0 {
+		t.Errorf("wal cycle after checkpoint holds %d bytes, want 0", n)
 	}
 	fi, err := os.Stat(path + ".wal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() != 0 {
-		t.Errorf("wal size after checkpoint = %d, want 0", fi.Size())
+	if fi.Size() != before.Size() || fi.Size() > walKeep {
+		t.Errorf("wal file after checkpoint = %d bytes, want the %d it had (kept length %d)", fi.Size(), before.Size(), walKeep)
+	}
+	l, err := wal.Open(path + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	info, err := l.Recover(pager.NewMemFile())
+	if err != nil || info.Replayed != 0 || info.Salvaged {
+		t.Errorf("reopened wal after checkpoint: %+v, %v; want nothing replayed or salvaged", info, err)
 	}
 }
 

@@ -19,7 +19,10 @@ import (
 // then a published stamp and write-back) before the sidecar is rewritten,
 // so a crash before the save resumes at the previous position and
 // re-receives a group the database may already contain — harmless,
-// because page-image application is idempotent. A snapshot install is a
+// because page-image application is idempotent. The save overwrites the
+// sidecar's 32 bytes in place; a crash that tears it leaves a record
+// that fails its CRC and loads as the zero State, so the follower
+// re-snapshots — always safe, never a wrong position. A snapshot install is a
 // commit too, but the sidecar is invalidated before it: once the image is
 // durable the old position describes another database, so a crash before
 // the new position is saved restarts from position 0 and requests a fresh

@@ -20,8 +20,8 @@
 // assigned monotonically from 1 per run, so a follower may resume a
 // stream only when both epoch and run match, and a restarted primary's
 // fresh counter can never be confused with history a follower applied
-// before the restart. The WAL's own sequence numbers reset at every
-// checkpoint truncation, which is exactly why the Publisher keeps its own
+// before the restart. The WAL's own sequence numbers restart whenever the
+// log is reopened, which is exactly why the Publisher keeps its own
 // counter: a position survives checkpoints, and "position no longer
 // available" (evicted from the in-memory ring, or from another epoch or
 // run) is answered with a fresh snapshot rather than an error.

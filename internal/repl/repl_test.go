@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -223,6 +224,47 @@ func TestStateSidecarRoundTrip(t *testing.T) {
 	}
 	if got := repl.LoadState(path); got != want {
 		t.Fatalf("load = %+v, want %+v", got, want)
+	}
+}
+
+// A sidecar garbled in place — a torn overwrite — loads as the zero State,
+// and one of the wrong length is repaired by a single save.
+func TestStateSidecarGarbledOrTooLong(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.repl")
+	want := repl.State{Epoch: 3, Run: 9, Pos: 41}
+	if err := repl.SaveState(path, want); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil || len(b) != 32 {
+		t.Fatalf("sidecar = %d bytes, %v; want 32", len(b), err)
+	}
+	for _, off := range []int{0, 4, 20, 31} {
+		g := append([]byte(nil), b...)
+		g[off] ^= 0x10
+		if err := os.WriteFile(path, g, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st := repl.LoadState(path); st != (repl.State{}) {
+			t.Fatalf("sidecar garbled at byte %d loaded as %+v", off, st)
+		}
+	}
+
+	if err := os.WriteFile(path, append(b, make([]byte, 100)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st := repl.LoadState(path); st != (repl.State{}) {
+		t.Fatalf("overlong sidecar loaded as %+v", st)
+	}
+	want.Pos++
+	if err := repl.SaveState(path, want); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 32 {
+		t.Fatalf("sidecar after save: %v; want 32 bytes", err)
+	}
+	if got := repl.LoadState(path); got != want {
+		t.Fatalf("load after repair = %+v, want %+v", got, want)
 	}
 }
 

@@ -27,7 +27,11 @@ const stateMagic = "SIMR"
 // length check and loads as the zero State, costing one re-snapshot.
 const stateSize = 32
 
-// SaveState durably writes the sidecar at path.
+// SaveState durably writes the sidecar at path. It overwrites the 32
+// bytes in place and syncs, so once the file exists a save flushes data
+// only, never a truncated-and-regrown file's metadata. A torn overwrite
+// fails the CRC and loads as the zero State (see LoadState). A file of
+// any other length, which would never load, is cut to stateSize.
 func SaveState(path string, st State) error {
 	var buf [stateSize]byte
 	copy(buf[:4], stateMagic)
@@ -35,19 +39,33 @@ func SaveState(path string, st State) error {
 	binary.BigEndian.PutUint64(buf[12:20], st.Run)
 	binary.BigEndian.PutUint64(buf[20:28], st.Pos)
 	binary.BigEndian.PutUint32(buf[28:32], crc32.ChecksumIEEE(buf[:28]))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf[:]); err != nil {
-		f.Close()
+	err = writeState(f, buf[:])
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeState overwrites the head of f with buf, cuts f to stateSize when
+// it has any other length, and syncs.
+func writeState(f *os.File, buf []byte) error {
+	if _, err := f.WriteAt(buf, 0); err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	fi, err := f.Stat()
+	if err != nil {
 		return err
 	}
-	return f.Close()
+	if fi.Size() != stateSize {
+		if err := f.Truncate(stateSize); err != nil {
+			return err
+		}
+	}
+	return f.Sync()
 }
 
 // LoadState reads the sidecar at path. A missing, short, or corrupt file

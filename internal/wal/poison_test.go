@@ -58,16 +58,16 @@ func TestFailedSyncPoisonsLog(t *testing.T) {
 		t.Errorf("commits counted = %d, want 1", got)
 	}
 
-	// Truncate discards the tail of unknown durability and clears the
+	// Reset discards the tail of unknown durability and clears the
 	// poison; commits may resume.
-	if err := l.Truncate(); err != nil {
+	if err := l.Reset(1 << 20); err != nil {
 		t.Fatal(err)
 	}
 	if l.Poisoned() != nil {
-		t.Error("poison survived Truncate")
+		t.Error("poison survived Reset")
 	}
 	if err := l.Commit([]*pager.Frame{frame(4, 0x04)}); err != nil {
-		t.Fatalf("commit after truncate: %v", err)
+		t.Fatalf("commit after reset: %v", err)
 	}
 }
 

@@ -3,11 +3,23 @@
 //
 // The protocol pairs with the no-steal buffer pool in internal/pager:
 // uncommitted pages never reach the database file, so the log only needs
-// REDO information. At commit, the images of all dirty pages are appended
-// followed by a commit record, and the log is synced; the pool may then
-// lazily write the pages to the database file. Recovery replays every
-// complete committed batch in order and truncates the log. A checkpoint
-// (flush all pages + sync + truncate) bounds log growth.
+// REDO information. At commit, the images of all dirty pages are written
+// at the log's tail followed by a commit record, and the log is synced;
+// the pool may then lazily write the pages to the database file. Recovery
+// replays every complete committed batch in order and starts a new log
+// cycle. A checkpoint (flush all pages + sync + Reset) bounds log growth.
+//
+// Log cycles: the file opens with a header naming the current cycle, and
+// every record's CRC is seeded with that cycle. Reset starts the next
+// cycle in place — it rewrites the header and moves the tail back to the
+// first record — but keeps the file's blocks, so after the first cycle a
+// commit overwrites blocks the file already owns and its fsync flushes
+// data only, not the metadata of a growing file. Records of earlier
+// cycles lie past the tail; they never validate under the current seed,
+// so a torn group can never be completed by a stale record that happens
+// to sit where its next record would. Every flush ends with an end record
+// that the next flush overwrites: a scan that stops at it found a clean
+// tail, and a scan that stops anywhere else found a torn group.
 //
 // Commits are grouped (DeWitt et al., "Implementation Techniques for Main
 // Memory Database Systems"): committers Enqueue their encoded batches and
@@ -20,17 +32,21 @@
 // subsequent Commit fails with an error wrapping ErrPoisoned instead of
 // silently journaling past a hole of unknown durability (the "fsyncgate"
 // lesson: after one failed fsync the page cache may have dropped the dirty
-// data, so retrying the sync can falsely succeed). Truncate clears the
-// poison, because it discards the bytes of unknown state; the store layer
-// only truncates after making the database file durable by other means.
+// data, so retrying the sync can falsely succeed). Reset clears the
+// poison, because it discards the bytes of unknown state: on a poisoned
+// log it truncates the file to zero before the next cycle starts, so no
+// block of unknown state is reused. The store layer only resets after
+// making the database file durable by other means.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -50,14 +66,23 @@ const maxKeptBuf = 128 << 10
 const (
 	recPage   = 1
 	recCommit = 2
+	recEnd    = 3 // the tail of the log; the next flush overwrites it
 )
 
 // header: kind(1) pageID(4) payloadLen(4) crc(4) = 13 bytes, then payload.
+// The CRC covers the first 9 header bytes and the payload, seeded with the
+// log cycle (cycleSeed).
 const headerSize = 13
+
+// The log header at offset 0: magic(8) cycle(8) crc32(4). The current
+// cycle's records follow it.
+const logHeaderSize = 20
+
+var logMagic = [8]byte{'S', 'I', 'M', 'W', 'A', 'L', '0', '1'}
 
 // ErrPoisoned is wrapped by every Commit rejected because an earlier
 // append or fsync failed, leaving the log tail in an unknown durable
-// state. Reopening the log (which re-runs recovery) or truncating it
+// state. Reopening the log (which re-runs recovery) or resetting it
 // clears the condition.
 var ErrPoisoned = errors.New("wal: log poisoned by an earlier append/sync failure")
 
@@ -65,9 +90,9 @@ var ErrPoisoned = errors.New("wal: log poisoned by an earlier append/sync failur
 type Stats struct {
 	Commits   uint64 // committed batches journaled
 	Pages     uint64 // page images appended
-	Bytes     uint64 // bytes appended
-	SizeBytes int64  // current log length
-	Salvages  uint64 // torn tails truncated during recovery
+	Bytes     uint64 // bytes written by commit groups
+	SizeBytes int64  // bytes in the current log cycle
+	Salvages  uint64 // torn groups discarded during recovery
 	Syncs     uint64 // fsyncs performed (one per commit group)
 	GroupMax  uint64 // largest commit group synced so far
 }
@@ -85,12 +110,12 @@ func (s Stats) FsyncsSaved() uint64 {
 type RecoverInfo struct {
 	Replayed  int   // page images written back to the database file
 	Commits   int   // committed groups replayed (a group is ≥1 batch)
-	Salvaged  bool  // a torn/corrupt tail was detected and discarded
-	ValidTo   int64 // byte offset of the last complete committed batch
-	Discarded int64 // torn-tail bytes discarded past ValidTo
+	Salvaged  bool  // a torn/corrupt group of the current cycle was discarded
+	ValidTo   int64 // end of the last complete committed batch, in cycle bytes
+	Discarded int64 // bytes past ValidTo up to the end of the rejected record
 }
 
-// Log is an append-only commit journal with group commit: concurrent
+// Log is a commit journal with group commit: concurrent
 // committers enqueue their page batches and the first of them to reach
 // the flush lock becomes the leader, merging the whole queue into one
 // WAL transaction (deduplicated page images + a single commit record)
@@ -98,7 +123,10 @@ type RecoverInfo struct {
 // Stats and metric collection are safe while commits run.
 type Log struct {
 	f    pager.ByteFile
-	size atomic.Int64
+	size atomic.Int64 // bytes in the current cycle, the end record excluded
+
+	cycle uint64 // current log cycle; guarded by flushMu
+	seed  uint32 // the cycle's CRC seed; guarded by flushMu
 
 	mu     sync.Mutex // guards poison state
 	poison error      // non-nil after a failed append/sync
@@ -107,7 +135,7 @@ type Log struct {
 	queue []*pendingCommit
 
 	flushMu  sync.Mutex                     // held by the group leader during write+sync
-	seq      uint64                         // group sequence number; guarded by flushMu
+	seq      uint64                         // group sequence number, kept across cycles; guarded by flushMu
 	buf      []byte                         // the group being encoded, reused across flushes; guarded by flushMu
 	onCommit func(CommitGroup) uint64       // replication hook; guarded by flushMu
 	latch    *obs.Latch                     // leader hand-off contention (always on)
@@ -167,21 +195,105 @@ func Open(path string) (*Log, error) {
 
 // OpenBacking opens a log over arbitrary byte storage: the path every
 // durable database takes via Open, and the hook the fault-injection
-// harness uses to script append/sync failures and crashes.
+// harness uses to script append/sync failures and crashes. It finds the
+// tail of the current cycle: the end of its last complete committed
+// group. An empty file, or one whose header a crash tore, is truncated to
+// zero and starts cycle 1, since with no cycle to check against, any
+// record in it could pass for current. Any other file without a valid
+// header is not a log of this format and fails to open.
 func OpenBacking(f pager.ByteFile) (*Log, error) {
-	size, err := f.Size()
-	if err != nil {
-		return nil, fmt.Errorf("wal: size: %w", err)
-	}
 	l := &Log{f: f, latch: obs.NewLatch("wal_flush")}
-	l.size.Store(size)
+	var hdr [logHeaderSize]byte
+	n, err := f.ReadAt(hdr[:], 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("wal: read header: %w", err)
+	}
+	cycle, ok := parseLogHeader(hdr[:n])
+	if !ok {
+		if !tornHeader(hdr[:n]) {
+			return nil, errors.New("wal: no log header: not a log of this format " +
+				"(a log of an older format must be emptied by a clean close of the build that wrote it)")
+		}
+		if n > 0 {
+			if err := f.Truncate(0); err != nil {
+				return nil, fmt.Errorf("wal: truncate: %w", err)
+			}
+		}
+		if err := l.startCycle(); err != nil {
+			return nil, err
+		}
+		return l, nil
+	}
+	l.setCycle(cycle)
+	// A malformed record past the tail fails Recover, which reports it.
+	info, _ := l.scan(nil)
+	l.size.Store(info.ValidTo)
 	return l, nil
+}
+
+// parseLogHeader returns the cycle a log header names, or false when hdr
+// is short or fails its magic or CRC.
+func parseLogHeader(hdr []byte) (uint64, bool) {
+	if len(hdr) < logHeaderSize || [8]byte(hdr[:8]) != logMagic {
+		return 0, false
+	}
+	if crc32.ChecksumIEEE(hdr[:16]) != binary.BigEndian.Uint32(hdr[16:20]) {
+		return 0, false
+	}
+	return binary.BigEndian.Uint64(hdr[8:16]), true
+}
+
+// tornHeader reports whether hdr, which failed parseLogHeader, can be
+// what a crash left of a header write. Every header carries the same
+// magic, so a torn one keeps a prefix of it, or zeros where the file grew
+// but the write never reached the disk.
+func tornHeader(hdr []byte) bool {
+	m := hdr[:min(len(hdr), len(logMagic))]
+	return bytes.HasPrefix(logMagic[:], m) || bytes.Equal(m, make([]byte, len(m)))
+}
+
+// setCycle makes cycle current.
+func (l *Log) setCycle(cycle uint64) {
+	l.cycle = cycle
+	l.seed = cycleSeed(cycle)
+}
+
+// cycleSeed is the CRC seed of cycle's records.
+func cycleSeed(cycle uint64) uint32 {
+	return crc32.ChecksumIEEE(binary.BigEndian.AppendUint64(nil, cycle))
+}
+
+// appendLogHeader encodes the log header naming cycle onto buf.
+func appendLogHeader(buf []byte, cycle uint64) []byte {
+	buf = append(buf, logMagic[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, cycle)
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(buf)-16:]))
+}
+
+// startCycle begins the next cycle at the head of the file: one write of
+// the header and of an end record where the first group will go, then a
+// sync. A failure poisons the log, since the header on disk may no longer
+// name the cycle later groups would be sealed with.
+func (l *Log) startCycle() error {
+	l.setCycle(l.cycle + 1)
+	buf := appendLogHeader(make([]byte, 0, logHeaderSize+headerSize), l.cycle)
+	buf = appendRecord(buf, l.seed, recEnd, 0, nil)
+	if _, err := l.f.WriteAt(buf, 0); err != nil {
+		l.setPoison(err)
+		return fmt.Errorf("wal: write header: %w", err)
+	}
+	if err := l.f.Sync(); err != nil {
+		l.setPoison(err)
+		return fmt.Errorf("wal: sync header: %w", err)
+	}
+	return nil
 }
 
 // Close closes the log file.
 func (l *Log) Close() error { return l.f.Close() }
 
-// Size returns the current log length in bytes.
+// Size returns the bytes of the current log cycle: what commits have
+// journaled since the last Reset. The file itself may be longer.
 func (l *Log) Size() int64 { return l.size.Load() }
 
 // Poisoned returns the poisoning cause, or nil while the log is healthy.
@@ -220,11 +332,11 @@ func (l *Log) RegisterMetrics(r *obs.Registry) {
 		func() float64 { return float64(l.commits.Load()) })
 	r.CounterFunc("sim_wal_pages_total", "Page images appended to the WAL.",
 		func() float64 { return float64(l.pages.Load()) })
-	r.CounterFunc("sim_wal_bytes_total", "Bytes appended to the WAL.",
+	r.CounterFunc("sim_wal_bytes_total", "Bytes written to the WAL by commit groups.",
 		func() float64 { return float64(l.bytes.Load()) })
-	r.GaugeFunc("sim_wal_size_bytes", "Current WAL length (truncated at checkpoints).",
+	r.GaugeFunc("sim_wal_size_bytes", "Bytes in the current WAL cycle (reset at checkpoints; the file keeps its blocks).",
 		func() float64 { return float64(l.size.Load()) })
-	r.CounterFunc("sim_wal_salvage_truncations_total", "Torn or corrupt WAL tails discarded during recovery.",
+	r.CounterFunc("sim_wal_salvage_truncations_total", "Torn or corrupt groups of the current WAL cycle discarded during recovery.",
 		func() float64 { return float64(l.salvages.Load()) })
 	r.CounterFunc("sim_wal_syncs_total", "Fsyncs performed; one per commit group, not per commit.",
 		func() float64 { return float64(l.syncs.Load()) })
@@ -251,12 +363,12 @@ func (l *Log) RegisterMetrics(r *obs.Registry) {
 
 // appendRecord encodes one record onto buf and returns the extended
 // slice: header (kind, page id, payload length, CRC32 over both and the
-// payload) followed by the payload.
-func appendRecord(buf []byte, kind byte, pageID pager.PageID, payload []byte) []byte {
+// payload, seeded with the cycle's seed) followed by the payload.
+func appendRecord(buf []byte, seed uint32, kind byte, pageID pager.PageID, payload []byte) []byte {
 	buf = append(buf, kind)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(pageID))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	crc := crc32.ChecksumIEEE(buf[len(buf)-9:])
+	crc := crc32.Update(seed, crc32.IEEETable, buf[len(buf)-9:])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
 	buf = binary.BigEndian.AppendUint32(buf, crc)
 	return append(buf, payload...)
@@ -268,7 +380,7 @@ func appendRecord(buf []byte, kind byte, pageID pager.PageID, payload []byte) []
 // sync failure the log is poisoned: the failed batch is not acknowledged
 // (it may or may not survive a crash, depending on how many of its bytes
 // reached the disk), and every later Commit fails with ErrPoisoned until
-// the log is truncated or reopened.
+// the log is reset or reopened.
 func (l *Log) Commit(frames []*pager.Frame) error {
 	return l.Enqueue(frames).Wait()
 }
@@ -360,19 +472,20 @@ func (l *Log) flush(batch []*pendingCommit) {
 			last[fr.ID] = fr.Data
 		}
 	}
-	buf := slices.Grow(l.buf[:0], len(order)*(headerSize+pager.PageSize)+headerSize+8)
+	buf := slices.Grow(l.buf[:0], len(order)*(headerSize+pager.PageSize)+2*headerSize+8)
 	for _, id := range order {
-		buf = appendRecord(buf, recPage, id, last[id])
+		buf = appendRecord(buf, l.seed, recPage, id, last[id])
 	}
 	l.seq++
 	var seqb [8]byte
 	binary.BigEndian.PutUint64(seqb[:], l.seq)
-	buf = appendRecord(buf, recCommit, 0, seqb[:])
+	buf = appendRecord(buf, l.seed, recCommit, 0, seqb[:])
+	buf = appendRecord(buf, l.seed, recEnd, 0, nil)
 	if cap(buf) <= maxKeptBuf {
 		l.buf = buf
 	}
 	ioStart := time.Now()
-	if _, err := l.f.WriteAt(buf, l.size.Load()); err != nil {
+	if _, err := l.f.WriteAt(buf, logHeaderSize+l.size.Load()); err != nil {
 		l.setPoison(err)
 		fail(fmt.Errorf("wal: append: %w", err))
 		return
@@ -383,7 +496,7 @@ func (l *Log) flush(batch []*pendingCommit) {
 		return
 	}
 	syncDur := time.Since(ioStart)
-	l.size.Add(int64(len(buf)))
+	l.size.Add(int64(len(buf) - headerSize)) // the next group overwrites the end record
 	l.commits.Add(uint64(len(batch)))
 	l.bytes.Add(uint64(len(buf)))
 	l.pages.Add(uint64(npages))
@@ -442,68 +555,139 @@ func (l *Log) SetOnCommit(fn func(CommitGroup) uint64) {
 	l.flushMu.Unlock()
 }
 
-// Truncate discards the log contents; call only after a checkpoint has made
-// the database file current and no commits are in flight (the store drains
-// its commit pipeline first). Discarding the bytes of unknown durability is
-// what makes it safe to clear the poison here.
-func (l *Log) Truncate() error {
+// Reset starts a new log cycle in place; call only after a checkpoint has
+// made the database file current and no commits are in flight (the store
+// drains its commit pipeline first). The next group overwrites the head
+// of the file, and the file keeps its length unless it is longer than
+// keep bytes — left so by one very large group — when it is cut back to
+// keep. A poisoned log is truncated to zero instead: it discards the
+// bytes of unknown durability, which is what makes it safe to clear the
+// poison here.
+func (l *Log) Reset(keep int64) error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
-	if err := l.f.Truncate(0); err != nil {
-		return err
+	return l.resetLocked(keep)
+}
+
+// resetLocked is Reset; the caller holds flushMu.
+func (l *Log) resetLocked(keep int64) error {
+	if l.Poisoned() != nil {
+		// An empty file replays nothing, wherever a crash lands after this.
+		if err := l.f.Truncate(0); err != nil {
+			return fmt.Errorf("wal: truncate: %w", err)
+		}
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.startCycle(); err != nil {
 		return err
 	}
 	l.size.Store(0)
-	l.seq = 0
 	l.mu.Lock()
 	l.poison = nil
 	l.mu.Unlock()
+	// Cut an overlong file only once the new header is durable: what the
+	// cut removes is then of an earlier cycle and can never validate. Cut
+	// before it, and a crash would leave the old header over a prefix of
+	// the old cycle, whose replay reverts every page a group past the cut
+	// rewrote.
+	size, err := l.f.Size()
+	if err != nil {
+		return fmt.Errorf("wal: size: %w", err)
+	}
+	if size > keep {
+		if err := l.f.Truncate(keep); err != nil {
+			return fmt.Errorf("wal: truncate: %w", err)
+		}
+	}
 	return nil
 }
 
-// Recover replays every complete committed batch into file, then syncs it
-// and truncates the log. A torn tail — an incomplete batch, a half-written
-// record, or a corrupt one — is salvaged: replay stops at the last
-// complete committed batch (the reported ValidTo offset), the tail past it
-// is discarded, and the salvage is counted. This implements atomic commit
-// across crashes at arbitrary write boundaries.
+// Recover replays every complete committed batch of the current cycle
+// into file, syncs it and starts a new cycle. A torn group — an
+// incomplete batch, a half-written record, or a corrupt one — is
+// salvaged: replay stops at the last complete committed batch (the
+// reported ValidTo offset), the group past it is discarded, and the
+// salvage is counted. This implements atomic commit across crashes at
+// arbitrary write boundaries. A log with nothing to replay and a clean
+// tail is left as it is.
 func (l *Log) Recover(file pager.File) (RecoverInfo, error) {
-	var info RecoverInfo
-	if l.size.Load() == 0 {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
+	info, err := l.scan(func(id pager.PageID, data []byte) error {
+		if err := file.WritePage(id, data); err != nil {
+			return fmt.Errorf("wal: replay page %d: %w", id, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return info, err
+	}
+	if info.Salvaged {
+		l.salvages.Add(1)
+	}
+	if info.ValidTo == 0 && !info.Salvaged {
 		return info, nil
 	}
-	r := io.NewSectionReader(l.f, 0, l.size.Load())
+	if info.Replayed > 0 {
+		if err := file.Sync(); err != nil {
+			return info, err
+		}
+	}
+	// The replayed groups are in the file now; the next cycle need not
+	// hold them, and recovery never cuts a file the store sized.
+	return info, l.resetLocked(math.MaxInt64)
+}
+
+// scan reads the current cycle's records from the first one on, handing
+// the page images of each complete committed group to replay (when not
+// nil) in log order. It stops at the end record, at the first record that fails its
+// CRC — a torn write, or a record of an earlier cycle — or at the end of
+// the file. The tail is salvaged unless the scan stopped at an end record
+// right after the last complete group, or at the end of the file there.
+func (l *Log) scan(replay func(pager.PageID, []byte) error) (RecoverInfo, error) {
+	var info RecoverInfo
+	flen, err := l.f.Size()
+	if err != nil {
+		return info, fmt.Errorf("wal: size: %w", err)
+	}
+	size := max(flen-logHeaderSize, 0)
+	r := io.NewSectionReader(l.f, logHeaderSize, size)
 
 	type img struct {
 		id   pager.PageID
 		data []byte
 	}
 	var pending []img
-	var offset int64 // bytes consumed including the current record
+	var (
+		off   int64 // start of the record being read
+		end   int64 // end of the bytes the scan rejected
+		clean bool  // stopped at an end record with no group open
+	)
 	hdr := make([]byte, headerSize)
+scan:
 	for {
 		if _, err := io.ReadFull(r, hdr); err != nil {
-			break // clean EOF or torn header: stop
+			end = size // end of file or a torn header
+			break
 		}
 		kind := hdr[0]
 		pageID := pager.PageID(binary.BigEndian.Uint32(hdr[1:5]))
 		plen := binary.BigEndian.Uint32(hdr[5:9])
 		want := binary.BigEndian.Uint32(hdr[9:13])
-		if plen > 1<<24 {
-			break // implausible length: torn record
+		next := off + headerSize + int64(plen)
+		end = min(next, size)
+		if plen > pager.PageSize {
+			break // no record carries more than a page: torn or stale
 		}
 		payload := make([]byte, plen)
 		if _, err := io.ReadFull(r, payload); err != nil {
 			break
 		}
-		crc := crc32.ChecksumIEEE(hdr[0:9])
+		crc := crc32.Update(l.seed, crc32.IEEETable, hdr[0:9])
 		crc = crc32.Update(crc, crc32.IEEETable, payload)
 		if crc != want {
 			break
 		}
-		offset += int64(headerSize) + int64(plen)
+		off = next
 		switch kind {
 		case recPage:
 			if len(payload) != pager.PageSize {
@@ -515,28 +699,30 @@ func (l *Log) Recover(file pager.File) (RecoverInfo, error) {
 				return info, fmt.Errorf("wal: commit record with %d-byte sequence", len(payload))
 			}
 			for _, im := range pending {
-				if err := file.WritePage(im.id, im.data); err != nil {
-					return info, fmt.Errorf("wal: replay page %d: %w", im.id, err)
+				if replay != nil {
+					if err := replay(im.id, im.data); err != nil {
+						return info, err
+					}
 				}
 				info.Replayed++
 			}
 			info.Commits++
 			pending = pending[:0]
-			info.ValidTo = offset
+			info.ValidTo = off
 			l.seq = binary.BigEndian.Uint64(payload)
+		case recEnd:
+			if len(payload) != 0 {
+				return info, fmt.Errorf("wal: end record with %d bytes", len(payload))
+			}
+			clean = len(pending) == 0
+			break scan
 		default:
 			return info, fmt.Errorf("wal: unknown record kind %d", kind)
 		}
 	}
-	if info.ValidTo < l.size.Load() {
+	if !clean && end > info.ValidTo {
 		info.Salvaged = true
-		info.Discarded = l.size.Load() - info.ValidTo
-		l.salvages.Add(1)
+		info.Discarded = end - info.ValidTo
 	}
-	if info.Replayed > 0 {
-		if err := file.Sync(); err != nil {
-			return info, err
-		}
-	}
-	return info, l.Truncate()
+	return info, nil
 }

@@ -72,12 +72,13 @@ func TestRecoverEmptyLog(t *testing.T) {
 func TestTornTailIgnored(t *testing.T) {
 	l, path := openLog(t)
 	l.Commit([]*pager.Frame{frame(5, 0x55)})
-	// Append half a record (a torn write at crash time).
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	// Write half a record header at the tail, over the end record, where
+	// the next group would start (a torn write at crash time).
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Write([]byte{recPage, 0, 0, 0, 9})
+	f.WriteAt([]byte{recPage, 0, 0, 0, 9}, logHeaderSize+l.Size())
 	f.Close()
 	l2, err := Open(path)
 	if err != nil {
@@ -89,7 +90,8 @@ func TestTornTailIgnored(t *testing.T) {
 	if err != nil || info.Replayed != 1 {
 		t.Fatalf("recover = %+v, %v; want 1 page", info, err)
 	}
-	if !info.Salvaged || info.Discarded != 5 {
+	// The torn bytes and the rest of the end record they overwrote.
+	if !info.Salvaged || info.Discarded != headerSize {
 		t.Errorf("salvage not reported: %+v", info)
 	}
 	if l2.Stats().Salvages != 1 {
@@ -105,10 +107,10 @@ func TestTornTailIgnored(t *testing.T) {
 func TestUncommittedBatchDiscarded(t *testing.T) {
 	l, path := openLog(t)
 	l.Commit([]*pager.Frame{frame(1, 0xAA)})
-	// Hand-append page records WITHOUT a commit marker.
-	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	img := appendRecord(nil, recPage, 9, bytes.Repeat([]byte{0xBB}, pager.PageSize))
-	f.Write(img)
+	// Hand-write a page record WITHOUT a commit marker at the tail.
+	f, _ := os.OpenFile(path, os.O_WRONLY, 0)
+	img := appendRecord(nil, l.seed, recPage, 9, bytes.Repeat([]byte{0xBB}, pager.PageSize))
+	f.WriteAt(img, logHeaderSize+l.Size())
 	f.Close()
 
 	l2, err := Open(path)
@@ -153,18 +155,78 @@ func TestCorruptCRCStopsReplay(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
+// A Reset empties the log logically: it reports no bytes, and a reopen
+// replays nothing and reports no salvage, although the file keeps the
+// blocks of the cycle before (up to the kept length).
+func TestResetEmptiesLog(t *testing.T) {
 	l, path := openLog(t)
-	l.Commit([]*pager.Frame{frame(1, 0x01)})
+	for i := range 4 {
+		if err := l.Commit([]*pager.Frame{frame(1, byte(i)), frame(2, byte(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if l.Size() == 0 {
 		t.Fatal("log empty after commit")
 	}
-	if err := l.Truncate(); err != nil {
+	before, _ := os.Stat(path)
+	const keep = 1 << 20
+	if err := l.Reset(keep); err != nil {
 		t.Fatal(err)
 	}
+	if l.Size() != 0 || l.Stats().SizeBytes != 0 {
+		t.Errorf("size after reset = %d, want 0", l.Size())
+	}
 	fi, _ := os.Stat(path)
-	if fi.Size() != 0 || l.Size() != 0 {
-		t.Error("truncate left bytes behind")
+	if fi.Size() != before.Size() {
+		t.Errorf("reset changed the file length %d -> %d; the cycle should reuse it", before.Size(), fi.Size())
+	}
+	if fi.Size() > keep {
+		t.Errorf("file holds %d bytes, more than the kept %d", fi.Size(), keep)
+	}
+	l2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if l2.Size() != 0 {
+		t.Errorf("reopened size = %d, want 0", l2.Size())
+	}
+	info, err := l2.Recover(pager.NewMemFile())
+	if err != nil || info.Replayed != 0 || info.Commits != 0 || info.Salvaged || info.Discarded != 0 {
+		t.Errorf("recover after reset = %+v, %v; want nothing replayed or salvaged", info, err)
+	}
+}
+
+// A file longer than the kept length — one very large group — is cut
+// back to it by Reset.
+func TestResetCutsToKeep(t *testing.T) {
+	l, path := openLog(t)
+	big := make([]*pager.Frame, 64)
+	for i := range big {
+		big[i] = frame(pager.PageID(i+1), byte(i))
+	}
+	if err := l.Commit(big); err != nil {
+		t.Fatal(err)
+	}
+	const keep = 16 << 10
+	if err := l.Reset(keep); err != nil {
+		t.Fatal(err)
+	}
+	if fi, _ := os.Stat(path); fi.Size() != keep {
+		t.Errorf("file after reset = %d bytes, want the kept %d", fi.Size(), keep)
+	}
+	if err := l.Commit([]*pager.Frame{frame(1, 0x77)}); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	file := pager.NewMemFile()
+	info, err := l2.Recover(file)
+	if err != nil || info.Replayed != 1 || info.Salvaged {
+		t.Fatalf("recover = %+v, %v; want the one page of the new cycle", info, err)
 	}
 }
 

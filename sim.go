@@ -771,8 +771,8 @@ func (db *Database) CheckIntegrity() error {
 	return exe.CheckAll()
 }
 
-// Checkpoint flushes committed data to the database file and truncates the
-// write-ahead log. It takes the substrate's write latch itself (waiting
+// Checkpoint flushes committed data to the database file and starts a new
+// cycle of the write-ahead log, which reuses the log file in place. It takes the substrate's write latch itself (waiting
 // out any transaction in its write phase); queries keep running.
 func (db *Database) Checkpoint() error {
 	return db.store.Checkpoint()
