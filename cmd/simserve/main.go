@@ -5,7 +5,7 @@
 // Usage:
 //
 //	simserve [-addr :1988] [-db file] [-schema ddl-file] [-university]
-//	         [-replica-of addr] [-advertise addr] [-max-conns n] [-workers n]
+//	         [-replica-of addr] [-advertise addr] [-max-conns n]
 //	         [-request-timeout d] [-read-timeout d] [-write-timeout d]
 //	         [-drain d] [-log-level info] [-metrics addr]
 //	         [-slow-query d] [-slow-request d] [-ready-max-lag n]
@@ -75,7 +75,6 @@ func main() {
 	replicaOf := flag.String("replica-of", "", "run as a read replica of the primary at this address (requires -db)")
 	maxConns := flag.Int("max-conns", 256, "concurrent connection limit")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent request limit; excess requests fast-fail with 'overloaded' (0: unbounded)")
-	workers := flag.Int("workers", 0, "per-query parallelism (0: GOMAXPROCS)")
 	poolPages := flag.Int("pool-pages", 0, "buffer pool pages (0: default)")
 	reqTimeout := flag.Duration("request-timeout", time.Minute, "per-request execution deadline (0: none)")
 	readTimeout := flag.Duration("read-timeout", 5*time.Minute, "idle session deadline (0: none)")
@@ -115,7 +114,6 @@ func main() {
 
 	db, err := sim.Open(*dbPath, sim.Config{
 		PoolPages: *poolPages,
-		Workers:   *workers,
 		SlowQuery: *slowQuery,
 	})
 	if err != nil {

@@ -3,13 +3,12 @@ package sim
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 )
 
-// bulkStudents inserts n extra students so the Student root domain is large
-// enough to cross the executor's parallel threshold.
+// bulkStudents inserts n extra students, growing the Student root domain
+// past the fixture's handful.
 func bulkStudents(t *testing.T, db *Database, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -24,7 +23,7 @@ func bulkStudents(t *testing.T, db *Database, n int) {
 // TestQueryConcurrent hammers Query from 8 goroutines. On the seed this
 // races on the buffer pool and the mapper caches (caught by -race); with
 // the sharded pool and locked caches every goroutine must see the same
-// answer the serial path gives.
+// answer one query alone gives.
 func TestQueryConcurrent(t *testing.T) {
 	db := universityDB(t, Config{})
 	bulkStudents(t, db, 64)
@@ -67,37 +66,6 @@ func TestQueryConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestParallelMatchesSerial checks the tentpole invariant: a database
-// configured with many workers produces byte-identical output to one
-// forced serial, across output modes the parallel path must handle
-// (plain TABLE, TABLE DISTINCT, ORDER BY, aggregates, STRUCTURE).
-func TestParallelMatchesSerial(t *testing.T) {
-	serial := universityDB(t, Config{Workers: 1})
-	parallel := universityDB(t, Config{Workers: 8})
-	bulkStudents(t, serial, 64)
-	bulkStudents(t, parallel, 64)
-
-	queries := []string{
-		`From Student Retrieve Name, Student-Nbr.`,
-		`From Student Retrieve Name, Student-Nbr Order By Student-Nbr.`,
-		`From Student Retrieve Table Distinct Name of Major-Department.`,
-		`From Student Retrieve Name, Name of Advisor Order By Name.`,
-		`From Instructor Retrieve Name, count(Advisees) Order By Name.`,
-		`From Student Retrieve Structure Name, Title of Courses-Enrolled.`,
-	}
-	for _, q := range queries {
-		rs := mustQuery(t, serial, q)
-		rp := mustQuery(t, parallel, q)
-		if rs.Format() != rp.Format() {
-			t.Errorf("query %q: parallel result differs from serial\nserial:\n%s\nparallel:\n%s",
-				q, rs.Format(), rp.Format())
-		}
-		if rs.FormatStructured() != rp.FormatStructured() {
-			t.Errorf("query %q: parallel structured result differs from serial", q)
-		}
 	}
 }
 
@@ -227,19 +195,5 @@ func TestPlanCache(t *testing.T) {
 	mustQuery(t, nocache, q)
 	if s := nocache.Stats().Plans; s.Hits != 0 || s.Entries != 0 {
 		t.Fatalf("disabled cache recorded hits=%d entries=%d", s.Hits, s.Entries)
-	}
-}
-
-// TestWorkersConfig sanity-checks Config.Workers resolution.
-func TestWorkersConfig(t *testing.T) {
-	if got := (Config{}).normalize().queryWorkers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default workers = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := (Config{Workers: 3}).normalize().queryWorkers(); got != 3 {
-		t.Errorf("Workers:3 resolved to %d", got)
-	}
-	// Negative worker counts are rejected at Open, not silently clamped.
-	if err := (Config{Workers: -1}).Validate(); err == nil {
-		t.Error("Validate accepted Workers:-1")
 	}
 }

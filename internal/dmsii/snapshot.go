@@ -230,7 +230,7 @@ func (v *View) Structure(name string) (*Structure, error) {
 // resolve pages through the pool's version chains, so a Snap never takes
 // the store write latch, never observes uncommitted bytes, and keeps
 // returning the same data while later transactions commit. A Snap is
-// safe for concurrent readers (parallel query workers share one). Every
+// safe for concurrent readers. Every
 // PinSnapshot must be paired with Release, which is what lets version GC
 // reclaim old page images.
 type Snap struct {

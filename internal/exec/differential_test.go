@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -47,15 +48,15 @@ type univ struct {
 }
 
 // newUniv loads the schema and the shared fixture, plus extra bulk
-// students (enough to cross the parallel threshold when extra > 0), and
-// installs the schema's VERIFY assertions.
-func newUniv(t *testing.T, workers, extra int) *univ {
-	return newUnivMapped(t, workers, extra, luc.Config{})
+// students (a 64-student grown domain when extra is 64), and installs the
+// schema's VERIFY assertions.
+func newUniv(t *testing.T, extra int) *univ {
+	return newUnivMapped(t, extra, luc.Config{})
 }
 
 // newUnivMapped is newUniv under a physical mapping other than the
 // default.
-func newUnivMapped(t *testing.T, workers, extra int, mapping luc.Config) *univ {
+func newUnivMapped(t *testing.T, extra int, mapping luc.Config) *univ {
 	t.Helper()
 	store, err := dmsii.OpenMemory(dmsii.Options{})
 	if err != nil {
@@ -68,7 +69,6 @@ func newUnivMapped(t *testing.T, workers, extra int, mapping luc.Config) *univ {
 		t.Fatal(err)
 	}
 	u.e = New(u.m)
-	u.e.SetWorkers(workers)
 	u.e.SetMetrics(obs.NewRegistry())
 	for _, dml := range university.Fixture {
 		u.commit(dml)
@@ -180,10 +180,8 @@ func sameErr(a, b error) bool {
 	return a.Error() == b.Error()
 }
 
-// retrieve runs one Retrieve compiled and on the oracle, reports any
-// disagreement, and returns the compiled result's structured rendering
-// (the error text when both fail alike).
-func (u *univ) retrieve(q string) string {
+// compile parses, binds, plans and compiles one Retrieve.
+func (u *univ) compile(q string) (*plan.Plan, *Program) {
 	t := u.t
 	t.Helper()
 	stmt, err := parser.ParseStmt(q)
@@ -202,6 +200,16 @@ func (u *univ) retrieve(q string) string {
 	if err != nil {
 		t.Fatalf("%q: compile: %v", q, err)
 	}
+	return p, prog
+}
+
+// retrieve runs one Retrieve compiled and on the oracle, reports any
+// disagreement, and returns the compiled result's structured rendering
+// (the error text when both fail alike).
+func (u *univ) retrieve(q string) string {
+	t := u.t
+	t.Helper()
+	p, prog := u.compile(q)
 	got, gotErr := u.e.RetrieveProgram(context.Background(), p, prog, nil)
 	want, wantErr := u.e.retrieveTree(p)
 	if !sameErr(gotErr, wantErr) {
@@ -260,27 +268,52 @@ var roleProbes = []string{
 	`From student Retrieve name Where soc-sec-no = 456887766.`,
 }
 
-// TestDifferentialRetrieve: the tri-logic query set and the role probes,
-// compiled (serial, and partitioned across 4 workers) against the oracle.
-// After every program the pooled domain buffers must be zero through
-// capacity.
+// outputModes cover every output mode on the Student extent: plain
+// TABLE, ORDER BY on a key and on a non-key, TABLE DISTINCT over an EVA,
+// an aggregate per row, and STRUCTURE grouping.
+var outputModes = []string{
+	`From Student Retrieve Name, Student-Nbr.`,
+	`From Student Retrieve Name, Student-Nbr Order By Student-Nbr.`,
+	`From Student Retrieve Table Distinct Name of Major-Department.`,
+	`From Student Retrieve Name, Name of Advisor Order By Name.`,
+	`From Instructor Retrieve Name, count(Advisees) Order By Name.`,
+	`From Student Retrieve Structure Name, Title of Courses-Enrolled.`,
+}
+
+// TestDifferentialRetrieve: the tri-logic query set, the output modes and
+// the role probes, compiled against the oracle on the fixture and on a
+// 64-student grown domain. After every program the pooled domain buffers
+// must be zero through capacity.
 func TestDifferentialRetrieve(t *testing.T) {
-	for _, tc := range []struct{ workers, extra int }{{1, 0}, {4, 64}} {
-		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
-			u := newUniv(t, tc.workers, tc.extra)
+	for _, extra := range []int{0, 64} {
+		t.Run(fmt.Sprintf("extra=%d", extra), func(t *testing.T) {
+			u := newUniv(t, extra)
 			inspected := 0
-			for _, q := range slices.Concat(university.TriLogicQueries, roleProbes) {
+			for _, q := range slices.Concat(university.TriLogicQueries, outputModes, roleProbes) {
 				u.retrieve(q)
 				inspected += checkDomFree(t, u.e, q)
-			}
-			if par := u.e.met.Parallel.Load(); (tc.workers > 1) != (par > 0) {
-				t.Errorf("workers=%d: %d queries took the parallel path", tc.workers, par)
 			}
 			if inspected == 0 {
 				t.Error("no pooled domain buffer was inspected")
 			}
 		})
 	}
+}
+
+// TestRetrieveCancelled: a cancelled context stops a Retrieve between
+// outermost bindings with the context's error, and the scratch goes back
+// with every domain buffer zeroed (checked when the pool keeps it: -race
+// makes sync.Pool drop puts at random).
+func TestRetrieveCancelled(t *testing.T) {
+	u := newUniv(t, 64)
+	q := `From student Retrieve name, title of courses-enrolled.`
+	p, prog := u.compile(q)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := u.e.RetrieveProgram(ctx, p, prog, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Retrieve: err %v, want context.Canceled", err)
+	}
+	checkDomFree(t, u.e, q)
 }
 
 // fullScans are perspective scans with no usable index: their root domain
@@ -298,16 +331,16 @@ var fullScans = []string{
 	`From course Retrieve title, credits, count(students-enrolled).`,
 }
 
-// TestDifferentialFullScans: full scans compiled against the oracle at 1
-// and 4 workers, under the single-record mapping (records decoded from the
-// cursor) and the split mapping (no record: per-entity reads); both
-// mappings must return the same rows.
+// TestDifferentialFullScans: full scans compiled against the oracle on the
+// fixture and on a 64-student grown domain, under the single-record
+// mapping (records decoded from the cursor) and the split mapping (no
+// record: per-entity reads); both mappings must return the same rows.
 func TestDifferentialFullScans(t *testing.T) {
 	split := luc.Config{Hierarchy: map[string]luc.HierarchyStrategy{"person": luc.HierarchySplit}}
-	for _, tc := range []struct{ workers, extra int }{{1, 0}, {4, 64}} {
-		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
-			single := newUniv(t, tc.workers, tc.extra)
-			splitU := newUnivMapped(t, tc.workers, tc.extra, split)
+	for _, extra := range []int{0, 64} {
+		t.Run(fmt.Sprintf("extra=%d", extra), func(t *testing.T) {
+			single := newUniv(t, extra)
+			splitU := newUnivMapped(t, extra, split)
 			for _, q := range fullScans {
 				a, b := single.retrieve(q), splitU.retrieve(q)
 				if a != b {
@@ -315,11 +348,6 @@ func TestDifferentialFullScans(t *testing.T) {
 				}
 				checkDomFree(t, single.e, q)
 				checkDomFree(t, splitU.e, q)
-			}
-			for _, u := range []*univ{single, splitU} {
-				if par := u.e.met.Parallel.Load(); (tc.workers > 1) != (par > 0) {
-					t.Errorf("workers=%d: %d queries took the parallel path", tc.workers, par)
-				}
 			}
 		})
 	}
@@ -351,7 +379,7 @@ var updateSelections = []string{
 // (EXCLUDE's path) compiled against the oracle; each statement then runs
 // and must touch exactly the entities selected.
 func TestDifferentialUpdateSelections(t *testing.T) {
-	u := newUniv(t, 1, 0)
+	u := newUniv(t, 0)
 	ctx := context.Background()
 	for _, dml := range updateSelections {
 		stmt, err := parser.ParseStmt(dml)
@@ -399,7 +427,7 @@ func TestDifferentialUpdateSelections(t *testing.T) {
 // multi-valued-path errors; then the Modify itself stores what the oracle
 // computed.
 func TestDifferentialAssignments(t *testing.T) {
-	u := newUniv(t, 1, 0)
+	u := newUniv(t, 0)
 	cases := []struct {
 		class, rhs, err string
 	}{
@@ -463,7 +491,7 @@ func TestDifferentialAssignments(t *testing.T) {
 // its class, compiled against the oracle — in the fixture state, where
 // v3's Unknown must pass, and in states that violate v2, v3 and v4.
 func TestDifferentialVerify(t *testing.T) {
-	u := newUniv(t, 1, 0)
+	u := newUniv(t, 0)
 	u.extend(extraVerifies)
 	u.installVerifies()
 	compare := func(state string) map[string]int {

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"sim/internal/ast"
 	"sim/internal/catalog"
 	"sim/internal/luc"
 	"sim/internal/obs"
@@ -26,11 +25,10 @@ import (
 
 // Executor runs plans against a LUC mapper.
 type Executor struct {
-	m       *luc.Mapper
-	cat     *catalog.Catalog
-	checks  []check  // installed VERIFY assertions, compiled
-	workers int      // per-query parallelism cap (<=1 disables)
-	met     *Metrics // nil until SetMetrics
+	m      *luc.Mapper
+	cat    *catalog.Catalog
+	checks []check  // installed VERIFY assertions, compiled
+	met    *Metrics // nil until SetMetrics
 
 	// scratchPool is shared by pointer across View clones so snapshot
 	// executors reuse the same warmed scratches as the live one.
@@ -42,7 +40,6 @@ type Executor struct {
 // the life of the database.
 type Metrics struct {
 	Queries   *obs.Counter // Retrieve executions
-	Parallel  *obs.Counter // Retrieves that used the partitioned path
 	Instances *obs.Counter // range-variable bindings tried
 	Rows      *obs.Counter // rows emitted
 	Updates   *obs.Counter // update statements executed
@@ -57,7 +54,7 @@ func New(m *luc.Mapper) *Executor {
 
 // View returns a shallow clone of the executor bound to m — typically a
 // snapshot view of the live mapper (luc.Mapper.View). The clone shares
-// the scratch pool, constraints, metrics and worker settings; only the
+// the scratch pool, constraints and metrics; only the
 // mapper differs, so queries run against the view's stamp. Compiled
 // Programs cached from the live executor remain valid: their closures
 // read data through the per-execution scratch's mapper, which getScratch
@@ -93,7 +90,6 @@ func (e *Executor) SetConstraints(cs []*Constraint) error {
 func (e *Executor) SetMetrics(r *obs.Registry) {
 	e.met = &Metrics{
 		Queries:   r.Counter("sim_exec_queries_total", "Retrieve statements executed."),
-		Parallel:  r.Counter("sim_exec_parallel_queries_total", "Retrieves that ran the partitioned parallel path."),
 		Instances: r.Counter("sim_exec_instances_total", "Range-variable bindings tried (query-tree loop iterations)."),
 		Rows:      r.Counter("sim_exec_rows_total", "Rows emitted by Retrieve statements."),
 		Updates:   r.Counter("sim_exec_updates_total", "Update statements (Insert/Modify/Delete) executed."),
@@ -101,11 +97,12 @@ func (e *Executor) SetMetrics(r *obs.Registry) {
 	}
 }
 
-// SetWorkers caps the number of goroutines one Retrieve may use to
-// partition its outermost root domain. Values <= 1 force serial execution.
-// Must be set before queries run; it is not safe to change concurrently
-// with them.
-func (e *Executor) SetWorkers(n int) { e.workers = n }
+// SetWorkers does nothing: every Retrieve runs the one serial loop nest.
+//
+// Deprecated: kept only because the benchmark module still calls it; a
+// later benchmark change removes that last call, and this method is
+// deleted then.
+func (e *Executor) SetWorkers(int) {}
 
 // ctxErr reports the context's error; nil contexts and
 // context.Background() cost one nil-channel check per call.
@@ -131,7 +128,7 @@ type Stats struct {
 	Rows      int // rows emitted
 }
 
-// nestTrace accumulates one goroutine's per-main-node profile for EXPLAIN
+// nestTrace accumulates one execution's per-main-node profile for EXPLAIN
 // ANALYZE, indexed by position in the main-node list. Walls are inclusive:
 // a node's bucket covers its own domain enumeration plus everything nested
 // below it, so bucket 0 approximates the whole execution. A nil *nestTrace
@@ -154,26 +151,19 @@ func (tm *nestTrace) observe(i int, it inst) {
 	}
 }
 
-// parallelRootThreshold is the minimum outermost-root domain size worth
-// partitioning across workers; smaller domains run serially.
-const parallelRootThreshold = 32
-
 func errOrderByStructure() error {
 	return fmt.Errorf("ORDER BY applies to tabular output only")
 }
 
 // countRetrieve feeds the registry counters after one Retrieve; a few
 // atomic adds per statement.
-func (e *Executor) countRetrieve(stats Stats, parallel bool) {
+func (e *Executor) countRetrieve(stats Stats) {
 	if e.met == nil {
 		return
 	}
 	e.met.Queries.Inc()
 	e.met.Instances.Add(uint64(stats.Instances))
 	e.met.Rows.Add(uint64(stats.Rows))
-	if parallel {
-		e.met.Parallel.Inc()
-	}
 }
 
 // countUpdate feeds the update counters after one successful statement
@@ -190,13 +180,9 @@ func (e *Executor) countUpdate(n int) {
 // list. Only main nodes appear: TYPE 2 (selection-only) subtrees are
 // enumerated inside the existential check per candidate row and are
 // accounted to the enclosing node's wall.
-func (e *Executor) fillTrace(tr *obs.QueryTrace, p *plan.Plan, params []value.Value, t *query.Tree, main []*query.Node, tm *nestTrace, stats Stats, parallel bool) {
+func (e *Executor) fillTrace(tr *obs.QueryTrace, p *plan.Plan, params []value.Value, t *query.Tree, main []*query.Node, tm *nestTrace, stats Stats) {
 	tr.Rows = stats.Rows
 	tr.Instances = int64(stats.Instances)
-	tr.Workers = 1
-	if parallel {
-		tr.Workers = len(tr.WorkerSpans)
-	}
 	tr.Nodes = make([]obs.NodeTrace, len(main))
 	for i, n := range main {
 		tr.Nodes[i] = obs.NodeTrace{
@@ -242,24 +228,6 @@ func accessDesc(p *plan.Plan, params []value.Value, t *query.Tree, n *query.Node
 	default:
 		return "mv-dva " + strings.ToLower(n.Edge.Name)
 	}
-}
-
-// parallelOK reports whether this query may partition its outermost root.
-// STRUCTURE mode builds its group tree from consecutive-prefix sharing and
-// so is order-sensitive in a way the chunk merge cannot reproduce; tabular
-// modes (including DISTINCT and ORDER BY, both applied during the ordered
-// merge/finish) are safe.
-func (e *Executor) parallelOK(t *query.Tree, dom0 []inst) bool {
-	return e.workers > 1 && t.Mode != ast.OutputStructure && len(dom0) >= parallelRootThreshold
-}
-
-// partial is one worker's ordered slice of the result.
-type partial struct {
-	rows  [][]value.Value
-	order [][]value.Value
-	stats Stats
-	tm    *nestTrace    // nil unless traced
-	wall  time.Duration // chunk wall time (traced runs only)
 }
 
 // lucBound resolves a planned bound for one execution (params nil: the

@@ -146,17 +146,6 @@ func (r *Result) add(t *query.Tree, insts []inst, main []*query.Node, row, order
 	}
 }
 
-// addTabular records one row produced by a parallel worker. Workers hand
-// rows back in serial emission order, so applying the TABLE DISTINCT dedup
-// here reproduces exactly the rows (and row order) of serial execution.
-func (r *Result) addTabular(row, order []value.Value) {
-	if r.seen != nil && r.isDup(row) {
-		return
-	}
-	r.rows = append(r.rows, row)
-	r.order = append(r.order, order)
-}
-
 // addStructured merges the combination into the group tree: one group per
 // TYPE 1/TYPE 3 variable instance, consecutive identical prefixes shared
 // (the iteration order guarantees grouping).

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"sim/internal/ast"
@@ -18,10 +17,9 @@ import (
 // binding environment (the current instance of every node, by node id), a
 // free list of domain buffers, the subquery value stack, and the
 // surrogate/record buffers batched reads go through. A
-// scratch is checked out of the executor's pool per execution (per worker
-// on the parallel path) and holds no output: result rows live in a
-// value.Arena owned by the Result, so recycling a scratch can never
-// corrupt rows a caller still holds.
+// scratch is checked out of the executor's pool per execution and holds
+// no output: result rows live in a value.Arena owned by the Result, so
+// recycling a scratch can never corrupt rows a caller still holds.
 type scratch struct {
 	insts []inst
 	set   []bool
@@ -36,7 +34,7 @@ type scratch struct {
 	m *luc.Mapper
 	// params is the executing statement's literal vector (query.Lit.Slot
 	// indexes it), or nil to run the program with the literals it was
-	// compiled from. It is read-only and shared by every worker's scratch.
+	// compiled from. It is read-only.
 	params  []value.Value
 	sub     []value.Value     // subquery value stack (mark/truncate discipline)
 	domFree [][]inst          // free domain buffers, stack-ordered
@@ -144,13 +142,9 @@ func (e *Executor) fillRecs(sc *scratch, cl *catalog.Class, insts []inst) error 
 
 // RetrieveProgram executes a previously compiled program for the
 // statement it was compiled from: every literal has its own bound value.
-// When the executor has workers configured, the outermost root domain is
-// large enough, and the output mode permits it, the domain is partitioned
-// across a worker pool; results are merged back in domain order so
-// parallel output is byte-identical to serial execution. Cancellation is
-// checked between bindings of the outermost range. tr, when non-nil, is
-// filled with the EXPLAIN ANALYZE profile — bindings tried, entities
-// bound, inclusive wall per node, per-worker spans on the parallel path.
+// Cancellation is checked between bindings of the outermost range. tr,
+// when non-nil, is filled with the EXPLAIN ANALYZE profile — bindings
+// tried, entities bound, inclusive wall per node.
 func (e *Executor) RetrieveProgram(ctx context.Context, p *plan.Plan, prog *Program, tr *obs.QueryTrace) (*Result, error) {
 	return e.RetrieveParams(ctx, p, prog, nil, tr)
 }
@@ -158,8 +152,8 @@ func (e *Executor) RetrieveProgram(ctx context.Context, p *plan.Plan, prog *Prog
 // RetrieveParams is RetrieveProgram for any statement of the plan's shape:
 // params[k-1] is the statement's value for the literal in slot k (see
 // query.Lit), already coerced to the slot's declared type. The vector is
-// only read, also by parallel workers, and not retained. Execution is
-// the DAPLEX iteration of §4.5: bindings come from reused domain buffers,
+// only read, and not retained. Execution is one serial pass of the
+// DAPLEX iteration of §4.5: bindings come from reused domain buffers,
 // rows from a result-owned arena, and every expression evaluates through
 // pre-lowered closures.
 func (e *Executor) RetrieveParams(ctx context.Context, p *plan.Plan, prog *Program, params []value.Value, tr *obs.QueryTrace) (*Result, error) {
@@ -168,107 +162,25 @@ func (e *Executor) RetrieveParams(ctx context.Context, p *plan.Plan, prog *Progr
 		return nil, errOrderByStructure()
 	}
 	res := newResult(t)
-	main := prog.main
 	var stats Stats
-
-	if len(main) == 0 {
-		res.finish(t)
-		res.Stats = stats
-		e.countRetrieve(stats, false)
-		return res, nil
-	}
-
 	var tm *nestTrace
-	var execStart time.Time
-	if tr != nil {
-		tm = newNestTrace(len(main))
-		execStart = time.Now()
-	}
-
-	sc := e.getScratch(prog.nNodes, params)
-	dom0, err := prog.doms[main[0].ID](sc, sc.getDomBuf())
-	if err != nil {
+	if len(prog.main) > 0 {
+		if tr != nil {
+			tm = newNestTrace(len(prog.main))
+		}
+		sc := e.getScratch(prog.nNodes, params)
+		emit := e.programEmitter(prog, sc, &value.Arena{}, res, &stats)
+		err := e.runNestProgram(ctx, prog, sc, 0, &stats, emit, tm)
 		e.putScratch(sc)
-		return nil, err
-	}
-	if len(dom0) == 0 && main[0].Type == query.Type3 {
-		dom0 = append(dom0, inst{null: true})
-	}
-
-	parallel := e.parallelOK(t, dom0)
-	if parallel {
-		// Workers iterate chunks of a stable copy; the enumerating scratch
-		// goes back to the pool before they start.
-		shared := append([]inst(nil), dom0...)
-		sc.putDomBuf(dom0)
-		e.putScratch(sc)
-		parts, err := e.runParallelProgram(ctx, prog, params, shared, tm != nil)
 		if err != nil {
 			return nil, err
 		}
-		for _, part := range parts {
-			stats.Instances += part.stats.Instances
-			stats.Rows += part.stats.Rows
-			for ri := range part.rows {
-				res.addTabular(part.rows[ri], part.order[ri])
-			}
-			if tm != nil {
-				// Chunks run concurrently, so per-node walls merge as the
-				// maximum across workers while bindings sum.
-				for i := range tm.nanos {
-					if part.tm.nanos[i] > tm.nanos[i] {
-						tm.nanos[i] = part.tm.nanos[i]
-					}
-					tm.insts[i] += part.tm.insts[i]
-					tm.ents[i] += part.tm.ents[i]
-				}
-				tr.WorkerSpans = append(tr.WorkerSpans, obs.WorkerTrace{
-					Chunk:     int(part.tm.insts[0]),
-					Instances: int64(part.stats.Instances),
-					Rows:      part.stats.Rows,
-					Wall:      part.wall,
-				})
-			}
-		}
-	} else {
-		arena := &value.Arena{}
-		emit := e.programEmitter(prog, sc, arena, res, &stats)
-		done := ctx.Done()
-		for k := range dom0 {
-			if done != nil {
-				select {
-				case <-done:
-					sc.putDomBuf(dom0)
-					e.putScratch(sc)
-					return nil, ctx.Err()
-				default:
-				}
-			}
-			stats.Instances++
-			if tm != nil {
-				tm.observe(0, dom0[k])
-			}
-			sc.bind(main[0], dom0[k])
-			if err := e.runNestProgram(prog, sc, 1, &stats, emit, tm); err != nil {
-				sc.putDomBuf(dom0)
-				e.putScratch(sc)
-				return nil, err
-			}
-		}
-		sc.putDomBuf(dom0)
-		e.putScratch(sc)
-	}
-	if tm != nil {
-		// The outermost node's inclusive wall covers its domain computation
-		// and the whole nest under it (the slowest worker, on the parallel
-		// path), so it approximates the execution span.
-		tm.nanos[0] = time.Since(execStart).Nanoseconds()
 	}
 	res.finish(t)
 	res.Stats = stats
-	e.countRetrieve(stats, parallel)
-	if tr != nil {
-		e.fillTrace(tr, p, params, t, main, tm, stats, parallel)
+	e.countRetrieve(stats)
+	if tm != nil {
+		e.fillTrace(tr, p, params, t, prog.main, tm, stats)
 	}
 	return res, nil
 }
@@ -304,9 +216,11 @@ func (e *Executor) programEmitter(prog *Program, sc *scratch, arena *value.Arena
 }
 
 // runNestProgram runs the loop nest from main-variable depth i down,
-// calling emit for every combination that passes the selection. A non-nil
-// tm collects the per-node profile (inclusive walls).
-func (e *Executor) runNestProgram(prog *Program, sc *scratch, i int, stats *Stats, emit func() error, tm *nestTrace) error {
+// calling emit for every combination that passes the selection.
+// Cancellation is checked between bindings of the outermost range. A
+// non-nil tm collects the per-node profile (inclusive walls, so the
+// outermost node's approximates the execution span).
+func (e *Executor) runNestProgram(ctx context.Context, prog *Program, sc *scratch, i int, stats *Stats, emit func() error, tm *nestTrace) error {
 	if i == len(prog.main) {
 		ok, err := e.programHolds(prog, sc)
 		if err != nil {
@@ -330,13 +244,25 @@ func (e *Executor) runNestProgram(prog *Program, sc *scratch, i int, stats *Stat
 	if len(dom) == 0 && n.Type == query.Type3 {
 		dom = append(dom, inst{null: true})
 	}
+	var done <-chan struct{}
+	if i == 0 {
+		done = ctx.Done()
+	}
 	for k := range dom {
+		if done != nil {
+			select {
+			case <-done:
+				sc.putDomBuf(dom)
+				return ctx.Err()
+			default:
+			}
+		}
 		stats.Instances++
 		if tm != nil {
 			tm.observe(i, dom[k])
 		}
 		sc.bind(n, dom[k])
-		if err := e.runNestProgram(prog, sc, i+1, stats, emit, tm); err != nil {
+		if err := e.runNestProgram(ctx, prog, sc, i+1, stats, emit, tm); err != nil {
 			sc.putDomBuf(dom)
 			return err
 		}
@@ -390,99 +316,4 @@ func (e *Executor) programSome(prog *Program, sc *scratch, j int) (bool, error) 
 	sc.unbind(n)
 	sc.putDomBuf(dom)
 	return false, nil
-}
-
-// runParallelProgram splits the outermost domain into one contiguous chunk
-// per worker, each running the compiled nest against a pooled scratch and
-// its own arena. Chunks are returned in domain order.
-func (e *Executor) runParallelProgram(ctx context.Context, prog *Program, params []value.Value, dom0 []inst, traced bool) ([]*partial, error) {
-	nw := e.workers
-	if nw > len(dom0) {
-		nw = len(dom0)
-	}
-	chunks := make([][]inst, 0, nw)
-	per := (len(dom0) + nw - 1) / nw
-	for lo := 0; lo < len(dom0); lo += per {
-		hi := min(lo+per, len(dom0))
-		chunks = append(chunks, dom0[lo:hi])
-	}
-	parts := make([]*partial, len(chunks))
-	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	for ci := range chunks {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			parts[ci], errs[ci] = e.runChunkProgram(ctx, prog, params, chunks[ci], traced)
-		}(ci)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return parts, nil
-}
-
-// runChunkProgram executes the compiled nest for one slice of the
-// outermost domain, checking cancellation between outer-range rows.
-func (e *Executor) runChunkProgram(ctx context.Context, prog *Program, params []value.Value, chunk []inst, traced bool) (*partial, error) {
-	sc := e.getScratch(prog.nNodes, params)
-	defer e.putScratch(sc)
-	part := &partial{}
-	arena := &value.Arena{}
-	var chunkStart time.Time
-	if traced {
-		part.tm = newNestTrace(len(prog.main))
-		chunkStart = time.Now()
-	}
-	emit := func() error {
-		row := arena.Alloc(len(prog.target))
-		for i, fn := range prog.target {
-			v, err := fn(sc)
-			if err != nil {
-				return err
-			}
-			row[i] = v
-		}
-		var order []value.Value
-		if len(prog.orderBy) > 0 {
-			order = arena.Alloc(len(prog.orderBy))
-			for i, fn := range prog.orderBy {
-				v, err := fn(sc)
-				if err != nil {
-					return err
-				}
-				order[i] = v
-			}
-		}
-		part.stats.Rows++
-		part.rows = append(part.rows, row)
-		part.order = append(part.order, order)
-		return nil
-	}
-	done := ctx.Done()
-	for k := range chunk {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		part.stats.Instances++
-		if part.tm != nil {
-			part.tm.observe(0, chunk[k])
-		}
-		sc.bind(prog.main[0], chunk[k])
-		if err := e.runNestProgram(prog, sc, 1, &part.stats, emit, part.tm); err != nil {
-			return nil, err
-		}
-	}
-	if traced {
-		part.wall = time.Since(chunkStart)
-		part.tm.nanos[0] = part.wall.Nanoseconds()
-	}
-	return part, nil
 }

@@ -13,7 +13,7 @@ import (
 // This file is the differential oracle for the compiled evaluator: a
 // recursive tree walker implementing §4.5's nested-loop semantics
 // directly over the bound query tree, one binding environment at a time,
-// with no closures, buffers, prefetched records or parallelism. It shares
+// with no closures, buffers or prefetched records. It shares
 // only the leaf helpers (aggregate, triValue, arith, cmpOf, closureOver,
 // pivotRootsOver, lucBound) with the engine. differential_test.go holds
 // the compiled programs to it.

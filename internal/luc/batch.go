@@ -8,10 +8,11 @@ import (
 // Rec is a read-only handle on one entity's decoded record, handed to the
 // executor so a binding's attribute references resolve against one
 // decode instead of paying a cache probe (and its shard lock) per
-// reference. The underlying record may be shared — with the Mapper's read
-// cache and concurrent queries (ReadBatch), or with one query's parallel
-// workers (EntityCursor.Rec); it is immutable once handed out, and
-// holders must never mutate what the accessors return.
+// reference. The underlying record may be shared with the Mapper's read
+// cache and concurrent queries (ReadBatch); one decoded off a scan cursor
+// (EntityCursor.Rec) belongs to the query that scanned it. Either way it
+// is immutable once handed out, and holders must never mutate what the
+// accessors return.
 //
 // The zero Rec is invalid and reports no roles and only NULL values;
 // callers fall back to the Mapper's per-entity read path when Valid is

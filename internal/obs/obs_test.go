@@ -189,16 +189,14 @@ func TestTraceRender(t *testing.T) {
 		Total:     2030 * time.Microsecond,
 		Rows:      4,
 		Instances: 9,
-		Workers:   2,
 		Nodes: []NodeTrace{
 			{Depth: 0, Label: "student", Type: "TYPE 1", Access: "scan student", Instances: 4, Entities: 4, Wall: 2 * time.Millisecond},
 			{Depth: 1, Label: "advisor of student", Type: "TYPE 3", Instances: 5, Entities: 3, Wall: time.Millisecond},
 		},
-		WorkerSpans: []WorkerTrace{{Chunk: 2, Instances: 5, Rows: 2, Wall: time.Millisecond}},
 	}
 	out := tr.Render()
 	for _, want := range []string{"scan student", "rows=4", "TYPE 3", "entities=3",
-		"parse 10µs", "exec 2.000ms", "worker 0", "rows: 4"} {
+		"parse 10µs", "exec 2.000ms", "rows: 4"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}

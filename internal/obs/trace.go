@@ -10,9 +10,7 @@ import (
 // variable (one loop of the §4.5 DAPLEX nest). Wall is inclusive: the time
 // spent enumerating this node's domain and running everything nested under
 // it, so the outermost node's wall approximates the whole execution and
-// nested nodes attribute their share. On the parallel path walls are the
-// maximum across workers (the wall-clock of the slowest worker) while
-// Instances sum.
+// nested nodes attribute their share.
 type NodeTrace struct {
 	Depth     int    // nesting depth in the main-variable list
 	Label     string // printable qualification, e.g. "advisor of student"
@@ -23,20 +21,11 @@ type NodeTrace struct {
 	Wall      time.Duration
 }
 
-// WorkerTrace is one worker's share of a parallel Retrieve.
-type WorkerTrace struct {
-	Chunk     int // outermost-domain rows assigned
-	Instances int64
-	Rows      int
-	Wall      time.Duration
-}
-
 // QueryTrace is the span breakdown of one traced query: the parse → plan →
-// execute phases, the per-node profile, per-worker spans on the parallel
-// path, and the storage-cache deltas observed across the execution. Cache
-// deltas are process-wide counters sampled before and after, so under
-// concurrent load they include neighbors' traffic; on a quiet database
-// they are exact.
+// execute phases, the per-node profile, and the storage-cache deltas
+// observed across the execution. Cache deltas are process-wide counters
+// sampled before and after, so under concurrent load they include
+// neighbors' traffic; on a quiet database they are exact.
 type QueryTrace struct {
 	Statement  string
 	ID         uint64 // request/trace ID the query ran under, 0 when unset
@@ -47,10 +36,8 @@ type QueryTrace struct {
 	Total      time.Duration
 	Rows       int   // rows returned
 	Instances  int64 // total bindings tried across all nodes
-	Workers    int   // workers used (1 = serial)
 
-	Nodes       []NodeTrace
-	WorkerSpans []WorkerTrace
+	Nodes []NodeTrace
 
 	PagerHits, PagerMisses uint64 // buffer pool delta over the query
 	CacheHits, CacheMisses uint64 // LUC record cache delta over the query
@@ -90,13 +77,6 @@ func (t *QueryTrace) Render() string {
 			fmt.Fprintf(&b, " entities=%d", n.Entities)
 		}
 		fmt.Fprintf(&b, " wall=%s\n", fmtDur(n.Wall))
-	}
-	if t.Workers > 1 {
-		fmt.Fprintf(&b, "parallel: %d workers (node walls are per-worker maxima)\n", t.Workers)
-		for i, w := range t.WorkerSpans {
-			fmt.Fprintf(&b, "  worker %d: chunk=%d instances=%d rows=%d wall=%s\n",
-				i, w.Chunk, w.Instances, w.Rows, fmtDur(w.Wall))
-		}
 	}
 	plan := fmtDur(t.Plan)
 	if t.PlanCached {

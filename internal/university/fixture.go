@@ -71,9 +71,8 @@ var Fixture = []string{
 // flowing through comparisons, connectives and quantifiers, aggregates
 // over empty and all-NULL multisets, and the short-circuit behavior of
 // and/or under Kleene logic (§4.3: "a three-valued logic (True, False,
-// Unknown) is used"). Serial and parallel execution, and the compiled
-// programs and the test oracle, must agree exactly — on rows, on row
-// order, and on errors.
+// Unknown) is used"). The compiled programs and the test oracle must
+// agree exactly — on rows, on row order, and on errors.
 var TriLogicQueries = []string{
 	// NULL in arithmetic and comparisons: bonus is NULL for Ann Smith
 	// and Bob Stone, so salary + bonus is NULL and every comparison

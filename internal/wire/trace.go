@@ -22,7 +22,6 @@ type TraceInfo struct {
 	TotalNS     uint64
 	Rows        uint64
 	Instances   uint64
-	Workers     uint64
 	PagerHits   uint64
 	PagerMisses uint64
 	CacheHits   uint64
@@ -41,7 +40,6 @@ func FromQueryTrace(t *obs.QueryTrace) TraceInfo {
 		TotalNS:     uint64(t.Total.Nanoseconds()),
 		Rows:        uint64(t.Rows),
 		Instances:   uint64(t.Instances),
-		Workers:     uint64(t.Workers),
 		PagerHits:   t.PagerHits,
 		PagerMisses: t.PagerMisses,
 		CacheHits:   t.CacheHits,
@@ -80,14 +78,17 @@ func (t TraceInfo) String() string {
 }
 
 // EncodeResultTrace builds a ResultTrace payload: the length-prefixed
-// result set followed by the trace fields and the rendered text.
+// result set followed by the trace fields and the rendered text. The
+// eighth field is a dead slot that once carried a per-query worker count:
+// it is written as 1 and ignored on decode, and the layout keeps it until
+// the next protocol version.
 func EncodeResultTrace(r *exec.Result, ti TraceInfo) []byte {
 	res := EncodeResult(r)
 	b := binary.AppendUvarint(nil, uint64(len(res)))
 	b = append(b, res...)
 	for _, v := range []uint64{
 		ti.ID, ti.ParseNS, ti.PlanNS, ti.ExecNS, ti.TotalNS,
-		ti.Rows, ti.Instances, ti.Workers,
+		ti.Rows, ti.Instances, 1,
 		ti.PagerHits, ti.PagerMisses, ti.CacheHits, ti.CacheMisses,
 	} {
 		b = binary.AppendUvarint(b, v)
@@ -113,9 +114,10 @@ func DecodeResultTrace(b []byte) (*exec.Result, TraceInfo, error) {
 		return nil, ti, err
 	}
 	b = b[rlen:]
+	var deadSlot uint64
 	for _, f := range []*uint64{
 		&ti.ID, &ti.ParseNS, &ti.PlanNS, &ti.ExecNS, &ti.TotalNS,
-		&ti.Rows, &ti.Instances, &ti.Workers,
+		&ti.Rows, &ti.Instances, &deadSlot,
 		&ti.PagerHits, &ti.PagerMisses, &ti.CacheHits, &ti.CacheMisses,
 	} {
 		v, n := binary.Uvarint(b)

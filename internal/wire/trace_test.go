@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +18,6 @@ func sampleTraceInfo() TraceInfo {
 		TotalNS:     2_600_000,
 		Rows:        3,
 		Instances:   99,
-		Workers:     4,
 		PagerHits:   17,
 		PagerMisses: 2,
 		CacheHits:   40,
@@ -61,6 +61,32 @@ func TestResultTraceEmptyRendered(t *testing.T) {
 	}
 }
 
+// TestResultTraceDeadSlot: the eighth field of the layout is written as 1
+// and ignored on decode, so a frame carrying any count there (an encoder
+// that still filled it) decodes to the same trace.
+func TestResultTraceDeadSlot(t *testing.T) {
+	ti := sampleTraceInfo()
+	enc := EncodeResultTrace(sampleResult(t), ti)
+	res := EncodeResult(sampleResult(t))
+	b := binary.AppendUvarint(nil, uint64(len(res)))
+	b = append(b, res...)
+	for _, v := range []uint64{ti.ID, ti.ParseNS, ti.PlanNS, ti.ExecNS, ti.TotalNS, ti.Rows, ti.Instances} {
+		b = binary.AppendUvarint(b, v)
+	}
+	if want := binary.AppendUvarint(bytes.Clone(b), 1); !bytes.HasPrefix(enc, want) {
+		t.Fatal("encoder does not write 1 in the dead slot")
+	}
+	b = binary.AppendUvarint(b, 4)
+	b = append(b, enc[len(b):]...)
+	_, got, err := DecodeResultTrace(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != ti {
+		t.Fatalf("trace diverged:\n%+v\nvs\n%+v", got, ti)
+	}
+}
+
 // TestFromQueryTrace checks the flattening of an executed trace,
 // including that the rendered tree rides along.
 func TestFromQueryTrace(t *testing.T) {
@@ -72,7 +98,6 @@ func TestFromQueryTrace(t *testing.T) {
 		Total:     7 * time.Millisecond,
 		Rows:      5,
 		Instances: 9,
-		Workers:   1,
 		PagerHits: 11,
 		Nodes: []obs.NodeTrace{
 			{Label: "student", Type: "TYPE 1", Access: "scan student", Instances: 9, Entities: 9, Wall: 3 * time.Millisecond},

@@ -36,9 +36,6 @@ func TestQueryTraceMatchesQuery(t *testing.T) {
 	if got, want := tr.Nodes[0].Instances, int64(ext.NumRows()); got != want {
 		t.Errorf("root node instances = %d, student extent has %d", got, want)
 	}
-	if tr.Workers < 1 {
-		t.Errorf("Workers = %d, want >= 1", tr.Workers)
-	}
 	if tr.Statement != q {
 		t.Errorf("Statement = %q", tr.Statement)
 	}

@@ -29,8 +29,7 @@ func (db *Database) HotReport() string { return obs.RenderHot(db.reg.Snapshot())
 
 // QueryTrace executes one Retrieve statement like Query while collecting
 // the full span breakdown: parse/plan/execute phases, per-query-tree-node
-// rows and walls, per-worker spans on the parallel path, and the
-// pager/LUC-cache deltas across the execution.
+// rows and walls, and the pager/LUC-cache deltas across the execution.
 func (db *Database) QueryTrace(dml string) (*Result, *obs.QueryTrace, error) {
 	return db.QueryTraceCtx(context.Background(), dml)
 }

@@ -23,8 +23,7 @@ import (
 // `go test -run TestPaperClaims -v .` prints the tables.
 func TestPaperClaims(t *testing.T) {
 	w := university.DefaultWorkload
-	serial := sim.Config{Workers: 1}
-	withMapping := func(m luc.Config) sim.Config { return sim.Config{Workers: 1, Mapping: m} }
+	withMapping := func(m luc.Config) sim.Config { return sim.Config{Mapping: m} }
 
 	t.Run("T1", func(t *testing.T) {
 		// §5.2: "The mapping of EVAs is the key factor in determining
@@ -106,7 +105,7 @@ func TestPaperClaims(t *testing.T) {
 		// cheapest; selective predicates on related classes enumerate the
 		// perspective through inverse relationships instead of scanning it.
 		opt := openUniversity(t, withMapping(luc.Config{Indexes: []string{"person.name", "course.title"}}), w)
-		scan := openUniversity(t, serial, w)
+		scan := openUniversity(t, sim.Config{}, w)
 		queries := []struct {
 			query
 			strategy string
@@ -160,7 +159,7 @@ func TestPaperClaims(t *testing.T) {
 		// student satisfies >= 200000000, so the existential form stops
 		// at each course's first student; the aggregate and the
 		// witness-free form must read the whole roster.
-		db := openUniversity(t, serial, w)
+		db := openUniversity(t, sim.Config{}, w)
 		forms := []query{
 			{"existential (TYPE 2)", `From course Retrieve title Where soc-sec-no of students-enrolled >= 200000000.`},
 			{"full enumeration (aggregate)", `From course Retrieve title Where min(soc-sec-no of students-enrolled) >= 200000000.`},
@@ -183,7 +182,7 @@ func TestPaperClaims(t *testing.T) {
 		// grows with the closure, not the class.
 		tbl := table{header: []string{"chain length", "closure size", "record lookups"}}
 		for _, n := range []int{8, 32, 128, 512} {
-			db := openLoaded(t, serial, func(db university.DB) error { return university.BuildPrereqChain(db, n) })
+			db := openLoaded(t, sim.Config{}, func(db university.DB) error { return university.BuildPrereqChain(db, n) })
 			q := fmt.Sprintf(`From course Retrieve count distinct (transitive(prerequisites)) Where course-no = %d.`, n)
 			c := measure(t, db, q)
 			size := xSingle(t, db, q).String()
@@ -218,7 +217,7 @@ func TestPaperClaims(t *testing.T) {
 		tbl := table{header: []string{"schema", "scale", "operation", "record lookups"}}
 		lookups := map[string][]uint64{}
 		for _, s := range schemas {
-			db := openLoaded(t, serial, func(db university.DB) error {
+			db := openLoaded(t, sim.Config{}, func(db university.DB) error {
 				if err := db.DefineSchema(s.ddl); err != nil {
 					return err
 				}
@@ -374,7 +373,7 @@ func coldAblation(t *testing.T, title string, mappings []mapping, queries []quer
 	tbl := table{header: []string{"mapping", "operation", "cold misses", "accesses", "rows"}}
 	out := make([][]cost, len(mappings))
 	for i, m := range mappings {
-		cfg := sim.Config{Workers: 1, PoolPages: coldPool, Mapping: m.cfg}
+		cfg := sim.Config{PoolPages: coldPool, Mapping: m.cfg}
 		path := filepath.Join(t.TempDir(), "ablation.sim")
 		reopen := func() *sim.Database {
 			db, err := sim.Open(path, cfg)

@@ -124,14 +124,14 @@ func serve(t *testing.T, db *sim.Database) *client.Conn {
 // TestShapeCacheDifferential: for the benchmark's ten statement shapes
 // and random literal vectors, a warm shape-keyed cache returns what a
 // database without a plan cache returns, and executes the plan a cold
-// Explain chooses — serial and parallel, through Database.Query, a
+// Explain chooses — for two literal streams, through Database.Query, a
 // transaction's snapshot and read-your-writes views, and client.Conn.
 func TestShapeCacheDifferential(t *testing.T) {
 	ctx := context.Background()
-	cold := shapeDB(t, sim.Config{PlanCacheSize: -1, Workers: 1})
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			warm := shapeDB(t, sim.Config{Workers: workers})
+	cold := shapeDB(t, sim.Config{PlanCacheSize: -1})
+	for _, seed := range []int64{18, 21} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			warm := shapeDB(t, sim.Config{})
 			conn := serve(t, warm)
 
 			// The same uncommitted write on both sides: Tx.Query then reads
@@ -158,7 +158,7 @@ func TestShapeCacheDifferential(t *testing.T) {
 			}
 			defer pinned.Rollback()
 
-			r := rand.New(rand.NewSource(int64(17 + workers)))
+			r := rand.New(rand.NewSource(seed))
 			for round := 0; round < 12; round++ {
 				for _, tpl := range shapeTemplates {
 					dml := tpl.text(r)
@@ -340,8 +340,8 @@ func TestTraceDescribesExecutingStatement(t *testing.T) {
 // shapes from several goroutines, so lookups, second-chance eviction and
 // parameter binding overlap; run under -race.
 func TestShapeCacheConcurrent(t *testing.T) {
-	cold := shapeDB(t, sim.Config{PlanCacheSize: -1, Workers: 1})
-	warm := shapeDB(t, sim.Config{PlanCacheSize: 4, Workers: 2})
+	cold := shapeDB(t, sim.Config{PlanCacheSize: -1})
+	warm := shapeDB(t, sim.Config{PlanCacheSize: 4})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

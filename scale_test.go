@@ -135,7 +135,7 @@ func TestOversizedIndexKeyRollsBack(t *testing.T) {
 // copy-on-write left on the version chains.
 func TestCommittedUpdateVisibleAfterEviction(t *testing.T) {
 	w := university.Workload{Departments: 4, Instructors: 60, Students: 600, Courses: 20, EnrollPer: 1, AdvisePer: 5}
-	db := openUniversity(t, sim.Config{PoolPages: 16, Workers: 1}, w)
+	db := openUniversity(t, sim.Config{PoolPages: 16}, w)
 	ctx := context.Background()
 
 	const transfers = 100

@@ -23,7 +23,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -51,7 +50,6 @@ type Result = exec.Result
 // registry.
 type ExecStats struct {
 	Queries   uint64 // Retrieve statements executed
-	Parallel  uint64 // Retrieves that ran the partitioned parallel path
 	Instances uint64 // range-variable bindings tried
 	Rows      uint64 // rows emitted
 	Updates   uint64 // update statements executed
@@ -74,10 +72,11 @@ type Config struct {
 	// PoolPages is the buffer pool capacity in 4 KiB pages (default 1024).
 	// Negative values are rejected by Validate.
 	PoolPages int
-	// Workers bounds the goroutines one Retrieve may use to scan its
-	// outermost range in parallel. 0 means GOMAXPROCS; 1 forces serial
-	// execution; negative values are rejected by Validate. Parallel and
-	// serial execution produce identical results.
+	// Workers is ignored: every Retrieve runs the one serial loop nest.
+	//
+	// Deprecated: kept only because the benchmark module still sets it; a
+	// later benchmark change removes that last use, and the field is
+	// deleted then.
 	Workers int
 	// PlanCacheSize is the capacity, in entries, of the plan cache keyed
 	// by statement shape — the DML text with its number and string
@@ -113,9 +112,6 @@ func (c Config) Validate() error {
 	if c.PoolPages < 0 {
 		return &ConfigError{Field: "PoolPages", Value: c.PoolPages, Reason: "must be >= 0 (0 means the default of 1024)"}
 	}
-	if c.Workers < 0 {
-		return &ConfigError{Field: "Workers", Value: c.Workers, Reason: "must be >= 0 (0 means GOMAXPROCS, 1 forces serial)"}
-	}
 	if c.PlanCacheSize < -1 {
 		return &ConfigError{Field: "PlanCacheSize", Value: c.PlanCacheSize, Reason: "must be >= -1 (0 means the default of 256, -1 disables)"}
 	}
@@ -129,17 +125,11 @@ func (c Config) normalize() Config {
 	if c.PoolPages == 0 {
 		c.PoolPages = 1024
 	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	if c.PlanCacheSize == 0 {
 		c.PlanCacheSize = 256
 	}
 	return c
 }
-
-// queryWorkers returns the effective worker count (cfg is normalized).
-func (c Config) queryWorkers() int { return c.Workers }
 
 // Database is an open SIM database. Methods are safe for concurrent use:
 // each query pins a read snapshot — the latest committed version stamp —
@@ -326,7 +316,6 @@ func (db *Database) build(batches []string) (*generation, error) {
 	if err := exe.SetConstraints(constraints); err != nil {
 		return nil, err
 	}
-	exe.SetWorkers(db.cfg.queryWorkers())
 	// Owned counters come back identical across generations (totals keep
 	// accumulating).
 	exe.SetMetrics(db.reg)
@@ -409,7 +398,6 @@ func (db *Database) Stats() Stats {
 		WAL:   db.store.WALStats(),
 		Exec: ExecStats{
 			Queries:   uint64(reg.Get("sim_exec_queries_total")),
-			Parallel:  uint64(reg.Get("sim_exec_parallel_queries_total")),
 			Instances: uint64(reg.Get("sim_exec_instances_total")),
 			Rows:      uint64(reg.Get("sim_exec_rows_total")),
 			Updates:   uint64(reg.Get("sim_exec_updates_total")),

@@ -1,48 +1,10 @@
 package sim
 
-import (
-	"testing"
-
-	"sim/internal/university"
-)
-
-// TestTriLogicSerialParallelEquality runs every tri-logic query serially
-// and on the partitioned parallel path (the student domain is grown past
-// the parallel threshold) and requires byte-identical formatted results
-// (or identical errors). The compiled-versus-oracle comparison of the same
-// set lives in internal/exec's differential test.
-func TestTriLogicSerialParallelEquality(t *testing.T) {
-	serial := universityDB(t, Config{Workers: 1})
-	parallel := universityDB(t, Config{Workers: 4})
-	bulkStudents(t, serial, 64)
-	bulkStudents(t, parallel, 64)
-	for _, q := range university.TriLogicQueries {
-		ref, refErr := serial.Query(q)
-		got, err := parallel.Query(q)
-		if (err == nil) != (refErr == nil) {
-			t.Errorf("error mismatch for %q: serial err=%v, parallel err=%v", q, refErr, err)
-			continue
-		}
-		if refErr != nil {
-			if err.Error() != refErr.Error() {
-				t.Errorf("%q: error text %q, want %q", q, err, refErr)
-			}
-			continue
-		}
-		if got.Format() != ref.Format() {
-			t.Errorf("%q:\nparallel:\n%s\nserial:\n%s", q, got.Format(), ref.Format())
-		}
-		if got.FormatStructured() != ref.FormatStructured() {
-			t.Errorf("%q: structured output diverges", q)
-		}
-	}
-	if parallel.Stats().Exec.Parallel == 0 {
-		t.Fatal("no query took the parallel path")
-	}
-}
+import "testing"
 
 // TestTriLogicPinned pins absolute answers for the trickiest cases so a
-// bug shared by both evaluators cannot hide behind the equality oracle.
+// bug shared by the compiled programs and the tree-walking oracle of
+// internal/exec's differential test cannot hide behind their equality.
 func TestTriLogicPinned(t *testing.T) {
 	db := universityDB(t, Config{})
 	// Unknown or True = True: all three instructors have salary > 40000,

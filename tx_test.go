@@ -235,7 +235,6 @@ func TestConfigValidate(t *testing.T) {
 		field string
 	}{
 		{Config{PoolPages: -1}, "PoolPages"},
-		{Config{Workers: -3}, "Workers"},
 		{Config{PlanCacheSize: -2}, "PlanCacheSize"},
 	}
 	for _, c := range cases {
