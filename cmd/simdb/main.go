@@ -553,7 +553,7 @@ func runScript(sh *shell, text string) error {
 	if isDDL(text) {
 		return run(sh, text)
 	}
-	stmts, err := parser.SplitStmts(text)
+	_, stmts, err := parser.ParseStmts(text)
 	if err != nil {
 		return err
 	}

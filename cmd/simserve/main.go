@@ -6,6 +6,7 @@
 //
 //	simserve [-addr :1988] [-db file] [-schema ddl-file] [-university]
 //	         [-replica-of addr] [-advertise addr] [-max-conns n]
+//	         [-max-inflight n] [-pool-pages n]
 //	         [-request-timeout d] [-read-timeout d] [-write-timeout d]
 //	         [-drain d] [-log-level info] [-metrics addr]
 //	         [-slow-query d] [-slow-request d] [-ready-max-lag n]

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Verify v2: salary + bonus < 100000.
@@ -240,5 +241,35 @@ Delete department Where dept-nbr = 400.`)
 		if got[0].Format() != want.Format() || got[0].FormatStructured() != want.FormatStructured() {
 			t.Errorf("Run(%q):\n%s\nQuery:\n%s", q, got[0].FormatStructured(), want.FormatStructured())
 		}
+	}
+}
+
+// TestRunCountsEveryStatement: a script's statements go through the
+// single-statement doors, so each Retrieve is one plan-cache lookup, one
+// query-latency sample and one slow-log candidate, and each update one
+// update-latency sample.
+func TestRunCountsEveryStatement(t *testing.T) {
+	db := universityDB(t, Config{SlowQuery: time.Nanosecond})
+	before, reg := db.Stats().Plans, db.Metrics()
+	queries, updates := reg.Get("sim_query_seconds"), reg.Get("sim_update_seconds")
+	slow := len(db.SlowQueries())
+	if _, err := db.Run(`
+From department Retrieve name Where dept-nbr = 100.
+Insert department (dept-nbr := 401, name := "Classics").
+From department Retrieve name Where dept-nbr = 401.`); err != nil {
+		t.Fatal(err)
+	}
+	after := db.Stats().Plans
+	if n := after.Hits + after.Misses - before.Hits - before.Misses; n != 2 {
+		t.Errorf("plan-cache lookups rose by %d, want 2", n)
+	}
+	if n := reg.Get("sim_query_seconds") - queries; n != 2 {
+		t.Errorf("sim_query_seconds_count rose by %v, want 2", n)
+	}
+	if n := reg.Get("sim_update_seconds") - updates; n != 1 {
+		t.Errorf("sim_update_seconds_count rose by %v, want 1", n)
+	}
+	if n := len(db.SlowQueries()) - slow; n != 2 {
+		t.Errorf("slow-query log grew by %d, want 2", n)
 	}
 }

@@ -2,7 +2,10 @@ package dmsii
 
 import (
 	"fmt"
+	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"sim/internal/fault"
 	"sim/internal/pager"
@@ -150,5 +153,103 @@ func TestFailedJournalAbortsTransaction(t *testing.T) {
 	}
 	if v, ok, err := st3.Get([]byte("alice")); err != nil || !ok || string(v) != "committed" {
 		t.Errorf("committed row lost after aborted commit: %q %v %v", v, ok, err)
+	}
+}
+
+// heldWriteBack starts a commit of key on s and returns once the commit
+// has published its stamp and is held just before its write-back. Closing
+// release lets the write-back run; the commit's error arrives on the
+// returned channel.
+func heldWriteBack(t *testing.T, s *Store, st *Structure, key string) (release chan struct{}, committed chan error) {
+	t.Helper()
+	held := make(chan struct{})
+	release, committed = make(chan struct{}), make(chan error, 1)
+	var once sync.Once
+	s.auditCapture = func(_ *pager.Snapshot, writeBack bool) {
+		if writeBack {
+			once.Do(func() { close(held); <-release })
+		}
+	}
+	go func() {
+		tx, err := s.Begin()
+		if err == nil {
+			err = st.Put([]byte(key), []byte("value"))
+		}
+		if err == nil {
+			err = tx.Commit()
+		}
+		committed <- err
+	}()
+	<-held
+	return release, committed
+}
+
+// TestScrubAndCloseWaitForWriteBack: a commit stops counting as open at
+// its publish, so Scrub and Close run beside a commit that is still
+// writing its pages back. Each waits for that write-back under the write
+// latch (drainPending) instead of refusing with an open transaction.
+func TestScrubAndCloseWaitForWriteBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "writeback.db")
+	s, err := OpenFile(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Structure("people")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitPut(t, s, st, "key000", "value")
+	// notBefore fails the test if done delivers before the write-back is
+	// released: the call must block on it, not fail fast or skip it.
+	notBefore := func(what string, done chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			t.Fatalf("%s returned while a commit's write-back was held: %v", what, err)
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+
+	release, committed := heldWriteBack(t, s, st, "key001")
+	scrubbed := make(chan error, 1)
+	var rep ScrubReport
+	go func() {
+		var err error
+		rep, err = s.Scrub()
+		scrubbed <- err
+	}()
+	notBefore("Scrub", scrubbed)
+	close(release)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-scrubbed; err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Entries != 2 {
+		t.Fatalf("scrub after the write-back: %s", rep)
+	}
+
+	release, committed = heldWriteBack(t, s, st, "key002")
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	notBefore("Close", closed)
+	close(release)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenFile(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st, err = s.Structure("people"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := st.Get([]byte("key002")); err != nil || !ok {
+		t.Fatalf("the commit Close waited for is not in the reopened store (found %v, err %v)", ok, err)
 	}
 }

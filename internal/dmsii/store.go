@@ -631,22 +631,25 @@ func (tx *Txn) releaseWrite() {
 // write-phase order), then the latch is released and the committer waits
 // for its group's fsync — the next writer executes while this fsync is in
 // flight, which is what lets the WAL group commits. After the batch is
-// durable the snapshot images are written back to the database file in
-// commit order.
+// durable the commit publishes its stamp and stops counting as open; its
+// snapshot images are then written back to the database file in commit
+// order, and Scrub, Close and every other write-latch holder wait for that
+// write-back in drainPending.
 func (tx *Txn) Commit() error {
 	if tx.done {
 		return fmt.Errorf("dmsii: transaction already finished")
 	}
 	tx.done = true
-	defer tx.s.active.Add(-1)
 	s := tx.s
 	if !tx.wrote {
+		s.active.Add(-1)
 		return nil
 	}
 	snap := s.pool.Snapshot()
 	tx.stamp = snap.Stamp()
 	if snap.Len() == 0 {
 		tx.releaseWrite()
+		s.active.Add(-1)
 		return nil
 	}
 	if s.auditCapture != nil {
@@ -676,6 +679,7 @@ func (tx *Txn) Commit() error {
 			if unlock, _ := s.lockWrites(true); unlock != nil {
 				unlock()
 			}
+			s.active.Add(-1)
 			return err
 		}
 	}
@@ -694,6 +698,7 @@ func (tx *Txn) Commit() error {
 		tx.onPublish()
 	}
 	s.pool.Publish(snap.Stamp())
+	s.active.Add(-1)
 	s.retireStale()
 	s.flightTxn.Load().Event("txn", "commit", tx.id, 0, int64(snap.Len()), "")
 	s.awaitHead(snap)
@@ -713,6 +718,10 @@ func (tx *Txn) Commit() error {
 			return err
 		}
 		defer unlock()
+		if s.closed.Load() {
+			// Close ran during the write-back and has checkpointed.
+			return nil
+		}
 		return s.checkpointLocked()
 	}
 	return nil
@@ -832,9 +841,6 @@ func (s *Store) reattachDir() error {
 
 // Conflicts reports first-writer-wins conflicts since open.
 func (s *Store) Conflicts() uint64 { return s.conflicts.Load() }
-
-// ActiveTxns reports the number of open transactions.
-func (s *Store) ActiveTxns() int64 { return s.active.Load() }
 
 // ---------------------------------------------------------------------------
 // Page allocator (btree.Alloc)

@@ -54,20 +54,6 @@ func (rec Rec) FirstSubrole(a *catalog.Attribute) value.Value {
 	return value.Null
 }
 
-// AppendSubroles appends every subrole name the entity holds, in
-// declaration order — Subrole without the per-call allocation.
-func (rec Rec) AppendSubroles(dst []value.Value, a *catalog.Attribute) []value.Value {
-	if rec.r == nil {
-		return dst
-	}
-	for ord, sub := range a.SubroleOf {
-		if rec.r.hasRole(sub.ID) {
-			dst = append(dst, value.NewSymbolic(sub.Name, ord))
-		}
-	}
-	return dst
-}
-
 // MultiRaw returns the embedded multiset of an MV DVA without copying.
 // The slice aliases the shared record: READ ONLY. Only meaningful for
 // embedded (non-separate) MV DVAs; separate-unit attributes live outside

@@ -573,7 +573,7 @@ func (m *Mapper) indexStructure(a *catalog.Attribute) (*dmsii.Structure, error) 
 // ahead of the store — surrogate counters and statistics — so the next
 // writer reloads them from the committed pages. The database layer calls
 // it under the store write latch whenever uncommitted state is discarded,
-// and when a follower is promoted. Record-cache entries stay: the live
+// and whenever a follower applies replicated pages. Record-cache entries stay: the live
 // mapper never reads them, and a snapshot view matches only entries of
 // its own published stamp.
 func (m *Mapper) ResetLiveState() {

@@ -36,9 +36,6 @@ func NewSlowLog(threshold time.Duration) *SlowLog {
 	return &SlowLog{threshold: threshold}
 }
 
-// Threshold returns the configured threshold.
-func (l *SlowLog) Threshold() time.Duration { return l.threshold }
-
 // Observe records stmt when d reaches the threshold, reporting whether it
 // did. id is the request/trace ID the statement ran under (0 when none),
 // so slow entries correlate with flight-recorder events. Nil logs and

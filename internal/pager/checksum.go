@@ -147,60 +147,12 @@ func (c *ChecksumFile) RegisterMetrics(r *obs.Registry) {
 	c.flight.Store(r.Flight().Component("pager"))
 }
 
-// RawPageFile is a page File over byte storage with no checksum trailer
-// (pages are packed at id*PageSize). It exists for the fault benchmark's
-// checksum-overhead ablation and must not be used for real databases.
-type RawPageFile struct {
-	bf ByteFile
-}
-
-// NewRawPageFile returns an unchecksummed page File over bf.
-func NewRawPageFile(bf ByteFile) *RawPageFile { return &RawPageFile{bf: bf} }
-
-// ReadPage implements File.
-func (r *RawPageFile) ReadPage(id PageID, buf []byte) error {
-	if _, err := r.bf.ReadAt(buf[:PageSize], int64(id)*PageSize); err != nil {
-		return fmt.Errorf("pager: read page %d: %w", id, err)
-	}
-	return nil
-}
-
-// WritePage implements File.
-func (r *RawPageFile) WritePage(id PageID, buf []byte) error {
-	if _, err := r.bf.WriteAt(buf[:PageSize], int64(id)*PageSize); err != nil {
-		return fmt.Errorf("pager: write page %d: %w", id, err)
-	}
-	return nil
-}
-
-// NumPages implements File.
-func (r *RawPageFile) NumPages() (uint32, error) {
-	size, err := r.bf.Size()
-	if err != nil {
-		return 0, err
-	}
-	return uint32(size / PageSize), nil
-}
-
-// TruncatePages implements PageTruncator.
-func (r *RawPageFile) TruncatePages(n uint32) error {
-	return r.bf.Truncate(int64(n) * PageSize)
-}
-
-// Sync implements File.
-func (r *RawPageFile) Sync() error { return r.bf.Sync() }
-
-// Close implements File.
-func (r *RawPageFile) Close() error { return r.bf.Close() }
-
 // assert interface conformance at compile time.
 var (
 	_ File = (*ChecksumFile)(nil)
-	_ File = (*RawPageFile)(nil)
 	_ File = (*MemFile)(nil)
 
 	_ PageTruncator = (*ChecksumFile)(nil)
-	_ PageTruncator = (*RawPageFile)(nil)
 	_ PageTruncator = (*MemFile)(nil)
 
 	_ ByteFile = (*OSByteFile)(nil)

@@ -31,49 +31,36 @@ func ParseStmt(src string) (ast.Stmt, error) {
 	return s, nil
 }
 
-// ParseStmts parses a sequence of DML statements separated by '.' or ';'.
-func ParseStmts(src string) ([]ast.Stmt, error) {
+// ParseStmts parses a sequence of DML statements separated by '.' or ';',
+// returning each statement's AST and, beside it, its source text.
+// Boundaries come from the parser itself, so '.' inside strings or
+// numbers never splits; a front end can ship or run a script one
+// statement at a time.
+func ParseStmts(src string) ([]ast.Stmt, []string, error) {
 	p, err := New(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var out []ast.Stmt
-	for p.cur().Kind != token.EOF {
-		s, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// SplitStmts splits a DML script into the source text of each statement,
-// validating that the whole script parses. Boundaries come from the
-// parser itself, so '.' inside strings or numbers never splits. Remote
-// front ends use this to ship a script one statement at a time.
-func SplitStmts(src string) ([]string, error) {
-	p, err := New(src)
-	if err != nil {
-		return nil, err
-	}
+	var stmts []ast.Stmt
 	var starts []token.Pos
 	for p.cur().Kind != token.EOF {
 		starts = append(starts, p.cur().Pos)
-		if _, err := p.parseStmt(); err != nil {
-			return nil, err
+		s, err := p.parseStmt()
+		if err != nil {
+			return nil, nil, err
 		}
+		stmts = append(stmts, s)
 	}
 	offs := posOffsets(src, starts)
-	out := make([]string, len(starts))
+	texts := make([]string, len(starts))
 	for i := range starts {
 		end := len(src)
 		if i+1 < len(starts) {
 			end = offs[i+1]
 		}
-		out[i] = strings.TrimSpace(src[offs[i]:end])
+		texts[i] = strings.TrimSpace(src[offs[i]:end])
 	}
-	return out, nil
+	return stmts, texts, nil
 }
 
 // posOffsets converts ascending token positions to byte offsets by

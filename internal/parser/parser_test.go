@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -371,15 +372,29 @@ func TestParseLike(t *testing.T) {
 }
 
 func TestParseStmts(t *testing.T) {
-	ss, err := ParseStmts(`
-Insert course (course-no := 1, title := "A", credits := 3).
-Insert course (course-no := 2, title := "B", credits := 3).
+	ss, texts, err := ParseStmts(`
+Insert course (course-no := 1, title := "A. B.", credits := 3).
+Insert course (course-no := 2.5, title := "B", credits := 3).
 From course Retrieve title.`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ss) != 3 {
-		t.Fatalf("got %d statements", len(ss))
+	if len(ss) != 3 || len(texts) != 3 {
+		t.Fatalf("got %d statements, %d texts", len(ss), len(texts))
+	}
+	want := []string{
+		`Insert course (course-no := 1, title := "A. B.", credits := 3).`,
+		`Insert course (course-no := 2.5, title := "B", credits := 3).`,
+		`From course Retrieve title.`,
+	}
+	for i, w := range want {
+		if texts[i] != w {
+			t.Errorf("statement %d text %q, want %q", i+1, texts[i], w)
+		}
+		// Each text parses on its own to the statement it sits beside.
+		if s, err := ParseStmt(texts[i]); err != nil || fmt.Sprintf("%T", s) != fmt.Sprintf("%T", ss[i]) {
+			t.Errorf("statement %d text reparses to %T (err %v), want %T", i+1, s, err, ss[i])
+		}
 	}
 }
 

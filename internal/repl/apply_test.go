@@ -85,7 +85,7 @@ func (ms *memStream) pending() ([]*repl.Group, error) {
 func (ms *memStream) apply(groups []*repl.Group) error {
 	for _, g := range groups {
 		if err := ms.a.ApplyGroup(wire.ReplFrames{
-			Epoch: ms.pub.Epoch(), Run: ms.pub.Run(), Pos: g.Pos, Latest: ms.pub.Latest(), Gen: g.Gen, Pages: g.Pages,
+			Epoch: ms.pub.Epoch(), Run: ms.pub.Run(), Pos: g.Pos, Latest: ms.pub.Latest(), Pages: g.Pages,
 		}); err != nil {
 			return err
 		}
@@ -445,10 +445,10 @@ func TestFollowerApplyDoesNotBlockReads(t *testing.T) {
 	}
 }
 
-// TestPromotionStartsFromFreshLiveState: applying groups never touches the
-// follower's live mapper, so whatever it cached before them — here a class
-// count — is stale by the time the follower is promoted. Promotion resets
-// it: the first writes count, allocate surrogates and reach structures
+// TestPromotionStartsFromFreshLiveState: applied groups move what the
+// follower's live mapper cached before them — here a class count — so
+// each apply resets it under its write latch. The first writes after a
+// promotion therefore count, allocate surrogates and reach structures
 // from the replicated state, and the promoted database audits clean.
 func TestPromotionStartsFromFreshLiveState(t *testing.T) {
 	pdb, _, addr := openPrimary(t, 0)

@@ -294,7 +294,6 @@ func TestFailoverChaosMatrix(t *testing.T) {
 			// rejoins as a follower, discarding any divergence via
 			// re-snapshot, and converges on the post-failover state.
 			waitConverged(t, r.db, p2.db, itemsQ)
-			waitQuiescent(t, p2.db)
 			rep, err := p2.db.Scrub()
 			if err != nil || !rep.OK() {
 				t.Fatalf("rejoined old primary scrub: %v %v", err, rep)
@@ -433,7 +432,6 @@ func TestDivergedOldPrimaryRejoins(t *testing.T) {
 	if s := got.Format(); strings.Contains(s, "diverged") {
 		t.Fatalf("diverged commit survived the rejoin:\n%s", s)
 	}
-	waitQuiescent(t, p2.db)
 	if rep, err := p2.db.Scrub(); err != nil || !rep.OK() {
 		t.Fatalf("scrub after rejoin: %v %v", err, rep)
 	}

@@ -84,7 +84,7 @@ func captureStream(t *testing.T) (pdb *sim.Database, epoch, run uint64, img []by
 		}
 		for _, g := range groups {
 			frames = append(frames, wire.ReplFrames{
-				Epoch: epoch, Run: run, Pos: g.Pos, Latest: pub.Latest(), Gen: g.Gen, Pages: g.Pages,
+				Epoch: epoch, Run: run, Pos: g.Pos, Latest: pub.Latest(), Pages: g.Pages,
 			})
 		}
 	}

@@ -58,11 +58,6 @@ func (f *Follower) Promote(cfg PromoteConfig) (*Promotion, error) {
 	if st.Epoch == 0 {
 		return nil, fmt.Errorf("repl: refusing to promote a follower that never reached its primary")
 	}
-	// Applying groups never touches the live mapper, which only writers
-	// use: start the first write from the replicated state.
-	if err := f.db.ResetLiveState(); err != nil {
-		return nil, err
-	}
 	// Strictly above both the epoch we followed and anything this node has
 	// ever witnessed, and durable before the first group is published.
 	newEpoch := st.Epoch

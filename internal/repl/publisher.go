@@ -25,14 +25,19 @@ const DefaultRingBytes = 16 << 20
 const defaultBatchBytes = 1 << 20
 
 // Group is one committed page group as retained by the Publisher: the
-// position it advances followers to, the schema generation it was
-// committed under, and private copies of the deduplicated page images.
-// A schema-change marker group has no pages and a bumped Gen. TS is the
-// primary's publish clock (unixnano) and IDs the request IDs that rode
-// the group; both travel to followers for staleness measurement and
-// end-to-end tracing.
+// position it advances followers to and private copies of the
+// deduplicated page images. TS is the primary's publish clock (unixnano)
+// and IDs the request IDs that rode the group; both travel to followers
+// for staleness measurement and end-to-end tracing.
 type Group struct {
-	Pos   uint64
+	Pos uint64
+	// Gen is always 0: a follower publishes the schema a group committed
+	// from its pages.
+	//
+	// Deprecated: kept only because the benchmark module still copies it
+	// into a frame; the next wire version drops the frame field, and a
+	// later benchmark change removes that last use, so the field is
+	// deleted then.
 	Gen   uint64
 	TS    uint64
 	IDs   []uint64
@@ -64,19 +69,18 @@ type Publisher struct {
 
 	mu        sync.Mutex
 	latest    uint64   // newest published position; positions start at 1
-	gen       uint64   // current schema generation
 	ring      []*Group // ascending positions; ring[0].Pos..ring[n-1].Pos contiguous
 	ringBytes int
 	maxBytes  int
 	subs      map[*Subscription]struct{}
 	peers     map[*Peer]struct{}
 
-	groups    atomic.Uint64 // groups published (incl. schema markers)
+	groups    atomic.Uint64 // groups published
 	snapshots atomic.Uint64 // base snapshots produced
 	evicted   atomic.Uint64 // groups evicted from the ring
 }
 
-// NewPublisher hooks a Publisher into db's commit and schema paths. The
+// NewPublisher hooks a Publisher into db's commit path. The
 // database must be durable (file-backed): replication ships the WAL.
 func NewPublisher(db *sim.Database, cfg Config) (*Publisher, error) {
 	var rb [8]byte
@@ -91,7 +95,6 @@ func NewPublisher(db *sim.Database, cfg Config) (*Publisher, error) {
 		db:       db,
 		epoch:    epoch,
 		run:      binary.BigEndian.Uint64(rb[:]) | 1, // never 0 ("no run")
-		gen:      db.SchemaGen(),
 		maxBytes: cfg.RingBytes,
 		subs:     make(map[*Subscription]struct{}),
 		peers:    make(map[*Peer]struct{}),
@@ -102,7 +105,6 @@ func NewPublisher(db *sim.Database, cfg Config) (*Publisher, error) {
 	if err := db.SetCommitHook(p.publish); err != nil {
 		return nil, err
 	}
-	db.SetSchemaHook(p.publishSchema)
 	return p, nil
 }
 
@@ -116,13 +118,12 @@ func (p *Publisher) Epoch() uint64 { return p.epoch }
 // history a follower applied before the restart.
 func (p *Publisher) Run() uint64 { return p.run }
 
-// Seal detaches the publisher from the database's commit and schema
-// hooks. A primary being demoted after a fencing event seals its
-// publisher before replicated groups from the new primary are applied, so
-// the stale stream can never observe (and re-publish) them.
+// Seal detaches the publisher from the database's commit hook. A primary
+// being demoted after a fencing event seals its publisher before
+// replicated groups from the new primary are applied, so the stale stream
+// can never observe (and re-publish) them.
 func (p *Publisher) Seal() {
 	p.db.SetCommitHook(nil)
-	p.db.SetSchemaHook(nil)
 }
 
 // Latest returns the newest published position.
@@ -150,22 +151,9 @@ func (p *Publisher) publish(g wal.CommitGroup) uint64 {
 	p.mu.Lock()
 	p.latest++
 	pos := p.latest
-	p.append(&Group{Pos: pos, Gen: p.gen, TS: uint64(time.Now().UnixNano()), IDs: ids, Pages: pages, Bytes: bytes})
+	p.append(&Group{Pos: pos, TS: uint64(time.Now().UnixNano()), IDs: ids, Pages: pages, Bytes: bytes})
 	p.mu.Unlock()
 	return pos
-}
-
-// publishSchema is the schema hook: DefineSchema's page images were
-// already published (with the previous generation) by the commit hook
-// inside its transaction, so an empty marker group carrying the new
-// generation is appended after them; applying it makes the follower
-// reload its catalog from the already-replicated "~schema" structure.
-func (p *Publisher) publishSchema(gen uint64) {
-	p.mu.Lock()
-	p.gen = gen
-	p.latest++
-	p.append(&Group{Pos: p.latest, Gen: gen})
-	p.mu.Unlock()
 }
 
 // append adds a group to the ring, evicts past the byte bound (always
@@ -272,7 +260,12 @@ func (s *Subscription) Next(stop <-chan struct{}, wait time.Duration) ([]*Group,
 // Snapshot produces a base image of the database plus a subscription
 // continuing exactly after it: the image's position is read while the
 // store's write latch is still held, so no committed group can fall in
-// the gap. The returned gen is the schema generation the image carries.
+// the gap.
+//
+// Deprecated: the gen result is always 0 — a follower publishes the
+// image's schema from its pages. It stays only because the benchmark
+// module still calls the five-result form; the next wire version and a
+// later benchmark change drop it.
 func (p *Publisher) Snapshot() (img []byte, pos, gen uint64, sub *Subscription, err error) {
 	p.snapshots.Add(1)
 	img, pos, err = p.db.ReplSnapshot(func() uint64 {
@@ -284,10 +277,9 @@ func (p *Publisher) Snapshot() (img []byte, pos, gen uint64, sub *Subscription, 
 		return nil, 0, 0, nil, err
 	}
 	p.mu.Lock()
-	gen = p.gen
 	sub = p.subscribeLocked(pos)
 	p.mu.Unlock()
-	return img, pos, gen, sub, nil
+	return img, pos, 0, sub, nil
 }
 
 // Peer is one connected follower, tracked for status reporting only —
@@ -393,7 +385,7 @@ func (p *Publisher) RegisterMetrics(r *obs.Registry) {
 			defer p.mu.Unlock()
 			return float64(p.ringBytes)
 		})
-	r.CounterFunc("sim_repl_groups_total", "Commit groups published (including schema markers).",
+	r.CounterFunc("sim_repl_groups_total", "Commit groups published.",
 		func() float64 { return float64(p.groups.Load()) })
 	r.CounterFunc("sim_repl_snapshots_total", "Base snapshots produced for followers.",
 		func() float64 { return float64(p.snapshots.Load()) })

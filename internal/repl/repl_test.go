@@ -129,22 +129,6 @@ func waitConverged(t *testing.T, pdb, rdb *sim.Database, q string) {
 	}
 }
 
-// waitQuiescent waits until db has no open transaction. A follower
-// publishes an applied group or snapshot image before that commit's
-// write-back ends, so a converged follower may still be finishing the
-// commit that converged it — and Scrub refuses to run beside an open
-// transaction.
-func waitQuiescent(t *testing.T, db *sim.Database) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for db.Metrics().Snapshot()["sim_txn_active"] != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("a transaction stayed open for 30 s")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func mustExec(t *testing.T, db *sim.Database, stmt string) {
 	t.Helper()
 	if _, err := db.Exec(stmt); err != nil {
@@ -153,12 +137,18 @@ func mustExec(t *testing.T, db *sim.Database, stmt string) {
 }
 
 // TestPublisherPositionsAndEviction exercises the publisher's ring
-// directly: monotonic positions, batch delivery in order, and
-// ErrSnapshotNeeded once the ring has evicted the subscriber's position.
+// directly: one position per commit (a DefineSchema included: its batch
+// travels in its commit's pages, with no marker after them), batch
+// delivery in order, and ErrSnapshotNeeded once the ring has evicted the
+// subscriber's position.
 func TestPublisherPositionsAndEviction(t *testing.T) {
 	db, pub, _ := openPrimary(t, 0)
+	before := pub.Latest()
 	if err := db.DefineSchema(testSchema); err != nil {
 		t.Fatal(err)
+	}
+	if got := pub.Latest(); got != before+1 {
+		t.Fatalf("DefineSchema advanced the stream from %d to %d, want one position", before, got)
 	}
 	base := pub.Latest()
 	sub, err := pub.Subscribe(pub.Epoch(), pub.Run(), base)

@@ -139,7 +139,7 @@ func (s *Server) serveReplication(conn net.Conn, payload []byte) {
 		latest := pub.Latest()
 		for _, g := range groups {
 			f := wire.ReplFrames{Epoch: pub.Epoch(), Run: pub.Run(), Pos: g.Pos, Latest: latest,
-				Gen: g.Gen, TS: g.TS, IDs: g.IDs, Pages: g.Pages}
+				TS: g.TS, IDs: g.IDs, Pages: g.Pages}
 			shipStart := time.Now()
 			if err := s.writeFrame(conn, wire.TReplFrames, wire.EncodeReplFrames(f)); err != nil {
 				s.log.Warn("replication write failed", "remote", remote, "err", err)
@@ -166,7 +166,7 @@ func (s *Server) sendHeartbeat(conn net.Conn, pub *repl.Publisher) error {
 // returns the subscription that continues exactly after it.
 func (s *Server) sendSnapshot(conn net.Conn, pub *repl.Publisher, peer *repl.Peer) (*repl.Subscription, error) {
 	peer.SetState("snapshot")
-	img, pos, gen, sub, err := pub.Snapshot()
+	img, pos, _, sub, err := pub.Snapshot()
 	if err != nil {
 		s.writeFrame(conn, wire.TError, wire.EncodeError(wire.CodeInternal, err.Error()))
 		return nil, err
@@ -182,7 +182,6 @@ func (s *Server) sendSnapshot(conn net.Conn, pub *repl.Publisher, peer *repl.Pee
 			Epoch:  pub.Epoch(),
 			Run:    pub.Run(),
 			Pos:    pos,
-			Gen:    gen,
 			Total:  uint64(len(img)),
 			Offset: uint64(off),
 			Chunk:  img[off : off+n],

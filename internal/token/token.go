@@ -199,9 +199,6 @@ func (k Kind) String() string {
 	return "Kind(?)"
 }
 
-// IsKeyword reports whether the kind is a reserved word.
-func (k Kind) IsKeyword() bool { return k > keywordBeg && k < keywordEnd }
-
 var keywords = func() map[string]Kind {
 	m := make(map[string]Kind)
 	for k := keywordBeg + 1; k < keywordEnd; k++ {

@@ -77,11 +77,16 @@ func DecodeReplAck(b []byte) (uint64, error) {
 // length in bytes and Offset the chunk's position in it; the follower
 // buffers chunks until Offset+len(Chunk) == Total, then installs the
 // image atomically. Pos is the publisher position the image is current
-// as of; Gen is the primary's schema generation at that point.
+// as of.
 type ReplSnapshot struct {
-	Epoch  uint64
-	Run    uint64
-	Pos    uint64
+	Epoch uint64
+	Run   uint64
+	Pos   uint64
+	// Gen is sent as 0 and no follower reads it: a follower publishes the
+	// image's schema from its pages.
+	//
+	// Deprecated: the slot stays in wire v4's layout; the next wire
+	// version drops it, and the field with it.
 	Gen    uint64
 	Total  uint64
 	Offset uint64
@@ -121,8 +126,7 @@ func DecodeReplSnapshot(b []byte) (ReplSnapshot, error) {
 
 // ReplFrames is one committed page group: the publisher position it
 // advances the follower to, the primary's latest position (for lag
-// estimation), the schema generation the group was committed under, the
-// request IDs of the commits merged into the group (trace-context
+// estimation), the request IDs of the commits merged into the group (trace-context
 // propagation: the follower records them on apply), the primary's
 // wall-clock at publish (unix nanoseconds, for staleness estimation; 0 =
 // unknown), and the page images. Pos == 0 marks a heartbeat: no pages,
@@ -132,10 +136,16 @@ type ReplFrames struct {
 	Run    uint64
 	Pos    uint64
 	Latest uint64
-	Gen    uint64
-	TS     uint64
-	IDs    []uint64
-	Pages  []ReplPage
+	// Gen is sent as 0 and no follower reads it: a follower publishes the
+	// schema a group committed from its pages.
+	//
+	// Deprecated: the slot stays in wire v4's layout; the next wire
+	// version drops it, and a later benchmark change removes the last use
+	// of the field, which is deleted then.
+	Gen   uint64
+	TS    uint64
+	IDs   []uint64
+	Pages []ReplPage
 }
 
 // maxReplFrameIDs bounds the decoded request-ID list against hostile

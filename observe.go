@@ -43,13 +43,8 @@ func (db *Database) QueryTraceCtx(ctx context.Context, dml string) (*Result, *ob
 	start := time.Now()
 	res, err := db.queryTraceCtx(ctx, dml, tr)
 	tr.Total = time.Since(start)
-	db.queryHist.Observe(tr.Total)
-	if err != nil {
-		db.queryErrs.Inc()
+	if res, err = db.countQuery(ctx, dml, tr.Total, res, err); err != nil {
 		return nil, nil, err
-	}
-	if db.slow.Observe(dml, tr.Total, res.Stats.Rows, tr.ID) {
-		db.slowCount.Inc()
 	}
 	return res, tr, nil
 }

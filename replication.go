@@ -31,21 +31,6 @@ func (db *Database) SetCommitHook(fn func(wal.CommitGroup) uint64) error {
 	return db.store.SetCommitHook(fn)
 }
 
-// SetSchemaHook installs fn to be called with the new schema generation
-// after every successful DefineSchema (nil removes it). The publisher uses
-// it to append a schema marker to the stream.
-func (db *Database) SetSchemaHook(fn func(gen uint64)) {
-	if fn == nil {
-		db.schemaHook.Store(nil)
-		return
-	}
-	db.schemaHook.Store(&fn)
-}
-
-// SchemaGen returns the schema generation: the number of DDL batches of
-// the published schema.
-func (db *Database) SchemaGen() uint64 { return uint64(len(db.gen.Load().ddl)) }
-
 // ReplSnapshot returns a point-in-time image of the whole database file
 // plus the publisher position it is current as of (pos is read while the
 // store's write latch is held, so no commit can slip between the copy
@@ -76,13 +61,16 @@ func (db *Database) ApplySnapshot(img []byte) error {
 
 // reload is the prepare step of a replicated commit (see
 // dmsii.Store.ApplyReplicated): under the write latch, with the shipped
-// pages in place, it builds the generation of the "~schema" batches they
-// hold and has the commit publish it just before its stamp, so no reader
-// pins the shipped pages under an older schema. A snapshot install
-// (replace) publishes the image's schema whatever it holds; a group only
-// one that grew past the published generation's batches.
+// pages in place, it resets the live mapper's surrogate counters and
+// statistics — the shipped pages moved them, as a discard does — then
+// builds the generation of the "~schema" batches they hold and has the
+// commit publish it just before its stamp, so no reader pins the shipped
+// pages under an older schema. A snapshot install (replace) publishes the
+// image's schema whatever it holds; a group only one that grew past the
+// published generation's batches.
 func (db *Database) reload(replace bool) func(*dmsii.Txn) error {
 	return func(tx *dmsii.Txn) error {
+		db.Mapper().ResetLiveState()
 		// Every shipped state has the structure (a database creates it when
 		// it opens), so opening it here never allocates.
 		st, err := db.store.Structure("~schema")
@@ -103,18 +91,4 @@ func (db *Database) reload(replace bool) func(*dmsii.Txn) error {
 		}
 		return nil
 	}
-}
-
-// ResetLiveState drops the live mapper's in-memory state — surrogate
-// counters and cached statistics — so the first write after a follower's
-// promotion starts from what the replicated groups left rather than from
-// anything cached before them. It runs under the store write latch: a
-// rollback with nothing written takes the store's discard path, which
-// resets the live mapper (see openStore).
-func (db *Database) ResetLiveState() error {
-	tx, err := db.store.Begin()
-	if err != nil {
-		return err
-	}
-	return tx.Rollback()
 }

@@ -151,8 +151,7 @@ type Database struct {
 	cfg   Config
 	gen   atomic.Pointer[generation] // the published schema generation
 
-	planCounts planCounts                       // plan-cache hits and misses, across generations
-	schemaHook atomic.Pointer[func(gen uint64)] // replication: notified after DefineSchema commits
+	planCounts planCounts // plan-cache hits and misses, across generations
 
 	reg       *obs.Registry  // unified metric registry (see Metrics)
 	slow      *obs.SlowLog   // queries over Config.SlowQuery
@@ -354,15 +353,7 @@ func (db *Database) DefineSchema(ddl string) error {
 		return err
 	}
 	tx.OnPublish(func() { db.publish(g) })
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	if hook := db.schemaHook.Load(); hook != nil {
-		// The batch's page images are already published (the commit hook ran
-		// inside tx.Commit), so followers see the marker after the pages.
-		(*hook)(uint64(len(g.ddl)))
-	}
-	return nil
+	return tx.Commit()
 }
 
 // Catalog exposes the published schema catalog for introspection.
@@ -440,7 +431,14 @@ func (db *Database) Query(dml string) (*Result, error) {
 func (db *Database) QueryCtx(ctx context.Context, dml string) (*Result, error) {
 	start := time.Now()
 	res, err := db.queryCtx(ctx, dml)
-	d := time.Since(start)
+	return db.countQuery(ctx, dml, time.Since(start), res, err)
+}
+
+// countQuery records one finished Retrieve — its latency, its error or
+// its slow-log entry — and returns its result (nil on error). Every
+// Retrieve door (QueryCtx, Tx.Query, QueryTraceCtx) counts through here
+// exactly once.
+func (db *Database) countQuery(ctx context.Context, dml string, d time.Duration, res *Result, err error) (*Result, error) {
 	db.queryHist.Observe(d)
 	if err != nil {
 		db.queryErrs.Inc()
@@ -572,21 +570,6 @@ func planRetrieveOn(cat *catalog.Catalog, ret *ast.RetrieveStmt, m *luc.Mapper) 
 	return plan.Optimize(tree, m)
 }
 
-// runRetrieveOn plans, compiles and runs one Retrieve on the given
-// executor of generation g, bypassing the plan cache (the script path;
-// see RunCtx).
-func runRetrieveOn(ctx context.Context, ret *ast.RetrieveStmt, g *generation, exe *exec.Executor) (*Result, error) {
-	p, err := planRetrieveOn(g.cat, ret, exe.Mapper())
-	if err != nil {
-		return nil, err
-	}
-	prog, err := exe.Compile(p)
-	if err != nil {
-		return nil, err
-	}
-	return exe.RetrieveProgram(ctx, p, prog, nil)
-}
-
 // Explain is ExplainCtx(context.Background(), dml).
 func (db *Database) Explain(dml string) (string, error) {
 	return db.ExplainCtx(context.Background(), dml)
@@ -663,7 +646,9 @@ func (db *Database) Run(script string) ([]*Result, error) {
 
 // RunCtx executes a script of statements separated by '.' or ';'.
 // Retrieve results are returned in order; updates and transaction-control
-// statements contribute nil entries.
+// statements contribute nil entries. Each statement goes through the
+// same door as its single-statement form — QueryCtx, ExecCtx, Begin and
+// the Tx methods — so it is planned, cached and counted the same way.
 //
 // By default each update statement is its own transaction, so when a
 // statement fails the effects of the earlier statements persist — the
@@ -673,7 +658,7 @@ func (db *Database) Run(script string) ([]*Result, error) {
 // persists unless the COMMIT executes, and a transaction still open when
 // the script ends (normally or on error) is rolled back.
 func (db *Database) RunCtx(ctx context.Context, script string) ([]*Result, error) {
-	stmts, err := parser.ParseStmts(script)
+	stmts, texts, err := parser.ParseStmts(script)
 	if err != nil {
 		return nil, err
 	}
@@ -685,68 +670,49 @@ func (db *Database) RunCtx(ctx context.Context, script string) ([]*Result, error
 		}
 	}()
 	for i, s := range stmts {
-		fail := func(err error) ([]*Result, error) {
-			return out, fmt.Errorf("statement %d: %w", i+1, err)
-		}
-		switch s := s.(type) {
+		var r *Result
+		var err error
+		switch s.(type) {
 		case *ast.BeginStmt:
 			if tx != nil {
-				return fail(fmt.Errorf("sim: BEGIN inside an open transaction"))
+				err = fmt.Errorf("sim: BEGIN inside an open transaction")
+				break
 			}
-			t, err := db.Begin(ctx)
-			if err != nil {
-				return fail(err)
-			}
-			tx = t
-			out = append(out, nil)
+			tx, err = db.Begin(ctx)
 		case *ast.CommitStmt:
 			if tx == nil {
-				return fail(fmt.Errorf("sim: COMMIT outside a transaction"))
+				err = fmt.Errorf("sim: COMMIT outside a transaction")
+				break
 			}
-			err := tx.Commit()
+			err = tx.Commit()
 			tx = nil
-			if err != nil {
-				return fail(err)
-			}
-			out = append(out, nil)
 		case *ast.RollbackStmt:
 			if tx == nil {
-				return fail(fmt.Errorf("sim: ROLLBACK outside a transaction"))
+				err = fmt.Errorf("sim: ROLLBACK outside a transaction")
+				break
 			}
-			err := tx.Rollback()
+			err = tx.Rollback()
 			tx = nil
-			if err != nil {
-				return fail(err)
-			}
-			out = append(out, nil)
 		case *ast.RetrieveStmt:
-			var r *Result
-			var err error
+			// Inside a BEGIN block the Retrieve reads the transaction's
+			// view: the Begin-time snapshot, or — once the block wrote —
+			// its own uncommitted writes.
 			if tx != nil {
-				// Inside a BEGIN block the Retrieve reads the transaction's
-				// view: the Begin-time snapshot, or — once the block wrote —
-				// its own uncommitted writes.
-				g, exe := tx.reader()
-				r, err = runRetrieveOn(ctx, s, g, exe)
+				r, err = tx.Query(ctx, texts[i])
 			} else {
-				v, g, exe := db.readView()
-				r, err = runRetrieveOn(ctx, s, g, exe)
-				v.Release()
+				r, err = db.QueryCtx(ctx, texts[i])
 			}
-			if err != nil {
-				return fail(err)
-			}
-			out = append(out, r)
 		default:
 			if tx != nil {
-				if _, err := tx.execStmt(ctx, s); err != nil {
-					return fail(err)
-				}
-			} else if _, err := db.execOne(ctx, s); err != nil {
-				return fail(err)
+				_, err = tx.Exec(ctx, texts[i])
+			} else {
+				_, err = db.ExecCtx(ctx, texts[i])
 			}
-			out = append(out, nil)
 		}
+		if err != nil {
+			return out, fmt.Errorf("statement %d: %w", i+1, err)
+		}
+		out = append(out, r)
 	}
 	return out, nil
 }

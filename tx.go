@@ -145,19 +145,9 @@ func (tx *Tx) Query(ctx context.Context, dml string) (*Result, error) {
 	if err := tx.usable(); err != nil {
 		return nil, err
 	}
-	db := tx.db
 	start := time.Now()
 	res, err := tx.query(ctx, dml)
-	d := time.Since(start)
-	db.queryHist.Observe(d)
-	if err != nil {
-		db.queryErrs.Inc()
-		return nil, err
-	}
-	if db.slow.Observe(dml, d, res.Stats.Rows, obs.RequestID(ctx)) {
-		db.slowCount.Inc()
-	}
-	return res, nil
+	return tx.db.countQuery(ctx, dml, time.Since(start), res, err)
 }
 
 func (tx *Tx) query(ctx context.Context, dml string) (*Result, error) {
