@@ -23,19 +23,21 @@
 // bounded-stale reads; \replicas in simdb and the ReplStatus client call
 // report its applied position and lag.
 //
-// Failover: \promote in simdb (or the client Promote call) turns a
-// replica into the primary under a strictly higher epoch; the promoted
-// node then fences the old primary, handing it this node's -advertise
-// address as the rejoin target. -advertise is therefore effectively
-// required for automatic failover recovery: with the default host-less
-// -addr (":1988") the fence notice carries no rejoin address, and the
-// demoted primary waits for an operator \retarget instead. A primary
-// that learns of a higher epoch — from the fencer, or from a promoted
-// follower's hello — demotes itself: writes answer a "fenced" error, and
-// when the notice carries the new primary's address the node rejoins it
-// as a follower, discarding any unshipped tail via re-snapshot. A
-// restarted old primary finds the witnessed epoch in the sidecar and
-// starts fenced rather than writable.
+// Failover: \promote in simdb (or the client Promote call) turns a node
+// that currently follows a primary — a replica, or an old primary that
+// rejoined the new one after a fence — into the primary under a strictly
+// higher epoch; the promoted node then fences the old primary, handing
+// it this node's -advertise address as the rejoin target. -advertise is
+// therefore effectively required for automatic failover recovery: with
+// the default host-less -addr (":1988") the fence notice carries no
+// rejoin address, and the demoted primary waits for an operator
+// \retarget instead. A primary that learns of a higher epoch — from the
+// fencer, or from a promoted follower's hello — demotes itself: writes
+// answer a "fenced" error, and when the notice carries the new primary's
+// address the node rejoins it as a follower, discarding any unshipped
+// tail via re-snapshot. A restarted old primary finds the witnessed
+// epoch in the sidecar and starts fenced rather than writable. One
+// repl.Node owns all of these transitions; /readyz asks it too.
 //
 // With -metrics, a second HTTP listener serves the observability
 // surface: /metrics (Prometheus text exposition of every engine and
@@ -53,7 +55,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -97,11 +98,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simserve: %v\n", err)
 		os.Exit(2)
 	}
-	if host, _, err := net.SplitHostPort(*advertise); err != nil || host == "" {
-		logger.Warn("advertise address has no reachable host; after a promotion the old primary will be fenced but cannot rejoin this node — set -advertise for automatic failover recovery",
-			"advertise", *advertise)
-	}
-
 	if *replicaOf != "" {
 		if *dbPath == "" {
 			fmt.Fprintln(os.Stderr, "simserve: -replica-of requires -db (the replica's local database file)")
@@ -139,7 +135,17 @@ func main() {
 		logger.Info("schema defined", "file", *schemaFile)
 	}
 
-	scfg := server.Config{
+	node, err := repl.StartNode(db, repl.NodeConfig{
+		Path:      *dbPath,
+		ReplicaOf: *replicaOf,
+		Advertise: *advertise,
+		Logger:    logger,
+	})
+	if err != nil {
+		fatal(logger, "start replication", err)
+	}
+	defer node.Close()
+	srv := server.New(db, server.Config{
 		MaxConns:       *maxConns,
 		MaxInflight:    *maxInflight,
 		ReadTimeout:    *readTimeout,
@@ -148,66 +154,12 @@ func main() {
 		Logger:         logger,
 		SlowRequest:    *slowRequest,
 		Registry:       db.Metrics(),
-	}
-	rm := &roleMgr{
-		db:        db,
-		epochPath: *dbPath + ".epoch",
-		statePath: *dbPath + ".repl",
-		advertise: *advertise,
-		logger:    logger,
-		stop:      make(chan struct{}),
-	}
-	defer close(rm.stop)
-	switch {
-	case *replicaOf != "":
-		follower, err := repl.StartFollower(db, rm.statePath, repl.FollowerConfig{
-			Primary: *replicaOf,
-			Logger:  logger,
-		})
-		if err != nil {
-			fatal(logger, "start replication", err)
-		}
-		defer follower.Close()
-		follower.RegisterMetrics(db.Metrics())
-		rm.follower = follower
-		scfg.ReadOnly = true
-		scfg.ReplStatus = follower.Status
-		scfg.Promote = rm.promote
-		scfg.Retarget = rm.retarget
-		// A replica can become a primary (TPromote) and then be fenced by
-		// an even higher epoch; it needs the same demote/rejoin hook a
-		// born primary gets, or its witnessed epoch would never persist.
-		scfg.OnFence = rm.onFence
-		logger.Info("replicating", "primary", *replicaOf)
-	case *dbPath != "":
-		// The epoch sidecar makes the fencing term survive restarts: a
-		// primary that was demoted by a failover comes back fenced, not
-		// writable at its stale term.
-		epoch, fencedBy, err := repl.ClaimEpoch(rm.epochPath)
-		if err != nil {
-			fatal(logger, "claim replication epoch", err)
-		}
-		pub, err := repl.NewPublisher(db, repl.Config{Epoch: epoch})
-		if err != nil {
-			fatal(logger, "start replication publisher", err)
-		}
-		pub.RegisterMetrics(db.Metrics())
-		scfg.Publisher = pub
-		scfg.ReplStatus = pub.Status
-		scfg.OnFence = rm.onFence
-		if fencedBy > 0 {
-			scfg.FencedBy = fencedBy
-			logger.Warn("starting fenced: a higher epoch was witnessed before the last shutdown",
-				"epoch", epoch, "fenced_by", fencedBy)
-		} else {
-			logger.Info("publishing replication stream", "epoch", pub.Epoch())
-		}
-	}
-	srv := server.New(db, scfg)
+		Node:           node,
+	})
 
 	var metricsSrv *http.Server
 	if *metricsAddr != "" {
-		metricsSrv = &http.Server{Addr: *metricsAddr, Handler: metricsMux(db, rm, *readyMaxLag)}
+		metricsSrv = &http.Server{Addr: *metricsAddr, Handler: metricsMux(db, node, *readyMaxLag)}
 		go func() {
 			logger.Info("metrics endpoint listening", "addr", *metricsAddr)
 			if err := metricsSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
@@ -277,7 +229,7 @@ func fatal(logger *slog.Logger, msg string, err error, args ...any) {
 // of the primary's newest, and a promoted replica is ready immediately —
 // pointing a load balancer at /readyz keeps cold or lagging replicas out
 // of the read pool and follows the topology across a failover.
-func metricsMux(db *sim.Database, rm *roleMgr, readyMaxLag uint64) *http.ServeMux {
+func metricsMux(db *sim.Database, node *repl.Node, readyMaxLag uint64) *http.ServeMux {
 	reg := db.Metrics()
 	expvar.Publish("sim", expvar.Func(func() any { return reg.Snapshot() }))
 	mux := http.NewServeMux()
@@ -289,7 +241,7 @@ func metricsMux(db *sim.Database, rm *roleMgr, readyMaxLag uint64) *http.ServeMu
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !rm.ready(readyMaxLag) {
+		if !node.Ready(readyMaxLag) {
 			http.Error(w, "replica not ready: snapshot pending or lag over threshold",
 				http.StatusServiceUnavailable)
 			return

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -271,5 +272,45 @@ From department Retrieve name Where dept-nbr = 401.`); err != nil {
 	}
 	if n := len(db.SlowQueries()) - slow; n != 2 {
 		t.Errorf("slow-query log grew by %d, want 2", n)
+	}
+}
+
+// TestFailedUpdatesCount: every update door observes sim_update_seconds
+// and counts a failure in sim_update_errors_total, whether the statement
+// fails to parse or fails to execute.
+func TestFailedUpdatesCount(t *testing.T) {
+	db := universityDB(t, Config{})
+	reg := db.Metrics()
+	const malformed = `Insert department (dept-nbr := ).`
+	const unknown = `Insert nosuchclass (name := "x").`
+	inTx := func(dml string) error {
+		tx, err := db.Begin(context.Background())
+		if err != nil {
+			return err
+		}
+		defer tx.Rollback()
+		_, err = tx.Exec(context.Background(), dml)
+		return err
+	}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Exec/parse", func() error { _, err := db.Exec(malformed); return err }},
+		{"Exec/exec", func() error { _, err := db.Exec(unknown); return err }},
+		{"Tx.Exec/parse", func() error { return inTx(malformed) }},
+		{"Tx.Exec/exec", func() error { return inTx(unknown) }},
+		{"Run/exec", func() error { _, err := db.Run(unknown); return err }},
+	} {
+		updates, errs := reg.Get("sim_update_seconds"), reg.Get("sim_update_errors_total")
+		if err := c.run(); err == nil {
+			t.Fatalf("%s: the bad update succeeded", c.name)
+		}
+		if n := reg.Get("sim_update_seconds") - updates; n != 1 {
+			t.Errorf("%s: sim_update_seconds_count rose by %v, want 1", c.name, n)
+		}
+		if n := reg.Get("sim_update_errors_total") - errs; n != 1 {
+			t.Errorf("%s: sim_update_errors_total rose by %v, want 1", c.name, n)
+		}
 	}
 }

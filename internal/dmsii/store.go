@@ -88,10 +88,9 @@ type Store struct {
 	writeHeld  atomic.Bool   // the write latch is currently held
 	writeLatch *obs.Latch    // contention profile for the store write latch
 
-	latchMu     sync.Mutex
-	touched     map[entityKey]struct{}    // entities the write-latch holder has written (latchMu)
-	classConf   map[string]*atomic.Uint64 // per-class conflict counters (latchMu)
-	conflictEnt atomic.Uint64             // entity-granularity conflicts (sim_conflict_entities)
+	latchMu   sync.Mutex
+	touched   map[entityKey]struct{}    // entities the write-latch holder has written (latchMu)
+	classConf map[string]*atomic.Uint64 // per-class conflict counters (latchMu)
 
 	reg         atomic.Pointer[obs.Registry]   // set by RegisterMetrics
 	flightTxn   atomic.Pointer[obs.FlightRing] // txn begin/commit/conflict events
@@ -402,8 +401,6 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 	}
 	r.CounterFunc("sim_txn_conflicts_total", "First-writer-wins conflicts with the write-latch holder.",
 		func() float64 { return float64(s.conflicts.Load()) })
-	r.CounterFunc("sim_conflict_entities", "First-writer-wins conflicts at entity (surrogate) granularity.",
-		func() float64 { return float64(s.conflictEnt.Load()) })
 	r.GaugeFunc("sim_txn_active", "Open transactions.",
 		func() float64 { return float64(s.active.Load()) })
 	s.writeLatch.Register(r, "Store-wide write latch (one writer in its write phase).")
@@ -566,15 +563,15 @@ func (tx *Txn) CheckEntity(base string, surr uint64) error {
 		return nil
 	}
 	s.conflicts.Add(1)
-	s.conflictEnt.Add(1)
 	s.classConflictLocked(base)
 	s.flightTxn.Load().Event("txn", "conflict", tx.id, 0, int64(surr), base)
 	return fmt.Errorf("%w: entity %d of %q is written by the open transaction holding the write latch (first writer wins)", ErrConflict, surr, base)
 }
 
-// EntityConflicts reports entity-granularity first-writer-wins conflicts
-// since open.
-func (s *Store) EntityConflicts() uint64 { return s.conflictEnt.Load() }
+// EntityConflicts is Conflicts: every conflict is at entity granularity.
+//
+// Deprecated: use Conflicts. Kept while the benchmark module calls it.
+func (s *Store) EntityConflicts() uint64 { return s.conflicts.Load() }
 
 // classConflictLocked counts a first-writer-wins conflict against the
 // contended class and, when metrics are registered, exposes the per-class
@@ -594,7 +591,7 @@ func (s *Store) classConflictLocked(name string) {
 
 func registerClassCounter(r *obs.Registry, name string, c *atomic.Uint64) {
 	r.CounterFunc("sim_latch_class_"+metricName(name)+"_conflicts_total",
-		"First-writer-wins conflicts on the class write latch for "+name+".",
+		"First-writer-wins conflicts on entities of class "+name+".",
 		func() float64 { return float64(c.Load()) })
 }
 

@@ -100,7 +100,7 @@ func TestLatchConflict(t *testing.T) {
 	s := memStore(t)
 	for _, finish := range []string{"commit", "rollback"} {
 		t.Run(finish, func(t *testing.T) {
-			conflicts, entConflicts := s.Conflicts(), s.EntityConflicts()
+			conflicts := s.Conflicts()
 			holder, err := s.Begin()
 			if err != nil {
 				t.Fatal(err)
@@ -133,9 +133,6 @@ func TestLatchConflict(t *testing.T) {
 			}
 			if got := s.Conflicts() - conflicts; got != 1 {
 				t.Errorf("Conflicts() delta = %d, want 1", got)
-			}
-			if got := s.EntityConflicts() - entConflicts; got != 1 {
-				t.Errorf("EntityConflicts() delta = %d, want 1", got)
 			}
 			if finish == "commit" {
 				err = holder.Commit()

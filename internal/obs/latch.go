@@ -116,7 +116,7 @@ func RenderHot(snap map[string]float64) string {
 	}
 	if len(conflicts) > 0 {
 		sort.Strings(conflicts)
-		fmt.Fprintf(&b, "class-latch conflicts: %s\n", strings.Join(conflicts, " "))
+		fmt.Fprintf(&b, "conflicts by class: %s\n", strings.Join(conflicts, " "))
 	}
 	if _, ok := snap["sim_mvcc_published_stamp"]; ok {
 		fmt.Fprintf(&b, "mvcc: published=%d oldest-pinned=%d pinned-views=%d live-versions=%d entity-conflicts=%d version-errors=%d\n",
@@ -124,7 +124,7 @@ func RenderHot(snap map[string]float64) string {
 			int64(snap["sim_mvcc_oldest_pinned_stamp"]),
 			int64(snap["sim_mvcc_pinned_views"]),
 			int64(snap["sim_mvcc_live_versions"]),
-			int64(snap["sim_conflict_entities"]),
+			int64(snap["sim_txn_conflicts_total"]),
 			int64(snap["sim_mvcc_version_errors_total"]))
 	}
 	return b.String()

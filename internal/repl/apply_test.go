@@ -477,7 +477,7 @@ Class tag ( tag-no: integer unique required );`); err != nil {
 	waitConverged(t, pdb, r.db, q)
 	waitConverged(t, pdb, r.db, qt)
 
-	if _, err := r.f.Promote(repl.PromoteConfig{EpochPath: filepath.Join(dir, "replica.db.epoch")}); err != nil {
+	if _, err := r.f.Promote(filepath.Join(dir, "replica.db.epoch")); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, r.db, `Insert item (item-no := 201, name := "after promotion").`)

@@ -7,7 +7,6 @@ import (
 	"net"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,44 +19,31 @@ import (
 
 const itemsQ = `From item Retrieve item-no, name Order By item-no.`
 
-// primaryNode is a restartable primary: a file-backed database, its
-// publisher under a ClaimEpoch'd term, and a server wired the way
-// simserve wires one (durable epoch witness + rejoin-as-follower on
-// fence). Restarting it on the same directory replays exactly what a
+// testNode is one simserve process in miniature: a file-backed database,
+// the production repl.Node that owns its role, and a server in front of
+// both. Restarting it on the same directory replays exactly what a
 // crashed simserve process would find on disk.
-type primaryNode struct {
-	t    *testing.T
-	dir  string
+type testNode struct {
+	path string
 	db   *sim.Database
-	pub  *repl.Publisher
+	node *repl.Node
 	srv  *server.Server
 	addr string
-
-	mu       sync.Mutex
-	follower *repl.Follower // set when a fence notice made this node rejoin
 }
 
-func (p *primaryNode) epochPath() string { return filepath.Join(p.dir, "primary.db.epoch") }
-
-// startPrimaryNode opens (or reopens) the primary in dir. addr may be ""
-// for a fresh listener or a previous address to rebind after a restart.
-func startPrimaryNode(t *testing.T, dir, addr string) *primaryNode {
+// startNode opens (or reopens) the node whose database is dir/name, in
+// the role cfg.ReplicaOf gives it. addr may be "" for a fresh listener or
+// a previous address to rebind after a restart. The node advertises the
+// address it listens on unless cfg.Advertise says otherwise, and its
+// followers use fast heartbeats and reconnects.
+func startNode(t *testing.T, dir, name, addr string, cfg repl.NodeConfig) *testNode {
 	t.Helper()
-	p := &primaryNode{t: t, dir: dir}
-	db, err := sim.Open(filepath.Join(dir, "primary.db"), sim.Config{})
+	n := &testNode{path: filepath.Join(dir, name)}
+	db, err := sim.Open(n.path, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.db = db
-	epoch, fencedBy, err := repl.ClaimEpoch(p.epochPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub, err := repl.NewPublisher(db, repl.Config{Epoch: epoch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.pub = pub
+	n.db = db
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
@@ -65,139 +51,67 @@ func startPrimaryNode(t *testing.T, dir, addr string) *primaryNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.addr = lis.Addr().String()
-	p.srv = server.New(db, server.Config{
-		Publisher:  pub,
-		ReplStatus: pub.Status,
-		FencedBy:   fencedBy,
-		OnFence: func(epoch uint64, newPrimary string) {
-			if err := repl.WitnessEpoch(p.epochPath(), epoch); err != nil {
-				t.Errorf("witness epoch: %v", err)
-			}
-			if newPrimary == "" {
-				return
-			}
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			if p.follower != nil {
-				if err := p.follower.Retarget(newPrimary); err == nil {
-					return
-				}
-				p.follower = nil // closed; needs a fresh one
-			}
-			f, err := repl.StartFollower(p.db, filepath.Join(p.dir, "primary.db.repl"), repl.FollowerConfig{
-				Primary:      newPrimary,
-				Heartbeat:    50 * time.Millisecond,
-				ReconnectMin: 10 * time.Millisecond,
-				ReconnectMax: 200 * time.Millisecond,
-			})
-			if err != nil {
-				t.Errorf("rejoin after fence: %v", err)
-				return
-			}
-			p.follower = f
-		},
-	})
-	go p.srv.Serve(lis)
-	t.Cleanup(func() { p.kill() })
-	return p
+	n.addr = lis.Addr().String()
+	cfg.Path = n.path
+	if cfg.Advertise == "" {
+		cfg.Advertise = n.addr
+	}
+	cfg.Follower = repl.FollowerConfig{
+		Heartbeat:    50 * time.Millisecond,
+		ReconnectMin: 10 * time.Millisecond,
+		ReconnectMax: 200 * time.Millisecond,
+	}
+	if n.node, err = repl.StartNode(db, cfg); err != nil {
+		t.Fatal(err)
+	}
+	n.srv = server.New(db, server.Config{Node: n.node})
+	go n.srv.Serve(lis)
+	t.Cleanup(n.kill)
+	return n
+}
+
+// startPrimaryNode opens (or reopens) a born primary in dir.
+func startPrimaryNode(t *testing.T, dir, addr string) *testNode {
+	return startNode(t, dir, "primary.db", addr, repl.NodeConfig{})
+}
+
+// startReplicaNode starts a follower of primaryAddr in a fresh directory
+// and waits for its first catch-up.
+func startReplicaNode(t *testing.T, primaryAddr string) *testNode {
+	r := startNode(t, t.TempDir(), "replica.db", "", repl.NodeConfig{ReplicaOf: primaryAddr})
+	waitNodeReady(t, r.node)
+	return r
 }
 
 // kill is kill -9: no drain, no goodbye. Safe to call twice.
-func (p *primaryNode) kill() {
-	p.srv.Close()
-	p.mu.Lock()
-	if p.follower != nil {
-		p.follower.Close()
-		p.follower = nil
-	}
-	p.mu.Unlock()
-	p.db.Close()
+func (n *testNode) kill() {
+	n.srv.Close()
+	n.node.Close()
+	n.db.Close()
 }
 
-// replicaNode is a follower with a promotable server in front of it,
-// wired the way simserve wires one: promotion through the follower, and
-// an OnFence hook that persists the witnessed epoch and rejoins the newer
-// primary — replacing the follower when Promote already closed it.
-type replicaNode struct {
-	dir  string
-	db   *sim.Database
-	f    *repl.Follower
-	srv  *server.Server
-	addr string
-
-	mu  sync.Mutex
-	cur *repl.Follower // follower OnFence retargets or replaces; starts as f
-}
-
-func (r *replicaNode) epochPath() string { return filepath.Join(r.dir, "replica.db.epoch") }
-
-func startReplicaNode(t *testing.T, primaryAddr string) *replicaNode {
+// waitNodeReady polls until the node reports ready at zero lag.
+func waitNodeReady(t *testing.T, n *repl.Node) {
 	t.Helper()
-	dir := t.TempDir()
-	db, err := sim.Open(filepath.Join(dir, "replica.db"), sim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	f := startFollower(t, db, dir, primaryAddr)
-	t.Cleanup(func() { f.Close() })
-	r := &replicaNode{dir: dir, db: db, f: f, cur: f}
-	t.Cleanup(func() {
-		r.mu.Lock()
-		cur := r.cur
-		r.mu.Unlock()
-		if cur != nil && cur != f {
-			cur.Close()
+	deadline := time.Now().Add(30 * time.Second)
+	for !n.Ready(0) {
+		if time.Now().After(deadline) {
+			t.Fatal("node never caught up with its primary")
 		}
-	})
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// deadAddr returns a loopback address nothing listens on.
+func deadAddr(t *testing.T) string {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.addr = lis.Addr().String()
-	r.srv = server.New(db, server.Config{
-		ReadOnly:   true,
-		ReplStatus: f.Status,
-		Promote: func() (*repl.Publisher, error) {
-			pr, err := f.Promote(repl.PromoteConfig{EpochPath: r.epochPath()})
-			if err != nil {
-				return nil, err
-			}
-			return pr.Pub, nil
-		},
-		Retarget: f.Retarget,
-		OnFence: func(epoch uint64, newPrimary string) {
-			if err := repl.WitnessEpoch(r.epochPath(), epoch); err != nil {
-				t.Errorf("witness epoch: %v", err)
-			}
-			if newPrimary == "" {
-				return
-			}
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			if r.cur != nil {
-				if err := r.cur.Retarget(newPrimary); err == nil {
-					return
-				}
-				r.cur = nil // closed by Promote; needs a fresh one
-			}
-			f2, err := repl.StartFollower(r.db, filepath.Join(dir, "replica.db.repl"), repl.FollowerConfig{
-				Primary:      newPrimary,
-				Heartbeat:    50 * time.Millisecond,
-				ReconnectMin: 10 * time.Millisecond,
-				ReconnectMax: 200 * time.Millisecond,
-			})
-			if err != nil {
-				t.Errorf("rejoin after fence: %v", err)
-				return
-			}
-			r.cur = f2
-		},
-	})
-	go r.srv.Serve(lis)
-	t.Cleanup(func() { r.srv.Close() })
-	return r
+	addr := lis.Addr().String()
+	lis.Close()
+	return addr
 }
 
 func dialClient(t *testing.T, addr string) *client.Conn {
@@ -238,7 +152,6 @@ func TestFailoverChaosMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := startReplicaNode(t, p.addr)
-			waitReady(t, r.f)
 
 			for i := 1; i <= k; i++ {
 				mustExec(t, p.db, fmt.Sprintf(`Insert item (item-no := %d, name := "commit %d").`, i, i))
@@ -252,7 +165,7 @@ func TestFailoverChaosMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oldEpoch := p.pub.Epoch()
+			oldEpoch := p.node.Status().Epoch
 			p.kill()
 
 			// Promote the follower through the wire, as an operator would.
@@ -283,7 +196,7 @@ func TestFailoverChaosMatrix(t *testing.T) {
 
 			// The old primary restarts on its old files. Until the fencer
 			// reaches it, it is the split-brain risk; deliver the notice the
-			// promoted node's RunFencer would deliver, then prove no write
+			// promoted node's fencer would deliver, then prove no write
 			// can land there — now, and after yet another restart.
 			p2 := startPrimaryNode(t, pdir, "")
 			if err := repl.Fence(p2.addr, newEpoch, r.addr, 5*time.Second); err != nil {
@@ -305,6 +218,15 @@ func TestFailoverChaosMatrix(t *testing.T) {
 			// the sidecar and starts fenced without anyone telling it again.
 			p3 := startPrimaryNode(t, pdir, addr2)
 			wantFenced(t, p3.addr)
+			// It follows nobody until told: an operator's \retarget at the
+			// fencing epoch sends it back to the new primary.
+			if err := repl.Fence(p3.addr, newEpoch, r.addr, 5*time.Second); err != nil {
+				t.Fatalf("retarget durably fenced primary: %v", err)
+			}
+			if _, err := rc.Exec(fmt.Sprintf(`Insert item (item-no := %d, name := "after restart").`, 2000+k)); err != nil {
+				t.Fatal(err)
+			}
+			waitConverged(t, r.db, p3.db, itemsQ)
 			p3.kill()
 		})
 	}
@@ -319,7 +241,6 @@ func TestSplitBrainSingleWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := startReplicaNode(t, p.addr)
-	waitReady(t, r.f)
 	mustExec(t, p.db, `Insert item (item-no := 1, name := "before").`)
 	waitConverged(t, p.db, r.db, itemsQ)
 
@@ -367,7 +288,7 @@ func TestPassiveFencing(t *testing.T) {
 	if typ, _, err := wire.ReadFrame(nc, 0); err != nil || typ != wire.THello {
 		t.Fatalf("handshake: type %v err %v", typ, err)
 	}
-	hello := wire.ReplHello{Epoch: p.pub.Epoch() + 7, Run: 1, Pos: 3}
+	hello := wire.ReplHello{Epoch: p.node.Status().Epoch + 7, Run: 1, Pos: 3}
 	if err := wire.WriteFrame(nc, wire.TReplHello, wire.EncodeReplHello(hello)); err != nil {
 		t.Fatal(err)
 	}
@@ -396,12 +317,14 @@ func TestDivergedOldPrimaryRejoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := startReplicaNode(t, p.addr)
-	waitReady(t, r.f)
 	mustExec(t, p.db, `Insert item (item-no := 1, name := "shipped").`)
 	waitConverged(t, p.db, r.db, itemsQ)
 
-	// Cut replication, then commit a tail only the primary ever sees.
-	r.f.Close()
+	// Cut replication (point the follower where nothing listens), then
+	// commit a tail only the primary ever sees.
+	if err := r.node.Retarget(0, deadAddr(t)); err != nil {
+		t.Fatal(err)
+	}
 	mustExec(t, p.db, `Insert item (item-no := 2, name := "diverged").`)
 	mustExec(t, p.db, `Insert item (item-no := 3, name := "diverged too").`)
 	p.kill()
@@ -447,7 +370,6 @@ func TestDialMultiWriteFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := startReplicaNode(t, p.addr)
-	waitReady(t, r.f)
 
 	m, err := client.DialMulti([]string{p.addr, r.addr})
 	if err != nil {
@@ -512,7 +434,6 @@ func TestMultiHealthEjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := startReplicaNode(t, p.addr)
-	waitReady(t, r.f)
 	mustExec(t, p.db, `Insert item (item-no := 1, name := "one").`)
 	waitConverged(t, p.db, r.db, itemsQ)
 
@@ -536,7 +457,7 @@ func TestMultiHealthEjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := server.New(r.db, server.Config{ReadOnly: true, ReplStatus: r.f.Status})
+	srv2 := server.New(r.db, server.Config{Node: r.node})
 	go srv2.Serve(lis)
 	t.Cleanup(func() { srv2.Close() })
 
@@ -578,7 +499,6 @@ func TestRepromoteAfterFenceRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := startReplicaNode(t, p.addr)
-	waitReady(t, r.f)
 	mustExec(t, p.db, `Insert item (item-no := 1, name := "before").`)
 	waitConverged(t, p.db, r.db, itemsQ)
 	p.kill()
@@ -616,7 +536,6 @@ func TestPromotedReplicaFencedRejoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := startReplicaNode(t, p.addr)
-	waitReady(t, r.f)
 	mustExec(t, p.db, `Insert item (item-no := 1, name := "shared").`)
 	waitConverged(t, p.db, r.db, itemsQ)
 	p.kill()
@@ -648,7 +567,7 @@ func TestPromotedReplicaFencedRejoins(t *testing.T) {
 	}
 	wantFenced(t, r.addr)
 	// Durable witness: the replica's own sidecar records the higher epoch.
-	if ne := repl.LoadNodeEpoch(r.epochPath()); ne.MaxSeen < newEpoch+1 {
+	if ne := repl.LoadNodeEpoch(r.path + ".epoch"); ne.MaxSeen < newEpoch+1 {
 		t.Fatalf("sidecar MaxSeen = %d after fence, want >= %d", ne.MaxSeen, newEpoch+1)
 	}
 	// The fenced ex-primary converges on the newer primary's history; its

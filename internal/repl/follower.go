@@ -85,9 +85,6 @@ type Follower struct {
 	ready     chan struct{}
 	readyOnce sync.Once
 
-	promoteMu sync.Mutex
-	promoted  *Promotion
-
 	groupsApplied atomic.Uint64
 	snapshotsIn   atomic.Uint64
 	reconnects    atomic.Uint64

@@ -11,47 +11,18 @@ import (
 	"sim/internal/wire"
 )
 
-// PromoteConfig tunes Follower.Promote.
-type PromoteConfig struct {
-	// EpochPath is where the advanced epoch is persisted (see
-	// ClaimEpoch). Required: promotion without a durable epoch could
-	// resurrect at a stale term after a crash.
-	EpochPath string
-	// RingBytes sizes the new publisher's retained tail (default
-	// DefaultRingBytes).
-	RingBytes int
-}
-
-// Promotion is the result of promoting a follower: the publisher the new
-// primary serves replication from, the epoch it owns, the position the
-// apply state was sealed at, and the old primary's address (for fencing).
-type Promotion struct {
-	Pub        *Publisher
-	Epoch      uint64
-	Pos        uint64
-	OldPrimary string
-}
-
 // Promote turns this follower into a primary: stop the stream and drain
 // any in-flight apply, seal the apply state at its last durable position,
-// persist a strictly higher epoch, and open a Publisher under it. The
-// follower is closed afterwards; calling Promote again returns the same
-// Promotion.
+// persist a strictly higher epoch in the sidecar at epochPath (see
+// ClaimEpoch), and open a Publisher under it. The follower is closed
+// afterwards, whether or not the promotion succeeded.
 //
 // Everything the old primary acknowledged AND shipped is present at the
 // sealed position. Commits the old primary acknowledged but had not yet
 // shipped (replication is asynchronous) are not — they exist only on the
 // old primary, which the new epoch fences, and are discarded when it
 // rejoins via re-snapshot. See DESIGN.md §14 for the exact guarantee.
-func (f *Follower) Promote(cfg PromoteConfig) (*Promotion, error) {
-	f.promoteMu.Lock()
-	defer f.promoteMu.Unlock()
-	if f.promoted != nil {
-		return f.promoted, nil
-	}
-	if cfg.EpochPath == "" {
-		return nil, fmt.Errorf("repl: promote needs an epoch path")
-	}
+func (f *Follower) Promote(epochPath string) (*Publisher, error) {
 	oldPrimary := f.Primary()
 	f.Close() // cut the stream, wait out the apply loop: the state is sealed
 	st := f.a.State()
@@ -61,21 +32,20 @@ func (f *Follower) Promote(cfg PromoteConfig) (*Promotion, error) {
 	// Strictly above both the epoch we followed and anything this node has
 	// ever witnessed, and durable before the first group is published.
 	newEpoch := st.Epoch
-	if ne := LoadNodeEpoch(cfg.EpochPath); ne.MaxSeen > newEpoch {
+	if ne := LoadNodeEpoch(epochPath); ne.MaxSeen > newEpoch {
 		newEpoch = ne.MaxSeen
 	}
 	newEpoch++
-	if err := AdvanceEpoch(cfg.EpochPath, newEpoch); err != nil {
+	if err := AdvanceEpoch(epochPath, newEpoch); err != nil {
 		return nil, err
 	}
-	pub, err := NewPublisher(f.db, Config{RingBytes: cfg.RingBytes, Epoch: newEpoch})
+	pub, err := NewPublisher(f.db, Config{Epoch: newEpoch})
 	if err != nil {
 		return nil, err
 	}
 	f.cfg.Logger.Info("promoted to primary",
 		"epoch", newEpoch, "sealed_pos", st.Pos, "old_primary", oldPrimary)
-	f.promoted = &Promotion{Pub: pub, Epoch: newEpoch, Pos: st.Pos, OldPrimary: oldPrimary}
-	return f.promoted, nil
+	return pub, nil
 }
 
 // Fence dials addr and delivers a fencing notice: "epoch exists, the
@@ -128,16 +98,13 @@ func Fence(addr string, epoch uint64, newAddr string, timeout time.Duration) err
 	}
 }
 
-// RunFencer keeps delivering the fencing notice to the old primary until
+// runFencer keeps delivering the fencing notice to the old primary until
 // it is acknowledged, it is definitively refused, or stop closes. A new
 // primary starts one right after promotion: the old primary is usually
 // dead at that moment, but if (or when) it comes back, the fencer is what
 // actively demotes it instead of waiting for it to stumble into the new
 // epoch on its own.
-func RunFencer(stop <-chan struct{}, addr string, epoch uint64, newAddr string, logger *slog.Logger) {
-	if logger == nil {
-		logger = slog.New(slog.DiscardHandler)
-	}
+func runFencer(stop <-chan struct{}, addr string, epoch uint64, newAddr string, logger *slog.Logger) {
 	backoff := 100 * time.Millisecond
 	for {
 		err := Fence(addr, epoch, newAddr, 5*time.Second)

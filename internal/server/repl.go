@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -30,32 +29,17 @@ const replSnapshotChunk = 256 << 10
 // consumes the follower's acks for lag accounting; acks never gate
 // commits.
 func (s *Server) serveReplication(conn net.Conn, payload []byte) {
-	pub := s.publisher()
-	if pub == nil {
-		s.errors.Add(1)
-		s.writeFrame(conn, wire.TError, wire.EncodeError(wire.CodeProtocol,
-			"this server does not publish a replication stream"))
-		return
-	}
 	hello, err := wire.DecodeReplHello(payload)
 	if err != nil {
 		s.errors.Add(1)
 		s.writeFrame(conn, wire.TError, wire.EncodeError(wire.CodeProtocol, err.Error()))
 		return
 	}
-	if _, fencedBy := s.role(); fencedBy != 0 {
-		s.writeFrame(conn, wire.TError, wire.EncodeError(wire.CodeFenced,
-			fmt.Sprintf("fenced by epoch %d; this node no longer publishes", fencedBy)))
-		return
-	}
-	if hello.Epoch > pub.Epoch() {
-		// Passive fencing: the follower has applied history from a newer
-		// epoch than ours, so a newer primary exists somewhere — this node
-		// must stop accepting writes even before the new primary's fencer
-		// reaches it. We don't learn the new primary's address here.
-		s.fence(hello.Epoch, "")
-		s.writeFrame(conn, wire.TError, wire.EncodeError(wire.CodeFenced,
-			fmt.Sprintf("follower holds epoch %d > %d; fencing myself", hello.Epoch, pub.Epoch())))
+	// A hello from a newer epoch fences this node (passive fencing).
+	pub, err := s.node.Publisher(hello.Epoch)
+	if err != nil {
+		s.errors.Add(1)
+		s.writeFrame(conn, wire.TError, roleErr(err))
 		return
 	}
 	remote := conn.RemoteAddr().String()

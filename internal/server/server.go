@@ -59,38 +59,28 @@ type Config struct {
 	// (connections, requests, bytes, errors) and the per-request latency
 	// histogram sim_server_request_seconds.
 	Registry *obs.Registry
-	// ReadOnly refuses every mutating request (Exec, Begin/Commit/Rollback,
-	// Checkpoint) with CodeReadOnly. Set on replicas, whose database is
-	// owned by the replication applier. The role is runtime state: a
-	// Promote clears it, a fencing event re-imposes it (as CodeFenced).
+	// Node owns the server's replication role (see repl.Node): the server
+	// asks it before each write and each replication subscription, and
+	// hands it the ReplStatus, Promote and Retarget frames. The caller
+	// owns its lifetime. Nil builds a static node from ReadOnly, Publisher
+	// and ReplStatus.
+	Node *repl.Node
+	// ReadOnly refuses every mutating request with CodeReadOnly.
+	//
+	// Deprecated: set Node. Kept while the benchmark module sets it; it
+	// only takes effect when Node is nil (see repl.StaticNode).
 	ReadOnly bool
-	// Publisher, when set, serves replication streams: a ReplHello frame
-	// turns the connection into a log-shipping subscription fed from it.
+	// Publisher, when set, serves replication streams.
+	//
+	// Deprecated: set Node. Kept while the benchmark module sets it; it
+	// only takes effect when Node is nil (see repl.StaticNode).
 	Publisher *repl.Publisher
-	// ReplStatus, when set, answers the ReplStatus request (primary and
-	// replica alike). Nil answers with role "none". A fencing event
-	// overrides the reported role with "fenced"; a Promote replaces the
-	// source with the new publisher's status.
+	// ReplStatus answers the ReplStatus request of a node that neither
+	// publishes nor follows.
+	//
+	// Deprecated: set Node. Kept while the benchmark module sets it; it
+	// only takes effect when Node is nil (see repl.StaticNode).
 	ReplStatus func() wire.ReplStatus
-	// FencedBy starts the server fenced by the given epoch: a higher term
-	// was witnessed durably (ClaimEpoch found MaxSeen > Epoch), so writes
-	// are refused with CodeFenced from the first request.
-	FencedBy uint64
-	// Promote, when set, turns this replica into a primary when a TPromote
-	// frame arrives: it must drain and seal the follower, persist the
-	// advanced epoch, and return the publisher the node now serves
-	// replication from. It must be idempotent (a retried TPromote returns
-	// the same publisher). The server flips its own dispatch state.
-	Promote func() (*repl.Publisher, error)
-	// Retarget, when set, re-points this replica's replication stream at a
-	// new primary address when a TRetarget frame arrives.
-	Retarget func(addr string) error
-	// OnFence is called (outside the server's locks) whenever the server
-	// is fenced by a strictly higher epoch than before: a follower claimed
-	// it on hello, or a Retarget frame delivered it. newPrimary may be
-	// empty. Implementations persist the witnessed epoch and, when given
-	// an address, rejoin the new primary as a follower.
-	OnFence func(epoch uint64, newPrimary string)
 }
 
 // ErrServerClosed is returned by Serve after Shutdown or Close.
@@ -106,20 +96,13 @@ type Server struct {
 	log    *slog.Logger
 	hist   *obs.Histogram  // sim_server_request_seconds (nil without a registry)
 	flight *obs.FlightRing // overload/panic/ship events (nil ring is a no-op)
+	node   *repl.Node
 
 	mu       sync.Mutex
 	lis      net.Listener
 	conns    map[net.Conn]struct{}
 	quit     chan struct{}
 	quitOnce sync.Once
-
-	// Replication role, mutable at runtime: promotion turns a read-only
-	// replica into a writable primary, fencing turns a primary read-only.
-	roleMu   sync.Mutex
-	pub      *repl.Publisher
-	statusFn func() wire.ReplStatus
-	readOnly bool
-	fencedBy uint64 // higher epoch this node was fenced by; 0 = not fenced
 
 	inflight sync.WaitGroup // requests being executed
 	handlers sync.WaitGroup // connection goroutines
@@ -147,15 +130,15 @@ func New(db *sim.Database, cfg Config) *Server {
 		log = slog.New(slog.DiscardHandler)
 	}
 	s := &Server{
-		db:       db,
-		cfg:      cfg,
-		log:      log,
-		conns:    make(map[net.Conn]struct{}),
-		quit:     make(chan struct{}),
-		pub:      cfg.Publisher,
-		statusFn: cfg.ReplStatus,
-		readOnly: cfg.ReadOnly,
-		fencedBy: cfg.FencedBy,
+		db:    db,
+		cfg:   cfg,
+		log:   log,
+		node:  cfg.Node,
+		conns: make(map[net.Conn]struct{}),
+		quit:  make(chan struct{}),
+	}
+	if s.node == nil {
+		s.node = repl.StaticNode(cfg.Publisher, cfg.ReadOnly, cfg.ReplStatus)
 	}
 	if cfg.MaxInflight > 0 {
 		s.slots = make(chan struct{}, cfg.MaxInflight)
@@ -448,14 +431,8 @@ func (s *Server) dispatch(sess *session, t wire.Type, payload []byte, reqID uint
 		if (t == wire.TCommit || t == wire.TRollback) && sess.tx != nil && sess.tx.ReadOnly() {
 			break
 		}
-		readOnly, fencedBy := s.role()
-		if fencedBy != 0 {
-			return wire.TError, wire.EncodeError(wire.CodeFenced,
-				fmt.Sprintf("fenced by epoch %d; a newer primary owns this database", fencedBy))
-		}
-		if readOnly {
-			return wire.TError, wire.EncodeError(wire.CodeReadOnly,
-				"replica is read-only; send writes to the primary")
+		if err := s.node.WriteGate(); err != nil {
+			return wire.TError, roleErr(err)
 		}
 	}
 	switch t {
@@ -575,11 +552,22 @@ func (s *Server) dispatch(sess *session, t wire.Type, payload []byte, reqID uint
 	case wire.TStats:
 		return wire.TStatsOK, wire.EncodeServerStats(s.Stats())
 	case wire.TReplStatus:
-		return wire.TReplStatusOK, wire.EncodeReplStatus(s.replStatus())
+		return wire.TReplStatusOK, wire.EncodeReplStatus(s.node.Status())
 	case wire.TPromote:
-		return s.handlePromote()
+		epoch, err := s.node.Promote()
+		if err != nil {
+			return wire.TError, roleErr(err)
+		}
+		return wire.TPromoteOK, wire.EncodePromoteOK(epoch)
 	case wire.TRetarget:
-		return s.handleRetarget(payload)
+		rt, err := wire.DecodeRetarget(payload)
+		if err != nil {
+			return wire.TError, wire.EncodeError(wire.CodeProtocol, err.Error())
+		}
+		if err := s.node.Retarget(rt.Epoch, rt.Addr); err != nil {
+			return wire.TError, roleErr(err)
+		}
+		return wire.TOK, nil
 	default:
 		return wire.TError, wire.EncodeError(wire.CodeProtocol, fmt.Sprintf("unexpected frame %v", t))
 	}
@@ -603,6 +591,16 @@ func encodeErr(ctx context.Context, err error) []byte {
 		code = wire.CodeSemantic
 	}
 	return wire.EncodeError(code, err.Error())
+}
+
+// roleErr encodes a refusal from the replication role: a *wire.Error
+// keeps its code, any other failure is CodeExec.
+func roleErr(err error) []byte {
+	var we *wire.Error
+	if errors.As(err, &we) {
+		return wire.EncodeError(we.Code, we.Msg)
+	}
+	return wire.EncodeError(wire.CodeExec, err.Error())
 }
 
 // readFrame reads one request frame. buf, when non-nil, is the

@@ -130,12 +130,12 @@ func TestIsolationFirstWriterWinsEntity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := db.store.EntityConflicts()
+	before := db.store.Conflicts()
 	if _, err := tx2.Exec(ctx, `Modify acct (bal := 1) Where id = 1.`); !errors.Is(err, ErrConflict) {
 		t.Fatalf("second writer on the same entity: err=%v, want ErrConflict", err)
 	}
-	if got := db.store.EntityConflicts(); got != before+1 {
-		t.Fatalf("sim_conflict_entities: %d, want %d", got, before+1)
+	if got := db.store.Conflicts(); got != before+1 {
+		t.Fatalf("sim_txn_conflicts_total: %d, want %d", got, before+1)
 	}
 	// The conflict did not abort tx2; it is still usable.
 	if got := acctBal(t, tx2.Query, 1); got != "100" {
@@ -218,7 +218,7 @@ func TestIsolationDistinctEntitiesBothCommit(t *testing.T) {
 	for id := 100; id < 100+writers*idsPer; id++ {
 		mustExec(t, db, fmt.Sprintf(`Insert acct (id := %d, bal := 0).`, id))
 	}
-	conflicts := db.store.EntityConflicts()
+	conflicts := db.store.Conflicts()
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
 	for g := 0; g < writers; g++ {
@@ -249,7 +249,7 @@ func TestIsolationDistinctEntitiesBothCommit(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := db.store.EntityConflicts(); got != conflicts {
+	if got := db.store.Conflicts(); got != conflicts {
 		t.Fatalf("disjoint writers raised %d entity conflicts, want 0", got-conflicts)
 	}
 	sum := 0
@@ -612,7 +612,7 @@ func TestIsolationQueuedTxNeverAbortsWriter(t *testing.T) {
 	mustExec(t, db, `Insert player (pname := "Alice").`)
 	mustExec(t, db, `Insert team (tname := "Reds").`)
 	ctx := context.Background()
-	conflicts := db.store.EntityConflicts()
+	conflicts := db.store.Conflicts()
 
 	w, err := db.Begin(ctx)
 	if err != nil {
@@ -658,7 +658,7 @@ func TestIsolationQueuedTxNeverAbortsWriter(t *testing.T) {
 	if got := fmt.Sprint(rows); got != "[[Reds2 Alicia]]" {
 		t.Errorf("rows = %s, want [[Reds2 Alicia]]", got)
 	}
-	if got := db.store.EntityConflicts(); got != conflicts {
+	if got := db.store.Conflicts(); got != conflicts {
 		t.Errorf("entity conflicts rose by %d, want 0", got-conflicts)
 	}
 }
@@ -678,7 +678,7 @@ func TestIsolationConflictHistory(t *testing.T) {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			before := db.store.EntityConflicts()
+			before := db.store.Conflicts()
 			var (
 				mu        sync.Mutex
 				committed int // Σ affected counts of committed transactions
@@ -756,7 +756,7 @@ func TestIsolationConflictHistory(t *testing.T) {
 			if want := ids*100 + committed; sum != want {
 				t.Errorf("Σ bal = %d, want %d (seed total %d + %d committed increments)", sum, want, ids*100, committed)
 			}
-			if got := int(db.store.EntityConflicts() - before); got != conflicts {
+			if got := int(db.store.Conflicts() - before); got != conflicts {
 				t.Errorf("entity conflicts counted %d, want the %d ErrConflicts returned", got, conflicts)
 			}
 			t.Logf("committed increments %d, conflicts %d", committed, conflicts)

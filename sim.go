@@ -158,6 +158,7 @@ type Database struct {
 	queryHist *obs.Histogram // sim_query_seconds
 	execHist  *obs.Histogram // sim_update_seconds
 	queryErrs *obs.Counter   // sim_query_errors_total
+	execErrs  *obs.Counter   // sim_update_errors_total
 	slowCount *obs.Counter   // sim_slow_queries_total
 }
 
@@ -221,6 +222,7 @@ func openStore(store *dmsii.Store, cfg Config) (*Database, error) {
 	db.queryHist = db.reg.Histogram("sim_query_seconds", "End-to-end Retrieve latency (parse+plan+execute).")
 	db.execHist = db.reg.Histogram("sim_update_seconds", "End-to-end update-statement latency, including commit.")
 	db.queryErrs = db.reg.Counter("sim_query_errors_total", "Retrieve statements that returned an error.")
+	db.execErrs = db.reg.Counter("sim_update_errors_total", "Update statements that returned an error, parse errors included.")
 	db.slowCount = db.reg.Counter("sim_slow_queries_total", "Queries slower than the configured slow-query threshold.")
 	store.RegisterMetrics(db.reg)
 	db.registerMetrics()
@@ -613,11 +615,21 @@ func (db *Database) Exec(dml string) (int, error) {
 func (db *Database) ExecCtx(ctx context.Context, dml string) (int, error) {
 	start := time.Now()
 	stmt, err := parser.ParseStmt(dml)
-	if err != nil {
-		return 0, err
+	n := 0
+	if err == nil {
+		n, err = db.execOne(ctx, stmt)
 	}
-	n, err := db.execOne(ctx, stmt)
-	db.execHist.Observe(time.Since(start))
+	return db.countUpdate(time.Since(start), n, err)
+}
+
+// countUpdate records one finished update statement — its latency and its
+// error — and returns its result. Every update door (ExecCtx, Tx.Exec)
+// counts through here exactly once, whatever it failed on.
+func (db *Database) countUpdate(d time.Duration, n int, err error) (int, error) {
+	db.execHist.Observe(d)
+	if err != nil {
+		db.execErrs.Inc()
+	}
 	return n, err
 }
 

@@ -178,20 +178,23 @@ func (tx *Tx) reader() (*generation, *exec.Executor) {
 // the transaction aborts: its earlier effects are rolled back and the Tx
 // is dead (ErrTxAborted). Parse errors and conflicts do not abort.
 func (tx *Tx) Exec(ctx context.Context, dml string) (int, error) {
+	start := time.Now()
+	n, err := tx.exec(ctx, dml)
+	return tx.db.countUpdate(time.Since(start), n, err)
+}
+
+func (tx *Tx) exec(ctx context.Context, dml string) (int, error) {
 	if err := tx.usable(); err != nil {
 		return 0, err
 	}
 	if tx.ro {
 		return 0, ErrReadOnlyTx
 	}
-	start := time.Now()
 	stmt, err := parser.ParseStmt(dml)
 	if err != nil {
 		return 0, err
 	}
-	n, err := tx.execStmt(ctx, stmt)
-	tx.db.execHist.Observe(time.Since(start))
-	return n, err
+	return tx.execStmt(ctx, stmt)
 }
 
 // Commit durably applies the transaction. For a transaction that wrote,
