@@ -278,7 +278,7 @@ func (e *Executor) compileRootDomain(p *plan.Plan, t *query.Tree, n *query.Node)
 	default:
 		// A full scan decodes each record from the cell its cursor is on
 		// (the zero Rec under the split strategy): no second descent per
-		// entity, and no record-cache traffic.
+		// entity, and no record-read traffic.
 		return func(sc *scratch, buf []inst) ([]inst, error) {
 			c, err := sc.m.Scan(cl)
 			if err != nil {

@@ -108,9 +108,10 @@ func (sc *scratch) putDomBuf(b []inst) {
 }
 
 // fillRecs prefetches the decoded records of a run of entity instances in
-// fixed-size batches — one record-cache pass per batch instead of one
-// probe per attribute reference. Split-strategy hierarchies are skipped;
-// their bindings fall back to the Mapper's per-entity reads.
+// fixed-size batches — one record read per instance, served from the read
+// view's memo when a reader of the view decoded it before, instead of one
+// per attribute reference. Split-strategy hierarchies are skipped; their
+// bindings fall back to the Mapper's per-entity reads.
 func (e *Executor) fillRecs(sc *scratch, cl *catalog.Class, insts []inst) error {
 	if len(insts) == 0 || !sc.m.Batchable(cl) {
 		return nil
@@ -127,9 +128,6 @@ func (e *Executor) fillRecs(sc *scratch, cl *catalog.Class, insts []inst) error 
 			sc.recs = make([]luc.Rec, len(chunk))
 		}
 		recs := sc.recs[:len(chunk)]
-		for i := range recs {
-			recs[i] = luc.Rec{}
-		}
 		if err := sc.m.ReadBatch(cl, sc.surrs, recs); err != nil {
 			return err
 		}

@@ -7,9 +7,9 @@ import (
 
 // Rec is a read-only handle on one entity's decoded record, handed to the
 // executor so a binding's attribute references resolve against one
-// decode instead of paying a cache probe (and its shard lock) per
-// reference. The underlying record may be shared with the Mapper's read
-// cache and concurrent queries (ReadBatch); one decoded off a scan cursor
+// decode instead of paying a record read per reference. The underlying
+// record may be shared through a read view's memo with the view's
+// concurrent queries (ReadBatch); one decoded off a scan cursor
 // (EntityCursor.Rec) belongs to the query that scanned it. Either way it
 // is immutable once handed out, and holders must never mutate what the
 // accessors return.
@@ -78,65 +78,24 @@ const recBatch = 256
 // RecBatch is the batch size ReadBatch callers should chunk domains by.
 func RecBatch() int { return recBatch }
 
-// ReadBatch fills recs[i] with the decoded record of surrs[i], touching
-// each cache shard once per batch instead of once per surrogate. Cache
-// misses are loaded from storage and published for later readers. Like
-// readRecord, the live mapper bypasses the cache. Entities
-// with no record leave the zero (invalid) Rec in place. The hierarchy must
-// be Batchable; recs must be at least as long as surrs.
+// ReadBatch fills recs[i] with the decoded record of surrs[i] in one
+// pass: each record comes from the view's memo, else from storage, filling
+// the memo for later readers. The live mapper has no memo and always
+// decodes. Entities with no record get the zero (invalid) Rec. The
+// hierarchy must be Batchable; recs must be at least as long as surrs.
 func (m *Mapper) ReadBatch(cl *catalog.Class, surrs []value.Surrogate, recs []Rec) error {
-	base := cl.Base
-	stamp := m.readStamp()
-	var hits, misses uint64
-	// Pass 1: one read-locked sweep per shard resolves every cached entry
-	// decoded at this reader's stamp.
-	for shard := uint64(0); m.snap != nil && shard < rcShards; shard++ {
-		sh := &m.rc.shards[shard]
-		locked := false
-		for i, s := range surrs {
-			if uint64(s)%rcShards != shard {
-				continue
-			}
-			if !locked {
-				sh.mu.RLock()
-				locked = true
-			}
-			if e, ok := sh.m[rcKey{base.ID, s}]; ok && e.stamp == stamp && e.rec != nil {
-				recs[i] = Rec{e.rec}
-				hits++
-			}
-		}
-		if locked {
-			sh.mu.RUnlock()
-		}
-	}
-	// Pass 2: load the misses (these pay storage reads regardless) and —
-	// for snapshot views only — publish them for the next batch.
+	var hits uint64
 	for i, s := range surrs {
-		if recs[i].r != nil {
-			continue
-		}
-		r, err := m.loadRecord(base, s)
+		r, hit, err := m.memoRead(cl.Base, s)
 		if err != nil {
 			return err
 		}
-		misses++
-		if r == nil {
-			continue
+		if hit {
+			hits++
 		}
 		recs[i] = Rec{r}
-		if m.snap == nil {
-			continue
-		}
-		sh := m.rc.shardOf(s)
-		sh.mu.Lock()
-		if len(sh.m) >= rcacheCap/rcShards {
-			sh.m = make(map[rcKey]rcEntry, rcacheCap/rcShards)
-		}
-		sh.m[rcKey{base.ID, s}] = rcEntry{rec: r, stamp: stamp}
-		sh.mu.Unlock()
 	}
-	m.rc.hits.Add(hits)
-	m.rc.misses.Add(misses)
+	m.reads.hits.Add(hits)
+	m.reads.misses.Add(uint64(len(surrs)) - hits)
 	return nil
 }

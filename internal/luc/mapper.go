@@ -109,17 +109,17 @@ const (
 // Mapper is the LUC Mapper instance for one store + catalog. A Mapper is
 // either the live instance created by New — reading the store's current
 // state — or a view derived from it by View/WithOnWrite: a shallow clone
-// sharing the mapping decisions (schema-stable) and the record cache, but
-// pinned to one commit-stamp snapshot (View) or carrying a write hook
-// (WithOnWrite). Views are how concurrent queries each read a consistent
-// state while writers commit.
+// sharing the mapping decisions (schema-stable), pinned to one
+// commit-stamp snapshot with that stamp's decoded-record memo (View) or
+// carrying a write hook (WithOnWrite). Views are how concurrent queries
+// each read a consistent state while writers commit.
 type Mapper struct {
 	store *dmsii.Store
 	cat   *catalog.Catalog
 
 	// snap, when non-nil, pins every read this mapper performs to one
 	// commit stamp: structure access resolves through the snapshot's
-	// version chains and the record cache matches on the snapshot stamp.
+	// version chains.
 	snap Snapshot
 
 	// onWrite, when non-nil, runs before any mutation touching an entity
@@ -154,11 +154,15 @@ type Mapper struct {
 	// leak uncommitted or future values into the live cache.
 	stat *statCache
 
-	// rc is the decoded-record read cache, shared across all views and
-	// stamped: an entry is valid only for readers at exactly its stamp.
-	// Cached *records are immutable once published: readers never mutate
-	// them and mutators work on fresh loadRecord copies.
-	rc *recCache
+	// memo holds the records readers of this snapshot view's stamp
+	// decoded; nil on the live mapper and its write views, whose reads
+	// always decode. last is the memo of the stamp the last view was
+	// built at, shared by reference so that consecutive views of one
+	// stamp get the same memo.
+	memo *memo
+	last *atomic.Pointer[memo]
+	// reads counts record reads for CacheStats, shared by every view.
+	reads *readCounts
 
 	// probes recycles seek cursors (and their key scratch) for the hot
 	// read probes — EVA partner lookups in particular fire once per
@@ -175,13 +179,9 @@ type statCache struct {
 	m  map[string]int64
 }
 
-// recCache is the decoded-record cache plus its traffic counters,
-// sharded by surrogate so concurrent readers rarely contend on one lock.
-type recCache struct {
-	shards [rcShards]rcShard
-
-	// hits/misses count record-cache traffic for CacheStats and the obs
-	// registry; atomics so stats never take the shard locks.
+// readCounts counts record reads: hits are served from a view's memo,
+// misses decode from storage. Atomics, so stats take no lock.
+type readCounts struct {
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
@@ -210,26 +210,37 @@ type Snapshot interface {
 }
 
 // View returns a mapper whose reads are pinned to snap: structures
-// resolve through the snapshot's version chains, the shared record cache
-// matches on the snapshot's stamp, and statistics are privately cached so
-// snapshot-consistent counts never leak into the live mapper. Every
-// reader of snap may share the view. Mutations through a snapshot view
-// fail in the store layer.
+// resolve through the snapshot's version chains, decoded records are
+// memoized in the memo of snap's stamp — shared with every view of that
+// stamp built since the last view of another stamp — and statistics are
+// privately cached so snapshot-consistent counts never leak into the live
+// mapper. Every reader of snap may share the view. Mutations through a
+// snapshot view fail in the store layer.
 func (m *Mapper) View(snap Snapshot) *Mapper {
 	v := *m
 	v.snap = snap
 	v.onWrite = nil
 	v.stat = &statCache{m: make(map[string]int64)}
+	// Builders racing at different stamps may replace each other's memo
+	// as the last: a later view of the loser's stamp starts cold, and no
+	// view ever gets a memo of another stamp.
+	v.memo = m.last.Load()
+	if stamp := snap.Stamp(); v.memo == nil || v.memo.stamp != stamp {
+		v.memo = &memo{stamp: stamp}
+		m.last.Store(v.memo)
+	}
 	return &v
 }
 
 // WithOnWrite returns a live clone whose mutators call fn with the target
 // entity (base class, surrogate) before touching it. The clone shares
-// every cache with m.
+// m's statistics and has no record memo: a writer decodes every record
+// it reads, its own uncommitted writes included.
 func (m *Mapper) WithOnWrite(fn func(base *catalog.Class, s value.Surrogate)) *Mapper {
 	v := *m
 	v.snap = nil
 	v.onWrite = fn
+	v.memo = nil
 	return &v
 }
 
@@ -240,16 +251,6 @@ func (m *Mapper) structure(name string) (*dmsii.Structure, error) {
 		return m.snap.Structure(name)
 	}
 	return m.store.Structure(name)
-}
-
-// readStamp is the commit stamp this mapper's reads observe — the pinned
-// snapshot's stamp for views, the newest published stamp for the live
-// mapper. Record-cache entries are valid only at exactly their stamp.
-func (m *Mapper) readStamp() uint64 {
-	if m.snap != nil {
-		return m.snap.Stamp()
-	}
-	return m.store.Published()
 }
 
 // touch runs the onWrite hook for one entity about to be mutated.
@@ -267,42 +268,10 @@ func (m *Mapper) touchEVA(a *catalog.Attribute, s, t value.Surrogate) {
 	}
 }
 
-// CacheStats reports the decoded-record read cache's traffic.
+// CacheStats reports record-read traffic.
 type CacheStats struct {
-	Hits   uint64 // records served from the cache
+	Hits   uint64 // records served from a read view's memo
 	Misses uint64 // records decoded from storage
-}
-
-// rcKey identifies a cached record by hierarchy and surrogate.
-type rcKey struct {
-	base int
-	s    value.Surrogate
-}
-
-// rcShards is the number of record-cache shards.
-const rcShards = 8
-
-// rcEntry is one cached decode: the record (nil caches a miss) plus the
-// commit stamp whose state it decodes. An entry serves only readers at
-// exactly that stamp — commits advance the published stamp, implicitly
-// invalidating the whole cache without touching it.
-type rcEntry struct {
-	rec   *record
-	stamp uint64
-}
-
-// rcShard is one independently locked slice of the record cache.
-type rcShard struct {
-	mu sync.RWMutex
-	m  map[rcKey]rcEntry
-}
-
-// rcacheCap bounds the read cache across all shards; a full shard is
-// cleared wholesale, as the unsharded cache was.
-const rcacheCap = 1024
-
-func (rc *recCache) shardOf(s value.Surrogate) *rcShard {
-	return &rc.shards[uint64(s)%rcShards]
 }
 
 type slotKind int
@@ -331,11 +300,9 @@ func New(store *dmsii.Store, cat *catalog.Catalog, cfg Config) (*Mapper, error) 
 		attrNames: make(map[*catalog.Attribute]attrNames),
 		surrNext:  make(map[int]value.Surrogate),
 		stat:      &statCache{m: make(map[string]int64)},
-		rc:        &recCache{},
+		reads:     new(readCounts),
+		last:      new(atomic.Pointer[memo]),
 		probes:    new(sync.Pool),
-	}
-	for i := range m.rc.shards {
-		m.rc.shards[i].m = make(map[rcKey]rcEntry)
 	}
 	if err := m.Reconfigure(cfg); err != nil {
 		return nil, err
@@ -573,9 +540,9 @@ func (m *Mapper) indexStructure(a *catalog.Attribute) (*dmsii.Structure, error) 
 // ahead of the store — surrogate counters and statistics — so the next
 // writer reloads them from the committed pages. The database layer calls
 // it under the store write latch whenever uncommitted state is discarded,
-// and whenever a follower applies replicated pages. Record-cache entries stay: the live
-// mapper never reads them, and a snapshot view matches only entries of
-// its own published stamp.
+// and whenever a follower applies replicated pages. There are no decoded
+// records to drop: the live mapper memoizes none, and each snapshot
+// view's memo holds only its own stamp's state.
 func (m *Mapper) ResetLiveState() {
 	clear(m.surrNext)
 	m.stat.mu.Lock()
@@ -659,15 +626,15 @@ func (m *Mapper) statAdd(key string, delta int64) error {
 	return nil
 }
 
-// CacheStats returns record-cache counters; safe while queries run.
+// CacheStats returns the record-read counters; safe while queries run.
 func (m *Mapper) CacheStats() CacheStats {
-	return CacheStats{Hits: m.rc.hits.Load(), Misses: m.rc.misses.Load()}
+	return CacheStats{Hits: m.reads.hits.Load(), Misses: m.reads.misses.Load()}
 }
 
-// ResetCacheStats zeroes the record-cache counters (benchmark phases).
+// ResetCacheStats zeroes the record-read counters (benchmark phases).
 func (m *Mapper) ResetCacheStats() {
-	m.rc.hits.Store(0)
-	m.rc.misses.Store(0)
+	m.reads.hits.Store(0)
+	m.reads.misses.Store(0)
 }
 
 // Count returns the number of entities holding a role in cl.

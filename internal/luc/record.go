@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"sim/internal/catalog"
 	"sim/internal/value"
@@ -244,48 +245,81 @@ func (m *Mapper) classByID(id int) *catalog.Class {
 	return classes[id]
 }
 
-// readRecord is the read-path variant of loadRecord with a small sharded
-// cache; mutators use loadRecord directly since they modify the returned
-// record in place before storeRecord (which invalidates the cache entry).
-// Cached records are shared across concurrent queries and must never be
-// mutated by readers.
-//
-// The cache is stamp-exact: an entry serves only readers observing the
-// same commit stamp it was decoded at, so every commit implicitly
-// invalidates it. Only snapshot views use the cache. The live mapper runs
-// inside write transactions, whose uncommitted writes sit under the
-// published stamp: a fill could capture them, and a hit could return the
-// committed image a snapshot reader refilled after storeRecord dropped the
-// entry, losing the writer's own update.
+// A read view's record memo has memoSlots slots in memoBuckets buckets.
+const (
+	memoSlots       = 1024
+	memoBuckets     = 32
+	memoBucketSlots = memoSlots / memoBuckets
+)
+
+// memo is a read view's decoded-record memo: a direct-mapped table of
+// atomic slots keyed by (hierarchy id, surrogate). It holds one published
+// stamp's state, which never changes, so an entry never goes stale; a
+// colliding fill replaces the slot, and the memo is dropped once a view
+// of another stamp has been built and its own stamp's views are gone.
+// Memoized records are shared by the stamp's concurrent readers, which
+// never mutate them. Buckets are allocated on first use: a view built
+// for one read after a commit pays for the bucket it touches, not for
+// the whole table.
+type memo struct {
+	stamp   uint64
+	buckets [memoBuckets]atomic.Pointer[memoBucket]
+}
+
+type memoBucket [memoBucketSlots]atomic.Pointer[memoEntry]
+
+type memoEntry struct {
+	base int
+	s    value.Surrogate
+	rec  *record // nil: the entity has no record
+}
+
+// slot is where (base, s) lives. Consecutive surrogates of a hierarchy
+// take consecutive slots; every hierarchy numbers its entities from 1, so
+// each starts its run 633 slots (memoSlots over the golden ratio) past
+// the previous hierarchy id's, keeping small hierarchies' runs apart.
+func (mm *memo) slot(base int, s value.Surrogate) *atomic.Pointer[memoEntry] {
+	i := (uint64(s) + 633*uint64(base)) % memoSlots
+	bp := &mm.buckets[i/memoBucketSlots]
+	b := bp.Load()
+	if b == nil {
+		bp.CompareAndSwap(nil, new(memoBucket))
+		b = bp.Load()
+	}
+	return &b[i%memoBucketSlots]
+}
+
+// memoRead returns an entity's record from the view's memo, or decodes it
+// with loadRecord and fills the memo; hit reports which. Without a memo —
+// the live mapper and its write views, whose reads must see the
+// transaction's own uncommitted writes — it always decodes.
+func (m *Mapper) memoRead(base *catalog.Class, s value.Surrogate) (r *record, hit bool, err error) {
+	if m.memo == nil {
+		r, err = m.loadRecord(base, s)
+		return r, false, err
+	}
+	sl := m.memo.slot(base.ID, s)
+	if e := sl.Load(); e != nil && e.base == base.ID && e.s == s {
+		return e.rec, true, nil
+	}
+	if r, err = m.loadRecord(base, s); err == nil {
+		sl.Store(&memoEntry{base: base.ID, s: s, rec: r})
+	}
+	return r, false, err
+}
+
+// readRecord is the read-path variant of loadRecord: it goes through the
+// view's memo and counts the read once, as a hit or a miss. The record
+// may be shared with other readers and must never be mutated; mutators
+// use loadRecord, which always decodes a fresh copy.
 func (m *Mapper) readRecord(base *catalog.Class, s value.Surrogate) (*record, error) {
-	if m.snap == nil {
-		m.rc.misses.Add(1)
-		return m.loadRecord(base, s)
+	r, hit, err := m.memoRead(base, s)
+	if hit {
+		m.reads.hits.Add(1)
+	} else {
+		m.reads.misses.Add(1)
 	}
-	key := rcKey{base.ID, s}
-	stamp := m.readStamp()
-	sh := m.rc.shardOf(s)
-	sh.mu.RLock()
-	e, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if ok && e.stamp == stamp {
-		m.rc.hits.Add(1)
-		return e.rec, nil
-	}
-	m.rc.misses.Add(1)
-	r, err := m.loadRecord(base, s)
-	if err != nil {
-		return nil, err
-	}
-	// Concurrent readers may race to fill the same key with equal decoded
-	// contents; last write wins.
-	sh.mu.Lock()
-	if len(sh.m) >= rcacheCap/rcShards {
-		sh.m = make(map[rcKey]rcEntry, rcacheCap/rcShards)
-	}
-	sh.m[key] = rcEntry{rec: r, stamp: stamp}
-	sh.mu.Unlock()
-	return r, nil
+	return r, err
 }
 
 // readSection reads just one class's section of an entity (plus the
@@ -368,10 +402,6 @@ func (m *Mapper) loadRecord(base *catalog.Class, s value.Surrogate) (*record, er
 // storeRecord writes an entity's record. prevRoles lists the roles present
 // before the update so the split strategy can delete abandoned sections.
 func (m *Mapper) storeRecord(base *catalog.Class, s value.Surrogate, r *record, prevRoles []int) error {
-	sh := m.rc.shardOf(s)
-	sh.mu.Lock()
-	delete(sh.m, rcKey{base.ID, s})
-	sh.mu.Unlock()
 	key := value.AppendSurrogateKey(nil, s)
 	if m.hier[base] == HierarchySingleRecord {
 		st, err := m.hierStructure(base)

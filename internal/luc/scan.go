@@ -68,8 +68,9 @@ func (e *EntityCursor) Surrogate() value.Surrogate {
 
 // Rec decodes the current entity's record from the cell the cursor is
 // already on: a full scan pays no second B+tree descent per entity, and
-// its records bypass the Mapper's record cache, which keeps the point-probe
-// working set instead of one pass's worth of records nobody re-reads. The
+// its records bypass the read view's record memo, which keeps the
+// point-probe working set instead of one pass's worth of records nobody
+// re-reads. The
 // record belongs to the caller's scan alone and reflects the cursor's
 // read state (the mapper's pinned snapshot, if any). Under the split
 // strategy a cell holds one section, not a record, and Rec returns the

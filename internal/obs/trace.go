@@ -40,7 +40,7 @@ type QueryTrace struct {
 	Nodes []NodeTrace
 
 	PagerHits, PagerMisses uint64 // buffer pool delta over the query
-	CacheHits, CacheMisses uint64 // LUC record cache delta over the query
+	CacheHits, CacheMisses uint64 // LUC record reads (memo hits, decodes) over the query
 	PlanDesc               string // optimizer strategy summary
 }
 

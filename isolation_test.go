@@ -765,8 +765,8 @@ func TestIsolationConflictHistory(t *testing.T) {
 }
 
 // TestIsolationWriterIgnoresSnapshotCacheFill: a snapshot reader that
-// decodes an entity after an open transaction wrote it caches the
-// committed image under the published stamp; the writer must still read
+// decodes an entity after an open transaction wrote it memoizes the
+// committed image in the published view's memo; the writer must still read
 // its own write, not that image — through a point read ("point") and
 // through the batched partner reads of an EVA traversal ("batch").
 func TestIsolationWriterIgnoresSnapshotCacheFill(t *testing.T) {
@@ -774,7 +774,7 @@ func TestIsolationWriterIgnoresSnapshotCacheFill(t *testing.T) {
 	t.Run("point", func(t *testing.T) {
 		db := txDB(t)
 		// Enough rows that the point read plans a unique lookup, the path
-		// that fills the record cache.
+		// that fills the read view's record memo.
 		for id := 2; id <= 6; id++ {
 			mustExec(t, db, fmt.Sprintf(`Insert acct (id := %d, bal := 100).`, id))
 		}

@@ -284,6 +284,7 @@ func TestMetricsPrometheus(t *testing.T) {
 		"sim_pager_buffers_reused_total",
 		"sim_pager_buffers_allocated_total",
 		"sim_luc_cache_hits_total",
+		"sim_read_views_built_total",
 		"sim_plan_cache_misses_total",
 		"sim_exec_queries_total",
 		"sim_exec_rows_total",

@@ -7,9 +7,10 @@ import (
 )
 
 // Full scans decode each record from the cell under the scan cursor
-// instead of re-probing it through the record cache. These tests pin what
-// that must preserve: the scan reads its statement's snapshot (or the
-// writer's own uncommitted state), and it leaves the record cache alone.
+// instead of re-probing it through the read view's record memo. These
+// tests pin what that must preserve: the scan reads its statement's
+// snapshot (or the writer's own uncommitted state), and it leaves the
+// record memo and its counters alone.
 
 // scanDB is the UNIVERSITY fixture plus 40 students, eight of them with
 // an advisor, so a student scan walks a grown extent.
@@ -74,7 +75,7 @@ func TestFullScanReadsPinnedSnapshot(t *testing.T) {
 }
 
 // TestFullScanBypassesRecordCache: a full scan that walks no EVA reads
-// every record from its cursor, so the record cache sees no traffic.
+// every record from its cursor, so the record-read counters do not move.
 func TestFullScanBypassesRecordCache(t *testing.T) {
 	db := scanDB(t)
 	for _, q := range []string{
@@ -88,7 +89,7 @@ func TestFullScanBypassesRecordCache(t *testing.T) {
 			t.Fatalf("%q returned no rows", q)
 		}
 		if got := db.Stats().Cache; got != before {
-			t.Errorf("%q: record cache %+v -> %+v, want no traffic", q, before, got)
+			t.Errorf("%q: record reads %+v -> %+v, want no traffic", q, before, got)
 		}
 	}
 }

@@ -57,7 +57,7 @@ type ExecStats struct {
 }
 
 // Stats aggregates engine counters for benchmarking and EXPLAIN: buffer
-// pool, plan cache, LUC record cache, executor totals and WAL activity.
+// pool, plan cache, LUC record reads, executor totals and WAL activity.
 type Stats struct {
 	Pool  pager.Stats
 	Plans PlanCacheStats
@@ -179,6 +179,7 @@ type generation struct {
 	mapper *luc.Mapper
 	exe    *exec.Executor
 	plans  *planCache
+	views  *obs.Counter // sim_read_views_built_total, shared by every generation
 }
 
 // Open opens (creating if necessary) the database at path; an empty path
@@ -320,7 +321,11 @@ func (db *Database) build(batches []string) (*generation, error) {
 	// Owned counters come back identical across generations (totals keep
 	// accumulating).
 	exe.SetMetrics(db.reg)
-	return &generation{ddl: batches, cat: cat, mapper: mapper, exe: exe, plans: newPlanCache(db.cfg.PlanCacheSize, &db.planCounts)}, nil
+	return &generation{
+		ddl: batches, cat: cat, mapper: mapper, exe: exe,
+		plans: newPlanCache(db.cfg.PlanCacheSize, &db.planCounts),
+		views: db.reg.Counter("sim_read_views_built_total", "Read views built: a snapshot mapper, record memo and executor attached to a published stamp's view by its first reader."),
+	}, nil
 }
 
 // publish makes g the generation new statements run under, unless one
@@ -366,7 +371,7 @@ func (db *Database) Catalog() *catalog.Catalog { return db.gen.Load().cat }
 func (db *Database) Mapper() *luc.Mapper { return db.gen.Load().mapper }
 
 // registerMetrics publishes the counters that outlive a generation: the
-// plan cache's, and the LUC record cache's of the published mapper.
+// plan cache's, and the LUC record-read counters of the published mapper.
 func (db *Database) registerMetrics() {
 	r := db.reg
 	r.CounterFunc("sim_plan_cache_hits_total", "Queries served from a cached plan.",
@@ -375,9 +380,9 @@ func (db *Database) registerMetrics() {
 		func() float64 { return float64(db.planStats().Misses) })
 	r.GaugeFunc("sim_plan_cache_entries", "Plan-cache entries (plans and shape records).",
 		func() float64 { return float64(db.planStats().Entries) })
-	r.CounterFunc("sim_luc_cache_hits_total", "LUC decoded-record cache hits.",
+	r.CounterFunc("sim_luc_cache_hits_total", "LUC records served from a read view's memo.",
 		func() float64 { return float64(db.Mapper().CacheStats().Hits) })
-	r.CounterFunc("sim_luc_cache_misses_total", "LUC decoded-record cache misses.",
+	r.CounterFunc("sim_luc_cache_misses_total", "LUC records decoded from storage; every read by a writing transaction is one, as it has no memo.",
 		func() float64 { return float64(db.Mapper().CacheStats().Misses) })
 }
 
@@ -401,7 +406,7 @@ func (db *Database) Stats() Stats {
 
 // ResetStats zeroes the activity counters, for benchmark phase
 // boundaries: buffer pool hits/misses/writes, plan cache hits/misses
-// (cached plans stay), the LUC record-cache hit/miss counters, every
+// (cached plans stay), the LUC record-read hit/miss counters, every
 // registry-owned counter and histogram (executor totals, query/update
 // latency, latch wait histograms), and every component that registered an
 // OnReset hook with the registry — latch contention counters and the
@@ -480,15 +485,17 @@ func (db *Database) readView() (*dmsii.View, *generation, *exec.Executor) {
 }
 
 // viewExec returns the executor reading v under g. It is built once per
-// view and generation — a snapshot mapper and an executor over it — and
-// attached to the view, so every statement at one published stamp shares
-// it; a generation published since makes it rebuild.
+// view and generation — a snapshot mapper reading through its stamp's
+// record memo, and an executor over it — and attached to the view, so
+// every statement at one published stamp shares it; a generation
+// published since makes it rebuild.
 func (g *generation) viewExec(v *dmsii.View) *exec.Executor {
 	if a, ok := v.Attached().(*viewAttachment); ok && a.of == g {
 		return a.exe
 	}
 	a := &viewAttachment{of: g, exe: g.exe.View(g.mapper.View(v))}
 	v.Attach(a)
+	g.views.Inc()
 	return a.exe
 }
 

@@ -5,13 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
 
+	"sim/internal/catalog"
 	"sim/internal/fault"
+	"sim/internal/luc"
 	"sim/internal/pager"
 	"sim/internal/university"
+	"sim/internal/value"
 )
 
 // Every read outside a writing transaction shares the store's current
@@ -69,6 +73,87 @@ func TestPointReadAllocs(t *testing.T) {
 	if allocs > 6 {
 		t.Fatalf("warmed point read: %.1f allocations per statement, want <= 6", allocs)
 	}
+}
+
+// TestReadAfterCommitAllocs bounds the allocations of a unique-key
+// Retrieve that follows a commit. The commit retires the shared read view,
+// so the statement pays for the new view, its attachment, the snapshot
+// mapper with its record memo and the executor, besides what a warmed
+// read allocates; the commit itself is not counted.
+func TestReadAfterCommitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
+	}
+	db := fileUniversity(t)
+	const q = `From student Retrieve name Where soc-sec-no = 456887766.`
+	mustQuery(t, db, q)
+	const runs = 100
+	var ms runtime.MemStats
+	var allocs uint64
+	for i := 0; i < runs; i++ {
+		mustExec(t, db, fmt.Sprintf(`Modify student (name := "Mary %d") Where soc-sec-no = 456887767.`, i))
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if r := mustQuery(t, db, q); r.NumRows() != 1 {
+			t.Fatalf("%s: %d rows, want 1", q, r.NumRows())
+		}
+		runtime.ReadMemStats(&ms)
+		allocs += ms.Mallocs - before
+	}
+	// Whole allocations per statement, as testing.AllocsPerRun counts them:
+	// a collection during the loop empties the sync.Pools, and the
+	// refills of one or two such collections stay below one per run.
+	if per := allocs / runs; per > 31 {
+		t.Fatalf("point read after a commit: %d allocations per statement, want <= 31", per)
+	}
+}
+
+// TestReadViewBuiltOncePerCommit: the first read after a commit builds
+// the new stamp's read view and the next read shares it, so
+// sim_read_views_built_total rises by exactly one.
+func TestReadViewBuiltOncePerCommit(t *testing.T) {
+	db := fileUniversity(t)
+	const q = `From student Retrieve name Where soc-sec-no = 456887766.`
+	mustQuery(t, db, q)
+	before := db.reg.Get("sim_read_views_built_total")
+	mustExec(t, db, `Modify student (name := "Mary Minor") Where soc-sec-no = 456887767.`)
+	mustQuery(t, db, q)
+	mustQuery(t, db, q)
+	if got := db.reg.Get("sim_read_views_built_total") - before; got != 1 {
+		t.Fatalf("a commit and two reads built %v read views, want 1", got)
+	}
+}
+
+// TestRecordMemoPerStamp: every mapper view of one published stamp reads
+// through one record memo, however many views are built over it, and a
+// view of a newer stamp starts with an empty one.
+func TestRecordMemoPerStamp(t *testing.T) {
+	db := fileUniversity(t)
+	student := db.Catalog().Class("student")
+	ssn := catalog.ResolveAttr(student, "soc-sec-no")
+	recs := make([]luc.Rec, 1)
+	read := func(what string, want luc.CacheStats) {
+		t.Helper()
+		snap := db.store.PinSnapshot()
+		defer snap.Release()
+		m := db.Mapper().View(snap)
+		s, ok, err := m.LookupUnique(ssn, value.NewInt(456887766))
+		if err != nil || !ok {
+			t.Fatalf("%s: lookup: %v %v", what, ok, err)
+		}
+		before := db.Stats().Cache
+		if err := m.ReadBatch(student, []value.Surrogate{s}, recs); err != nil {
+			t.Fatal(err)
+		}
+		after := db.Stats().Cache
+		if got := (luc.CacheStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}); got != want {
+			t.Errorf("%s: record reads %+v, want %+v", what, got, want)
+		}
+	}
+	read("first view", luc.CacheStats{Misses: 1})
+	read("second view of the stamp", luc.CacheStats{Hits: 1})
+	mustExec(t, db, `Modify student (name := "Mary Minor") Where soc-sec-no = 456887767.`)
+	read("view of the next stamp", luc.CacheStats{Misses: 1})
 }
 
 // TestReadViewFreshness: a Query issued after a write returned sees it,
