@@ -309,10 +309,10 @@ func TestDefineSchemaConcurrent(t *testing.T) {
 // and read-only transactions, on a primary and on its follower — across
 // every event that once took the database-wide lock exclusively: a
 // rolled-back transaction, a statement abort, a commit failed by its WAL
-// fsync, a follower snapshot install (whose apply resets the live state),
-// and a promoted follower's own writes. Transfers keep the total
-// balance fixed and each event's uncommitted write breaks it, so every
-// read must see the invariant. Run under -race.
+// fsync, a follower snapshot install, and a promoted follower's own
+// writes. Transfers keep the total balance fixed and each event's
+// uncommitted write breaks it, so every read must see the invariant. Run
+// under -race.
 func TestReadersAcrossWriteSideEvents(t *testing.T) {
 	const accts, total, rounds = 20, 20 * 100, 4
 	inj := fault.NewInjector()
@@ -509,8 +509,8 @@ func TestReadersAcrossWriteSideEvents(t *testing.T) {
 			groups = nil // the image holds them
 			mu.Unlock()
 		}
-		// A promotion: the follower writes from the live state its last
-		// apply reset.
+		// A promotion: the follower writes from the counters its last
+		// apply shipped.
 		for round := 0; round < rounds; round++ {
 			churn(follower, round)
 		}

@@ -103,7 +103,6 @@ type Store struct {
 	active     atomic.Int64 // open transactions
 	conflicts  atomic.Uint64
 	needsReset atomic.Bool // a commit group failed; discard before next write
-	onDiscard  func()      // see SetOnDiscard
 
 	// auditCapture, when a test sets it, sees every commit snapshot right
 	// after its capture (writeBack false) and again just before its
@@ -797,27 +796,14 @@ func (s *Store) resetUncommitted() error {
 
 // discardUncommitted drops all dirty pool state and reattaches the
 // directory from the durable meta page — the shared abort path for
-// Rollback and for commits whose journaling failed — then runs the
-// SetOnDiscard hook. The caller holds the write latch.
+// Rollback and for commits whose journaling failed. The caller holds the
+// write latch.
 func (s *Store) discardUncommitted() error {
 	if err := s.pool.DiscardDirty(); err != nil {
 		return err
 	}
-	if err := s.reattachDir(); err != nil {
-		return err
-	}
-	if s.onDiscard != nil {
-		s.onDiscard()
-	}
-	return nil
+	return s.reattachDir()
 }
-
-// SetOnDiscard installs fn to run, under the write latch, whenever the
-// store discards uncommitted state: a rollback of a transaction that
-// wrote, and the repair after a failed commit group. The database layer
-// resets its live mapper's state there. Call it before the store is
-// shared.
-func (s *Store) SetOnDiscard(fn func()) { s.onDiscard = fn }
 
 // reattachDir reopens the live directory from the meta page in the pool
 // and drops the open-structure handles, whose cached roots may no longer

@@ -116,7 +116,6 @@ func (u *univ) inTx(fn func()) {
 		if err := tx.Rollback(); err != nil {
 			u.t.Fatal(err)
 		}
-		u.m.ResetLiveState()
 	}()
 	fn()
 }

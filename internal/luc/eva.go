@@ -351,7 +351,7 @@ func (m *Mapper) addEVAInstance(a *catalog.Attribute, s, t value.Surrogate) erro
 			}
 		}
 	}
-	return m.statAdd(fmt.Sprintf("r%d", can.ID), 1)
+	return m.statAdd(m.attrNames[can].count, 1)
 }
 
 // removeEVAInstance deletes the stored instance (s, t) of attribute a.
@@ -411,5 +411,5 @@ func (m *Mapper) removeEVAInstance(a *catalog.Attribute, s, t value.Surrogate) e
 			}
 		}
 	}
-	return m.statAdd(fmt.Sprintf("r%d", can.ID), -1)
+	return m.statAdd(m.attrNames[can].count, -1)
 }

@@ -674,7 +674,6 @@ func TestRollbackResetsCaches(t *testing.T) {
 		t.Fatalf("Count before rollback = %d", n)
 	}
 	tx.Rollback()
-	e.m.ResetLiveState()
 	if n, _ := e.m.Count(e.class("person")); n != 1 {
 		t.Errorf("Count after rollback = %d, want 1", n)
 	}

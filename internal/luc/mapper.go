@@ -108,11 +108,14 @@ const (
 
 // Mapper is the LUC Mapper instance for one store + catalog. A Mapper is
 // either the live instance created by New — reading the store's current
-// state — or a view derived from it by View/WithOnWrite: a shallow clone
-// sharing the mapping decisions (schema-stable), pinned to one
-// commit-stamp snapshot with that stamp's decoded-record memo (View) or
-// carrying a write hook (WithOnWrite). Views are how concurrent queries
-// each read a consistent state while writers commit.
+// state, which is stable only under the store write latch — or a view
+// derived from it by View/WithOnWrite: a shallow clone sharing the mapping
+// decisions (schema-stable), pinned to one commit-stamp snapshot with that
+// stamp's decoded-record memo (View) or carrying a write hook
+// (WithOnWrite). Views are how concurrent queries each read a consistent
+// state while writers commit. A mapper keeps no counter of its own: the
+// surrogate counters and the optimizer's statistics are read from, and
+// written to, the "~surr" and "~stats" structures of the pages it reads.
 type Mapper struct {
 	store *dmsii.Store
 	cat   *catalog.Catalog
@@ -138,21 +141,11 @@ type Mapper struct {
 	// record decode resolves each section without a map probe.
 	slots [][]slot
 
-	// clNames and attrNames hold the structure names of every class and
-	// attribute, formatted once by Reconfigure so that no probe builds one.
+	// clNames and attrNames hold the structure names and counter keys of
+	// every class and attribute, formatted once by New so that no probe
+	// builds one.
 	clNames   map[*catalog.Class]classNames
 	attrNames map[*catalog.Attribute]attrNames
-
-	// surrNext is touched only on the write path, under the store write
-	// latch, so it needs no internal locking. Shared by reference across
-	// views and never reassigned (ResetLiveState clears it in place).
-	surrNext map[int]value.Surrogate // per base class id
-
-	// stat caches entity/instance counts. The live mapper and its write
-	// views share one cache (kept current by statAdd); snapshot views get
-	// a private cache so their counts stay snapshot-consistent and never
-	// leak uncommitted or future values into the live cache.
-	stat *statCache
 
 	// memo holds the records readers of this snapshot view's stamp
 	// decoded; nil on the live mapper and its write views, whose reads
@@ -169,14 +162,6 @@ type Mapper struct {
 	// binding, so a fresh cursor per call would dominate allocations.
 	// Behind a pointer so views share one pool.
 	probes *sync.Pool // *probe
-}
-
-// statCache holds lazily populated entity/instance counts. statMu guards
-// the map: the optimizer populates it on the read path, so concurrent
-// queries contend here.
-type statCache struct {
-	mu sync.RWMutex
-	m  map[string]int64
 }
 
 // readCounts counts record reads: hits are served from a view's memo,
@@ -209,18 +194,16 @@ type Snapshot interface {
 	Structure(name string) (*dmsii.Structure, error)
 }
 
-// View returns a mapper whose reads are pinned to snap: structures
-// resolve through the snapshot's version chains, decoded records are
-// memoized in the memo of snap's stamp — shared with every view of that
-// stamp built since the last view of another stamp — and statistics are
-// privately cached so snapshot-consistent counts never leak into the live
-// mapper. Every reader of snap may share the view. Mutations through a
+// View returns a mapper whose reads are pinned to snap: structures — the
+// statistics included — resolve through the snapshot's version chains,
+// and decoded records are memoized in the memo of snap's stamp, shared
+// with every view of that stamp built since the last view of another
+// stamp. Every reader of snap may share the view. Mutations through a
 // snapshot view fail in the store layer.
 func (m *Mapper) View(snap Snapshot) *Mapper {
 	v := *m
 	v.snap = snap
 	v.onWrite = nil
-	v.stat = &statCache{m: make(map[string]int64)}
 	// Builders racing at different stamps may replace each other's memo
 	// as the last: a later view of the loser's stamp starts cold, and no
 	// view ever gets a memo of another stamp.
@@ -233,9 +216,9 @@ func (m *Mapper) View(snap Snapshot) *Mapper {
 }
 
 // WithOnWrite returns a live clone whose mutators call fn with the target
-// entity (base class, surrogate) before touching it. The clone shares
-// m's statistics and has no record memo: a writer decodes every record
-// it reads, its own uncommitted writes included.
+// entity (base class, surrogate) before touching it. Like m it reads the
+// live pages and has no record memo: a writer decodes every record and
+// counter it reads, its own uncommitted writes included.
 func (m *Mapper) WithOnWrite(fn func(base *catalog.Class, s value.Surrogate)) *Mapper {
 	v := *m
 	v.snap = nil
@@ -288,6 +271,8 @@ type slot struct {
 }
 
 // New builds the mapper, resolving every physical mapping decision.
+// Changing the strategy of a populated structure is not supported: a
+// schema generation builds a new mapper with the same Config.
 func New(store *dmsii.Store, cat *catalog.Catalog, cfg Config) (*Mapper, error) {
 	m := &Mapper{
 		store:     store,
@@ -298,22 +283,10 @@ func New(store *dmsii.Store, cat *catalog.Catalog, cfg Config) (*Mapper, error) 
 		idx:       make(map[*catalog.Attribute]bool),
 		clNames:   make(map[*catalog.Class]classNames),
 		attrNames: make(map[*catalog.Attribute]attrNames),
-		surrNext:  make(map[int]value.Surrogate),
-		stat:      &statCache{m: make(map[string]int64)},
 		reads:     new(readCounts),
 		last:      new(atomic.Pointer[memo]),
 		probes:    new(sync.Pool),
 	}
-	if err := m.Reconfigure(cfg); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Reconfigure recomputes mapping decisions; used when the schema is
-// extended. Changing the strategy of a populated structure is not
-// supported.
-func (m *Mapper) Reconfigure(cfg Config) error {
 	for _, cl := range m.cat.Classes() {
 		if cl.IsBase() {
 			strat := HierarchySingleRecord
@@ -343,7 +316,7 @@ func (m *Mapper) Reconfigure(cfg Config) error {
 				}
 				mapping, err := resolveEVA(can, strat)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				m.evas[can] = mapping
 			case catalog.DVA:
@@ -372,7 +345,7 @@ func (m *Mapper) Reconfigure(cfg Config) error {
 	for _, name := range cfg.Indexes {
 		parts := strings.SplitN(strings.ToLower(name), ".", 2)
 		if len(parts) != 2 {
-			return fmt.Errorf("luc: index spec %q is not class.attr", name)
+			return nil, fmt.Errorf("luc: index spec %q is not class.attr", name)
 		}
 		cl := m.cat.Class(parts[0])
 		if cl == nil {
@@ -380,25 +353,31 @@ func (m *Mapper) Reconfigure(cfg Config) error {
 		}
 		a := catalog.ResolveAttr(cl, parts[1])
 		if a == nil || a.Kind != catalog.DVA || a.Options.MV {
-			return fmt.Errorf("luc: index spec %q: not a single-valued DVA", name)
+			return nil, fmt.Errorf("luc: index spec %q: not a single-valued DVA", name)
 		}
 		m.idx[a] = true
 	}
-	// Slot tables and structure names.
+	// Slot tables, structure names and counter keys.
 	m.slots = make([][]slot, len(m.cat.Classes()))
 	for _, cl := range m.cat.Classes() {
 		m.slots[cl.ID] = m.computeSlots(cl)
-		m.clNames[cl] = classNames{hier: fmt.Sprintf("h:%d", cl.ID), class: fmt.Sprintf("c:%d", cl.ID)}
+		m.clNames[cl] = classNames{
+			hier:  fmt.Sprintf("h:%d", cl.ID),
+			class: fmt.Sprintf("c:%d", cl.ID),
+			surr:  fmt.Appendf(nil, "%d", cl.ID),
+			count: fmt.Appendf(nil, "c%d", cl.ID),
+		}
 		for _, a := range cl.Attrs {
 			m.attrNames[a] = attrNames{
 				own:     fmt.Sprintf("eva:%d", a.ID),
 				fkIndex: fmt.Sprintf("fki:%d", a.ID),
 				mv:      fmt.Sprintf("mv:%d", a.ID),
 				index:   fmt.Sprintf("ix:%d", a.ID),
+				count:   fmt.Appendf(nil, "r%d", a.ID),
 			}
 		}
 	}
-	return nil
+	return m, nil
 }
 
 // canonical picks the representative attribute of an EVA pair (the lower
@@ -495,14 +474,23 @@ func (m *Mapper) computeSlots(cl *catalog.Class) []slot {
 // Structure naming
 // ---------------------------------------------------------------------------
 
-// classNames are the structures one class may own: its hierarchy's
-// single-record unit (base classes) and its split-strategy section unit.
-type classNames struct{ hier, class string }
+// classNames are the structures one class may own — its hierarchy's
+// single-record unit (base classes) and its split-strategy section unit —
+// and its counter keys: the hierarchy's "~surr" key (base classes) and
+// the "~stats" key of the class's entity count.
+type classNames struct {
+	hier, class string
+	surr, count []byte
+}
 
-// attrNames are the structures one attribute may own: the private EVA
+// attrNames are the structures one attribute may own — the private EVA
 // structure and foreign-key index of a canonical EVA, the dependent unit
-// of a separate MV DVA, and a DVA's secondary index.
-type attrNames struct{ own, fkIndex, mv, index string }
+// of a separate MV DVA, and a DVA's secondary index — and the "~stats"
+// key of a canonical EVA's instance count.
+type attrNames struct {
+	own, fkIndex, mv, index string
+	count                   []byte
+}
 
 func (m *Mapper) hierStructure(base *catalog.Class) (*dmsii.Structure, error) {
 	return m.structure(m.clNames[base].hier)
@@ -536,94 +524,55 @@ func (m *Mapper) indexStructure(a *catalog.Attribute) (*dmsii.Structure, error) 
 // Surrogates and statistics
 // ---------------------------------------------------------------------------
 
-// ResetLiveState clears, in place, the live state the write path caches
-// ahead of the store — surrogate counters and statistics — so the next
-// writer reloads them from the committed pages. The database layer calls
-// it under the store write latch whenever uncommitted state is discarded,
-// and whenever a follower applies replicated pages. There are no decoded
-// records to drop: the live mapper memoizes none, and each snapshot
-// view's memo holds only its own stamp's state.
-func (m *Mapper) ResetLiveState() {
-	clear(m.surrNext)
-	m.stat.mu.Lock()
-	clear(m.stat.m)
-	m.stat.mu.Unlock()
+// counter reads the counter stored under key in st; an absent key reads
+// as def.
+func counter(st *dmsii.Structure, key []byte, def int64) (int64, error) {
+	raw, found, err := st.Get(key)
+	if err != nil || !found {
+		return def, err
+	}
+	return int64(binary.BigEndian.Uint64(raw)), nil
 }
 
-// nextSurrogate allocates the next surrogate for a hierarchy.
-func (m *Mapper) nextSurrogate(base *catalog.Class) (value.Surrogate, error) {
-	st, err := m.structure("~surr")
+// addCounter adds delta to the counter stored under key in the named
+// structure and returns its value before the add.
+func (m *Mapper) addCounter(name string, key []byte, def, delta int64) (int64, error) {
+	st, err := m.structure(name)
 	if err != nil {
 		return 0, err
 	}
-	key := []byte(fmt.Sprintf("%d", base.ID))
-	next, ok := m.surrNext[base.ID]
-	if !ok {
-		raw, found, err := st.Get(key)
-		if err != nil {
-			return 0, err
-		}
-		if found {
-			next = value.Surrogate(binary.BigEndian.Uint64(raw))
-		} else {
-			next = 1
-		}
+	cur, err := counter(st, key, def)
+	if err != nil {
+		return 0, err
 	}
 	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(next)+1)
+	binary.BigEndian.PutUint64(buf[:], uint64(cur+delta))
 	if err := st.Put(key, buf[:]); err != nil {
 		return 0, err
 	}
-	m.surrNext[base.ID] = next + 1
-	return next, nil
+	return cur, nil
 }
 
-func (m *Mapper) statGet(key string) (int64, error) {
-	m.stat.mu.RLock()
-	v, ok := m.stat.m[key]
-	m.stat.mu.RUnlock()
-	if ok {
-		return v, nil
-	}
+// nextSurrogate allocates the next surrogate for a hierarchy: "~surr"
+// holds the next one to hand out, starting at 1.
+func (m *Mapper) nextSurrogate(base *catalog.Class) (value.Surrogate, error) {
+	next, err := m.addCounter("~surr", m.clNames[base].surr, 1, 1)
+	return value.Surrogate(next), err
+}
+
+// statGet reads one "~stats" counter from the pages m reads: a snapshot
+// view's, or the live ones, which are stable under the write latch.
+func (m *Mapper) statGet(key []byte) (int64, error) {
 	st, err := m.structure("~stats")
 	if err != nil {
 		return 0, err
 	}
-	raw, found, err := st.Get([]byte(key))
-	if err != nil {
-		return 0, err
-	}
-	if found {
-		v = int64(binary.BigEndian.Uint64(raw))
-	}
-	// Two readers may race to fill the same key; both store the same
-	// durable value (the cache is per-view for snapshot readers), so
-	// last-write-wins is harmless.
-	m.stat.mu.Lock()
-	m.stat.m[key] = v
-	m.stat.mu.Unlock()
-	return v, nil
+	return counter(st, key, 0)
 }
 
-func (m *Mapper) statAdd(key string, delta int64) error {
-	cur, err := m.statGet(key)
-	if err != nil {
-		return err
-	}
-	cur += delta
-	st, err := m.structure("~stats")
-	if err != nil {
-		return err
-	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(cur))
-	if err := st.Put([]byte(key), buf[:]); err != nil {
-		return err
-	}
-	m.stat.mu.Lock()
-	m.stat.m[key] = cur
-	m.stat.mu.Unlock()
-	return nil
+func (m *Mapper) statAdd(key []byte, delta int64) error {
+	_, err := m.addCounter("~stats", key, 0, delta)
+	return err
 }
 
 // CacheStats returns the record-read counters; safe while queries run.
@@ -639,12 +588,12 @@ func (m *Mapper) ResetCacheStats() {
 
 // Count returns the number of entities holding a role in cl.
 func (m *Mapper) Count(cl *catalog.Class) (int64, error) {
-	return m.statGet(fmt.Sprintf("c%d", cl.ID))
+	return m.statGet(m.clNames[cl].count)
 }
 
 // RelCount returns the number of instances of the EVA pair containing a.
 func (m *Mapper) RelCount(a *catalog.Attribute) (int64, error) {
-	return m.statGet(fmt.Sprintf("r%d", canonical(a).ID))
+	return m.statGet(m.attrNames[canonical(a)].count)
 }
 
 // HasIndex reports whether DVA a has a secondary index (UNIQUE attributes

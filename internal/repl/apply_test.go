@@ -445,11 +445,12 @@ func TestFollowerApplyDoesNotBlockReads(t *testing.T) {
 	}
 }
 
-// TestPromotionStartsFromFreshLiveState: applied groups move what the
-// follower's live mapper cached before them — here a class count — so
-// each apply resets it under its write latch. The first writes after a
-// promotion therefore count, allocate surrogates and reach structures
-// from the replicated state, and the promoted database audits clean.
+// TestPromotionStartsFromFreshLiveState: applied groups move counters the
+// follower's live mapper has read before them — here a class count — and
+// the mapper reads them from the applied pages, keeping no copy. The
+// first writes after a promotion therefore count, allocate surrogates and
+// reach structures from the replicated state, and the promoted database
+// audits clean.
 func TestPromotionStartsFromFreshLiveState(t *testing.T) {
 	pdb, _, addr := openPrimary(t, 0)
 	if err := pdb.DefineSchema(testSchema + `

@@ -61,16 +61,13 @@ func (db *Database) ApplySnapshot(img []byte) error {
 
 // reload is the prepare step of a replicated commit (see
 // dmsii.Store.ApplyReplicated): under the write latch, with the shipped
-// pages in place, it resets the live mapper's surrogate counters and
-// statistics — the shipped pages moved them, as a discard does — then
-// builds the generation of the "~schema" batches they hold and has the
-// commit publish it just before its stamp, so no reader pins the shipped
-// pages under an older schema. A snapshot install (replace) publishes the
-// image's schema whatever it holds; a group only one that grew past the
-// published generation's batches.
+// pages in place, it builds the generation of the "~schema" batches they
+// hold and has the commit publish it just before its stamp, so no reader
+// pins the shipped pages under an older schema. A snapshot install
+// (replace) publishes the image's schema whatever it holds; a group only
+// one that grew past the published generation's batches.
 func (db *Database) reload(replace bool) func(*dmsii.Txn) error {
 	return func(tx *dmsii.Txn) error {
-		db.Mapper().ResetLiveState()
 		// Every shipped state has the structure (a database creates it when
 		// it opens), so opening it here never allocates.
 		st, err := db.store.Structure("~schema")

@@ -233,10 +233,6 @@ func openStore(store *dmsii.Store, cfg Config) (*Database, error) {
 		return nil, err
 	}
 	db.gen.Store(g)
-	// Every discard of uncommitted state — a rollback, the repair after a
-	// failed commit group — runs under the write latch, and resets the live
-	// mapper's surrogate counters and statistics with it.
-	store.SetOnDiscard(func() { db.Mapper().ResetLiveState() })
 	return db, nil
 }
 
@@ -367,7 +363,9 @@ func (db *Database) DefineSchema(ddl string) error {
 func (db *Database) Catalog() *catalog.Catalog { return db.gen.Load().cat }
 
 // Mapper exposes the published generation's live LUC Mapper (advanced
-// use: statistics, direct scans).
+// use: statistics, direct scans). Its reads go to the live pages, which
+// are stable only under the store write latch; a reader running beside
+// writers should read through Mapper().View of a pinned store snapshot.
 func (db *Database) Mapper() *luc.Mapper { return db.gen.Load().mapper }
 
 // registerMetrics publishes the counters that outlive a generation: the
@@ -722,11 +720,14 @@ func (db *Database) RunCtx(ctx context.Context, script string) ([]*Result, error
 				r, err = db.QueryCtx(ctx, texts[i])
 			}
 		default:
+			// The update doors' bodies, on the statement parsed above.
+			start, n := time.Now(), 0
 			if tx != nil {
-				_, err = tx.Exec(ctx, texts[i])
+				n, err = tx.execStmt(ctx, s)
 			} else {
-				_, err = db.ExecCtx(ctx, texts[i])
+				n, err = db.execOne(ctx, s)
 			}
+			_, err = db.countUpdate(time.Since(start), n, err)
 		}
 		if err != nil {
 			return out, fmt.Errorf("statement %d: %w", i+1, err)

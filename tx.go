@@ -179,22 +179,12 @@ func (tx *Tx) reader() (*generation, *exec.Executor) {
 // is dead (ErrTxAborted). Parse errors and conflicts do not abort.
 func (tx *Tx) Exec(ctx context.Context, dml string) (int, error) {
 	start := time.Now()
-	n, err := tx.exec(ctx, dml)
-	return tx.db.countUpdate(time.Since(start), n, err)
-}
-
-func (tx *Tx) exec(ctx context.Context, dml string) (int, error) {
-	if err := tx.usable(); err != nil {
-		return 0, err
-	}
-	if tx.ro {
-		return 0, ErrReadOnlyTx
-	}
 	stmt, err := parser.ParseStmt(dml)
-	if err != nil {
-		return 0, err
+	n := 0
+	if err == nil {
+		n, err = tx.execStmt(ctx, stmt)
 	}
-	return tx.execStmt(ctx, stmt)
+	return tx.db.countUpdate(time.Since(start), n, err)
 }
 
 // Commit durably applies the transaction. For a transaction that wrote,
@@ -309,9 +299,14 @@ func (tx *Tx) checkTargets(ctx context.Context, stmt ast.Stmt) error {
 	return nil
 }
 
-// execStmt runs one parsed update statement inside the transaction. The
-// caller has checked usable() and ro.
+// execStmt runs one parsed update statement inside the transaction.
 func (tx *Tx) execStmt(ctx context.Context, stmt ast.Stmt) (int, error) {
+	if err := tx.usable(); err != nil {
+		return 0, err
+	}
+	if tx.ro {
+		return 0, ErrReadOnlyTx
+	}
 	switch stmt.(type) {
 	case *ast.InsertStmt, *ast.ModifyStmt, *ast.DeleteStmt:
 	case *ast.RetrieveStmt:

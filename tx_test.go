@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -201,6 +202,67 @@ func TestAutocommitQueuesBehindOpenTx(t *testing.T) {
 	}
 	if _, err := db.Exec(`Insert acct (id := 31, bal := 1).`); err != nil {
 		t.Fatalf("autocommit after the transaction finished: %v", err)
+	}
+}
+
+// TestRollbackLeavesCountersAsCommitted: a rolled-back transaction's
+// inserts leave the class count — which the optimizer costs plans with —
+// at its committed value, whether the transaction was rolled back by its
+// caller or aborted by a failed statement, and the next committed insert
+// counts from there.
+func TestRollbackLeavesCountersAsCommitted(t *testing.T) {
+	db, err := Open("", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if err := db.DefineSchema(`Class Item ( id: integer unique required );`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		mustExec(t, db, fmt.Sprintf(`Insert item (id := %d).`, i))
+	}
+	item := db.Catalog().Class("item")
+	wantCount := func(step string, want int64) {
+		t.Helper()
+		if n, err := db.Mapper().Count(item); n != want || err != nil {
+			t.Fatalf("%s: Count(item) = %d, %v, want %d", step, n, err, want)
+		}
+	}
+	wantCount("after three commits", 3)
+
+	ctx := context.Background()
+	tx, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(ctx, `Insert item (id := 4).`); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	wantCount("after a rolled-back insert", 3)
+
+	tx, err = db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(ctx, `Insert item (id := 5).`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(ctx, `Insert item (id := 1).`); err == nil {
+		t.Fatal("duplicate id inserted")
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	wantCount("after a transaction aborted on UNIQUE", 3)
+
+	mustExec(t, db, `Insert item (id := 6).`)
+	wantCount("after a fourth commit", 4)
+	if r := mustQuery(t, db, `From item Retrieve id.`); r.NumRows() != 4 {
+		t.Fatalf("%d items, want 4", r.NumRows())
 	}
 }
 

@@ -103,8 +103,8 @@ func TestReadAfterCommitAllocs(t *testing.T) {
 	// Whole allocations per statement, as testing.AllocsPerRun counts them:
 	// a collection during the loop empties the sync.Pools, and the
 	// refills of one or two such collections stay below one per run.
-	if per := allocs / runs; per > 31 {
-		t.Fatalf("point read after a commit: %d allocations per statement, want <= 31", per)
+	if per := allocs / runs; per > 29 {
+		t.Fatalf("point read after a commit: %d allocations per statement, want <= 29", per)
 	}
 }
 
