@@ -16,10 +16,12 @@
 // drains in-flight requests for the -drain grace period.
 //
 // A file-backed server publishes a replication stream that any number of
-// followers can subscribe to, under a fencing epoch persisted in the
-// -db file's ".epoch" sidecar. With -replica-of, the server instead runs
-// as a read replica: it replicates the primary at addr into -db (which is
-// required), rejects every write with a "readonly" error, and serves
+// followers can subscribe to, under a fencing epoch kept in the -db file
+// itself, beside the position a replica has applied: the node's state is
+// committed with its pages and needs no other file. With -replica-of, the
+// server instead runs as a read replica: it replicates the primary at
+// addr into -db (which is required), rejects every write with a
+// "readonly" error, and serves
 // bounded-stale reads; \replicas in simdb and the ReplStatus client call
 // report its applied position and lag.
 //
@@ -36,7 +38,9 @@
 // answer a "fenced" error, and when the notice carries the new primary's
 // address the node rejoins it as a follower, discarding any unshipped
 // tail via re-snapshot. A restarted old primary finds the witnessed
-// epoch in the sidecar and starts fenced rather than writable. One
+// epoch in its database and starts fenced rather than writable. A -db
+// with a ".epoch" or ".repl" file beside it, left by an older build, is
+// refused rather than restarted at epoch 1. One
 // repl.Node owns all of these transitions; /readyz asks it too.
 //
 // With -metrics, a second HTTP listener serves the observability

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sim/internal/dmsii"
 	"sim/internal/fault"
 	"sim/internal/pager"
 	"sim/internal/wal"
@@ -118,7 +119,7 @@ func TestDefineSchemaConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	if err := follower.ApplySnapshot(img); err != nil {
+	if err := follower.ApplySnapshot(img, dmsii.Position{}); err != nil {
 		t.Fatal(err)
 	}
 	groups := make(chan []pager.PageImage, 1024)
@@ -190,7 +191,7 @@ func TestDefineSchemaConcurrent(t *testing.T) {
 	applied := make(chan error, 1)
 	go func() { // the follower's apply loop
 		for g := range groups {
-			if err := follower.ApplyReplicated(g); err != nil {
+			if err := follower.ApplyReplicated(g, dmsii.Position{}); err != nil {
 				applied <- err
 				for range groups {
 				}
@@ -338,7 +339,7 @@ func TestReadersAcrossWriteSideEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := follower.ApplySnapshot(img); err != nil {
+		if err := follower.ApplySnapshot(img, dmsii.Position{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,7 +365,7 @@ func TestReadersAcrossWriteSideEvents(t *testing.T) {
 		groups = nil
 		mu.Unlock()
 		for _, g := range gs {
-			if err := follower.ApplyReplicated(g); err != nil {
+			if err := follower.ApplyReplicated(g, dmsii.Position{}); err != nil {
 				t.Fatal(err)
 			}
 		}

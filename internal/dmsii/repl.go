@@ -1,6 +1,7 @@
 package dmsii
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"sim/internal/pager"
@@ -106,7 +107,9 @@ func (s *Store) applyImages(pages []pager.PageImage, prepare func(*Txn) error) (
 }
 
 // installImages writes shipped page images into the pool as the write
-// phase of a commit; the caller holds the write latch.
+// phase of a commit; the caller holds the write latch. A shipped page 0
+// replaces everything but the NodeState record: a primary's groups and
+// snapshot images never overwrite a follower's term or position.
 func (s *Store) installImages(pages []pager.PageImage) error {
 	for _, p := range pages {
 		var f *pager.Frame
@@ -119,7 +122,13 @@ func (s *Store) installImages(pages []pager.PageImage) error {
 		if err != nil {
 			return err
 		}
-		copy(f.Data, p.Data)
+		if p.ID == 0 {
+			// The node's own record is not the primary's to ship.
+			copy(f.Data[:nodeStateOff], p.Data)
+			copy(f.Data[nodeStateEnd:], p.Data[nodeStateEnd:])
+		} else {
+			copy(f.Data, p.Data)
+		}
 		s.pool.MarkDirty(f)
 		s.pool.Release(f)
 	}
@@ -171,5 +180,74 @@ func (s *Store) cutTail() error {
 		return err
 	}
 	s.tail.CompareAndSwap(t, nil)
+	return nil
+}
+
+// NodeState is a replicated node's durable state: one fixed record in the
+// meta page, written only through Txn.SetNodeState, so it commits, replays
+// and recovers with the pages it describes. The zero record is a fresh
+// node's.
+type NodeState struct {
+	Epoch   uint64   // the term the node publishes under; 0 until it claims one
+	MaxSeen uint64   // the highest term the node has witnessed
+	Follow  Position // the stream the node follows, as far as it has applied it
+}
+
+// Position is a place in a primary's replication stream: the primary's
+// epoch, its publisher run, and the last group applied.
+type Position struct {
+	Epoch, Run, Pos uint64
+}
+
+func decodeNodeState(b []byte) NodeState {
+	u := func(i int) uint64 { return binary.BigEndian.Uint64(b[nodeStateOff+8*i:]) }
+	return NodeState{Epoch: u(0), MaxSeen: u(1), Follow: Position{Epoch: u(2), Run: u(3), Pos: u(4)}}
+}
+
+// NodeState returns the record as of the newest published commit.
+func (s *Store) NodeState() (NodeState, error) {
+	v := s.AcquireView()
+	defer v.Release()
+	meta, err := v.alloc.Get(0)
+	if err != nil {
+		return NodeState{}, err
+	}
+	defer v.alloc.Release(meta)
+	return decodeNodeState(meta.Data), nil
+}
+
+// NodeState returns the record as this transaction sees it: committed
+// writes, including ones not yet published, and its own.
+func (tx *Txn) NodeState() (NodeState, error) {
+	if !tx.wrote {
+		return NodeState{}, fmt.Errorf("dmsii: NodeState outside the write latch")
+	}
+	meta, err := tx.s.pool.Get(0)
+	if err != nil {
+		return NodeState{}, err
+	}
+	defer tx.s.pool.Release(meta)
+	return decodeNodeState(meta.Data), nil
+}
+
+// SetNodeState writes the record as part of this transaction. Errors for
+// in-memory stores, which cannot replicate.
+func (tx *Txn) SetNodeState(st NodeState) error {
+	switch {
+	case tx.s.log == nil:
+		return fmt.Errorf("dmsii: replication needs a durable store (no WAL)")
+	case !tx.wrote:
+		return fmt.Errorf("dmsii: SetNodeState outside the write latch")
+	}
+	meta, err := tx.s.pool.Get(0)
+	if err != nil {
+		return err
+	}
+	tx.s.pool.Prepare(meta)
+	for i, v := range []uint64{st.Epoch, st.MaxSeen, st.Follow.Epoch, st.Follow.Run, st.Follow.Pos} {
+		binary.BigEndian.PutUint64(meta.Data[nodeStateOff+8*i:], v)
+	}
+	tx.s.pool.MarkDirty(meta)
+	tx.s.pool.Release(meta)
 	return nil
 }

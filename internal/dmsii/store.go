@@ -30,10 +30,12 @@ import (
 
 // Meta page (page 0) layout.
 const (
-	magicOff    = 0 // 8 bytes
-	versionOff  = 8
-	freelistOff = 12
-	dirRootOff  = 16
+	magicOff     = 0 // 8 bytes
+	versionOff   = 8
+	freelistOff  = 12
+	dirRootOff   = 16
+	nodeStateOff = 20 // NodeState: five 8-byte fields
+	nodeStateEnd = nodeStateOff + 40
 )
 
 var magic = [8]byte{'S', 'I', 'M', 'D', 'B', '0', '0', '1'}

@@ -5,49 +5,42 @@ import (
 	"sync"
 
 	"sim"
+	"sim/internal/dmsii"
 	"sim/internal/pager"
 	"sim/internal/wire"
 )
 
 // Applier installs replicated groups and snapshots into a follower's
-// database, tracking the durable position in a sidecar State file. It is
-// the crash-safe core of the follower, separated from the networking so
-// the fault harness can drive it directly against scripted storage.
+// database. It is the crash-safe core of the follower, separated from the
+// networking so the fault harness can drive it directly against scripted
+// storage.
 //
-// Crash safety, window by window: ApplyGroup commits the group through
-// the replica's own commit pipeline (Store.ApplyReplicated: WAL fsync,
-// then a published stamp and write-back) before the sidecar is rewritten,
-// so a crash before the save resumes at the previous position and
-// re-receives a group the database may already contain — harmless,
-// because page-image application is idempotent. The save overwrites the
-// sidecar's 32 bytes in place; a crash that tears it leaves a record
-// that fails its CRC and loads as the zero State, so the follower
-// re-snapshots — always safe, never a wrong position. A snapshot install is a
-// commit too, but the sidecar is invalidated before it: once the image is
-// durable the old position describes another database, so a crash before
-// the new position is saved restarts from position 0 and requests a fresh
-// snapshot.
+// Crash safety: the followed position lives in the database's own record
+// (dmsii.NodeState), and every group and snapshot install writes it in
+// the commit that installs its pages — through the replica's own WAL, a
+// published stamp and write-back. A crash anywhere leaves the pages and
+// the position of the same commit: the follower resumes exactly where its
+// recovered database is.
 type Applier struct {
-	db        *sim.Database
-	statePath string
+	db *sim.Database
 
 	mu sync.Mutex
-	st State
+	st dmsii.Position
 }
 
-// NewApplier wraps db with replication apply state persisted at
-// statePath. A missing or corrupt sidecar yields position 0, which makes
-// the follower request a snapshot.
+// NewApplier wraps db, resuming from the position its record holds. A
+// fresh database, or one whose record cannot be read, is at position 0,
+// which makes the follower request a snapshot.
+//
+// Deprecated: the statePath argument is ignored, for the position lives
+// in db. It stays while the benchmark module passes it.
 func NewApplier(db *sim.Database, statePath string) *Applier {
-	return &Applier{
-		db:        db,
-		statePath: statePath,
-		st:        LoadState(statePath),
-	}
+	st, _ := db.NodeState()
+	return &Applier{db: db, st: st.Follow}
 }
 
 // State returns the durable replication position.
-func (a *Applier) State() State {
+func (a *Applier) State() dmsii.Position {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.st
@@ -61,17 +54,12 @@ func (a *Applier) Pos() uint64 { return a.State().Pos }
 func (a *Applier) ApplySnapshot(epoch, run, pos uint64, img []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	// Invalidate the sidecar first: once the install starts, the old
-	// position describes a database that no longer exists.
-	if err := SaveState(a.statePath, State{}); err != nil {
+	at := dmsii.Position{Epoch: epoch, Run: run, Pos: pos}
+	if err := a.db.ApplySnapshot(img, at); err != nil {
 		return err
 	}
-	a.st = State{}
-	if err := a.db.ApplySnapshot(img); err != nil {
-		return err
-	}
-	a.st = State{Epoch: epoch, Run: run, Pos: pos}
-	return SaveState(a.statePath, a.st)
+	a.st = at
+	return nil
 }
 
 // ApplyGroup applies one replicated commit group. Groups at or before
@@ -97,9 +85,10 @@ func (a *Applier) ApplyGroup(f wire.ReplFrames) error {
 	for i, pg := range f.Pages {
 		pages[i] = pager.PageImage{ID: pager.PageID(pg.ID), Data: pg.Data}
 	}
-	if err := a.db.ApplyReplicated(pages); err != nil {
+	at := dmsii.Position{Epoch: a.st.Epoch, Run: a.st.Run, Pos: f.Pos}
+	if err := a.db.ApplyReplicated(pages, at); err != nil {
 		return err
 	}
-	a.st.Pos = f.Pos
-	return SaveState(a.statePath, a.st)
+	a.st = at
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,7 +60,7 @@ func newMemStream(t *testing.T, rinj *fault.Injector) *memStream {
 	}
 	ms.sub = sub
 	t.Cleanup(func() { ms.pub.Unsubscribe(sub) })
-	ms.a = repl.NewApplier(ms.rdb, filepath.Join(t.TempDir(), "replica.repl"))
+	ms.a = repl.NewApplier(ms.rdb, "")
 	if err := ms.a.ApplySnapshot(ms.pub.Epoch(), ms.pub.Run(), pos, img); err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +477,7 @@ Class tag ( tag-no: integer unique required );`); err != nil {
 	waitConverged(t, pdb, r.db, q)
 	waitConverged(t, pdb, r.db, qt)
 
-	if _, err := r.f.Promote(filepath.Join(dir, "replica.db.epoch")); err != nil {
+	if _, err := r.f.Promote(); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, r.db, `Insert item (item-no := 201, name := "after promotion").`)

@@ -1,98 +1,52 @@
 package repl
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"os"
+
+	"sim"
 )
 
-// NodeEpoch is a node's durable fencing term, persisted in a sidecar next
-// to the database file. Epoch is the term the node publishes under when it
-// is (or becomes) a primary; it advances only on promotion, never on a
-// plain restart, so a crashed-and-restarted primary comes back with the
-// same epoch and is strictly below any follower promoted in its absence.
-// MaxSeen records the highest epoch the node has ever witnessed (its own,
-// or a higher one learned through fencing); MaxSeen > Epoch means the node
-// was fenced and must not accept writes until an operator re-points or
-// re-seeds it.
-type NodeEpoch struct {
-	Epoch   uint64
-	MaxSeen uint64
-}
+// The fencing term is the Epoch of the database's record (see
+// dmsii.NodeState). It advances only on promotion, never on a plain
+// restart, so a crashed-and-restarted primary comes back with the same
+// epoch and is strictly below any follower promoted in its absence.
+// MaxSeen is the highest epoch the node has witnessed (its own, or a
+// higher one learned through fencing); MaxSeen > Epoch means the node was
+// fenced and must not accept writes until a promotion claims a term above
+// it. Each change is one commit of the meta page, made while no publisher
+// is attached to the commit hook and no follower applies.
 
-// epochMagic opens the epoch sidecar file.
-const epochMagic = "SIMF"
-
-// epochSize is the sidecar length: magic(4) epoch(8) maxseen(8) crc32(4).
-const epochSize = 24
-
-// SaveNodeEpoch durably writes the epoch sidecar at path.
-func SaveNodeEpoch(path string, ne NodeEpoch) error {
-	var buf [epochSize]byte
-	copy(buf[:4], epochMagic)
-	binary.BigEndian.PutUint64(buf[4:12], ne.Epoch)
-	binary.BigEndian.PutUint64(buf[12:20], ne.MaxSeen)
-	binary.BigEndian.PutUint32(buf[20:24], crc32.ChecksumIEEE(buf[:20]))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+// ClaimEpoch returns the epoch db's node publishes under: a fresh node
+// claims epoch 1, a restart keeps its term. fencedBy is non-zero when the
+// node has witnessed a higher epoch than its own: the caller must start
+// fenced (read-only) rather than accept writes a newer primary will never
+// see.
+func ClaimEpoch(db *sim.Database) (epoch, fencedBy uint64, err error) {
+	st, err := db.NodeState()
+	if err == nil && st.Epoch == 0 {
+		st.Epoch, st.MaxSeen = 1, max(st.MaxSeen, 1)
+		err = db.SetNodeState(st)
+	}
 	if err != nil {
-		return err
+		return 0, 0, fmt.Errorf("repl: claim epoch: %w", err)
 	}
-	if _, err := f.Write(buf[:]); err != nil {
-		f.Close()
-		return err
+	if st.MaxSeen > st.Epoch {
+		fencedBy = st.MaxSeen
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadNodeEpoch reads the epoch sidecar at path. A missing, short, or
-// corrupt file yields the zero NodeEpoch: the node then claims epoch 1,
-// which is safe for a fresh cluster and conservative for a damaged one
-// (any promoted follower is at least at 2).
-func LoadNodeEpoch(path string) NodeEpoch {
-	b, err := os.ReadFile(path)
-	if err != nil || len(b) != epochSize || string(b[:4]) != epochMagic {
-		return NodeEpoch{}
-	}
-	if crc32.ChecksumIEEE(b[:20]) != binary.BigEndian.Uint32(b[20:24]) {
-		return NodeEpoch{}
-	}
-	return NodeEpoch{
-		Epoch:   binary.BigEndian.Uint64(b[4:12]),
-		MaxSeen: binary.BigEndian.Uint64(b[12:20]),
-	}
-}
-
-// ClaimEpoch loads (or initializes) the epoch a primary publishes under.
-// A fresh sidecar claims epoch 1. The epoch is NOT advanced on restart —
-// only promotion advances it — so the returned value is stable across
-// crashes. fencedBy is non-zero when the sidecar has witnessed a higher
-// epoch than the node's own: the caller must start fenced (read-only)
-// rather than accept writes a newer primary will never see.
-func ClaimEpoch(path string) (epoch, fencedBy uint64, err error) {
-	ne := LoadNodeEpoch(path)
-	if ne.Epoch == 0 {
-		ne = NodeEpoch{Epoch: 1, MaxSeen: 1}
-		if err := SaveNodeEpoch(path, ne); err != nil {
-			return 0, 0, fmt.Errorf("repl: claim epoch: %w", err)
-		}
-	}
-	if ne.MaxSeen > ne.Epoch {
-		return ne.Epoch, ne.MaxSeen, nil
-	}
-	return ne.Epoch, 0, nil
+	return st.Epoch, fencedBy, nil
 }
 
 // AdvanceEpoch durably records a promotion: the node now owns epoch, and
-// epoch is the highest it has seen. It must be persisted before the new
-// primary publishes anything, so a crash mid-promotion cannot resurrect
-// the node at its old term.
-func AdvanceEpoch(path string, epoch uint64) error {
-	if err := SaveNodeEpoch(path, NodeEpoch{Epoch: epoch, MaxSeen: epoch}); err != nil {
+// has seen at least it. It must commit before the new primary publishes
+// anything, so a crash mid-promotion cannot resurrect the node at its old
+// term.
+func AdvanceEpoch(db *sim.Database, epoch uint64) error {
+	st, err := db.NodeState()
+	if err == nil {
+		st.Epoch, st.MaxSeen = epoch, max(st.MaxSeen, epoch)
+		err = db.SetNodeState(st)
+	}
+	if err != nil {
 		return fmt.Errorf("repl: advance epoch: %w", err)
 	}
 	return nil
@@ -101,13 +55,13 @@ func AdvanceEpoch(path string, epoch uint64) error {
 // WitnessEpoch durably records that a higher epoch exists. A fenced
 // primary calls it so that even after a restart it comes back fenced
 // instead of re-claiming its stale term.
-func WitnessEpoch(path string, seen uint64) error {
-	ne := LoadNodeEpoch(path)
-	if seen <= ne.MaxSeen {
-		return nil
+func WitnessEpoch(db *sim.Database, seen uint64) error {
+	st, err := db.NodeState()
+	if err == nil && seen > st.MaxSeen {
+		st.MaxSeen = seen
+		err = db.SetNodeState(st)
 	}
-	ne.MaxSeen = seen
-	if err := SaveNodeEpoch(path, ne); err != nil {
+	if err != nil {
 		return fmt.Errorf("repl: witness epoch: %w", err)
 	}
 	return nil

@@ -70,6 +70,22 @@ func startNode(t *testing.T, dir, name, addr string, cfg repl.NodeConfig) *testN
 	return n
 }
 
+// seedEpoch gives dir's primary.db the term epoch before a node starts on
+// it, as a promotion elsewhere would have.
+func seedEpoch(t *testing.T, dir string, epoch uint64) {
+	t.Helper()
+	db, err := sim.Open(filepath.Join(dir, "primary.db"), sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repl.AdvanceEpoch(db, epoch); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // startPrimaryNode opens (or reopens) a born primary in dir.
 func startPrimaryNode(t *testing.T, dir, addr string) *testNode {
 	return startNode(t, dir, "primary.db", addr, repl.NodeConfig{})
@@ -215,7 +231,7 @@ func TestFailoverChaosMatrix(t *testing.T) {
 			p2.kill()
 
 			// Durable fencing: a second restart finds the witnessed epoch in
-			// the sidecar and starts fenced without anyone telling it again.
+			// its database and starts fenced without anyone telling it again.
 			p3 := startPrimaryNode(t, pdir, addr2)
 			wantFenced(t, p3.addr)
 			// It follows nobody until told: an operator's \retarget at the
@@ -526,7 +542,7 @@ func TestRepromoteAfterFenceRefused(t *testing.T) {
 
 // TestPromotedReplicaFencedRejoins drives the second failover end to end:
 // a replica promoted to primary is itself fenced by an even higher epoch.
-// It must persist the witnessed epoch in its own sidecar, and — because
+// It must persist the witnessed epoch in its own database, and — because
 // its original follower was closed by Promote — rejoin the newer primary
 // with a fresh follower, discarding its post-promotion history via
 // re-snapshot.
@@ -553,9 +569,7 @@ func TestPromotedReplicaFencedRejoins(t *testing.T) {
 	// A newer primary appears at a strictly higher epoch and fences the
 	// promoted node, naming itself as the rejoin target.
 	p2dir := t.TempDir()
-	if err := repl.AdvanceEpoch(filepath.Join(p2dir, "primary.db.epoch"), newEpoch+1); err != nil {
-		t.Fatal(err)
-	}
+	seedEpoch(t, p2dir, newEpoch+1)
 	p2 := startPrimaryNode(t, p2dir, "")
 	if err := p2.db.DefineSchema(testSchema); err != nil {
 		t.Fatal(err)
@@ -566,9 +580,9 @@ func TestPromotedReplicaFencedRejoins(t *testing.T) {
 		t.Fatalf("fence promoted node: %v", err)
 	}
 	wantFenced(t, r.addr)
-	// Durable witness: the replica's own sidecar records the higher epoch.
-	if ne := repl.LoadNodeEpoch(r.path + ".epoch"); ne.MaxSeen < newEpoch+1 {
-		t.Fatalf("sidecar MaxSeen = %d after fence, want >= %d", ne.MaxSeen, newEpoch+1)
+	// Durable witness: the replica's own record holds the higher epoch.
+	if st, err := r.db.NodeState(); err != nil || st.MaxSeen < newEpoch+1 {
+		t.Fatalf("MaxSeen = %d (err %v) after fence, want >= %d", st.MaxSeen, err, newEpoch+1)
 	}
 	// The fenced ex-primary converges on the newer primary's history; its
 	// own "doomed" tail is discarded by the re-snapshot.
@@ -592,7 +606,7 @@ func TestRetargetClosedFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	f, err := repl.StartFollower(db, filepath.Join(dir, "replica.db.repl"), repl.FollowerConfig{
+	f, err := repl.StartFollower(db, "", repl.FollowerConfig{
 		Primary:      "127.0.0.1:1",
 		ReconnectMin: 10 * time.Millisecond,
 	})
@@ -608,37 +622,57 @@ func TestRetargetClosedFollower(t *testing.T) {
 	}
 }
 
-// TestEpochSidecar pins the ClaimEpoch/WitnessEpoch/AdvanceEpoch
-// lifecycle the failover protocol is built on.
-func TestEpochSidecar(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "node.epoch")
-	epoch, fencedBy, err := repl.ClaimEpoch(path)
+// TestEpochRecord pins the ClaimEpoch/WitnessEpoch/AdvanceEpoch
+// lifecycle the failover protocol is built on, over the database's own
+// record, with a restart between every step.
+func TestEpochRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.db")
+	reopen := func(db *sim.Database) *sim.Database {
+		t.Helper()
+		if db != nil {
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db, err := sim.Open(path, sim.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	db := reopen(nil)
+	defer func() { db.Close() }()
+	epoch, fencedBy, err := repl.ClaimEpoch(db)
 	if err != nil || epoch != 1 || fencedBy != 0 {
 		t.Fatalf("fresh claim = (%d, %d, %v), want (1, 0, nil)", epoch, fencedBy, err)
 	}
 	// A plain restart keeps the term: epochs advance on promotion only.
-	if epoch, fencedBy, err = repl.ClaimEpoch(path); err != nil || epoch != 1 || fencedBy != 0 {
+	db = reopen(db)
+	if epoch, fencedBy, err = repl.ClaimEpoch(db); err != nil || epoch != 1 || fencedBy != 0 {
 		t.Fatalf("re-claim = (%d, %d, %v), want (1, 0, nil)", epoch, fencedBy, err)
 	}
-	if err := repl.WitnessEpoch(path, 5); err != nil {
+	if err := repl.WitnessEpoch(db, 5); err != nil {
 		t.Fatal(err)
 	}
 	// Witnessing a higher term makes every later claim start fenced.
-	if epoch, fencedBy, err = repl.ClaimEpoch(path); err != nil || epoch != 1 || fencedBy != 5 {
+	db = reopen(db)
+	if epoch, fencedBy, err = repl.ClaimEpoch(db); err != nil || epoch != 1 || fencedBy != 5 {
 		t.Fatalf("claim after witness = (%d, %d, %v), want (1, 5, nil)", epoch, fencedBy, err)
 	}
 	// Witnessing a lower term than already seen is a no-op.
-	if err := repl.WitnessEpoch(path, 3); err != nil {
+	if err := repl.WitnessEpoch(db, 3); err != nil {
 		t.Fatal(err)
 	}
-	if ne := repl.LoadNodeEpoch(path); ne.MaxSeen != 5 {
-		t.Fatalf("MaxSeen = %d after lower witness, want 5", ne.MaxSeen)
+	db = reopen(db)
+	if st, err := db.NodeState(); err != nil || st.MaxSeen != 5 {
+		t.Fatalf("MaxSeen = %d (err %v) after lower witness, want 5", st.MaxSeen, err)
 	}
 	// Promotion advances past everything witnessed.
-	if err := repl.AdvanceEpoch(path, 6); err != nil {
+	if err := repl.AdvanceEpoch(db, 6); err != nil {
 		t.Fatal(err)
 	}
-	if epoch, fencedBy, err = repl.ClaimEpoch(path); err != nil || epoch != 6 || fencedBy != 0 {
+	db = reopen(db)
+	if epoch, fencedBy, err = repl.ClaimEpoch(db); err != nil || epoch != 6 || fencedBy != 0 {
 		t.Fatalf("claim after advance = (%d, %d, %v), want (6, 0, nil)", epoch, fencedBy, err)
 	}
 }

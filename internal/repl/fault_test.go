@@ -36,9 +36,12 @@ func openFaultReplica(inj *fault.Injector, dbImg, walImg *pager.MemByteFile) (*s
 }
 
 // captureStream builds a primary and records the replication inputs a
-// follower would receive: the base snapshot of the empty database and
-// every committed group of the workload, as wire frames.
-func captureStream(t *testing.T) (pdb *sim.Database, epoch, run uint64, img []byte, frames []wire.ReplFrames, want string) {
+// follower would receive: a base snapshot taken partway through the
+// workload, the position it is current as of, and every committed group
+// after it, as wire frames. The image holds rows a fresh database lacks,
+// so a follower that skips installing it cannot converge, and the tail
+// extends the schema, so a follower applies a replicated DDL group too.
+func captureStream(t *testing.T) (pdb *sim.Database, epoch, run uint64, img []byte, at uint64, frames []wire.ReplFrames, want string) {
 	t.Helper()
 	var err error
 	pdb, err = sim.Open(filepath.Join(t.TempDir(), "primary.db"), sim.Config{})
@@ -53,23 +56,27 @@ func captureStream(t *testing.T) (pdb *sim.Database, epoch, run uint64, img []by
 	epoch = pub.Epoch()
 	run = pub.Run()
 
-	// Snapshot the empty database, keeping the subscription that
-	// continues exactly after it.
-	img, pos, _, sub, err := pub.Snapshot()
+	if err := pdb.DefineSchema(testSchema); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, pdb, `Insert item (item-no := 100, name := "before the snapshot").`)
+	// Snapshot, keeping the subscription that continues exactly after it.
+	img, at, _, sub, err := pub.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Unsubscribe(sub)
-	if pos != 0 {
-		t.Fatalf("empty-database snapshot at pos %d", pos)
+	if at == 0 {
+		t.Fatal("the snapshot predates every commit")
 	}
 
-	if err := pdb.DefineSchema(testSchema); err != nil {
+	if err := pdb.DefineSchema(`Class tag ( label: string[16] );`); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
 		mustExec(t, pdb, fmt.Sprintf(`Insert item (item-no := %d, name := "item %02d").`, i+1, i))
 	}
+	mustExec(t, pdb, `Insert tag (label := "after the ddl").`)
 	mustExec(t, pdb, `Modify item (name := "renamed") Where item-no = 3.`)
 	mustExec(t, pdb, `Delete item Where item-no = 5.`)
 
@@ -91,25 +98,40 @@ func captureStream(t *testing.T) (pdb *sim.Database, epoch, run uint64, img []by
 	if len(frames) == 0 {
 		t.Fatal("no groups captured")
 	}
-	r, err := pdb.Query(`From item Retrieve name Order By name.`)
-	if err != nil {
+	if want, err = streamState(pdb); err != nil {
 		t.Fatal(err)
 	}
-	return pdb, epoch, run, img, frames, r.Format()
+	return pdb, epoch, run, img, at, frames, want
+}
+
+// streamState is what captureStream's workload leaves: the item names and
+// the rows of the class its tail defined.
+func streamState(db *sim.Database) (string, error) {
+	var out string
+	for _, q := range []string{`From item Retrieve name Order By name.`, `From tag Retrieve label.`} {
+		r, err := db.Query(q)
+		if err != nil {
+			return "", err
+		}
+		out += r.Format()
+	}
+	return out, nil
 }
 
 // TestFollowerCrashMatrix crashes the follower's storage stack at EVERY
 // mutating-operation boundary of the replicated apply path — including
 // torn-write variants — then reboots the frozen images, resumes from the
-// sidecar position, redelivers the stream, and asserts the replica
-// converges to the primary's committed state with clean storage.
+// position the recovered database holds, redelivers the stream, and
+// asserts the replica converges to the primary's committed state with
+// clean storage. Every resume must succeed: a group or snapshot commits
+// its position with its pages, so no crash leaves a position that does
+// not describe the data.
 func TestFollowerCrashMatrix(t *testing.T) {
-	_, epoch, run, img, frames, want := captureStream(t)
-	dir := t.TempDir()
+	_, epoch, run, img, at, frames, want := captureStream(t)
 
 	// Dry run: apply everything fault-free to learn the op schedule and
 	// confirm the baseline converges.
-	applyAll := func(inj *fault.Injector, dbImg, walImg *pager.MemByteFile, statePath string) (err error) {
+	applyAll := func(inj *fault.Injector, dbImg, walImg *pager.MemByteFile) (err error) {
 		db, err := openFaultReplica(inj, dbImg, walImg)
 		if err != nil {
 			return err
@@ -121,9 +143,9 @@ func TestFollowerCrashMatrix(t *testing.T) {
 				err = cerr
 			}
 		}()
-		a := repl.NewApplier(db, statePath)
-		if a.State() == (repl.State{}) {
-			if err := a.ApplySnapshot(epoch, run, 0, img); err != nil {
+		a := repl.NewApplier(db, "")
+		if a.State() == (dmsii.Position{}) {
+			if err := a.ApplySnapshot(epoch, run, at, img); err != nil {
 				return err
 			}
 		}
@@ -141,12 +163,12 @@ func TestFollowerCrashMatrix(t *testing.T) {
 			t.Fatalf("final open: %v", err)
 		}
 		defer db.Close()
-		r, err := db.Query(`From item Retrieve name Order By name.`)
+		got, err := streamState(db)
 		if err != nil {
 			t.Fatalf("final query: %v", err)
 		}
-		if r.Format() != want {
-			t.Fatalf("replica diverged:\nwant:\n%s\ngot:\n%s", want, r.Format())
+		if got != want {
+			t.Fatalf("replica diverged:\nwant:\n%s\ngot:\n%s", want, got)
 		}
 		if rep, err := db.Scrub(); err != nil {
 			t.Fatalf("scrub: %v (%v)", err, rep)
@@ -155,7 +177,7 @@ func TestFollowerCrashMatrix(t *testing.T) {
 
 	inj := fault.NewInjector()
 	dbImg, walImg := pager.NewMemByteFile(), pager.NewMemByteFile()
-	if err := applyAll(inj, dbImg, walImg, filepath.Join(dir, "dry.repl")); err != nil {
+	if err := applyAll(inj, dbImg, walImg); err != nil {
 		t.Fatalf("dry run: %v", err)
 	}
 	check(t, dbImg, walImg)
@@ -171,7 +193,6 @@ func TestFollowerCrashMatrix(t *testing.T) {
 				name = fmt.Sprintf("crash@%d/torn%d", op, torn)
 			}
 			t.Run(name, func(t *testing.T) {
-				statePath := filepath.Join(dir, fmt.Sprintf("crash-%d-torn-%d.repl", op, torn))
 				dbImg, walImg := pager.NewMemByteFile(), pager.NewMemByteFile()
 				inj := fault.NewInjector()
 				if torn > 0 {
@@ -179,22 +200,15 @@ func TestFollowerCrashMatrix(t *testing.T) {
 				} else {
 					inj.CrashAt(op)
 				}
-				if err := applyAll(inj, dbImg, walImg, statePath); err == nil {
+				if err := applyAll(inj, dbImg, walImg); err == nil {
 					t.Fatal("crash never fired")
 				}
-				// Reboot over the frozen images and redeliver the stream.
-				// A crash mid-snapshot-install leaves an invalidated
-				// sidecar, so the resume installs the snapshot again, as a
-				// real follower at position zero requests; should that
-				// fail, the recovery is a fresh snapshot into fresh storage.
-				if err := applyAll(fault.NewInjector(), dbImg, walImg, statePath); err != nil {
-					if repl.LoadState(statePath) != (repl.State{}) {
-						t.Fatalf("resume failed with a durable position: %v", err)
-					}
-					dbImg, walImg = pager.NewMemByteFile(), pager.NewMemByteFile()
-					if err := applyAll(fault.NewInjector(), dbImg, walImg, statePath); err != nil {
-						t.Fatalf("re-seed after torn snapshot: %v", err)
-					}
+				// Reboot over the frozen images and redeliver the stream. A
+				// crash before the snapshot install committed leaves position
+				// zero, so the resume installs the snapshot again, as a real
+				// follower at position zero requests.
+				if err := applyAll(fault.NewInjector(), dbImg, walImg); err != nil {
+					t.Fatalf("resume: %v", err)
 				}
 				check(t, dbImg, walImg)
 			})

@@ -56,11 +56,7 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 // declaring the stream dead; heartbeats arrive every Heartbeat while the
 // primary is idle.
 func (c FollowerConfig) readDeadline() time.Duration {
-	d := 4 * c.Heartbeat
-	if d < 10*time.Second {
-		d = 10 * time.Second
-	}
-	return d
+	return max(4*c.Heartbeat, 10*time.Second)
 }
 
 // Follower maintains a replication stream from a primary into a local
@@ -93,15 +89,18 @@ type Follower struct {
 	flight    atomic.Pointer[obs.FlightRing] // snapshot/apply events
 }
 
-// StartFollower begins replicating db from cfg.Primary, persisting apply
-// state at statePath. The returned Follower runs until Close.
+// StartFollower begins replicating db from cfg.Primary, resuming from the
+// position db's record holds. The returned Follower runs until Close.
+//
+// Deprecated: the statePath argument is ignored, for the position lives
+// in db. It stays while the benchmark module passes it.
 func StartFollower(db *sim.Database, statePath string, cfg FollowerConfig) (*Follower, error) {
 	if cfg.Primary == "" {
 		return nil, fmt.Errorf("repl: follower needs a primary address")
 	}
 	f := &Follower{
 		db:      db,
-		a:       NewApplier(db, statePath),
+		a:       NewApplier(db, ""),
 		cfg:     cfg.withDefaults(),
 		primary: cfg.Primary,
 		state:   "connecting",
@@ -181,14 +180,19 @@ func (f *Follower) WaitReady(ctx interface{ Done() <-chan struct{} }) error {
 func (f *Follower) Ready(maxLag uint64) bool {
 	select {
 	case <-f.ready:
+		return f.lag() <= maxLag
 	default:
 		return false
 	}
+}
+
+// lag is how many groups the follower is behind the primary's newest
+// position.
+func (f *Follower) lag() uint64 {
 	pos := f.a.Pos()
 	f.mu.Lock()
-	latest := f.latest
-	f.mu.Unlock()
-	return latest <= pos+maxLag
+	defer f.mu.Unlock()
+	return f.latest - min(f.latest, pos)
 }
 
 // Status reports the follower's replication state: one ReplicaInfo
@@ -225,16 +229,7 @@ func (f *Follower) RegisterMetrics(r *obs.Registry) {
 			return float64(f.latest)
 		})
 	r.GaugeFunc("sim_repl_lag_groups", "Commit groups the follower is behind the primary.",
-		func() float64 {
-			pos := f.a.Pos()
-			f.mu.Lock()
-			latest := f.latest
-			f.mu.Unlock()
-			if latest < pos {
-				return 0
-			}
-			return float64(latest - pos)
-		})
+		func() float64 { return float64(f.lag()) })
 	r.GaugeFunc("sim_repl_connected", "1 while the replication stream is established, else 0.",
 		func() float64 {
 			f.mu.Lock()
@@ -293,9 +288,7 @@ func (f *Follower) run() {
 			return
 		case <-time.After(sleep):
 		}
-		if backoff *= 2; backoff > f.cfg.ReconnectMax {
-			backoff = f.cfg.ReconnectMax
-		}
+		backoff = min(2*backoff, f.cfg.ReconnectMax)
 	}
 }
 
@@ -318,23 +311,7 @@ func (f *Follower) stream() error {
 
 	// Standard Hello exchange, then the replication subscribe.
 	nc.SetDeadline(time.Now().Add(f.cfg.DialTimeout))
-	if err := wire.WriteFrame(nc, wire.THello, wire.EncodeHello()); err != nil {
-		return err
-	}
-	t, payload, err := wire.ReadFrame(nc, 0)
-	if err != nil {
-		return err
-	}
-	if t == wire.TError {
-		if e, derr := wire.DecodeError(payload); derr == nil {
-			return e
-		}
-		return fmt.Errorf("repl: handshake refused")
-	}
-	if t != wire.THello {
-		return fmt.Errorf("repl: handshake got %v, want Hello", t)
-	}
-	if _, err := wire.DecodeHello(payload); err != nil {
+	if err := handshake(nc); err != nil {
 		return err
 	}
 	nc.SetDeadline(time.Time{})
@@ -443,9 +420,7 @@ func (f *Follower) stream() error {
 // once the applied position has reached it.
 func (f *Follower) observe(latest uint64) {
 	f.mu.Lock()
-	if latest > f.latest {
-		f.latest = latest
-	}
+	f.latest = max(f.latest, latest)
 	caught := f.a.Pos() >= f.latest
 	f.lastAct = time.Now()
 	f.mu.Unlock()

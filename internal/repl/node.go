@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"os"
 	"sync"
 
 	"sim"
@@ -12,10 +13,10 @@ import (
 
 // NodeConfig configures StartNode.
 type NodeConfig struct {
-	// Path is the database file. The node keeps its fencing epoch in
-	// Path+".epoch" and a follower's apply position in Path+".repl". An
-	// empty Path (an in-memory database) gives a node with no replication
-	// role: it neither publishes nor follows.
+	// Path is the database file. The node keeps its fencing epoch and a
+	// follower's apply position in the database itself (dmsii.NodeState).
+	// An empty Path (an in-memory database) gives a node with no
+	// replication role: it neither publishes nor follows.
 	Path string
 	// ReplicaOf, when set, starts the node as a read-only follower of the
 	// primary at this address. It requires Path.
@@ -46,15 +47,18 @@ type NodeConfig struct {
 // again only through such a promotion, which claims a term above the
 // fencing one (DESIGN.md §14).
 type Node struct {
-	db        *sim.Database
-	epochPath string // "" for a static node: no sidecars, no rejoin
-	statePath string
+	db        *sim.Database // nil for a node without a role of its own: no epoch, no rejoin
 	advertise string
 	fcfg      FollowerConfig
 	log       *slog.Logger
 	stop      chan struct{} // closed by Close; ends fencer retries
 	stopOnce  sync.Once
 	fencers   sync.WaitGroup
+
+	// role serializes the role transitions and their commits, so the
+	// record has one writer at a time. Taken before mu; a fence commits
+	// outside mu, for its commit waits on clients that need WriteGate.
+	role sync.Mutex
 
 	mu       sync.Mutex
 	pub      *Publisher // the stream this node publishes (sealed once fenced)
@@ -65,12 +69,13 @@ type Node struct {
 }
 
 // StartNode claims db's replication role from cfg: a follower of
-// cfg.ReplicaOf, a primary publishing under the epoch persisted beside
-// cfg.Path (fenced from the start when the sidecar witnessed a higher
-// one), or, without a Path, no role. The node runs until Close.
+// cfg.ReplicaOf, a primary publishing under the epoch db holds (fenced
+// from the start when db has witnessed a higher one), or, without a Path,
+// no role. The node runs until Close. It refuses a Path with a ".epoch"
+// or ".repl" sidecar beside it: an older build kept the epoch there, and
+// ignoring it could bring a fenced node back writable.
 func StartNode(db *sim.Database, cfg NodeConfig) (*Node, error) {
 	n := &Node{
-		db:        db,
 		advertise: cfg.Advertise,
 		fcfg:      cfg.Follower,
 		log:       cfg.Logger,
@@ -88,7 +93,12 @@ func StartNode(db *sim.Database, cfg NodeConfig) (*Node, error) {
 		}
 		return n, nil
 	}
-	n.epochPath, n.statePath = cfg.Path+".epoch", cfg.Path+".repl"
+	for _, side := range []string{cfg.Path + ".epoch", cfg.Path + ".repl"} {
+		if _, err := os.Stat(side); err == nil {
+			return nil, fmt.Errorf("repl: %s is a replication sidecar of an older build; this build keeps the epoch and position in the database, so re-seed the node into a fresh file", side)
+		}
+	}
+	n.db = db
 	if n.rejoinAddr() == "" {
 		n.log.Warn("advertise address has no reachable host; after a promotion the old primary will be fenced but cannot rejoin this node — set -advertise for automatic failover recovery",
 			"advertise", n.advertise)
@@ -101,7 +111,7 @@ func StartNode(db *sim.Database, cfg NodeConfig) (*Node, error) {
 		n.log.Info("replicating", "primary", cfg.ReplicaOf)
 		return n, nil
 	}
-	epoch, fencedBy, err := ClaimEpoch(n.epochPath)
+	epoch, fencedBy, err := ClaimEpoch(db)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +133,7 @@ func StartNode(db *sim.Database, cfg NodeConfig) (*Node, error) {
 // StaticNode is the role of a server whose caller manages replication
 // itself: it publishes pub (when set), refuses writes when readOnly, and
 // answers status from status when it neither publishes nor follows. It
-// keeps no sidecars and never promotes or rejoins; a higher epoch still
+// keeps no epoch and never promotes or rejoins; a higher epoch still
 // fences it.
 func StaticNode(pub *Publisher, readOnly bool, status func() wire.ReplStatus) *Node {
 	return &Node{pub: pub, readOnly: readOnly, status: status,
@@ -203,6 +213,8 @@ func (n *Node) Ready(maxLag uint64) bool {
 // fenced it since: that answers CodeFenced, for its sealed publisher
 // would accept commits that replicate nowhere.
 func (n *Node) Promote() (uint64, error) {
+	n.role.Lock()
+	defer n.role.Unlock()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.fol == nil {
@@ -215,7 +227,7 @@ func (n *Node) Promote() (uint64, error) {
 		return n.pub.Epoch(), nil
 	}
 	old := n.fol.Primary()
-	pub, err := n.fol.Promote(n.epochPath)
+	pub, err := n.fol.Promote()
 	n.fol = nil // closed by Promote; a failed promotion leaves a \retarget to start a fresh one
 	if err != nil {
 		return 0, fmt.Errorf("promote: %w", err)
@@ -255,22 +267,26 @@ func (n *Node) rejoinAddr() string {
 // its stream at addr, starting a fresh follower if a failed promotion
 // closed the last one.
 func (n *Node) Retarget(epoch uint64, addr string) error {
+	n.role.Lock()
+	defer n.role.Unlock()
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.pub == nil {
+	pub, fencedBy := n.pub, n.fencedBy
+	if pub == nil {
+		defer n.mu.Unlock()
 		switch {
-		case !n.readOnly || n.statePath == "":
+		case !n.readOnly || n.db == nil:
 			return &wire.Error{Code: wire.CodeProtocol, Msg: "this server is not replicating; nothing to retarget"}
 		case addr == "":
 			return &wire.Error{Code: wire.CodeProtocol, Msg: "retarget wants a primary address"}
 		}
 		return n.followLocked(addr)
 	}
-	if epoch <= n.pub.Epoch() || epoch < n.fencedBy {
+	n.mu.Unlock()
+	if epoch <= pub.Epoch() || epoch < fencedBy {
 		return &wire.Error{Code: wire.CodeFenced, Msg: fmt.Sprintf("refusing retarget: epoch %d is stale here (own %d, fenced by %d)",
-			epoch, n.pub.Epoch(), n.fencedBy)}
+			epoch, pub.Epoch(), fencedBy)}
 	}
-	return n.fenceLocked(epoch, addr)
+	return n.fence(epoch, addr)
 }
 
 // Publisher returns the publisher a follower at helloEpoch subscribes to.
@@ -279,46 +295,67 @@ func (n *Node) Retarget(epoch uint64, addr string) error {
 // does not learn the new primary's address here.
 func (n *Node) Publisher(helloEpoch uint64) (*Publisher, error) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	pub, fencedBy := n.pub, n.fencedBy
+	n.mu.Unlock()
 	switch {
-	case n.pub == nil:
+	case pub == nil:
 		return nil, &wire.Error{Code: wire.CodeProtocol, Msg: "this server does not publish a replication stream"}
-	case n.fencedBy != 0:
+	case fencedBy != 0:
 		return nil, &wire.Error{Code: wire.CodeFenced,
-			Msg: fmt.Sprintf("fenced by epoch %d; this node no longer publishes", n.fencedBy)}
-	case helloEpoch > n.pub.Epoch():
-		n.fenceLocked(helloEpoch, "")
+			Msg: fmt.Sprintf("fenced by epoch %d; this node no longer publishes", fencedBy)}
+	case helloEpoch > pub.Epoch():
+		n.role.Lock()
+		n.fence(helloEpoch, "")
+		n.role.Unlock()
 		return nil, &wire.Error{Code: wire.CodeFenced,
-			Msg: fmt.Sprintf("follower holds epoch %d > %d; fencing myself", helloEpoch, n.pub.Epoch())}
+			Msg: fmt.Sprintf("follower holds epoch %d > %d; fencing myself", helloEpoch, pub.Epoch())}
 	}
-	return n.pub, nil
+	return pub, nil
 }
 
-// fenceLocked demotes the node under epoch: writes answer CodeFenced, the
-// publisher is sealed before any group from the new primary can be
-// applied (so it is never re-published), and the epoch is persisted first
-// — a restart must come back fenced, not writable at the stale term.
-// With addr, the node then follows the new primary; the re-snapshot its
-// follower requests discards any tail it acknowledged but never shipped.
-func (n *Node) fenceLocked(epoch uint64, addr string) error {
-	if epoch > n.fencedBy {
-		if n.epochPath != "" {
-			if err := WitnessEpoch(n.epochPath, epoch); err != nil {
+// fence demotes the node under epoch; the caller holds n.role. Writes
+// answer CodeFenced at once, and the publisher is sealed before anything
+// else commits, so nothing after it is ever published. The witnessed
+// epoch commits before the node follows anyone, so a restart comes back
+// fenced; that commit waits, without n.mu, for any client transaction
+// that wrote before the fence. A running follower (a rejoined node fenced
+// again) is stopped for it and restarted at addr, or without one at its
+// old primary. A new primary's stream starts with a re-snapshot, which
+// discards any tail the node acknowledged but never shipped.
+func (n *Node) fence(epoch uint64, addr string) error {
+	n.mu.Lock()
+	fenced := epoch > n.fencedBy && epoch > n.pub.Epoch()
+	var fol *Follower
+	if fenced {
+		n.fencedBy = epoch
+		n.pub.Seal()
+		fol, n.fol = n.fol, nil
+	}
+	n.mu.Unlock()
+	if fenced {
+		n.log.Warn("fenced by higher epoch; demoting to read-only", "epoch", epoch, "new_primary", addr)
+		if fol != nil {
+			if addr == "" {
+				addr = fol.Primary()
+			}
+			fol.Close()
+		}
+		if n.db != nil {
+			if err := WitnessEpoch(n.db, epoch); err != nil {
 				n.log.Error("persisting witnessed epoch failed", "epoch", epoch, "err", err)
 			}
 		}
-		n.fencedBy = epoch
-		n.pub.Seal()
-		n.log.Warn("fenced by higher epoch; demoting to read-only", "epoch", epoch, "new_primary", addr)
 	}
-	if addr == "" || n.statePath == "" {
+	if addr == "" || n.db == nil {
 		return nil
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.followLocked(addr)
 }
 
 // followLocked points the node's follower at primary, starting one when
-// the node follows none.
+// the node follows none and is not closed.
 func (n *Node) followLocked(primary string) error {
 	if n.fol != nil {
 		if n.fol.Primary() != primary {
@@ -326,9 +363,14 @@ func (n *Node) followLocked(primary string) error {
 		}
 		return nil
 	}
+	select {
+	case <-n.stop:
+		return fmt.Errorf("repl: node is closed")
+	default:
+	}
 	cfg := n.fcfg
 	cfg.Primary = primary
-	f, err := StartFollower(n.db, n.statePath, cfg)
+	f, err := StartFollower(n.db, "", cfg)
 	if err != nil {
 		return err
 	}

@@ -2,12 +2,13 @@ package repl_test
 
 import (
 	"context"
+	"errors"
 	"net"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"sim/internal/repl"
+	"sim/internal/wire"
 )
 
 // TestRejoinedPrimaryPromotes fails over from A to B and back: a born
@@ -100,9 +101,7 @@ func TestNodeReadiness(t *testing.T) {
 		t.Fatal("a fenced node whose new follower has no snapshot reports ready")
 	}
 	p2dir := t.TempDir()
-	if err := repl.AdvanceEpoch(filepath.Join(p2dir, "primary.db.epoch"), epoch+1); err != nil {
-		t.Fatal(err)
-	}
+	seedEpoch(t, p2dir, epoch+1)
 	p2 := startPrimaryNode(t, p2dir, "")
 	if err := p2.db.DefineSchema(testSchema); err != nil {
 		t.Fatal(err)
@@ -164,5 +163,109 @@ func TestHostlessAdvertiseDemotesOnly(t *testing.T) {
 	}
 	if !p.node.Ready(0) {
 		t.Fatal("the demoted old primary started following an address it was never given")
+	}
+}
+
+// TestFenceDuringOpenWriteTx fences a primary while a client transaction
+// that has written holds the store's write latch, which the fence's
+// commit of the witnessed epoch needs. The node must keep answering
+// meanwhile: it reports itself fenced, refuses the transaction's next
+// write, and lets the client end the transaction by a rollback or by a
+// commit it refuses. Only then does the fence return, with the witnessed
+// epoch committed and the transaction's write gone.
+func TestFenceDuringOpenWriteTx(t *testing.T) {
+	ctx := context.Background()
+	for _, end := range []string{"rollback", "commit"} {
+		t.Run(end, func(t *testing.T) {
+			p := startPrimaryNode(t, t.TempDir(), "")
+			if err := p.db.DefineSchema(testSchema); err != nil {
+				t.Fatal(err)
+			}
+			tx, err := dialClient(t, p.addr).Begin(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Exec(ctx, `Insert item (item-no := 1, name := "open").`); err != nil {
+				t.Fatal(err)
+			}
+
+			epoch := p.node.Status().Epoch + 1
+			fenced := make(chan error, 1)
+			go func() { fenced <- p.node.Retarget(epoch, "") }()
+			answered := make(chan struct{})
+			go func() {
+				for p.node.Status().Role != "fenced" {
+					time.Sleep(time.Millisecond)
+				}
+				close(answered)
+			}()
+			select {
+			case <-answered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the node stopped answering Status while its fence waited for the write latch")
+			}
+			select {
+			case err := <-fenced:
+				t.Fatalf("the fence returned (err %v) while a transaction held the write latch", err)
+			default:
+			}
+
+			var we *wire.Error
+			if _, err := tx.Exec(ctx, `Insert item (item-no := 2, name := "late").`); !errors.As(err, &we) || we.Code != wire.CodeFenced {
+				t.Fatalf("write in the open transaction after the fence: err = %v, want CodeFenced", err)
+			}
+			if end == "rollback" {
+				if err := tx.Rollback(ctx); err != nil {
+					t.Fatalf("rollback on the fenced node: %v", err)
+				}
+			} else if err := tx.Commit(ctx); !errors.As(err, &we) || we.Code != wire.CodeFenced {
+				t.Fatalf("commit on the fenced node: err = %v, want CodeFenced", err)
+			}
+			select {
+			case err := <-fenced:
+				if err != nil {
+					t.Fatalf("fence: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the fence never committed after the transaction ended")
+			}
+			if st, err := p.db.NodeState(); err != nil || st.MaxSeen != epoch {
+				t.Fatalf("record %+v (err %v), want the witnessed epoch %d", st, err, epoch)
+			}
+			if got, err := p.db.Query(itemsQ); err != nil || got.NumRows() != 0 {
+				t.Fatalf("rows after the fence = %v (err %v), want none", got, err)
+			}
+		})
+	}
+}
+
+// TestRefenceKeepsFollowing fences a node that already rejoined a new
+// primary again, by a higher epoch that names no address. It must keep
+// following the primary it follows, not fall silent while reporting
+// itself ready.
+func TestRefenceKeepsFollowing(t *testing.T) {
+	p := startPrimaryNode(t, t.TempDir(), "")
+	qdir := t.TempDir()
+	seedEpoch(t, qdir, 5)
+	q := startPrimaryNode(t, qdir, "")
+	if err := q.db.DefineSchema(testSchema); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, q.db, `Insert item (item-no := 1, name := "one").`)
+	if err := p.node.Retarget(5, q.addr); err != nil {
+		t.Fatalf("fence and rejoin: %v", err)
+	}
+	waitConverged(t, q.db, p.db, itemsQ)
+
+	if err := p.node.Retarget(6, ""); err != nil {
+		t.Fatalf("fence again without an address: %v", err)
+	}
+	if st := p.node.Status(); st.Role != "fenced" || st.Epoch != 6 {
+		t.Fatalf("status after the second fence = %+v, want fenced at epoch 6", st)
+	}
+	mustExec(t, q.db, `Insert item (item-no := 2, name := "two").`)
+	waitConverged(t, q.db, p.db, itemsQ)
+	if st, err := p.db.NodeState(); err != nil || st.MaxSeen != 6 {
+		t.Fatalf("record %+v (err %v), want the witnessed epoch 6", st, err)
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // Promote turns this follower into a primary: stop the stream and drain
 // any in-flight apply, seal the apply state at its last durable position,
-// persist a strictly higher epoch in the sidecar at epochPath (see
+// commit a strictly higher epoch to the database's record (see
 // ClaimEpoch), and open a Publisher under it. The follower is closed
 // afterwards, whether or not the promotion succeeded.
 //
@@ -22,7 +22,7 @@ import (
 // shipped (replication is asynchronous) are not — they exist only on the
 // old primary, which the new epoch fences, and are discarded when it
 // rejoins via re-snapshot. See DESIGN.md §14 for the exact guarantee.
-func (f *Follower) Promote(epochPath string) (*Publisher, error) {
+func (f *Follower) Promote() (*Publisher, error) {
 	oldPrimary := f.Primary()
 	f.Close() // cut the stream, wait out the apply loop: the state is sealed
 	st := f.a.State()
@@ -31,12 +31,12 @@ func (f *Follower) Promote(epochPath string) (*Publisher, error) {
 	}
 	// Strictly above both the epoch we followed and anything this node has
 	// ever witnessed, and durable before the first group is published.
-	newEpoch := st.Epoch
-	if ne := LoadNodeEpoch(epochPath); ne.MaxSeen > newEpoch {
-		newEpoch = ne.MaxSeen
+	ns, err := f.db.NodeState()
+	if err != nil {
+		return nil, fmt.Errorf("repl: promote: %w", err)
 	}
-	newEpoch++
-	if err := AdvanceEpoch(epochPath, newEpoch); err != nil {
+	newEpoch := max(st.Epoch, ns.MaxSeen) + 1
+	if err := AdvanceEpoch(f.db, newEpoch); err != nil {
 		return nil, err
 	}
 	pub, err := NewPublisher(f.db, Config{Epoch: newEpoch})
@@ -65,23 +65,13 @@ func Fence(addr string, epoch uint64, newAddr string, timeout time.Duration) err
 	}
 	defer nc.Close()
 	nc.SetDeadline(time.Now().Add(timeout))
-	if err := wire.WriteFrame(nc, wire.THello, wire.EncodeHello()); err != nil {
-		return err
-	}
-	t, payload, err := wire.ReadFrame(nc, 0)
-	if err != nil {
-		return err
-	}
-	if t != wire.THello {
-		return fmt.Errorf("repl: fence handshake got %v, want Hello", t)
-	}
-	if _, err := wire.DecodeHello(payload); err != nil {
+	if err := handshake(nc); err != nil {
 		return err
 	}
 	if err := wire.WriteFrame(nc, wire.TRetarget, wire.EncodeRetarget(wire.Retarget{Epoch: epoch, Addr: newAddr})); err != nil {
 		return err
 	}
-	t, payload, err = wire.ReadFrame(nc, 0)
+	t, payload, err := wire.ReadFrame(nc, 0)
 	if err != nil {
 		return err
 	}
@@ -124,8 +114,28 @@ func runFencer(stop <-chan struct{}, addr string, epoch uint64, newAddr string, 
 			return
 		case <-time.After(backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))):
 		}
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
+		backoff = min(2*backoff, 2*time.Second)
+	}
+}
+
+// handshake is the client's side of the Hello exchange on nc. A refusal
+// is a plain error, not a *wire.Error: a later dial may be accepted.
+func handshake(nc net.Conn) error {
+	if err := wire.WriteFrame(nc, wire.THello, wire.EncodeHello()); err != nil {
+		return err
+	}
+	t, payload, err := wire.ReadFrame(nc, 0)
+	if err != nil {
+		return err
+	}
+	if t == wire.TError {
+		if e, derr := wire.DecodeError(payload); derr == nil {
+			return fmt.Errorf("repl: handshake refused: %v", e)
 		}
 	}
+	if t != wire.THello {
+		return fmt.Errorf("repl: handshake got %v, want Hello", t)
+	}
+	_, err = wire.DecodeHello(payload)
+	return err
 }

@@ -87,13 +87,9 @@ func NewPublisher(db *sim.Database, cfg Config) (*Publisher, error) {
 	if _, err := rand.Read(rb[:]); err != nil {
 		return nil, fmt.Errorf("repl: run nonce: %w", err)
 	}
-	epoch := cfg.Epoch
-	if epoch == 0 {
-		epoch = 1
-	}
 	p := &Publisher{
 		db:       db,
-		epoch:    epoch,
+		epoch:    max(cfg.Epoch, 1),
 		run:      binary.BigEndian.Uint64(rb[:]) | 1, // never 0 ("no run")
 		maxBytes: cfg.RingBytes,
 		subs:     make(map[*Subscription]struct{}),
@@ -268,11 +264,7 @@ func (s *Subscription) Next(stop <-chan struct{}, wait time.Duration) ([]*Group,
 // later benchmark change drop it.
 func (p *Publisher) Snapshot() (img []byte, pos, gen uint64, sub *Subscription, err error) {
 	p.snapshots.Add(1)
-	img, pos, err = p.db.ReplSnapshot(func() uint64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.latest
-	})
+	img, pos, err = p.db.ReplSnapshot(p.Latest)
 	if err != nil {
 		return nil, 0, 0, nil, err
 	}
@@ -367,17 +359,13 @@ func (p *Publisher) RegisterMetrics(r *obs.Registry) {
 		})
 	r.GaugeFunc("sim_repl_min_ack_pos", "Oldest applied position acked by any connected follower (0 with none).",
 		func() float64 {
-			st := p.Status()
-			if len(st.Replicas) == 0 {
-				return 0
-			}
-			minPos := st.Replicas[0].Pos
-			for _, rep := range st.Replicas[1:] {
-				if rep.Pos < minPos {
-					minPos = rep.Pos
+			var pos uint64
+			for i, rep := range p.Status().Replicas {
+				if i == 0 || rep.Pos < pos {
+					pos = rep.Pos
 				}
 			}
-			return float64(minPos)
+			return float64(pos)
 		})
 	r.GaugeFunc("sim_repl_ring_bytes", "Bytes of committed groups retained for follower catch-up.",
 		func() float64 {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -84,7 +83,7 @@ func openFollower(t *testing.T, dir, primaryAddr string) *follower {
 
 func startFollower(t *testing.T, db *sim.Database, dir, primaryAddr string) *repl.Follower {
 	t.Helper()
-	f, err := repl.StartFollower(db, filepath.Join(dir, "replica.db.repl"), repl.FollowerConfig{
+	f, err := repl.StartFollower(db, "", repl.FollowerConfig{
 		Primary:      primaryAddr,
 		Heartbeat:    50 * time.Millisecond,
 		ReconnectMin: 10 * time.Millisecond,
@@ -203,61 +202,6 @@ func TestPublisherPositionsAndEviction(t *testing.T) {
 	}
 }
 
-func TestStateSidecarRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.repl")
-	if st := repl.LoadState(path); st != (repl.State{}) {
-		t.Fatalf("missing sidecar loaded as %+v", st)
-	}
-	want := repl.State{Epoch: 77, Pos: 123456}
-	if err := repl.SaveState(path, want); err != nil {
-		t.Fatal(err)
-	}
-	if got := repl.LoadState(path); got != want {
-		t.Fatalf("load = %+v, want %+v", got, want)
-	}
-}
-
-// A sidecar garbled in place — a torn overwrite — loads as the zero State,
-// and one of the wrong length is repaired by a single save.
-func TestStateSidecarGarbledOrTooLong(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.repl")
-	want := repl.State{Epoch: 3, Run: 9, Pos: 41}
-	if err := repl.SaveState(path, want); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil || len(b) != 32 {
-		t.Fatalf("sidecar = %d bytes, %v; want 32", len(b), err)
-	}
-	for _, off := range []int{0, 4, 20, 31} {
-		g := append([]byte(nil), b...)
-		g[off] ^= 0x10
-		if err := os.WriteFile(path, g, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if st := repl.LoadState(path); st != (repl.State{}) {
-			t.Fatalf("sidecar garbled at byte %d loaded as %+v", off, st)
-		}
-	}
-
-	if err := os.WriteFile(path, append(b, make([]byte, 100)...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if st := repl.LoadState(path); st != (repl.State{}) {
-		t.Fatalf("overlong sidecar loaded as %+v", st)
-	}
-	want.Pos++
-	if err := repl.SaveState(path, want); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() != 32 {
-		t.Fatalf("sidecar after save: %v; want 32 bytes", err)
-	}
-	if got := repl.LoadState(path); got != want {
-		t.Fatalf("load after repair = %+v, want %+v", got, want)
-	}
-}
-
 // TestFollowerEndToEnd is the acceptance path: a follower snapshots into
 // a populated primary, serves byte-identical rows, keeps up with new
 // writes, rejects writes with CodeReadOnly, and reconverges after a stop
@@ -305,7 +249,7 @@ func TestFollowerEndToEnd(t *testing.T) {
 	}
 
 	// Stop the follower, write more, restart: the tail (still within the
-	// ring) resumes from the sidecar position without a snapshot.
+	// ring) resumes from the position in its database without a snapshot.
 	r.f.Close()
 	for i := 40; i < 60; i++ {
 		mustExec(t, pdb, fmt.Sprintf(`Insert item (item-no := %d, name := "item %03d").`, i+1, i))

@@ -105,7 +105,7 @@ func TestFollowerReadyGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	stray, err := repl.StartFollower(db, filepath.Join(t.TempDir(), "stray.repl"), repl.FollowerConfig{
+	stray, err := repl.StartFollower(db, "", repl.FollowerConfig{
 		Primary:      "127.0.0.1:1", // nothing listens here
 		ReconnectMin: 10 * time.Millisecond,
 		ReconnectMax: 50 * time.Millisecond,

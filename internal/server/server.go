@@ -428,10 +428,22 @@ func (s *Server) dispatch(sess *session, t wire.Type, payload []byte, reqID uint
 		if t == wire.TBegin && len(payload) == 1 && payload[0]&wire.BeginReadOnly != 0 {
 			break
 		}
-		if (t == wire.TCommit || t == wire.TRollback) && sess.tx != nil && sess.tx.ReadOnly() {
+		if t == wire.TCommit && sess.tx != nil && sess.tx.ReadOnly() {
+			break
+		}
+		// A rollback writes nothing. Refusing it on a fenced node would
+		// keep the transaction's write latch, which the node needs to
+		// commit the epoch that fenced it.
+		if t == wire.TRollback {
 			break
 		}
 		if err := s.node.WriteGate(); err != nil {
+			if (t == wire.TCommit || t == wire.TTraceCommit) && sess.tx != nil {
+				// A refused commit ends the transaction, as a failed one
+				// does: the client has finished with it.
+				sess.tx.Rollback()
+				sess.tx = nil
+			}
 			return wire.TError, roleErr(err)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"sim/internal/dmsii"
 	"sim/internal/pager"
 	"sim/internal/university"
 	"sim/internal/wal"
@@ -395,7 +396,7 @@ func TestFollowerVersionGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { follower.Close() })
-	if err := follower.ApplySnapshot(img); err != nil {
+	if err := follower.ApplySnapshot(img, dmsii.Position{}); err != nil {
 		t.Fatal(err)
 	}
 	// replicate churns the primary and applies its 200 groups.
@@ -411,7 +412,7 @@ func TestFollowerVersionGC(t *testing.T) {
 		}
 		pub := follower.store.Published()
 		for _, g := range gs {
-			if err := follower.ApplyReplicated(g); err != nil {
+			if err := follower.ApplyReplicated(g, dmsii.Position{}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -40,23 +40,59 @@ func (db *Database) ReplSnapshot(pos func() uint64) ([]byte, uint64, error) {
 }
 
 // ApplyReplicated applies one committed page group shipped from a
-// primary. The store commits the group under a new published stamp, so
-// queries run alongside the apply: one pinned before the group reads the
-// state before it, one after reads all of it. A group that committed a
-// DDL batch also publishes the schema generation it extends (see reload).
-func (db *Database) ApplyReplicated(pages []pager.PageImage) error {
-	if len(pages) == 0 {
-		return nil
-	}
-	return db.store.ApplyReplicated(pages, db.reload(false))
+// primary, and records the stream position at it reaches, in one commit.
+// The store commits the group under a new published stamp, so queries run
+// alongside the apply: one pinned before the group reads the state before
+// it, one after reads all of it. A group that committed a DDL batch also
+// publishes the schema generation it extends (see reload).
+func (db *Database) ApplyReplicated(pages []pager.PageImage, at dmsii.Position) error {
+	return db.store.ApplyReplicated(pages, follow(at, db.reload(false)))
 }
 
 // ApplySnapshot replaces the database with a base image shipped from a
-// primary, as one commit under a new published stamp — statements pinned
-// before it keep reading the state they pinned — and publishes the
-// image's schema.
-func (db *Database) ApplySnapshot(img []byte) error {
-	return db.store.ReplaceImage(img, db.reload(true))
+// primary, current as of position at, as one commit under a new published
+// stamp — statements pinned before it keep reading the state they pinned —
+// and publishes the image's schema. The image and its position are durable
+// together or not at all.
+func (db *Database) ApplySnapshot(img []byte, at dmsii.Position) error {
+	return db.store.ReplaceImage(img, follow(at, db.reload(true)))
+}
+
+// NodeState returns the node's durable replication record (see
+// dmsii.NodeState).
+func (db *Database) NodeState() (dmsii.NodeState, error) {
+	return db.store.NodeState()
+}
+
+// SetNodeState durably replaces the node's replication record, as one
+// commit of the meta page. Errors for in-memory databases, which have no
+// replication role.
+func (db *Database) SetNodeState(st dmsii.NodeState) error {
+	tx, err := db.store.Begin()
+	if err != nil {
+		return err
+	}
+	if err := tx.SetNodeState(st); err != nil {
+		tx.Rollback()
+		return err
+	}
+	return tx.Commit()
+}
+
+// follow is the prepare step of a replicated commit: it moves the record's
+// followed position to at, keeping the node's terms, then runs next.
+func follow(at dmsii.Position, next func(*dmsii.Txn) error) func(*dmsii.Txn) error {
+	return func(tx *dmsii.Txn) error {
+		st, err := tx.NodeState()
+		if err != nil {
+			return err
+		}
+		st.Follow = at
+		if err := tx.SetNodeState(st); err != nil {
+			return err
+		}
+		return next(tx)
+	}
 }
 
 // reload is the prepare step of a replicated commit (see

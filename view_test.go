@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sim/internal/catalog"
+	"sim/internal/dmsii"
 	"sim/internal/fault"
 	"sim/internal/luc"
 	"sim/internal/pager"
@@ -264,7 +265,7 @@ func TestReadViewSeesResnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := follower.ApplySnapshot(img); err != nil {
+		if err := follower.ApplySnapshot(img, dmsii.Position{}); err != nil {
 			t.Fatal(err)
 		}
 	}
