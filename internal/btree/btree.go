@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sim/internal/pager"
@@ -290,21 +291,27 @@ func keyOfInteriorCell(cell []byte) []byte {
 	return cell[4+k : 4+k+int(klen)]
 }
 
-// Get returns the value stored for key.
-func (t *Tree) Get(key []byte) ([]byte, bool, error) {
+// Get returns the value stored for key, in a slice of its own.
+func (t *Tree) Get(key []byte) ([]byte, bool, error) { return t.GetAppend(nil, key) }
+
+// GetAppend appends the value stored for key to dst and returns the
+// extended slice (dst itself when key is absent). A caller that only
+// decodes the value passes a buffer of its own — one on its stack — and
+// copies nothing to the heap.
+func (t *Tree) GetAppend(dst, key []byte) ([]byte, bool, error) {
 	id := t.root
 	if id == pager.Invalid {
-		return nil, false, nil // an empty tree (see Open)
+		return dst, false, nil // an empty tree (see Open)
 	}
 	for {
 		f, err := t.a.Get(id)
 		if err != nil {
-			return nil, false, err
+			return dst, false, err
 		}
 		n := node{f}
 		if err := n.check(); err != nil {
 			t.a.Release(f)
-			return nil, false, err
+			return dst, false, err
 		}
 		if !n.isLeaf() {
 			_, child := route(n, key)
@@ -315,16 +322,16 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 		i, found := leafSearch(n, key)
 		if !found {
 			t.a.Release(f)
-			return nil, false, nil
+			return dst, false, nil
 		}
 		inline, ovf, total := n.leafValueInfo(i)
 		if ovf == pager.Invalid {
-			v := append([]byte(nil), inline...)
+			v := append(dst, inline...)
 			t.a.Release(f)
 			return v, true, nil
 		}
 		t.a.Release(f)
-		v, err := t.readOverflow(ovf, total)
+		v, err := t.readOverflow(dst, ovf, total)
 		return v, err == nil, err
 	}
 }
@@ -449,8 +456,8 @@ func (t *Tree) writeOverflow(val []byte) (pager.PageID, error) {
 	return head, nil
 }
 
-func (t *Tree) readOverflow(head pager.PageID, total int) ([]byte, error) {
-	out := make([]byte, 0, total)
+func (t *Tree) readOverflow(dst []byte, head pager.PageID, total int) ([]byte, error) {
+	out := slices.Grow(dst, total)
 	id := head
 	for id != pager.Invalid {
 		f, err := t.a.Get(id)
@@ -467,8 +474,8 @@ func (t *Tree) readOverflow(head pager.PageID, total int) ([]byte, error) {
 		t.a.Release(f)
 		id = next
 	}
-	if len(out) != total {
-		return nil, fmt.Errorf("btree: overflow chain has %d bytes, expected %d", len(out), total)
+	if len(out)-len(dst) != total {
+		return nil, fmt.Errorf("btree: overflow chain has %d bytes, expected %d", len(out)-len(dst), total)
 	}
 	return out, nil
 }

@@ -143,11 +143,11 @@ func (c *Cursor) loadLeaf(n node, i int) error {
 		if ovf == pager.Invalid {
 			c.buf = append(c.buf, inline...)
 		} else {
-			v, err := c.t.readOverflow(ovf, total)
+			v, err := c.t.readOverflow(c.buf, ovf, total)
 			if err != nil {
 				return err
 			}
-			c.buf = append(c.buf, v...)
+			c.buf = v
 		}
 		c.offs = append(c.offs, len(c.buf))
 	}

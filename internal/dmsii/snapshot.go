@@ -207,7 +207,8 @@ func (v *View) Structure(name string) (*Structure, error) {
 		v.alloc.Release(meta)
 		v.dir = btree.Open(&v.alloc, dirRoot, nil)
 	}
-	rootBytes, found, err := v.dir.Get([]byte(name))
+	var buf [4]byte
+	rootBytes, found, err := v.dir.GetAppend(buf[:0], []byte(name))
 	if err != nil {
 		return nil, err
 	}

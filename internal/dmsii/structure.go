@@ -34,7 +34,8 @@ func (s *Store) structureLocked(name string) (*Structure, error) {
 	if st, ok := s.open[name]; ok {
 		return st, nil
 	}
-	rootBytes, found, err := s.dir.Get([]byte(name))
+	var buf [4]byte
+	rootBytes, found, err := s.dir.GetAppend(buf[:0], []byte(name))
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +66,8 @@ func (s *Store) HasStructure(name string) (bool, error) {
 	if _, ok := s.open[name]; ok {
 		return true, nil
 	}
-	_, found, err := s.dir.Get([]byte(name))
+	var buf [4]byte
+	_, found, err := s.dir.GetAppend(buf[:0], []byte(name))
 	return found, err
 }
 
@@ -129,6 +131,12 @@ func (st *Structure) Put(key, val []byte) error {
 
 // Get reads the record stored under key.
 func (st *Structure) Get(key []byte) ([]byte, bool, error) { return st.tree.Get(key) }
+
+// GetAppend appends the value stored for key to dst (see
+// btree.Tree.GetAppend): a decode-only read into the caller's buffer.
+func (st *Structure) GetAppend(dst, key []byte) ([]byte, bool, error) {
+	return st.tree.GetAppend(dst, key)
+}
 
 // Delete removes the record stored under key.
 func (st *Structure) Delete(key []byte) (bool, error) {

@@ -127,17 +127,12 @@ func (u *univ) exec(dml string) (int, error) {
 	if err != nil {
 		u.t.Fatal(err)
 	}
-	ctx := context.Background()
-	switch s := stmt.(type) {
-	case *ast.InsertStmt:
-		return u.e.Insert(ctx, s)
-	case *ast.ModifyStmt:
-		return u.e.Modify(ctx, s)
-	case *ast.DeleteStmt:
-		return u.e.Delete(ctx, s)
+	switch stmt.(type) {
+	case *ast.InsertStmt, *ast.ModifyStmt, *ast.DeleteStmt:
+	default:
+		u.t.Fatalf("not an update: %q", dml)
 	}
-	u.t.Fatalf("not an update: %q", dml)
-	return 0, nil
+	return u.e.Exec(context.Background(), u.e.CompileUpdate(stmt, u.e.m), nil)
 }
 
 func (u *univ) commit(dml string) {
@@ -395,7 +390,7 @@ func TestDifferentialUpdateSelections(t *testing.T) {
 		case *ast.InsertStmt:
 			cl, where = u.class(s.FromClass), s.FromWhere
 		}
-		got, gotErr := u.e.SelectEntities(ctx, cl, where)
+		got, gotErr := u.e.selectEntities(ctx, cl, where)
 		want, wantErr := u.e.oracleSelect(cl, where)
 		if !sameErr(gotErr, wantErr) || fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%q: selection compiled %v (err %v), oracle %v (err %v)", dml, got, gotErr, want, wantErr)
@@ -447,7 +442,7 @@ func TestDifferentialAssignments(t *testing.T) {
 		expr := stmt.(*ast.ModifyStmt).Assigns[0].Value
 		cl := u.class(tc.class)
 		for _, s := range u.all(cl) {
-			got, gotErr := u.e.evalScalarFor(s, cl, expr)
+			got, gotErr := u.e.compiledScalar(s, cl, expr)
 			want, wantErr := u.e.oracleScalar(s, cl, expr)
 			if !sameErr(gotErr, wantErr) || got.Key() != want.Key() {
 				t.Errorf("%s #%d %q: compiled %v (err %v), oracle %v (err %v)", tc.class, s, tc.rhs, got, gotErr, want, wantErr)
@@ -524,4 +519,37 @@ func TestDifferentialVerify(t *testing.T) {
 			t.Errorf("mutated violations %v, want map[v2:1 v3:2 v4:3]", got)
 		}
 	})
+}
+
+// compiledScalar compiles an assignment right-hand side on cl, as an
+// update's compilation does, and evaluates it for entity s.
+func (e *Executor) compiledScalar(s value.Surrogate, cl *catalog.Class, expr ast.Expr) (value.Value, error) {
+	as := assignment{a: ast.Assign{Value: expr}}
+	if _, lit := expr.(*ast.Lit); !lit {
+		var err error
+		if as.rhs, err = e.compileScalar(cl, expr); err != nil {
+			return value.Null, err
+		}
+	}
+	return e.evalScalarFor(s, &as, nil)
+}
+
+// selectEntities compiles and runs the planned selection of cl's entities
+// satisfying where, as an update's target selection does.
+func (e *Executor) selectEntities(ctx context.Context, cl *catalog.Class, where ast.Expr) ([]value.Surrogate, error) {
+	sel, err := e.compileSelection(cl, where, e.m)
+	if err != nil {
+		return nil, err
+	}
+	return e.selectAll(ctx, sel, nil)
+}
+
+// filterEntities compiles and runs the filter keeping the candidates of
+// cl that satisfy where, as an EXCLUDE does.
+func (e *Executor) filterEntities(ctx context.Context, cl *catalog.Class, candidates []value.Surrogate, where ast.Expr) ([]value.Surrogate, error) {
+	sel, err := e.compileFilter(cl, where)
+	if err != nil {
+		return nil, err
+	}
+	return e.filterWith(ctx, sel, candidates, nil)
 }

@@ -7,6 +7,7 @@ import (
 
 	"sim/internal/ast"
 	"sim/internal/catalog"
+	"sim/internal/luc"
 	"sim/internal/plan"
 	"sim/internal/query"
 	"sim/internal/value"
@@ -35,24 +36,298 @@ type roleEvent struct {
 	s     value.Surrogate
 }
 
-// Insert executes §4.8's INSERT: create a new entity, or — with FROM —
-// extend the roles of existing entities. It returns the affected entity
-// count. Cancellation is checked between entities of the FROM selection.
-func (e *Executor) Insert(ctx context.Context, stmt *ast.InsertStmt) (int, error) {
-	cl, err := e.cat.MustClass(stmt.Class)
-	if err != nil {
-		return 0, err
+// Update is an Insert, Modify or Delete statement's compiled form: its
+// target selection, one compiled selection per EVA WITH (…) or EXCLUDE
+// filter, and the compiled form of every non-literal assignment
+// right-hand side, each bound, planned and compiled once. Like a Program
+// it reads its literal operands through query.Arg, so one Update runs
+// every statement of its shape when given that statement's parameter
+// vector. It is immutable and safe to share across executions.
+//
+// Compiling meets errors that belong to points of the execution: an
+// unknown attribute, a selection that does not bind. Such an error is
+// kept and reported where the statement reaches that point, so an Update
+// behaves as if every part were bound when first needed — a Modify that
+// selects nothing never reports its assignments' errors.
+type Update struct {
+	stmt    ast.Stmt
+	cl      *catalog.Class // the class the statement names
+	from    *catalog.Class // INSERT … FROM: the class whose entities gain cl's role
+	err     error          // reported before the statement reads or writes anything
+	target  selection      // Modify, Delete, INSERT … FROM: the target selection
+	assigns []assignment
+}
+
+// selection is one compiled entity selection. A planned selection (p
+// set) enumerates its class through the plan's root access; an unplanned
+// one filters candidates its caller supplies, and keeps every candidate
+// when it has no program (no WHERE).
+type selection struct {
+	p    *plan.Plan
+	prog *Program
+}
+
+// assignment is one compiled assignment of an update's list.
+type assignment struct {
+	a    ast.Assign
+	attr *catalog.Attribute
+	err  error     // reported before the assignment touches its entity
+	rhs  *Program  // a DVA's non-literal right-hand side
+	sel  selection // an EVA's entity selection (EXCLUDE: a filter of the current partners)
+}
+
+// CompileUpdate compiles an Insert, Modify or Delete statement, costing
+// its selections with the statistics stats reads (a snapshot view's, or
+// the live pages under the write latch). The programs are compiled on e,
+// which should be the long-lived live executor when the Update is cached:
+// its closures reach the compiling executor.
+func (e *Executor) CompileUpdate(stmt ast.Stmt, stats *luc.Mapper) *Update {
+	u := &Update{stmt: stmt}
+	switch s := stmt.(type) {
+	case *ast.InsertStmt:
+		if u.cl, u.err = e.cat.MustClass(s.Class); u.err != nil {
+			return u
+		}
+		if s.FromClass != "" {
+			if u.from, u.err = e.cat.MustClass(s.FromClass); u.err != nil {
+				return u
+			}
+			if !catalog.IsAncestor(u.from, u.cl) {
+				u.err = fmt.Errorf("INSERT %s FROM %s: %s is not an ancestor of %s", u.cl.Name, u.from.Name, u.from.Name, u.cl.Name)
+				return u
+			}
+			if u.target, u.err = e.compileSelection(u.from, s.FromWhere, stats); u.err != nil {
+				return u
+			}
+		}
+		u.compileAssigns(e, s.Assigns, stats)
+	case *ast.ModifyStmt:
+		if u.cl, u.err = e.cat.MustClass(s.Class); u.err != nil {
+			return u
+		}
+		if u.target, u.err = e.compileSelection(u.cl, s.Where, stats); u.err != nil {
+			return u
+		}
+		u.compileAssigns(e, s.Assigns, stats)
+	case *ast.DeleteStmt:
+		if u.cl, u.err = e.cat.MustClass(s.Class); u.err != nil {
+			return u
+		}
+		u.target, u.err = e.compileSelection(u.cl, s.Where, stats)
+	default:
+		u.err = fmt.Errorf("exec: not an update statement: %T", stmt)
 	}
+	return u
+}
+
+func (u *Update) compileAssigns(e *Executor, assigns []ast.Assign, stats *luc.Mapper) {
+	u.assigns = make([]assignment, len(assigns))
+	for i, a := range assigns {
+		u.assigns[i] = e.compileAssign(u.cl, a, stats)
+	}
+}
+
+// Err returns the first error compiling the statement met, or nil. An
+// Update with an error still runs — reporting the error where the
+// statement reaches it — but must not serve other statements of its
+// shape: a literal's value can be the cause.
+func (u *Update) Err() error {
+	if u.err != nil {
+		return u.err
+	}
+	for i := range u.assigns {
+		if err := u.assigns[i].err; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Lits returns the slot-carrying literals of every compiled part, as the
+// binder typed them and the optimizer marked them (query.Lit.Fixed).
+// Assignment right-hand sides that are a bare literal are not among them:
+// they are read from the parameter vector and coerced as assigned.
+func (u *Update) Lits() []*query.Lit {
+	var out []*query.Lit
+	u.programs(func(prog *Program, _ *plan.Plan) { out = append(out, prog.tree.Lits...) })
+	return out
+}
+
+// Cards returns the class cardinalities the costing of the Update's
+// planned selections read (see plan.Plan.Cards).
+func (u *Update) Cards() []plan.Card {
+	var out []plan.Card
+	u.programs(func(_ *Program, p *plan.Plan) {
+		if p != nil {
+			out = append(out, p.Cards...)
+		}
+	})
+	return out
+}
+
+// programs calls fn for every compiled program, with its plan when it has
+// one.
+func (u *Update) programs(fn func(*Program, *plan.Plan)) {
+	visit := func(sel selection) {
+		if sel.prog != nil {
+			fn(sel.prog, sel.p)
+		}
+	}
+	visit(u.target)
+	for i := range u.assigns {
+		a := &u.assigns[i]
+		if a.rhs != nil {
+			fn(a.rhs, nil)
+		}
+		visit(a.sel)
+	}
+}
+
+// compileSelection binds, plans and compiles a selection of cl's entities
+// satisfying where (all of them when where is nil): the root's access path
+// is planned like a Retrieve's.
+func (e *Executor) compileSelection(cl *catalog.Class, where ast.Expr, stats *luc.Mapper) (selection, error) {
+	t, err := query.BindSelection(e.cat, cl, where)
+	if err != nil {
+		return selection{}, err
+	}
+	p, err := plan.Optimize(t, stats)
+	if err != nil {
+		return selection{}, err
+	}
+	prog, err := e.Compile(p)
+	if err != nil {
+		return selection{}, err
+	}
+	return selection{p: p, prog: prog}, nil
+}
+
+// compileFilter compiles a filter keeping the candidates of cl that
+// satisfy where, evaluated with the candidate as the perspective instance.
+func (e *Executor) compileFilter(cl *catalog.Class, where ast.Expr) (selection, error) {
+	if where == nil {
+		return selection{}, nil
+	}
+	t, err := query.BindSelection(e.cat, cl, where)
+	if err != nil {
+		return selection{}, err
+	}
+	prog, err := e.compile(nil, t)
+	if err != nil {
+		return selection{}, err
+	}
+	return selection{prog: prog}, nil
+}
+
+// compileAssign resolves one assignment of an update on cl and compiles
+// its right-hand side, keeping what applying it would report before
+// touching the entity.
+func (e *Executor) compileAssign(cl *catalog.Class, a ast.Assign, stats *luc.Mapper) assignment {
+	as := assignment{a: a, attr: catalog.ResolveAttr(cl, a.Attr)}
+	attr := as.attr
+	switch {
+	case attr == nil:
+		as.err = fmt.Errorf("class %s has no attribute %q", cl.Name, a.Attr)
+	case attr.Kind == catalog.Subrole:
+		as.err = fmt.Errorf("subrole %s is system-maintained and cannot be assigned", attr)
+	case attr.Kind == catalog.Derived:
+		as.err = fmt.Errorf("derived attribute %s is computed and cannot be assigned", attr)
+	case attr.Kind == catalog.EVA:
+		as.sel, as.err = e.compileEVASelection(attr, a, stats)
+	case a.Entity != nil:
+		as.err = fmt.Errorf("%s is data-valued; entity selection does not apply", attr)
+	default:
+		if _, lit := a.Value.(*ast.Lit); !lit {
+			as.rhs, as.err = e.compileScalar(cl, a.Value)
+		}
+	}
+	if as.err != nil {
+		as.err = fmt.Errorf("%s := ...: %w", a.Attr, as.err)
+	}
+	return as
+}
+
+// compileEVASelection compiles the right-hand side of an EVA assignment
+// (see assignEVA): NULL needs nothing, EXCLUDE filters the current
+// partners, set and INCLUDE select from the named class.
+func (e *Executor) compileEVASelection(attr *catalog.Attribute, a ast.Assign, stats *luc.Mapper) (selection, error) {
+	if a.Entity == nil {
+		lit, ok := a.Value.(*ast.Lit)
+		if !ok || !lit.Val.IsNull() {
+			return selection{}, fmt.Errorf("%s is entity-valued; assign <class> WITH (...) or NULL", attr)
+		}
+		return selection{}, nil
+	}
+	if a.Mode == ast.AssignExclude {
+		if !nameMatchesAttr(a.Entity.Name, attr) {
+			return selection{}, fmt.Errorf("EXCLUDE selects from the EVA itself: expected %q, found %q", attr.Name, a.Entity.Name)
+		}
+		return e.compileFilter(attr.Range, a.Entity.Where)
+	}
+	selCl := e.cat.Class(a.Entity.Name)
+	if selCl == nil {
+		return selection{}, fmt.Errorf("unknown class %q in entity selection", a.Entity.Name)
+	}
+	if !catalog.IsAncestor(attr.Range, selCl) {
+		return selection{}, fmt.Errorf("class %s is not in the range of %s (%s)", selCl.Name, attr, attr.Range.Name)
+	}
+	return e.compileSelection(selCl, a.Entity.Where, stats)
+}
+
+// compileScalar compiles an assignment right-hand side evaluated in the
+// context of one entity of cl (so "salary := 1.1 * salary" reads the
+// entity's own salary).
+func (e *Executor) compileScalar(cl *catalog.Class, expr ast.Expr) (*Program, error) {
+	t, err := query.BindScalar(e.cat, cl, expr)
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range t.Nodes {
+		if !n.IsRoot() && !n.Sub && !n.IsValue {
+			// Entity-valued paths are fine (single-valued EVAs), but a
+			// multi-valued main node would make the RHS multi-valued.
+			if n.Edge != nil && n.Edge.Options.MV {
+				return nil, fmt.Errorf("assignment expression traverses multi-valued %s", n.Edge)
+			}
+		}
+		if n.IsValue && !n.Sub {
+			return nil, fmt.Errorf("assignment expression reads multi-valued %s; aggregate it instead", n.Edge)
+		}
+	}
+	return e.compile(nil, t)
+}
+
+// Exec runs a compiled update for the statement whose literals are params
+// (nil: the statement it was compiled from) and returns the affected
+// entity count. The vector is only read. Cancellation is checked between
+// the entities an update selects.
+func (e *Executor) Exec(ctx context.Context, u *Update, params []value.Value) (int, error) {
+	if u.err != nil {
+		return 0, u.err
+	}
+	switch u.stmt.(type) {
+	case *ast.InsertStmt:
+		return e.insert(ctx, u, params)
+	case *ast.ModifyStmt:
+		return e.modify(ctx, u, params)
+	}
+	return e.delete(ctx, u, params)
+}
+
+// insert executes §4.8's INSERT: create a new entity, or — with FROM —
+// extend the roles of existing entities.
+func (e *Executor) insert(ctx context.Context, u *Update, params []value.Value) (int, error) {
+	cl := u.cl
 	ev := &events{}
 	var affected []value.Surrogate
 
-	if stmt.FromClass == "" {
+	if u.from == nil {
 		s, err := e.m.NewEntity(cl)
 		if err != nil {
 			return 0, err
 		}
 		ev.role = append(ev.role, roleEvent{cl, s})
-		if err := e.applyAssigns(ctx, s, cl, stmt.Assigns, ev); err != nil {
+		if err := e.applyAssigns(ctx, s, cl, u.assigns, params, ev); err != nil {
 			return 0, err
 		}
 		newRoles := append([]*catalog.Class{cl}, catalog.Ancestors(cl)...)
@@ -61,19 +336,12 @@ func (e *Executor) Insert(ctx context.Context, stmt *ast.InsertStmt) (int, error
 		}
 		affected = []value.Surrogate{s}
 	} else {
-		from, err := e.cat.MustClass(stmt.FromClass)
-		if err != nil {
-			return 0, err
-		}
-		if !catalog.IsAncestor(from, cl) {
-			return 0, fmt.Errorf("INSERT %s FROM %s: %s is not an ancestor of %s", cl.Name, from.Name, from.Name, cl.Name)
-		}
-		matches, err := e.SelectEntities(ctx, from, stmt.FromWhere)
+		matches, err := e.selectAll(ctx, u.target, params)
 		if err != nil {
 			return 0, err
 		}
 		if len(matches) == 0 {
-			return 0, fmt.Errorf("INSERT %s FROM %s selected no entities", cl.Name, from.Name)
+			return 0, fmt.Errorf("INSERT %s FROM %s selected no entities", cl.Name, u.from.Name)
 		}
 		for _, s := range matches {
 			if err := ctxErr(ctx); err != nil {
@@ -86,7 +354,7 @@ func (e *Executor) Insert(ctx context.Context, stmt *ast.InsertStmt) (int, error
 			for _, c := range added {
 				ev.role = append(ev.role, roleEvent{c, s})
 			}
-			if err := e.applyAssigns(ctx, s, cl, stmt.Assigns, ev); err != nil {
+			if err := e.applyAssigns(ctx, s, cl, u.assigns, params, ev); err != nil {
 				return 0, err
 			}
 			if err := e.checkRequired(s, added); err != nil {
@@ -102,14 +370,10 @@ func (e *Executor) Insert(ctx context.Context, stmt *ast.InsertStmt) (int, error
 	return len(affected), nil
 }
 
-// Modify executes §4.8's MODIFY against every entity of the class
-// satisfying WHERE. Cancellation is checked between selected entities.
-func (e *Executor) Modify(ctx context.Context, stmt *ast.ModifyStmt) (int, error) {
-	cl, err := e.cat.MustClass(stmt.Class)
-	if err != nil {
-		return 0, err
-	}
-	matches, err := e.SelectEntities(ctx, cl, stmt.Where)
+// modify executes §4.8's MODIFY against every entity of the class
+// satisfying WHERE.
+func (e *Executor) modify(ctx context.Context, u *Update, params []value.Value) (int, error) {
+	matches, err := e.selectAll(ctx, u.target, params)
 	if err != nil {
 		return 0, err
 	}
@@ -118,7 +382,7 @@ func (e *Executor) Modify(ctx context.Context, stmt *ast.ModifyStmt) (int, error
 		if err := ctxErr(ctx); err != nil {
 			return 0, err
 		}
-		if err := e.applyAssigns(ctx, s, cl, stmt.Assigns, ev); err != nil {
+		if err := e.applyAssigns(ctx, s, u.cl, u.assigns, params, ev); err != nil {
 			return 0, err
 		}
 	}
@@ -129,15 +393,11 @@ func (e *Executor) Modify(ctx context.Context, stmt *ast.ModifyStmt) (int, error
 	return len(matches), nil
 }
 
-// Delete executes §4.8's DELETE: the entities lose their role in the class
-// and every subclass role, keeping superclass roles. Cancellation is
-// checked between selected entities.
-func (e *Executor) Delete(ctx context.Context, stmt *ast.DeleteStmt) (int, error) {
-	cl, err := e.cat.MustClass(stmt.Class)
-	if err != nil {
-		return 0, err
-	}
-	matches, err := e.SelectEntities(ctx, cl, stmt.Where)
+// delete executes §4.8's DELETE: the entities lose their role in the
+// class and every subclass role, keeping superclass roles.
+func (e *Executor) delete(ctx context.Context, u *Update, params []value.Value) (int, error) {
+	cl := u.cl
+	matches, err := e.selectAll(ctx, u.target, params)
 	if err != nil {
 		return 0, err
 	}
@@ -182,65 +442,36 @@ func (e *Executor) Delete(ctx context.Context, stmt *ast.DeleteStmt) (int, error
 	return len(matches), nil
 }
 
-// UpdateTargets resolves the entities an update statement would write —
-// its target selection, materialized without mutating anything. Insert
-// without FROM creates a fresh entity and so has no pre-existing targets
-// (a nil slice). A transaction that has not written yet resolves them on
-// its read snapshot and checks them against the write-latch holder's
-// writes before queueing on the store write latch.
-func (e *Executor) UpdateTargets(ctx context.Context, stmt ast.Stmt) (*catalog.Class, []value.Surrogate, error) {
-	switch s := stmt.(type) {
-	case *ast.InsertStmt:
-		cl, err := e.cat.MustClass(s.Class)
-		if err != nil {
-			return nil, nil, err
-		}
-		if s.FromClass == "" {
-			return cl, nil, nil
-		}
-		from, err := e.cat.MustClass(s.FromClass)
-		if err != nil {
-			return nil, nil, err
-		}
-		ss, err := e.SelectEntities(ctx, from, s.FromWhere)
-		return from, ss, err
-	case *ast.ModifyStmt:
-		cl, err := e.cat.MustClass(s.Class)
-		if err != nil {
-			return nil, nil, err
-		}
-		ss, err := e.SelectEntities(ctx, cl, s.Where)
-		return cl, ss, err
-	case *ast.DeleteStmt:
-		cl, err := e.cat.MustClass(s.Class)
-		if err != nil {
-			return nil, nil, err
-		}
-		ss, err := e.SelectEntities(ctx, cl, s.Where)
-		return cl, ss, err
+// UpdateTargets resolves the entities a compiled update would write for
+// the statement whose literals are params — its target selection,
+// materialized without mutating anything. Insert without FROM creates a
+// fresh entity and so has no pre-existing targets (a nil slice). A
+// transaction that has not written yet resolves them on its read snapshot
+// and checks them against the write-latch holder's writes before queueing
+// on the store write latch.
+func (e *Executor) UpdateTargets(ctx context.Context, u *Update, params []value.Value) (*catalog.Class, []value.Surrogate, error) {
+	if u.err != nil {
+		return nil, nil, u.err
 	}
-	return nil, nil, fmt.Errorf("exec: not an update statement: %T", stmt)
+	cl := u.cl
+	if u.from != nil {
+		cl = u.from
+	}
+	if u.target.prog == nil {
+		return cl, nil, nil
+	}
+	ss, err := e.selectAll(ctx, u.target, params)
+	return cl, ss, err
 }
 
-// SelectEntities returns the entities of cl satisfying where (all of them
-// when where is nil), in surrogate order, checking cancellation between
-// candidates. The selection is planned like a Retrieve (the root's access
-// path) and runs as a compiled program. The result is materialized before
-// any mutation, as the DML's snapshot semantics require.
-func (e *Executor) SelectEntities(ctx context.Context, cl *catalog.Class, where ast.Expr) ([]value.Surrogate, error) {
-	t, err := query.BindSelection(e.cat, cl, where)
-	if err != nil {
-		return nil, err
-	}
-	p, err := plan.Optimize(t, e.m)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := e.Compile(p)
-	if err != nil {
-		return nil, err
-	}
-	sc := e.getScratch(prog.nNodes, nil)
+// selectAll runs a planned selection for the statement whose literals
+// are params: the entities of its class satisfying its WHERE, in
+// surrogate order, checking cancellation between candidates. The result
+// is materialized before any mutation, as the DML's snapshot semantics
+// require.
+func (e *Executor) selectAll(ctx context.Context, sel selection, params []value.Value) ([]value.Surrogate, error) {
+	prog := sel.prog
+	sc := e.getScratch(prog.nNodes, params)
 	defer e.putScratch(sc)
 	dom, err := prog.doms[prog.main[0].ID](sc, sc.getDomBuf())
 	defer sc.putDomBuf(dom)
@@ -271,34 +502,27 @@ func (e *Executor) selectFrom(ctx context.Context, prog *Program, sc *scratch, d
 	return out, nil
 }
 
-// applyAssigns applies an assignment list to one entity.
-func (e *Executor) applyAssigns(ctx context.Context, s value.Surrogate, cl *catalog.Class, assigns []ast.Assign, ev *events) error {
-	for _, a := range assigns {
-		if err := e.applyAssign(ctx, s, cl, a, ev); err != nil {
-			return fmt.Errorf("%s := ...: %w", a.Attr, err)
+// applyAssigns applies a compiled assignment list to one entity.
+func (e *Executor) applyAssigns(ctx context.Context, s value.Surrogate, cl *catalog.Class, assigns []assignment, params []value.Value, ev *events) error {
+	for i := range assigns {
+		as := &assigns[i]
+		if as.err != nil {
+			return as.err
+		}
+		if err := e.applyAssign(ctx, s, cl, as, params, ev); err != nil {
+			return fmt.Errorf("%s := ...: %w", as.a.Attr, err)
 		}
 	}
 	return nil
 }
 
-func (e *Executor) applyAssign(ctx context.Context, s value.Surrogate, cl *catalog.Class, a ast.Assign, ev *events) error {
-	attr := catalog.ResolveAttr(cl, a.Attr)
-	if attr == nil {
-		return fmt.Errorf("class %s has no attribute %q", cl.Name, a.Attr)
-	}
-	switch attr.Kind {
-	case catalog.Subrole:
-		return fmt.Errorf("subrole %s is system-maintained and cannot be assigned", attr)
-	case catalog.Derived:
-		return fmt.Errorf("derived attribute %s is computed and cannot be assigned", attr)
-	case catalog.EVA:
-		return e.assignEVA(ctx, s, attr, a, ev)
+func (e *Executor) applyAssign(ctx context.Context, s value.Surrogate, cl *catalog.Class, as *assignment, params []value.Value, ev *events) error {
+	attr, a := as.attr, as.a
+	if attr.Kind == catalog.EVA {
+		return e.assignEVA(ctx, s, as, params, ev)
 	}
 	// DVA.
-	if a.Entity != nil {
-		return fmt.Errorf("%s is data-valued; entity selection does not apply", attr)
-	}
-	v, err := e.evalScalarFor(s, cl, a.Value)
+	v, err := e.evalScalarFor(s, as, params)
 	if err != nil {
 		return err
 	}
@@ -345,15 +569,12 @@ func (e *Executor) applyAssign(ctx context.Context, s value.Surrogate, cl *catal
 // For single-valued assignment and inclusion, the object name is the range
 // class; for exclusion it is the EVA itself, selecting among current
 // partners. Assigning NULL clears a single-valued EVA.
-func (e *Executor) assignEVA(ctx context.Context, s value.Surrogate, attr *catalog.Attribute, a ast.Assign, ev *events) error {
+func (e *Executor) assignEVA(ctx context.Context, s value.Surrogate, as *assignment, params []value.Value, ev *events) error {
+	attr, a := as.attr, as.a
 	record := func(t value.Surrogate) { ev.eva = append(ev.eva, evaEvent{attr, s, t}) }
 
 	if a.Entity == nil {
-		// Scalar RHS: only NULL is meaningful (clear the EVA).
-		lit, ok := a.Value.(*ast.Lit)
-		if !ok || !lit.Val.IsNull() {
-			return fmt.Errorf("%s is entity-valued; assign <class> WITH (...) or NULL", attr)
-		}
+		// NULL clears the EVA.
 		if attr.Options.MV {
 			cur, err := e.m.GetEVA(s, attr)
 			if err != nil {
@@ -382,14 +603,11 @@ func (e *Executor) assignEVA(ctx context.Context, s value.Surrogate, attr *catal
 
 	if a.Mode == ast.AssignExclude {
 		// Object name is the EVA: select among the current partners.
-		if !nameMatchesAttr(a.Entity.Name, attr) {
-			return fmt.Errorf("EXCLUDE selects from the EVA itself: expected %q, found %q", attr.Name, a.Entity.Name)
-		}
 		cur, err := e.m.GetEVA(s, attr)
 		if err != nil {
 			return err
 		}
-		keep, err := e.filterEntities(ctx, attr.Range, cur, a.Entity.Where)
+		keep, err := e.filterWith(ctx, as.sel, cur, params)
 		if err != nil {
 			return err
 		}
@@ -403,14 +621,7 @@ func (e *Executor) assignEVA(ctx context.Context, s value.Surrogate, attr *catal
 	}
 
 	// Set / include: the object name is the range class (or a subclass).
-	selCl := e.cat.Class(a.Entity.Name)
-	if selCl == nil {
-		return fmt.Errorf("unknown class %q in entity selection", a.Entity.Name)
-	}
-	if !catalog.IsAncestor(attr.Range, selCl) {
-		return fmt.Errorf("class %s is not in the range of %s (%s)", selCl.Name, attr, attr.Range.Name)
-	}
-	targets, err := e.SelectEntities(ctx, selCl, a.Entity.Where)
+	targets, err := e.selectAll(ctx, as.sel, params)
 	if err != nil {
 		return err
 	}
@@ -463,22 +674,14 @@ func nameMatchesAttr(name string, attr *catalog.Attribute) bool {
 	return strings.EqualFold(name, attr.Name)
 }
 
-// filterEntities keeps the candidates satisfying where, evaluated with the
-// candidate as the perspective instance, checking cancellation between
-// candidates.
-func (e *Executor) filterEntities(ctx context.Context, cl *catalog.Class, candidates []value.Surrogate, where ast.Expr) ([]value.Surrogate, error) {
-	if where == nil {
+// filterWith runs a compiled filter over candidates for the statement
+// whose literals are params.
+func (e *Executor) filterWith(ctx context.Context, sel selection, candidates []value.Surrogate, params []value.Value) ([]value.Surrogate, error) {
+	prog := sel.prog
+	if prog == nil {
 		return candidates, nil
 	}
-	t, err := query.BindSelection(e.cat, cl, where)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := e.compile(nil, t)
-	if err != nil {
-		return nil, err
-	}
-	sc := e.getScratch(prog.nNodes, nil)
+	sc := e.getScratch(prog.nNodes, params)
 	defer e.putScratch(sc)
 	dom := sc.getDomBuf()
 	for _, s := range candidates {
@@ -488,35 +691,18 @@ func (e *Executor) filterEntities(ctx context.Context, cl *catalog.Class, candid
 	return e.selectFrom(ctx, prog, sc, dom)
 }
 
-// evalScalarFor evaluates an assignment right-hand side in the context of
-// one entity (so "salary := 1.1 * salary" reads the entity's own salary).
-func (e *Executor) evalScalarFor(s value.Surrogate, cl *catalog.Class, expr ast.Expr) (value.Value, error) {
-	if lit, ok := expr.(*ast.Lit); ok {
-		return lit.Val, nil
+// evalScalarFor evaluates a DVA assignment's right-hand side for one
+// entity: a bare literal is the statement's value for its slot, anything
+// else runs the compiled program with the entity as its perspective.
+func (e *Executor) evalScalarFor(s value.Surrogate, as *assignment, params []value.Value) (value.Value, error) {
+	prog := as.rhs
+	if prog == nil {
+		lit := as.a.Value.(*ast.Lit)
+		return query.Arg(params, lit.Slot, lit.Val), nil
 	}
-	t, err := query.BindScalar(e.cat, cl, expr)
-	if err != nil {
-		return value.Null, err
-	}
-	for _, n := range t.Nodes {
-		if !n.IsRoot() && !n.Sub && !n.IsValue {
-			// Entity-valued paths are fine (single-valued EVAs), but a
-			// multi-valued main node would make the RHS multi-valued.
-			if n.Edge != nil && n.Edge.Options.MV {
-				return value.Null, fmt.Errorf("assignment expression traverses multi-valued %s", n.Edge)
-			}
-		}
-		if n.IsValue && !n.Sub {
-			return value.Null, fmt.Errorf("assignment expression reads multi-valued %s; aggregate it instead", n.Edge)
-		}
-	}
-	prog, err := e.compile(nil, t)
-	if err != nil {
-		return value.Null, err
-	}
-	sc := e.getScratch(prog.nNodes, nil)
+	sc := e.getScratch(prog.nNodes, params)
 	defer e.putScratch(sc)
-	sc.bind(t.Roots[0], inst{surr: s})
+	sc.bind(prog.tree.Roots[0], inst{surr: s})
 	// Bind the remaining single-valued main nodes: the partner, or an
 	// outer-join dummy when the EVA is NULL.
 	for _, n := range prog.main {

@@ -278,7 +278,7 @@ func (e *Executor) withRole(ss []value.Surrogate, cl *catalog.Class) ([]inst, er
 // Updates and VERIFY
 // ---------------------------------------------------------------------------
 
-// oracleSelect is SelectEntities on the walker.
+// oracleSelect is selectEntities on the walker.
 func (e *Executor) oracleSelect(cl *catalog.Class, where ast.Expr) ([]value.Surrogate, error) {
 	t, err := query.BindSelection(e.cat, cl, where)
 	if err != nil {

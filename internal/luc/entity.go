@@ -48,7 +48,7 @@ func (m *Mapper) NewEntity(cl *catalog.Class) (value.Surrogate, error) {
 		return 0, err
 	}
 	for _, id := range r.roles {
-		if err := m.statAdd(m.clNames[m.cat.Classes()[id]].count, 1); err != nil {
+		if err := m.classAdd(m.cat.Classes()[id], 1); err != nil {
 			return 0, err
 		}
 	}
@@ -86,7 +86,7 @@ func (m *Mapper) ExtendRole(s value.Surrogate, cl *catalog.Class) ([]*catalog.Cl
 		return nil, err
 	}
 	for _, c := range added {
-		if err := m.statAdd(m.clNames[c].count, 1); err != nil {
+		if err := m.classAdd(c, 1); err != nil {
 			return nil, err
 		}
 	}
@@ -162,7 +162,7 @@ func (m *Mapper) DeleteRoles(s value.Surrogate, cl *catalog.Class) error {
 			r.set(sl.attr.ID, value.Null)
 			r.setMulti(sl.attr.ID, nil)
 		}
-		if err := m.statAdd(m.clNames[d].count, -1); err != nil {
+		if err := m.classAdd(d, -1); err != nil {
 			return err
 		}
 	}

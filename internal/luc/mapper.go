@@ -25,6 +25,7 @@ package luc
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -156,6 +157,9 @@ type Mapper struct {
 	last *atomic.Pointer[memo]
 	// reads counts record reads for CacheStats, shared by every view.
 	reads *readCounts
+	// resizes counts the class-count changes that moved a class to
+	// another size bucket, shared by every view (see Resizes).
+	resizes *atomic.Uint64
 
 	// probes recycles seek cursors (and their key scratch) for the hot
 	// read probes — EVA partner lookups in particular fire once per
@@ -176,6 +180,7 @@ type readCounts struct {
 type probe struct {
 	cur btree.Cursor
 	key []byte
+	val []byte // a decode-only value read (Structure.GetAppend)
 }
 
 func (m *Mapper) getProbe() *probe {
@@ -213,6 +218,15 @@ func (m *Mapper) View(snap Snapshot) *Mapper {
 		m.last.Store(v.memo)
 	}
 	return &v
+}
+
+// Stamp reports the version stamp a snapshot view reads at; pinned is
+// false for a live mapper, whose pages move with every write.
+func (m *Mapper) Stamp() (stamp uint64, pinned bool) {
+	if m.snap == nil {
+		return 0, false
+	}
+	return m.snap.Stamp(), true
 }
 
 // WithOnWrite returns a live clone whose mutators call fn with the target
@@ -284,6 +298,7 @@ func New(store *dmsii.Store, cat *catalog.Catalog, cfg Config) (*Mapper, error) 
 		clNames:   make(map[*catalog.Class]classNames),
 		attrNames: make(map[*catalog.Attribute]attrNames),
 		reads:     new(readCounts),
+		resizes:   new(atomic.Uint64),
 		last:      new(atomic.Pointer[memo]),
 		probes:    new(sync.Pool),
 	}
@@ -527,7 +542,8 @@ func (m *Mapper) indexStructure(a *catalog.Attribute) (*dmsii.Structure, error) 
 // counter reads the counter stored under key in st; an absent key reads
 // as def.
 func counter(st *dmsii.Structure, key []byte, def int64) (int64, error) {
-	raw, found, err := st.Get(key)
+	var buf [8]byte
+	raw, found, err := st.GetAppend(buf[:0], key)
 	if err != nil || !found {
 		return def, err
 	}
@@ -574,6 +590,31 @@ func (m *Mapper) statAdd(key []byte, delta int64) error {
 	_, err := m.addCounter("~stats", key, 0, delta)
 	return err
 }
+
+// classAdd adds delta to cl's entity count, counting a move to another
+// size bucket in Resizes.
+func (m *Mapper) classAdd(cl *catalog.Class, delta int64) error {
+	old, err := m.addCounter("~stats", m.clNames[cl].count, 0, delta)
+	if err != nil {
+		return err
+	}
+	if SizeBucket(old) != SizeBucket(old+delta) {
+		m.resizes.Add(1)
+	}
+	return nil
+}
+
+// SizeBucket is the size bucket of a class of n entities: ⌊log2 n⌋+1, and
+// 0 for an empty class. Costs move with a class's order of magnitude, so
+// a plan costed for one bucket suits every size in it (see plan.Card).
+func SizeBucket(n int64) int { return bits.Len64(uint64(max(n, 0))) }
+
+// Resizes counts the class-count changes, by any writer through this
+// mapper's generation, that moved a class to another size bucket;
+// rolled-back changes included. A writer compares it before and after a
+// statement to learn whether its commit may leave cached plans costed for
+// the wrong sizes.
+func (m *Mapper) Resizes() uint64 { return m.resizes.Load() }
 
 // CacheStats returns the record-read counters; safe while queries run.
 func (m *Mapper) CacheStats() CacheStats {

@@ -337,7 +337,11 @@ func (m *Mapper) readSection(cl *catalog.Class, s value.Surrogate) (*record, boo
 	if err != nil {
 		return nil, false, err
 	}
-	raw, found, err := st.Get(value.AppendSurrogateKey(nil, s))
+	p := m.getProbe()
+	defer m.putProbe(p)
+	p.key = value.AppendSurrogateKey(p.key[:0], s)
+	raw, found, err := st.GetAppend(p.val[:0], p.key)
+	p.val = raw
 	if err != nil || !found {
 		return nil, false, err
 	}
@@ -372,15 +376,18 @@ func (m *Mapper) loadRecord(base *catalog.Class, s value.Surrogate) (*record, er
 		}
 		return m.decodeRecord(base, p.cur.Value())
 	}
-	key := value.AppendSurrogateKey(nil, s)
 	// Split strategy: probe each class structure of the hierarchy.
+	p := m.getProbe()
+	defer m.putProbe(p)
+	p.key = value.AppendSurrogateKey(p.key[:0], s)
 	r := &record{}
 	for _, cl := range catalog.HierarchyClasses(base) {
 		st, err := m.classStructure(cl)
 		if err != nil {
 			return nil, err
 		}
-		raw, found, err := st.Get(key)
+		raw, found, err := st.GetAppend(p.val[:0], p.key)
+		p.val = raw
 		if err != nil {
 			return nil, err
 		}

@@ -112,6 +112,55 @@ type Plan struct {
 	Tree   *query.Tree
 	Access []RootAccess // parallel to Tree.Roots
 	Est    float64      // total estimated cost
+	// Cards lists the class cardinalities the costing read, each as its
+	// bucket: the plan holds while every class stays in its bucket.
+	Cards []Card
+}
+
+// Card is one class cardinality a plan's costing read, kept as its size
+// bucket (luc.SizeBucket). The costs the optimizer compares move with the
+// order of magnitude of a class, so a plan is re-made when a class it
+// costed leaves its bucket, not on every insert.
+type Card struct {
+	Class  *catalog.Class
+	Bucket int
+}
+
+// CardsHold reports whether every class in cards is still in its bucket,
+// reading the counts through m.
+func CardsHold(cards []Card, m *luc.Mapper) (bool, error) {
+	for _, c := range cards {
+		n, err := m.Count(c.Class)
+		if err != nil {
+			return false, err
+		}
+		if luc.SizeBucket(n) != c.Bucket {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// costing reads the statistics a plan's costing consults, recording the
+// bucket of every class count it reads in the plan.
+type costing struct {
+	m *luc.Mapper
+	p *Plan
+}
+
+// count returns the class's cardinality and records its bucket.
+func (c costing) count(cl *catalog.Class) (int64, error) {
+	n, err := c.m.Count(cl)
+	if err != nil {
+		return 0, err
+	}
+	for _, k := range c.p.Cards {
+		if k.Class == cl {
+			return n, nil
+		}
+	}
+	c.p.Cards = append(c.p.Cards, Card{Class: cl, Bucket: luc.SizeBucket(n)})
+	return n, nil
 }
 
 // Explain renders the chosen strategy for the statement whose parameter
@@ -139,12 +188,14 @@ type sarg struct {
 // Optimize picks the cheapest access strategy for each perspective root.
 // Literals stay parameters of the plan (Bound.Slot, UniqueAccess.Slot)
 // unless choosing it looked at their values: estMatches marks those
-// query.Lit.Fixed, and the plan is then exact for these values only.
+// query.Lit.Fixed, and the plan is then exact for these values only. The
+// class counts the costing reads are recorded in Plan.Cards.
 func Optimize(t *query.Tree, m *luc.Mapper) (*Plan, error) {
 	sargs := extractSargs(t.Where)
 	p := &Plan{Tree: t}
+	c := costing{m: m, p: p}
 	for _, root := range t.Roots {
-		best, err := bestAccess(t, m, root, sargs)
+		best, err := bestAccess(c, root, sargs)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +204,7 @@ func Optimize(t *query.Tree, m *luc.Mapper) (*Plan, error) {
 	}
 	// Downstream traversal cost: every main/exist node contributes its
 	// expected visits weighted by its relationship's first-instance cost.
-	p.Est += traversalCost(t, m)
+	p.Est += traversalCost(t, c)
 	return p, nil
 }
 
@@ -280,8 +331,9 @@ func lucIdxBound(b Bound) luc.Bound {
 // perspective order, relative to one block access.
 const sortCostPerEntry = 0.05
 
-func bestAccess(t *query.Tree, m *luc.Mapper, root *query.Node, sargs []sarg) (RootAccess, error) {
-	n, err := m.Count(root.Class)
+func bestAccess(c costing, root *query.Node, sargs []sarg) (RootAccess, error) {
+	m := c.m
+	n, err := c.count(root.Class)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +373,7 @@ func bestAccess(t *query.Tree, m *luc.Mapper, root *query.Node, sargs []sarg) (R
 		if !ok {
 			continue
 		}
-		startCard, err := m.Count(s.node.Class)
+		startCard, err := c.count(s.node.Class)
 		if err != nil {
 			return nil, err
 		}
@@ -335,7 +387,7 @@ func bestAccess(t *query.Tree, m *luc.Mapper, root *query.Node, sargs []sarg) (R
 		set := k
 		for _, edge := range up {
 			first, next := m.TraversalCost(edge.Inverse)
-			fan, err := inverseFanout(m, edge)
+			fan, err := inverseFanout(c, edge)
 			if err != nil {
 				return nil, err
 			}
@@ -366,12 +418,12 @@ func invertiblePath(n *query.Node, root *query.Node) ([]*catalog.Attribute, bool
 
 // inverseFanout estimates partners per entity when traversing edge's
 // inverse.
-func inverseFanout(m *luc.Mapper, edge *catalog.Attribute) (float64, error) {
-	inst, err := m.RelCount(edge)
+func inverseFanout(c costing, edge *catalog.Attribute) (float64, error) {
+	inst, err := c.m.RelCount(edge)
 	if err != nil {
 		return 0, err
 	}
-	targets, err := m.Count(edge.Range)
+	targets, err := c.count(edge.Range)
 	if err != nil {
 		return 0, err
 	}
@@ -386,15 +438,15 @@ func inverseFanout(m *luc.Mapper, edge *catalog.Attribute) (float64, error) {
 }
 
 // fanout estimates partners per entity when traversing edge forward.
-func fanout(m *luc.Mapper, edge *catalog.Attribute) (float64, error) {
+func fanout(c costing, edge *catalog.Attribute) (float64, error) {
 	if edge.Kind != catalog.EVA {
 		return 3, nil // MV DVA heuristic
 	}
-	inst, err := m.RelCount(edge)
+	inst, err := c.m.RelCount(edge)
 	if err != nil {
 		return 0, err
 	}
-	owners, err := m.Count(edge.Owner)
+	owners, err := c.count(edge.Owner)
 	if err != nil {
 		return 0, err
 	}
@@ -413,7 +465,7 @@ func fanout(m *luc.Mapper, edge *catalog.Attribute) (float64, error) {
 // costs of §5.1 ("the I/O cost of accessing the first instance of a
 // relationship will be 0 if the relationship is implemented by clustering
 // and 1 block access if it is implemented by absolute addresses").
-func traversalCost(t *query.Tree, m *luc.Mapper) float64 {
+func traversalCost(t *query.Tree, cs costing) float64 {
 	visits := make(map[*query.Node]float64)
 	total := 0.0
 	var rec func(n *query.Node, parentVisits float64) float64
@@ -425,13 +477,13 @@ func traversalCost(t *query.Tree, m *luc.Mapper) float64 {
 			}
 			var fan float64
 			if c.Edge != nil {
-				fan, _ = fanout(m, c.Edge)
+				fan, _ = fanout(cs, c.Edge)
 			} else {
 				fan = 1
 			}
 			first, next := 1.0, 0.2
 			if c.Edge != nil && c.Edge.Kind == catalog.EVA {
-				first, next = m.TraversalCost(c.Edge)
+				first, next = cs.m.TraversalCost(c.Edge)
 			}
 			cost += parentVisits * (first + next*fan)
 			visits[c] = parentVisits * fan
@@ -440,7 +492,7 @@ func traversalCost(t *query.Tree, m *luc.Mapper) float64 {
 		return cost
 	}
 	for _, r := range t.Roots {
-		rootCard, _ := m.Count(r.Class)
+		rootCard, _ := cs.count(r.Class)
 		if rootCard < 1 {
 			rootCard = 1
 		}

@@ -508,3 +508,47 @@ Class tag ( tag-no: integer unique required );`); err != nil {
 		t.Fatalf("promoted scrub: %+v", rep)
 	}
 }
+
+// TestFollowerCachedPlanFollowsCardinality: a follower re-plans a cached
+// shape once an applied group has grown a class it costed out of its size
+// bucket, though the shipped pages say nothing of what they resized.
+func TestFollowerCachedPlanFollowsCardinality(t *testing.T) {
+	ms := newMemStream(t, fault.NewInjector())
+	if err := ms.pdb.DefineSchema(testSchema); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, ms.pdb, `Insert item (item-no := 1, name := "item 1").`)
+	if _, err := ms.catchUp(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := ms.rdb.ExplainAnalyze(`From item Retrieve name Where item-no = 1.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(first, "via scan item") {
+		t.Fatalf("on one item the shape is planned as a scan; got\n%s", first)
+	}
+	ctx := context.Background()
+	tx, err := ms.pdb.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i <= 3000; i++ {
+		if _, err := tx.Exec(ctx, fmt.Sprintf(`Insert item (item-no := %d, name := "item %d").`, i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ms.catchUp(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := ms.rdb.ExplainAnalyze(`From item Retrieve name Where item-no = 2345.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "unique lookup item-no = 2345") || !strings.Contains(out, "rows: 1  instances: 1\n") {
+		t.Fatalf("the follower kept the plan made for one item:\n%s", out)
+	}
+}

@@ -318,21 +318,25 @@ func (n *Node) Publisher(helloEpoch uint64) (*Publisher, error) {
 // else commits, so nothing after it is ever published. The witnessed
 // epoch commits before the node follows anyone, so a restart comes back
 // fenced; that commit waits, without n.mu, for any client transaction
-// that wrote before the fence. A running follower (a rejoined node fenced
-// again) is stopped for it and restarted at addr, or without one at its
-// old primary. A new primary's stream starts with a re-snapshot, which
-// discards any tail the node acknowledged but never shipped.
+// that wrote before the fence. A failed witness is returned — the fencer
+// retries — and every later notice at the fencing epoch witnesses it
+// again until the node's record holds it. A running follower (a rejoined
+// node fenced again) is stopped for it and restarted at addr, or without
+// one at its old primary. A new primary's stream starts with a
+// re-snapshot, which discards any tail the node acknowledged but never
+// shipped.
 func (n *Node) fence(epoch uint64, addr string) error {
 	n.mu.Lock()
-	fenced := epoch > n.fencedBy && epoch > n.pub.Epoch()
+	raised := epoch > n.fencedBy && epoch > n.pub.Epoch()
+	witness := raised || epoch == n.fencedBy
 	var fol *Follower
-	if fenced {
+	if raised {
 		n.fencedBy = epoch
 		n.pub.Seal()
 		fol, n.fol = n.fol, nil
 	}
 	n.mu.Unlock()
-	if fenced {
+	if raised {
 		n.log.Warn("fenced by higher epoch; demoting to read-only", "epoch", epoch, "new_primary", addr)
 		if fol != nil {
 			if addr == "" {
@@ -340,10 +344,13 @@ func (n *Node) fence(epoch uint64, addr string) error {
 			}
 			fol.Close()
 		}
-		if n.db != nil {
-			if err := WitnessEpoch(n.db, epoch); err != nil {
-				n.log.Error("persisting witnessed epoch failed", "epoch", epoch, "err", err)
-			}
+	}
+	if witness && n.db != nil {
+		// WitnessEpoch commits only while the record's MaxSeen is below
+		// epoch, so a repeated notice costs one read.
+		if err := WitnessEpoch(n.db, epoch); err != nil {
+			n.log.Error("persisting witnessed epoch failed", "epoch", epoch, "err", err)
+			return err
 		}
 	}
 	if addr == "" || n.db == nil {

@@ -1,6 +1,7 @@
 package repl_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -156,7 +157,7 @@ func TestPromotionCrashMatrix(t *testing.T) {
 		} else if got != 2 {
 			t.Fatalf("promoted to epoch %d, want 2", got)
 		}
-		ok(node.Retarget(fencing, "")) // a failed witness is logged, not returned
+		ok(node.Retarget(fencing, ""))
 		return done
 	}
 	reboot := func(t *testing.T, dbImg, walImg *pager.MemByteFile) dmsii.NodeState {
@@ -231,5 +232,70 @@ func TestStartNodeRefusesSidecars(t *testing.T) {
 		if _, err := repl.StartNode(db, repl.NodeConfig{Path: path}); err == nil || !strings.Contains(err.Error(), path+suffix) {
 			t.Fatalf("StartNode beside %s: %v, want a refusal naming the file", suffix, err)
 		}
+	}
+}
+
+// TestWitnessFailureIsRetried: a fenced primary whose witness commit
+// fails answers the fencing notice with the error, so the fencer retries;
+// the retried notice at the same epoch commits the witnessed epoch,
+// although the first notice already fenced the node.
+func TestWitnessFailureIsRetried(t *testing.T) {
+	_, epoch, run, img, at, frames, _ := captureStream(t)
+	inj := fault.NewInjector()
+	db, err := openFaultReplica(inj, pager.NewMemByteFile(), pager.NewMemByteFile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, _, err := repl.ClaimEpoch(db); err != nil {
+		t.Fatal(err)
+	}
+	a := repl.NewApplier(db, "")
+	err = a.ApplySnapshot(epoch, run, at, img)
+	for _, f := range frames {
+		if err == nil {
+			err = a.ApplyGroup(f)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := repl.StartNode(db, repl.NodeConfig{Path: filepath.Join(t.TempDir(), "node.db"), ReplicaOf: deadAddr(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	if _, err := node.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	const fencing = 9
+	maxSeen := func() uint64 {
+		t.Helper()
+		st, err := db.NodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.MaxSeen
+	}
+
+	inj.FailSync(inj.Ops()+2, nil) // the witness commit's WAL write, then its sync
+	if err := node.Retarget(fencing, ""); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("retarget over a failed witness: %v, want the injected failure", err)
+	}
+	if got := maxSeen(); got >= fencing {
+		t.Fatalf("max seen %d after a failed witness", got)
+	}
+	if st := node.Status(); st.Role != "fenced" {
+		t.Fatalf("role %q after the first notice, want fenced", st.Role)
+	}
+	// The failed sync poisoned the log; a checkpoint starts a new cycle.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Retarget(fencing, ""); err != nil {
+		t.Fatalf("retried retarget: %v", err)
+	}
+	if got := maxSeen(); got != fencing {
+		t.Fatalf("max seen %d after the retried notice, want %d", got, fencing)
 	}
 }

@@ -103,9 +103,11 @@ func runFencer(stop <-chan struct{}, addr string, epoch uint64, newAddr string, 
 			return
 		}
 		var we *wire.Error
-		if errors.As(err, &we) {
-			// The target answered: it is either already fenced or holds a
-			// higher epoch than ours. Retrying cannot change its mind.
+		if errors.As(err, &we) && (we.Code == wire.CodeFenced || we.Code == wire.CodeProtocol) {
+			// The target refused: it is either already fenced, holds a
+			// higher epoch than ours, or does not replicate. Retrying
+			// cannot change its mind. Any other answer — a witness that
+			// failed to commit — is retried.
 			logger.Warn("fence refused", "addr", addr, "epoch", epoch, "err", err)
 			return
 		}

@@ -5,21 +5,24 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sim/internal/ast"
 	"sim/internal/catalog"
 	"sim/internal/exec"
 	"sim/internal/lexer"
+	"sim/internal/luc"
 	"sim/internal/parser"
 	"sim/internal/plan"
+	"sim/internal/query"
 	"sim/internal/value"
 )
 
-// PlanCacheStats reports session plan-cache activity. Every Retrieve
-// counts exactly once: as a hit when it ran a cached plan, as a miss when
-// it paid parse+bind+optimize+compile (a statement that fails on the way
-// is a miss too).
+// PlanCacheStats reports session plan-cache activity. Every Retrieve,
+// Insert, Modify and Delete counts exactly once: as a hit when it ran a
+// cached plan, as a miss when it paid parse+bind+optimize+compile (a
+// statement that fails on the way is a miss too).
 type PlanCacheStats struct {
-	Hits    uint64 // queries served from a cached plan
-	Misses  uint64 // queries that paid parse+bind+optimize+compile
+	Hits    uint64 // statements served from a cached plan
+	Misses  uint64 // statements that paid parse+bind+optimize+compile
 	Entries int    // cache entries: plans, plus one shape record per literal-sensitive statement shape
 }
 
@@ -27,12 +30,13 @@ type PlanCacheStats struct {
 // is zero.
 const defaultPlanCacheSize = 256
 
-// planCache holds optimized, compiled Retrieve plans keyed by statement
-// shape: the statement's tokens with every number and string literal
-// lifted out (lexer.Normalize). Statements that differ only in literal
-// values share one entry; its program runs with the executing statement's
-// literals as a parameter vector, so a hit skips parse, bind, optimize and
-// compile.
+// planCache holds optimized, compiled plans — a Retrieve's, or an
+// Insert's, Modify's or Delete's compiled form (exec.Update) — keyed by
+// statement shape: the statement's tokens with every number and string
+// literal lifted out (lexer.Normalize). Statements that differ only in
+// literal values share one entry; its programs run with the executing
+// statement's literals as a parameter vector, so a hit skips parse, bind,
+// optimize and compile.
 //
 // A plan is a function of the schema, the statistics and those literals
 // the optimizer looked at (query.Lit.Fixed: an index probe behind a
@@ -40,7 +44,12 @@ const defaultPlanCacheSize = 256
 // names). Such a plan is exact for its own values only, so a shape with
 // fixed literals is cached as a shape record naming their slots, and its
 // plans under the shape key extended by those literals' spellings — one
-// plan per value, exactly what the optimizer would choose for it.
+// plan per value, exactly what the optimizer would choose for it. The
+// statistics enter as the size bucket of every class the costing read
+// (plan.Card): a hit whose classes have left their buckets is re-planned
+// as a miss. The counters are read only after a commit has moved some
+// class to another bucket (see holds), so a read-only workload reads none
+// on a hit.
 //
 // Eviction is CLOCK (second chance): a hit only sets the entry's
 // reference bit under the read lock, so concurrent readers never
@@ -58,28 +67,39 @@ type planCache struct {
 	counts *planCounts
 }
 
-// planCounts counts plan-cache hits and misses across generations.
+// planCounts counts plan-cache hits and misses across generations, and
+// holds the resize stamp: every commit that moved a class to another size
+// bucket is visible to the read views at or after it.
 type planCounts struct {
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	hits    atomic.Uint64
+	misses  atomic.Uint64
+	resized atomic.Uint64
 }
 
 // stmtShapes recycles *stmtShape across statements and generations.
 var stmtShapes sync.Pool
 
-// planEntry is immutable once inserted, but for its reference bit.
+// planEntry is immutable once inserted, but for its reference bit and
+// the stamp its cardinalities were last checked at.
 type planEntry struct {
 	key  string
 	at   int         // position in the ring
 	used atomic.Bool // referenced since the clock hand last passed
 
-	// A plan entry.
+	// A plan entry: a Retrieve's plan and program, or an update's
+	// compiled form.
 	p     *plan.Plan
-	prog  *exec.Program       // compiled form
+	prog  *exec.Program
+	upd   *exec.Update
 	types []*catalog.DataType // per slot, the declared type its literal coerces to (nil: none)
+	cards []plan.Card         // the class-size buckets the costing read
+	// checked is a stamp at which cards held: while no commit after it
+	// has moved a class to another bucket (the resize stamp is not past
+	// it), a hit reads no counter.
+	checked atomic.Uint64
 
-	// A shape record (p == nil): the slots whose literals extend the key
-	// under which this shape's plans are cached.
+	// A shape record (neither p nor upd): the slots whose literals extend
+	// the key under which this shape's plans are cached.
 	fixed []int
 }
 
@@ -152,9 +172,10 @@ func (c *planCache) lookup(st *stmtShape) *planEntry {
 	if st == nil {
 		return nil
 	}
+	st.key = st.key[:st.shapeN]
 	c.mu.RLock()
 	en := c.m[string(st.key)]
-	if en != nil && en.p == nil {
+	if en != nil && en.fixed != nil {
 		en.touch()
 		st.key = appendValues(st.key, en.fixed, st.lits)
 		en = c.m[string(st.key)]
@@ -195,16 +216,78 @@ func (en *planEntry) bind(st *stmtShape) ([]value.Value, bool) {
 	return st.params, true
 }
 
-// put caches a freshly made plan for the statement's shape. Which of its
-// literals are fixed depends on the shape and the schema alone, never on
-// their values, so every statement of a shape computes the same record.
-func (c *planCache) put(st *stmtShape, p *plan.Plan, prog *exec.Program) {
+// holds reports whether every class the entry's costing read is still in
+// its size bucket, as m reads the counts. The counts are read only when a
+// commit since the entry was last checked moved some class to another
+// bucket, so a workload that does not resize classes — a read-only one
+// above all — reads no counter on a hit. A failed read reports false: the
+// cold path re-plans and meets the error itself.
+func (c *planCache) holds(en *planEntry, m *luc.Mapper) bool {
+	resized := c.counts.resized.Load()
+	if len(en.cards) == 0 || en.checked.Load() >= resized {
+		return true
+	}
+	if ok, err := plan.CardsHold(en.cards, m); err != nil || !ok {
+		return false
+	}
+	if at := readAt(m, resized); at >= resized {
+		en.checked.Store(at)
+	}
+	return true
+}
+
+// readAt is the stamp of the state m reads: a read view's own; the live
+// pages hold every published commit, so at least resized, when loaded
+// before they are read.
+func readAt(m *luc.Mapper, resized uint64) uint64 {
+	if stamp, pinned := m.Stamp(); pinned {
+		return stamp
+	}
+	return resized
+}
+
+// noteResize moves the resize stamp to the newest published stamp: a
+// commit that moved a class to another size bucket has just published, so
+// cached plans check their classes' sizes again.
+func (db *Database) noteResize() {
+	now := db.store.Published()
+	for {
+		cur := db.planCounts.resized.Load()
+		if cur >= now || db.planCounts.resized.CompareAndSwap(cur, now) {
+			return
+		}
+	}
+}
+
+// putRetrieve caches a freshly made Retrieve plan for the statement's
+// shape; m is the mapper its costing read.
+func (c *planCache) putRetrieve(st *stmtShape, p *plan.Plan, prog *exec.Program, m *luc.Mapper) {
+	if c != nil {
+		c.put(st, &planEntry{p: p, prog: prog}, p.Tree.Lits, p.Cards, m)
+	}
+}
+
+// putUpdate caches an update's compiled form for the statement's shape;
+// m is the mapper its costing read.
+func (c *planCache) putUpdate(st *stmtShape, u *exec.Update, m *luc.Mapper) {
+	if c != nil {
+		c.put(st, &planEntry{upd: u}, u.Lits(), u.Cards(), m)
+	}
+}
+
+// put caches a freshly made entry for the statement's shape, typing its
+// slots from lits. Which literals are fixed depends on the shape and the
+// schema alone, never on their values, so every statement of a shape
+// computes the same record.
+func (c *planCache) put(st *stmtShape, en *planEntry, lits []*query.Lit, cards []plan.Card, m *luc.Mapper) {
 	if st == nil {
 		return
 	}
-	en := &planEntry{p: p, prog: prog, types: make([]*catalog.DataType, len(st.lits))}
+	en.types = make([]*catalog.DataType, len(st.lits))
+	en.cards = cards
+	en.checked.Store(readAt(m, c.counts.resized.Load()))
 	var fixed []int
-	for _, l := range p.Tree.Lits {
+	for _, l := range lits {
 		en.types[l.Slot-1] = l.Type
 		if l.Fixed {
 			fixed = append(fixed, l.Slot)
@@ -269,4 +352,95 @@ func (db *Database) planStats() PlanCacheStats {
 	n := len(c.m)
 	c.mu.RUnlock()
 	return PlanCacheStats{Hits: c.counts.hits.Load(), Misses: c.counts.misses.Load(), Entries: n}
+}
+
+// updateStmt is one Insert, Modify or Delete on its way through a
+// generation's plan cache: its shape, the cached entry its literals bind
+// to, or — when there is none — the parsed statement; and, once prepared,
+// the compiled form it runs.
+type updateStmt struct {
+	dml     string
+	g       *generation // the generation it is prepared under
+	st      *stmtShape
+	en      *planEntry    // the shape's cached update, its literals bound
+	params  []value.Value // the statement's parameter vector (nil: u is its own)
+	stmt    ast.Stmt      // the parsed statement; nil while served from en
+	err     error         // the parse error
+	u       *exec.Update
+	counted bool // its hit or miss is counted
+}
+
+// updateOf normalises an update statement, looks its shape up in the
+// published generation's plan cache, and parses the text when no cached
+// entry takes its literals.
+func (db *Database) updateOf(dml string) updateStmt {
+	g := db.gen.Load()
+	up := updateStmt{dml: dml, st: g.plans.shapeOf(dml)}
+	up.lookup(g)
+	if up.en == nil {
+		up.stmt, up.err = parser.ParseStmt(dml)
+	}
+	return up
+}
+
+// lookup finds the statement's cached update in g's cache and binds its
+// literals; the statement is then prepared under g.
+func (up *updateStmt) lookup(g *generation) {
+	up.g, up.u, up.en, up.params = g, nil, nil, nil
+	if en := g.plans.lookup(up.st); en != nil && en.upd != nil {
+		if params, ok := en.bind(up.st); ok {
+			up.en, up.params = en, params
+		}
+	}
+}
+
+// compiled returns the compiled form the statement runs under up.g,
+// counting the statement's hit or miss on the first call: the cached
+// entry's while its classes stay in their size buckets as exe's mapper
+// reads them, else one compiled now and costed on exe's mapper — a
+// snapshot view's, or the live pages under the write latch — which is
+// cached when it can serve every statement of the shape.
+func (up *updateStmt) compiled(exe *exec.Executor) (*exec.Update, error) {
+	if up.u != nil {
+		return up.u, nil
+	}
+	m := exe.Mapper()
+	if up.en != nil && up.g.plans.holds(up.en, m) {
+		up.count(true)
+		up.u = up.en.upd
+		return up.u, nil
+	}
+	up.count(false)
+	if up.stmt == nil {
+		if up.stmt, up.err = parser.ParseStmt(up.dml); up.err != nil {
+			return nil, up.err
+		}
+	}
+	// Compiled on the generation's live executor, which the cached
+	// closures may keep; costed on the reading mapper.
+	up.u, up.params = up.g.exe.CompileUpdate(up.stmt, m), nil
+	if up.u.Err() == nil {
+		up.g.plans.putUpdate(up.st, up.u, m)
+	}
+	return up.u, nil
+}
+
+// count counts the statement once, as a hit or a miss.
+func (up *updateStmt) count(hit bool) {
+	if up.counted {
+		return
+	}
+	up.counted = true
+	if hit {
+		up.g.plans.hit()
+	} else {
+		up.g.plans.miss()
+	}
+}
+
+// finish counts a statement that failed before it was prepared as a miss
+// and returns its shape to the pool.
+func (up *updateStmt) finish() {
+	up.count(false)
+	up.g.plans.release(up.st)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -370,5 +371,298 @@ func TestShapeCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := warm.Stats().Plans.Entries; n > 4 {
 		t.Errorf("%d entries in a cache of capacity 4", n)
+	}
+}
+
+// TestCachedPlanFollowsCardinality: a plan cached while its class was
+// tiny is re-made once the class has grown out of the size bucket it was
+// costed for. A shape first planned on one student scans the class (the
+// scan is cheaper than the unique index there); after 2 999 more students
+// the same shape with another key must take the unique lookup — on an
+// in-memory store, which never checkpoints, and on a file-backed one.
+func TestCachedPlanFollowsCardinality(t *testing.T) {
+	for _, path := range []string{"", "univ.sim"} {
+		name := "memory"
+		if path != "" {
+			name, path = "file", filepath.Join(t.TempDir(), path)
+		}
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			db, err := sim.Open(path, sim.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if err := db.DefineSchema(university.DDL); err != nil {
+				t.Fatal(err)
+			}
+			insert := func(i int) string {
+				return fmt.Sprintf(`Insert student (name := "Student %05d", soc-sec-no := %d).`, i, 200000000+i)
+			}
+			if _, err := db.Exec(insert(0)); err != nil {
+				t.Fatal(err)
+			}
+			first, err := db.ExplainAnalyze(`From student Retrieve name Where soc-sec-no = 200000000.`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(first, "via scan student") {
+				t.Fatalf("on one student the shape is planned as a scan; got\n%s", first)
+			}
+			tx, err := db.Begin(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < 3000; i++ {
+				if _, err := tx.Exec(ctx, insert(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			out, err := db.ExplainAnalyze(`From student Retrieve name Where soc-sec-no = 200002345.`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows, instances int
+			for _, line := range strings.Split(out, "\n") {
+				if _, err := fmt.Sscanf(line, "rows: %d  instances: %d", &rows, &instances); err == nil {
+					break
+				}
+			}
+			if !strings.Contains(out, "unique lookup soc-sec-no = 200002345") || rows != 1 || instances > 10 {
+				t.Fatalf("the shape kept the plan made for one student:\n%s", out)
+			}
+		})
+	}
+}
+
+// updateTemplates are Insert, Modify and Delete shapes over shapeDB's
+// population, each with a generator of literal vectors: mostly values
+// that exist, some that do not, and literals that fail to coerce.
+var updateTemplates = []func(r *rand.Rand) string{
+	func(r *rand.Rand) string { // INCLUDE
+		return fmt.Sprintf(`Modify student (courses-enrolled := include course with (course-no = %d)) Where soc-sec-no = %d.`, 1+r.Intn(64), 200000000+r.Intn(420))
+	},
+	func(r *rand.Rand) string { // EXCLUDE
+		return fmt.Sprintf(`Modify student (courses-enrolled := exclude courses-enrolled with (course-no = %d)) Where soc-sec-no = %d.`, 1+r.Intn(60), 200000000+r.Intn(420))
+	},
+	func(r *rand.Rand) string { // NULL to an EVA
+		return fmt.Sprintf(`Modify student (advisor := NULL) Where soc-sec-no = %d.`, 200000000+r.Intn(420))
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf(`Modify student (advisor := instructor with (employee-nbr = %d), major-department := department with (dept-nbr = %d)) Where soc-sec-no = %d.`,
+			1001+r.Intn(44), 100+r.Intn(8), 200000000+r.Intn(420))
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf(`Modify instructor (salary := 1.1 * salary) Where employee-nbr = %d.`, 1001+r.Intn(44))
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf(`Modify instructor (bonus := salary - %d) Where employee-nbr = %d.`, 20000+r.Intn(20000), 1001+r.Intn(44))
+	},
+	func(r *rand.Rand) string { // a date literal that may not coerce
+		dates := []string{"1971-02-03", "1969-12-31", "1970-13-45", "not a date"}
+		return fmt.Sprintf(`Modify student (birthdate := "%s") Where soc-sec-no = %d.`, dates[r.Intn(len(dates))], 200000000+r.Intn(420))
+	},
+	func(r *rand.Rand) string { // a subrange literal that may not coerce
+		return fmt.Sprintf(`Modify student (student-nbr := %d) Where soc-sec-no = %d.`, []int{1200, 45000, 60001, 7}[r.Intn(4)], 200000000+r.Intn(420))
+	},
+	func(r *rand.Rand) string { // a WHERE literal outside its subrange
+		return fmt.Sprintf(`Modify department (name := "Dept %d") Where dept-nbr = %d.`, r.Intn(1000), []int{101, 103, 5, 4000}[r.Intn(4)])
+	},
+	func(r *rand.Rand) string { // fixed literals: title's costing probes its index
+		return fmt.Sprintf(`Modify student (courses-enrolled := include course with (title = "Course %04d")) Where name = "Student %05d".`, r.Intn(62), r.Intn(420))
+	},
+	func(r *rand.Rand) string {
+		n := r.Intn(1 << 20)
+		return fmt.Sprintf(`Insert student (name := "New %d", soc-sec-no := %d, student-nbr := %d, major-department := department with (dept-nbr = %d), courses-enrolled := course with (course-no = %d)).`,
+			n, 300000000+n, 1001+r.Intn(40000), 100+r.Intn(7), 1+r.Intn(62))
+	},
+	func(r *rand.Rand) string { // Insert … FROM
+		return fmt.Sprintf(`Insert teaching-assistant From student Where soc-sec-no = %d (employee-nbr := %d, salary := %d, teaching-load := %d).`,
+			200000000+r.Intn(420), 2000+r.Intn(3000), 10000+r.Intn(5000), r.Intn(24))
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf(`Modify course (prerequisites := include course with (course-no = %d)) Where course-no = %d.`, 1+r.Intn(60), 1+r.Intn(60))
+	},
+	func(r *rand.Rand) string { // a cascade down the roles
+		return fmt.Sprintf(`Delete student Where soc-sec-no = %d.`, 200000000+r.Intn(420))
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf(`Delete person Where soc-sec-no = %d.`, []int{100000000, 200000000}[r.Intn(2)]+r.Intn(420))
+	},
+}
+
+// fixtureUpdates are update statements over the university fixture.
+var fixtureUpdates = []string{
+	`Modify student (courses-enrolled := include course with (title = "Databases")) Where name = "John Doe".`,
+	`Modify student (courses-enrolled := include course with (title = "Mechanics")) Where name = "Tom Thumb".`,
+	`Modify student (courses-enrolled := exclude courses-enrolled with (title = "Calculus I")) Where name = "Mary Major".`,
+	`Modify student (courses-enrolled := exclude courses-enrolled with (title = "Algebra I")) Where name = "John Doe".`,
+	`Modify student (advisor := NULL) Where soc-sec-no = 456887766.`,
+	`Modify student (advisor := instructor with (name = "Bob Stone")) Where soc-sec-no = 456887768.`,
+	`Modify instructor (salary := 1.1 * salary) Where employee-nbr = 1729.`,
+	`Modify instructor (salary := 1.1 * salary) Where employee-nbr = 1730.`,
+	`Modify instructor (salary := 1.5 * salary) Where employee-nbr = 1729.`,
+	`Modify student (birthdate := "1961-02-02") Where soc-sec-no = 456887766.`,
+	`Modify student (birthdate := "1961-02-30") Where soc-sec-no = 456887767.`,
+	`Modify student (student-nbr := 50000) Where soc-sec-no = 456887768.`,
+	`Modify student (student-nbr := 1504) Where soc-sec-no = 456887768.`,
+	`Modify teaching-assistant (teaching-load := 25) Where soc-sec-no = 100000004.`,
+	`Modify teaching-assistant (teaching-load := 7) Where soc-sec-no = 100000004.`,
+	`Insert teaching-assistant From student Where soc-sec-no = 456887767 (employee-nbr := 1760, salary := 1000, teaching-load := 3).`,
+	`Insert teaching-assistant From student Where soc-sec-no = 456887768 (employee-nbr := 1761, salary := 1000, teaching-load := 4).`,
+	`Insert student (name := "Ned New", soc-sec-no := 456887770, student-nbr := 1505, courses-enrolled := course with (course-no = 101)).`,
+	`Insert student (name := "Nora New", soc-sec-no := 456887771, student-nbr := 1506, courses-enrolled := course with (course-no = 102)).`,
+	`Modify course (prerequisites := include course with (course-no = 301)) Where course-no = 999.`,
+	`Delete student Where soc-sec-no = 100000004.`,
+	`Delete person Where soc-sec-no = 456887769.`,
+	`Delete instructor Where employee-nbr = 1731.`,
+}
+
+// dumpClasses renders every class's entities, one Retrieve per immediate
+// attribute, in the wire encoding.
+func dumpClasses(t *testing.T, db *sim.Database) []byte {
+	t.Helper()
+	var out []byte
+	for _, cl := range db.Catalog().Classes() {
+		for _, a := range cl.Attrs {
+			if a.Implicit {
+				continue
+			}
+			q := fmt.Sprintf(`From %s Retrieve %s.`, cl.Name, a.Name)
+			r, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			out = append(out, q...)
+			out = append(out, wire.EncodeResult(r)...)
+		}
+	}
+	return out
+}
+
+// TestUpdateShapeDifferential: updates served from the shape cache leave
+// the database exactly as a database without a plan cache does — the
+// fixture and the university workload, through Database.Exec, explicit
+// transactions and scripts — with the same error for every statement.
+func TestUpdateShapeDifferential(t *testing.T) {
+	ctx := context.Background()
+	type step struct {
+		dml string
+		via int // 0: Exec, 1: a transaction, 2: a script
+	}
+	run := func(t *testing.T, cold, warm *sim.Database, steps []step) {
+		t.Helper()
+		var txs [2]*sim.Tx
+		for i, s := range steps {
+			var errs [2]error
+			var ns [2]int
+			for k, db := range []*sim.Database{cold, warm} {
+				switch s.via {
+				case 0:
+					ns[k], errs[k] = db.Exec(s.dml)
+				case 1:
+					if txs[k] == nil {
+						if txs[k], errs[k] = db.Begin(ctx); errs[k] != nil {
+							break
+						}
+					}
+					ns[k], errs[k] = txs[k].Exec(ctx, s.dml)
+					if i == len(steps)-1 || steps[i+1].via != 1 || i%3 == 2 {
+						if err := txs[k].Commit(); errs[k] == nil {
+							errs[k] = err
+						}
+						txs[k] = nil
+					}
+				case 2:
+					_, errs[k] = db.Run(s.dml)
+				}
+			}
+			if ns[0] != ns[1] || fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+				t.Fatalf("%s (via %d):\n  cache disabled: %d, %v\n  shape cache:    %d, %v", s.dml, s.via, ns[0], errs[0], ns[1], errs[1])
+			}
+		}
+		for k, db := range []*sim.Database{cold, warm} {
+			if err := db.CheckIntegrity(); err != nil {
+				t.Errorf("database %d: %v", k, err)
+			}
+		}
+		if !bytes.Equal(dumpClasses(t, cold), dumpClasses(t, warm)) {
+			t.Fatal("the class dumps differ")
+		}
+		if st := warm.Stats().Plans; st.Hits == 0 {
+			t.Errorf("no update was served from the cache: %+v", st)
+		}
+	}
+
+	t.Run("fixture", func(t *testing.T) {
+		open := func(cfg sim.Config) *sim.Database {
+			db, err := sim.Open("", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			if err := db.DefineSchema(university.DDL); err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}
+		cold, warm := open(sim.Config{PlanCacheSize: -1}), open(sim.Config{})
+		var steps []step
+		for _, dml := range university.Fixture {
+			steps = append(steps, step{dml: dml})
+		}
+		for i, dml := range fixtureUpdates {
+			steps = append(steps, step{dml: dml, via: i % 3})
+		}
+		run(t, cold, warm, steps)
+	})
+	t.Run("workload", func(t *testing.T) {
+		cold, warm := shapeDB(t, sim.Config{PlanCacheSize: -1}), shapeDB(t, sim.Config{})
+		r := rand.New(rand.NewSource(45))
+		var steps []step
+		for round := 0; round < 8; round++ {
+			for i, tpl := range updateTemplates {
+				steps = append(steps, step{dml: tpl(r), via: (round + i) % 3})
+			}
+		}
+		run(t, cold, warm, steps)
+	})
+}
+
+// TestUpdateShapeHits: executions of one update shape with different
+// literals pay parse, bind, optimize and compile once — through
+// Database.Exec and through explicit transactions, whose conflict check
+// and execution share the one compiled form.
+func TestUpdateShapeHits(t *testing.T) {
+	ctx := context.Background()
+	db := shapeDB(t, sim.Config{})
+	const n = 20
+	for _, door := range []string{"Exec", "Tx.Exec"} {
+		before := db.Stats().Plans
+		for i := 0; i < n; i++ {
+			if door == "Exec" {
+				if _, err := db.Exec(fmt.Sprintf(`Modify student (name := "Renamed %d") Where soc-sec-no = %d.`, i, 200000000+i)); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			tx, err := db.Begin(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Exec(ctx, fmt.Sprintf(`Modify instructor (salary := %d) Where employee-nbr = %d.`, 40000+i, 1001+i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := db.Stats().Plans
+		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; misses != 1 || hits != n-1 {
+			t.Errorf("%s: %d executions of one Modify shape gave %d misses and %d hits, want 1 and %d", door, n, misses, hits, n-1)
+		}
 	}
 }

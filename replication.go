@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sim/internal/dmsii"
+	"sim/internal/luc"
 	"sim/internal/pager"
 	"sim/internal/wal"
 )
@@ -46,7 +47,41 @@ func (db *Database) ReplSnapshot(pos func() uint64) ([]byte, uint64, error) {
 // it, one after reads all of it. A group that committed a DDL batch also
 // publishes the schema generation it extends (see reload).
 func (db *Database) ApplyReplicated(pages []pager.PageImage, at dmsii.Position) error {
-	return db.store.ApplyReplicated(pages, follow(at, db.reload(false)))
+	reload, resized := db.reload(false), false
+	err := db.store.ApplyReplicated(pages, follow(at, func(tx *dmsii.Txn) error {
+		if err := reload(tx); err != nil {
+			return err
+		}
+		resized = db.bucketsMoved()
+		return nil
+	}))
+	if err == nil && resized {
+		db.noteResize()
+	}
+	return err
+}
+
+// bucketsMoved is part of the prepare step of a replicated commit: under
+// the write latch, with the shipped pages in place, it reports whether a
+// class has moved to another size bucket since the last published stamp
+// — shipped pages do not say what they resized. A failed read reports a
+// move, which costs only a check of the cached plans' sizes.
+func (db *Database) bucketsMoved() bool {
+	g := db.gen.Load()
+	v := db.store.AcquireView()
+	defer v.Release()
+	before := g.viewExec(v).Mapper()
+	for _, cl := range g.cat.Classes() {
+		now, err := g.mapper.Count(cl)
+		if err != nil {
+			return true
+		}
+		was, err := before.Count(cl)
+		if err != nil || luc.SizeBucket(now) != luc.SizeBucket(was) {
+			return true
+		}
+	}
+	return false
 }
 
 // ApplySnapshot replaces the database with a base image shipped from a
@@ -55,7 +90,12 @@ func (db *Database) ApplyReplicated(pages []pager.PageImage, at dmsii.Position) 
 // and publishes the image's schema. The image and its position are durable
 // together or not at all.
 func (db *Database) ApplySnapshot(img []byte, at dmsii.Position) error {
-	return db.store.ReplaceImage(img, follow(at, db.reload(true)))
+	err := db.store.ReplaceImage(img, follow(at, db.reload(true)))
+	if err == nil {
+		// A whole image may resize anything (see noteResize).
+		db.noteResize()
+	}
+	return err
 }
 
 // NodeState returns the node's durable replication record (see

@@ -372,9 +372,9 @@ func (db *Database) Mapper() *luc.Mapper { return db.gen.Load().mapper }
 // plan cache's, and the LUC record-read counters of the published mapper.
 func (db *Database) registerMetrics() {
 	r := db.reg
-	r.CounterFunc("sim_plan_cache_hits_total", "Queries served from a cached plan.",
+	r.CounterFunc("sim_plan_cache_hits_total", "Statements served from a cached plan.",
 		func() float64 { return float64(db.planStats().Hits) })
-	r.CounterFunc("sim_plan_cache_misses_total", "Queries that paid parse+bind+optimize+compile.",
+	r.CounterFunc("sim_plan_cache_misses_total", "Statements that paid parse+bind+optimize+compile.",
 		func() float64 { return float64(db.planStats().Misses) })
 	r.GaugeFunc("sim_plan_cache_entries", "Plan-cache entries (plans and shape records).",
 		func() float64 { return float64(db.planStats().Entries) })
@@ -511,16 +511,18 @@ func (g *generation) viewExec(v *dmsii.View) *exec.Executor {
 func (db *Database) queryOn(ctx context.Context, dml string, g *generation, exe *exec.Executor, tr *obs.QueryTrace) (*Result, error) {
 	st := g.plans.shapeOf(dml)
 	defer g.plans.release(st)
-	if en := g.plans.lookup(st); en != nil {
-		if params, ok := en.bind(st); ok {
+	if en := g.plans.lookup(st); en != nil && en.p != nil {
+		// A literal that does not fit its slot's declared type, or a class
+		// that left the size bucket the plan was costed for, goes the cold
+		// way: it reports the literal's error the way it always was, or
+		// re-plans.
+		if params, ok := en.bind(st); ok && g.plans.holds(en, exe.Mapper()) {
 			g.plans.hit()
 			if tr != nil {
 				tr.PlanCached = true
 			}
 			return runPlan(ctx, exe, en.p, en.prog, params, tr)
 		}
-		// A literal that does not fit its slot's declared type: the cold
-		// path reports it the way it always was.
 	}
 	g.plans.miss()
 	parseStart := time.Now()
@@ -547,7 +549,7 @@ func (db *Database) queryOn(ctx context.Context, dml string, g *generation, exe 
 	if err != nil {
 		return nil, err
 	}
-	g.plans.put(st, p, prog)
+	g.plans.putRetrieve(st, p, prog, exe.Mapper())
 	return runPlan(ctx, exe, p, prog, nil, tr)
 }
 
@@ -614,16 +616,16 @@ func (db *Database) Exec(dml string) (int, error) {
 // own transaction and returns the number of affected entities. It is a
 // one-statement transaction over the same machinery as Database.Begin —
 // on any error the statement's effects are rolled back, and concurrent
-// callers' commits share WAL fsyncs (group commit). Cancellation is
-// observed between the entities an update selects; a cancelled statement
-// rolls back like any other failed statement.
+// callers' commits share WAL fsyncs (group commit). Like a Retrieve, a
+// statement of a shape already seen runs its cached compiled form with
+// its own literals. Cancellation is observed between the entities an
+// update selects; a cancelled statement rolls back like any other failed
+// statement.
 func (db *Database) ExecCtx(ctx context.Context, dml string) (int, error) {
 	start := time.Now()
-	stmt, err := parser.ParseStmt(dml)
-	n := 0
-	if err == nil {
-		n, err = db.execOne(ctx, stmt)
-	}
+	up := db.updateOf(dml)
+	n, err := db.execOne(ctx, &up)
+	up.finish()
 	return db.countUpdate(time.Since(start), n, err)
 }
 
@@ -638,17 +640,20 @@ func (db *Database) countUpdate(d time.Duration, n int, err error) (int, error) 
 	return n, err
 }
 
-// execOne runs one parsed update statement as its own transaction. The
+// execOne runs one update statement as its own transaction. The
 // autocommit flag skips the snapshot pin and the conflict check: the
 // statement executes and commits without ever being open-idle, so it
 // queues behind other writers instead of raising first-writer-wins
 // conflicts.
-func (db *Database) execOne(ctx context.Context, stmt ast.Stmt) (int, error) {
+func (db *Database) execOne(ctx context.Context, up *updateStmt) (int, error) {
+	if up.err != nil {
+		return 0, up.err
+	}
 	tx, err := db.begin(ctx, true)
 	if err != nil {
 		return 0, err
 	}
-	n, err := tx.execStmt(ctx, stmt)
+	n, err := tx.execStmt(ctx, up)
 	if err != nil {
 		tx.Rollback()
 		return 0, err
@@ -720,14 +725,11 @@ func (db *Database) RunCtx(ctx context.Context, script string) ([]*Result, error
 				r, err = db.QueryCtx(ctx, texts[i])
 			}
 		default:
-			// The update doors' bodies, on the statement parsed above.
-			start, n := time.Now(), 0
 			if tx != nil {
-				n, err = tx.execStmt(ctx, s)
+				_, err = tx.Exec(ctx, texts[i])
 			} else {
-				n, err = db.execOne(ctx, s)
+				_, err = db.ExecCtx(ctx, texts[i])
 			}
-			_, err = db.countUpdate(time.Since(start), n, err)
 		}
 		if err != nil {
 			return out, fmt.Errorf("statement %d: %w", i+1, err)

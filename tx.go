@@ -12,7 +12,6 @@ import (
 	"sim/internal/dmsii"
 	"sim/internal/exec"
 	"sim/internal/obs"
-	"sim/internal/parser"
 	"sim/internal/value"
 )
 
@@ -90,9 +89,12 @@ type Tx struct {
 	view  *dmsii.View // read view pinned at Begin; nil once the tx has written or finished
 	ro    bool
 	done  bool
-	auto  bool  // one-statement autocommit: skip snapshot + conflict check (see execStmt)
-	wrote bool  // the substrate write latch has been acquired
-	err   error // sticky abort cause; effects already rolled back
+	auto  bool // one-statement autocommit: skip snapshot + conflict check (see execStmt)
+	wrote bool // the substrate write latch has been acquired
+	// resized: a statement moved a class to another size bucket, so the
+	// commit makes cached plans check their classes' sizes.
+	resized bool
+	err     error // sticky abort cause; effects already rolled back
 }
 
 // Begin starts an explicit transaction. Reads are pinned to the
@@ -179,11 +181,12 @@ func (tx *Tx) reader() (*generation, *exec.Executor) {
 // is dead (ErrTxAborted). Parse errors and conflicts do not abort.
 func (tx *Tx) Exec(ctx context.Context, dml string) (int, error) {
 	start := time.Now()
-	stmt, err := parser.ParseStmt(dml)
-	n := 0
+	up := tx.db.updateOf(dml)
+	n, err := 0, up.err
 	if err == nil {
-		n, err = tx.execStmt(ctx, stmt)
+		n, err = tx.execStmt(ctx, &up)
 	}
+	up.finish()
 	return tx.db.countUpdate(time.Since(start), n, err)
 }
 
@@ -207,7 +210,13 @@ func (tx *Tx) Commit() error {
 	// A commit group that never became durable (e.g. a poisoned WAL) is
 	// discarded at the store's next write-latch acquisition, and the live
 	// mapper's state with it (see openStore).
-	return tx.txn.Commit()
+	if err := tx.txn.Commit(); err != nil {
+		return err
+	}
+	if tx.resized {
+		tx.db.noteResize()
+	}
+	return nil
 }
 
 // CommitTraced is Commit with a span breakdown: it returns where the
@@ -282,11 +291,16 @@ func latchBase(cl *catalog.Class) string {
 // target entities on the transaction's snapshot and fails fast with
 // ErrConflict if the write-latch holder has written any of them — before
 // waiting on any store-wide lock and before mutating anything. It never
-// waits. Resolution errors are ignored here and surface from the real
-// execution.
-func (tx *Tx) checkTargets(ctx context.Context, stmt ast.Stmt) error {
-	_, exe := tx.reader()
-	cl, surrs, err := exe.UpdateTargets(ctx, stmt)
+// waits. The statement's compiled form is prepared here, on the snapshot,
+// so a miss compiles outside the write latch. Resolution errors are
+// ignored here and surface from the real execution.
+func (tx *Tx) checkTargets(ctx context.Context, up *updateStmt) error {
+	exe := up.g.viewExec(tx.view)
+	u, err := up.compiled(exe)
+	if err != nil {
+		return nil
+	}
+	cl, surrs, err := exe.UpdateTargets(ctx, u, up.params)
 	if err != nil || cl == nil || len(surrs) == 0 {
 		return nil
 	}
@@ -299,22 +313,23 @@ func (tx *Tx) checkTargets(ctx context.Context, stmt ast.Stmt) error {
 	return nil
 }
 
-// execStmt runs one parsed update statement inside the transaction.
-func (tx *Tx) execStmt(ctx context.Context, stmt ast.Stmt) (int, error) {
+// execStmt runs one update statement inside the transaction.
+func (tx *Tx) execStmt(ctx context.Context, up *updateStmt) (int, error) {
 	if err := tx.usable(); err != nil {
 		return 0, err
 	}
 	if tx.ro {
 		return 0, ErrReadOnlyTx
 	}
-	switch stmt.(type) {
-	case *ast.InsertStmt, *ast.ModifyStmt, *ast.DeleteStmt:
+	switch up.stmt.(type) {
+	case nil, *ast.InsertStmt, *ast.ModifyStmt, *ast.DeleteStmt:
+		// nil: not parsed, its shape's cached entry is an update's.
 	case *ast.RetrieveStmt:
 		return 0, fmt.Errorf("sim: Exec wants an update statement; use Query for Retrieve")
 	case *ast.BeginStmt, *ast.CommitStmt, *ast.RollbackStmt:
 		return 0, fmt.Errorf("sim: use Begin/Commit/Rollback methods (or Run) for transaction control")
 	default:
-		return 0, fmt.Errorf("sim: unsupported statement %T", stmt)
+		return 0, fmt.Errorf("sim: unsupported statement %T", up.stmt)
 	}
 	// First writer wins, per entity: until its first write, a transaction
 	// checks its targets against the write-latch holder's writes and fails
@@ -324,7 +339,7 @@ func (tx *Tx) execStmt(ctx context.Context, stmt ast.Stmt) (int, error) {
 	// latch, and against an open transaction they queue on it (bounded by
 	// ctx) instead of conflicting.
 	if !tx.auto && !tx.wrote {
-		if err := tx.checkTargets(ctx, stmt); err != nil {
+		if err := tx.checkTargets(ctx, up); err != nil {
 			return 0, err
 		}
 	}
@@ -339,8 +354,16 @@ func (tx *Tx) execStmt(ctx context.Context, stmt ast.Stmt) (int, error) {
 		tx.releaseView()
 	}
 	// Loaded under the write latch: a generation published from here on
-	// extends this one, and its live mapper reads the same pages.
+	// extends this one, and its live mapper reads the same pages. A
+	// statement prepared under an older generation is prepared again.
 	g := tx.db.gen.Load()
+	if g != up.g {
+		up.lookup(g)
+	}
+	u, err := up.compiled(g.exe)
+	if err != nil {
+		return 0, tx.abort(err)
+	}
 	exe := g.exe
 	if !tx.auto {
 		// Record every entity the statement writes — its targets, EVA
@@ -350,21 +373,14 @@ func (tx *Tx) execStmt(ctx context.Context, stmt ast.Stmt) (int, error) {
 			tx.txn.RecordWrite(latchBase(base), uint64(s))
 		}))
 	}
-	var n int
-	var err error
-	switch s := stmt.(type) {
-	case *ast.InsertStmt:
-		n, err = exe.Insert(ctx, s)
-	case *ast.ModifyStmt:
-		n, err = exe.Modify(ctx, s)
-	case *ast.DeleteStmt:
-		n, err = exe.Delete(ctx, s)
-	}
+	resizes := g.mapper.Resizes()
+	n, err := exe.Exec(ctx, u, up.params)
 	if err != nil {
 		// The statement ran as the write-latch holder, which never
 		// conflicts: every error here aborts.
 		return 0, tx.abort(err)
 	}
+	tx.resized = tx.resized || g.mapper.Resizes() != resizes
 	return n, nil
 }
 

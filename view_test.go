@@ -109,6 +109,58 @@ func TestReadAfterCommitAllocs(t *testing.T) {
 	}
 }
 
+// TestUpdateAllocs bounds the allocations of a warmed update served from
+// the shape cache inside an explicit transaction: its conflict check on
+// the transaction's snapshot, the write latch and the execution, which
+// binds the statement's literals and runs the cached selections.
+func TestUpdateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
+	}
+	ctx := context.Background()
+	db, err := Open("", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	w := university.Workload{Departments: 4, Instructors: 10, Students: 100, Courses: 30, EnrollPer: 2, AdvisePer: 5}
+	if err := university.BuildUniversity(db, w); err != nil {
+		t.Fatal(err)
+	}
+	// A course the student is not enrolled in (Populate enrolls student s
+	// in courses (7s + 13e) mod 30, e < 2).
+	stmt := func(s int) string {
+		return fmt.Sprintf(`Modify student (courses-enrolled := include course with (course-no = %d)) Where soc-sec-no = %d.`,
+			(s*7+5)%w.Courses+1, 200000000+s)
+	}
+	exec := func(s int) uint64 {
+		tx, err := db.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Rollback()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if n, err := tx.Exec(ctx, stmt(s)); err != nil || n != 1 {
+			t.Fatalf("%s: %d, %v", stmt(s), n, err)
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs - before
+	}
+	for s := 0; s < 10; s++ {
+		exec(s)
+	}
+	const runs = 100
+	var allocs uint64
+	for i := 0; i < runs; i++ {
+		allocs += exec(i % w.Students)
+	}
+	if per := allocs / runs; per > 123 {
+		t.Fatalf("warmed update in a transaction: %d allocations per statement, want <= 123", per)
+	}
+}
+
 // TestReadViewBuiltOncePerCommit: the first read after a commit builds
 // the new stamp's read view and the next read shares it, so
 // sim_read_views_built_total rises by exactly one.
