@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"sim/internal/fault"
 	"sim/internal/pager"
 	"sim/internal/university"
 	"sim/internal/wal"
@@ -72,6 +76,81 @@ func TestFailedStatementInvisibleAfterReopen(t *testing.T) {
 	defer db2.Close()
 	r := mustQuery(t, db2, `From person Retrieve name.`)
 	expectRows(t, r, [][]string{{"Keeper"}})
+}
+
+// TestWriteBackFailureDoesNotFailInsert: an Insert whose commit is durable
+// and published returns nil even when the write-back of its pages fails,
+// so a client never retries — and doubles — a row that committed. The
+// row survives rolled-back writes, a checkpoint and a reopen.
+func TestWriteBackFailureDoesNotFailInsert(t *testing.T) {
+	inj := fault.NewInjector()
+	dbImg, walImg := pager.NewMemByteFile(), pager.NewMemByteFile()
+	db, err := openFaultDB(inj, dbImg, walImg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DefineSchema(crashMatrixSchema); err != nil {
+		t.Fatal(err)
+	}
+	// Fail the first data-file write after the Insert's WAL fsync: its
+	// write-back.
+	var armed, failed atomic.Bool
+	inj.Step = func(op uint64, what string) {
+		switch {
+		case what == "wal:sync" && armed.CompareAndSwap(true, false):
+			inj.FailWrite(op+1, nil)
+		case strings.HasPrefix(what, "db:fail-write"):
+			failed.Store(true)
+		}
+	}
+	armed.Store(true)
+	if _, err := db.Exec(`Insert item (num := 1, tag := "t1").`); err != nil {
+		t.Fatalf("an Insert whose commit is durable and published reported %v", err)
+	}
+	if !failed.Load() {
+		t.Fatal("no data-file write failed after the WAL fsync; the test lost its precondition")
+	}
+	one := func(db *Database, when string) {
+		t.Helper()
+		r, err := db.Query(`From item Retrieve num, tag.`)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if n := r.NumRows(); n != 1 {
+			t.Fatalf("%s: %d rows, want the one inserted", when, n)
+		}
+	}
+	one(db, "after the insert")
+
+	// Rolled-back writes — an explicit transaction's and a failed
+	// statement's — discard their frames, never the committed Insert's.
+	ctx := context.Background()
+	tx, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(ctx, `Insert item (num := 2, tag := "t2").`); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`Insert item (num := 1, tag := "dup").`); err == nil {
+		t.Fatal("a second item numbered 1 was inserted")
+	}
+	one(db, "after the rollbacks")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := openFaultDB(fault.NewInjector(), dbImg, walImg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	one(reopened, "after a checkpoint and a reopen")
 }
 
 // An explicit checkpoint empties the WAL's cycle and the database stays

@@ -24,28 +24,51 @@ func setNodeState(t *testing.T, s *Store, st NodeState) {
 	}
 }
 
+// raiseStatsVersion raises s's statistics version n times in one commit.
+func raiseStatsVersion(t *testing.T, s *Store, n int) {
+	t.Helper()
+	tx, err := s.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range n {
+		if err := s.RaiseStatsVersion(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestShippedMetaPageKeepsNodeState ships the primary's page 0, whose
 // record differs from the node's, in a replicated group and in a snapshot
 // image: the node keeps its own record, through a restart too, and takes
-// the rest of the page — the directory the shipped rows hang from.
+// the rest of the page — the directory the shipped rows hang from, and
+// the statistics version of the shipped statistics.
 func TestShippedMetaPageKeepsNodeState(t *testing.T) {
 	primary, _, _ := newFaultStore(t, fault.NewInjector())
 	node, dbImg, walImg := newFaultStore(t, fault.NewInjector())
 	mine := NodeState{Epoch: 3, MaxSeen: 4, Follow: Position{Epoch: 2, Run: 7, Pos: 11}}
 	setNodeState(t, node, mine)
 	setNodeState(t, primary, NodeState{Epoch: 9, MaxSeen: 9, Follow: Position{Epoch: 8, Run: 5, Pos: 99}})
+	raiseStatsVersion(t, node, 1)
+	raiseStatsVersion(t, primary, 3)
 	pa, err := primary.Structure("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	commitPut(t, primary, pa, "k", "image")
-	check := func(s *Store, when, want string) {
+	check := func(s *Store, when, want string, version uint64) {
 		t.Helper()
 		if st, err := s.NodeState(); err != nil || st != mine {
 			t.Fatalf("%s: record = %+v (err %v), want %+v", when, st, err, mine)
 		}
 		sn := s.PinSnapshot()
 		defer sn.Release()
+		if v, err := sn.StatsVersion(); err != nil || v != version {
+			t.Fatalf("%s: statistics version %d (err %v), want the primary's %d", when, v, err, version)
+		}
 		st, err := sn.Structure("a")
 		if err != nil {
 			t.Fatal(err)
@@ -62,7 +85,7 @@ func TestShippedMetaPageKeepsNodeState(t *testing.T) {
 	if err := node.ReplaceImage(img, nil); err != nil {
 		t.Fatal(err)
 	}
-	check(node, "after the snapshot install", "image")
+	check(node, "after the snapshot install", "image", 3)
 
 	var group []pager.PageImage
 	if err := primary.SetCommitHook(func(g wal.CommitGroup) uint64 {
@@ -83,6 +106,9 @@ func TestShippedMetaPageKeepsNodeState(t *testing.T) {
 	if err := pa.Put([]byte("k"), []byte("group")); err != nil {
 		t.Fatal(err)
 	}
+	if err := primary.RaiseStatsVersion(); err != nil {
+		t.Fatal(err)
+	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +118,7 @@ func TestShippedMetaPageKeepsNodeState(t *testing.T) {
 	if err := node.ApplyReplicated(group, nil); err != nil {
 		t.Fatal(err)
 	}
-	check(node, "after the group", "group")
+	check(node, "after the group", "group", 4)
 
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
@@ -106,7 +132,7 @@ func TestShippedMetaPageKeepsNodeState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	check(reopened, "after a restart", "group")
+	check(reopened, "after a restart", "group", 4)
 }
 
 // TestInMemoryStoreKeepsNoNodeState: a store without a WAL cannot

@@ -75,7 +75,12 @@ type View struct {
 
 	open atomic.Pointer[map[string]*Structure] // copy-on-write; lock-free hits
 	mu   sync.Mutex                            // serializes misses
-	dir  *btree.Tree                           // directory as of stamp, opened on the first miss
+
+	// The meta page as of stamp, read when the view is built: the
+	// directory, the statistics version, or the error reading them.
+	dir      *btree.Tree
+	statsVer uint64
+	metaErr  error
 
 	attached atomic.Value // see Attach
 }
@@ -116,6 +121,13 @@ func (s *Store) AcquireView() *View {
 func (s *Store) buildView() *View {
 	stamp := s.pool.PinView()
 	v := &View{s: s, stamp: stamp, alloc: snapAlloc{pool: s.pool, stamp: stamp}}
+	if meta, err := v.alloc.Get(0); err != nil {
+		v.metaErr = err
+	} else {
+		v.dir = btree.Open(&v.alloc, pager.PageID(binary.BigEndian.Uint32(meta.Data[dirRootOff:])), nil)
+		v.statsVer = binary.BigEndian.Uint64(meta.Data[statsVersionOff:])
+		v.alloc.Release(meta)
+	}
 	v.refs.Store(2) // the builder's and, once installed, the store's
 	if !s.view.CompareAndSwap(nil, v) {
 		v.refs.Store(1)
@@ -198,14 +210,8 @@ func (v *View) Structure(name string) (*Structure, error) {
 			return st, nil
 		}
 	}
-	if v.dir == nil {
-		meta, err := v.alloc.Get(0)
-		if err != nil {
-			return nil, err
-		}
-		dirRoot := pager.PageID(binary.BigEndian.Uint32(meta.Data[dirRootOff:]))
-		v.alloc.Release(meta)
-		v.dir = btree.Open(&v.alloc, dirRoot, nil)
+	if v.metaErr != nil {
+		return nil, v.metaErr
 	}
 	var buf [4]byte
 	rootBytes, found, err := v.dir.GetAppend(buf[:0], []byte(name))
@@ -225,6 +231,10 @@ func (v *View) Structure(name string) (*Structure, error) {
 	v.open.Store(&next)
 	return st, nil
 }
+
+// StatsVersion returns the statistics version committed at the view's
+// stamp (see Store.RaiseStatsVersion).
+func (v *View) StatsVersion() (uint64, error) { return v.statsVer, v.metaErr }
 
 // Snap is one holder's reference to a read view: a pinned, immutable
 // view of the store at one published commit stamp. Its structures

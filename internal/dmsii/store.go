@@ -28,14 +28,17 @@ import (
 	"sim/internal/wal"
 )
 
-// Meta page (page 0) layout.
+// Meta page (page 0) layout. The NodeState record is the node's own: a
+// shipped page 0 replaces every byte but it (see installImages), so a
+// follower keeps its record and takes the primary's statistics version.
 const (
-	magicOff     = 0 // 8 bytes
-	versionOff   = 8
-	freelistOff  = 12
-	dirRootOff   = 16
-	nodeStateOff = 20 // NodeState: five 8-byte fields
-	nodeStateEnd = nodeStateOff + 40
+	magicOff        = 0 // 8 bytes
+	versionOff      = 8
+	freelistOff     = 12
+	dirRootOff      = 16
+	nodeStateOff    = 20 // NodeState: five 8-byte fields
+	nodeStateEnd    = nodeStateOff + 40
+	statsVersionOff = nodeStateEnd // 8 bytes (see RaiseStatsVersion)
 )
 
 var magic = [8]byte{'S', 'I', 'M', 'D', 'B', '0', '0', '1'}
@@ -101,6 +104,9 @@ type Store struct {
 	pendMu   sync.Mutex
 	pendCond *sync.Cond
 	pending  []*pager.Snapshot // committed snapshots awaiting write-back, FIFO
+	// The statistics version of the live pages (their meta page's word),
+	// and the newest one a published commit holds; see StatsVersion.
+	liveStats, committedStats atomic.Uint64
 
 	active     atomic.Int64 // open transactions
 	conflicts  atomic.Uint64
@@ -206,8 +212,10 @@ func open(file pager.File, log *wal.Log, opts Options) (*Store, error) {
 	if [8]byte(meta.Data[magicOff:magicOff+8]) != magic {
 		return nil, fmt.Errorf("dmsii: not a SIM database file")
 	}
-	dirRoot := pager.PageID(binary.BigEndian.Uint32(meta.Data[dirRootOff : dirRootOff+4]))
-	s.dir = btree.Open(s, dirRoot, s.setDirRoot)
+	if err := s.reattachDir(); err != nil {
+		return nil, err
+	}
+	s.committedStats.Store(s.liveStats.Load())
 	return s, nil
 }
 
@@ -246,6 +254,32 @@ func (s *Store) initialize() error {
 		return err
 	}
 	s.pool.Publish(snap.Stamp())
+	return nil
+}
+
+// StatsVersion returns the statistics version of the live pages, stable
+// under the write latch. committed reports that no raise is pending: the
+// newest published commit has it. A rollback takes back a pending raise,
+// so another state may later commit that number.
+func (s *Store) StatsVersion() (v uint64, committed bool) {
+	v = s.liveStats.Load()
+	return v, v == s.committedStats.Load()
+}
+
+// RaiseStatsVersion adds one to the statistics version in the live meta
+// page: the raise commits, replays and ships with the write-latch
+// holder's transaction, whose statistics moved.
+func (s *Store) RaiseStatsVersion() error {
+	meta, err := s.pool.Get(0)
+	if err != nil {
+		return err
+	}
+	s.pool.Prepare(meta)
+	v := binary.BigEndian.Uint64(meta.Data[statsVersionOff:]) + 1
+	binary.BigEndian.PutUint64(meta.Data[statsVersionOff:], v)
+	s.pool.MarkDirty(meta)
+	s.pool.Release(meta)
+	s.liveStats.Store(v)
 	return nil
 }
 
@@ -645,6 +679,7 @@ func (tx *Txn) Commit() error {
 	}
 	snap := s.pool.Snapshot()
 	tx.stamp = snap.Stamp()
+	statsVer := s.liveStats.Load()
 	if snap.Len() == 0 {
 		tx.releaseWrite()
 		s.active.Add(-1)
@@ -681,10 +716,12 @@ func (tx *Txn) Commit() error {
 			return err
 		}
 	}
-	// Past this point the transaction is durable (journaled + synced).
-	// A writeback failure here is not a commit failure: the pages stay
-	// dirty/cached and will be retried by a later writeback/checkpoint or
-	// replayed from the WAL after a crash.
+	// Past this point the transaction is durable (journaled + synced), and
+	// it commits whatever fails after: the pool keeps a snapshot whose
+	// write-back failed and writes it before anything else (see
+	// pager.Pool.WriteBack), and a crash replays it from the WAL. Such
+	// failures go to the flight recorder, not the caller, who would
+	// otherwise retry a statement that has committed.
 	//
 	// Publish the commit's version stamp: snapshot readers pinning after
 	// this point see these changes. Group commit makes every batch in the
@@ -696,6 +733,13 @@ func (tx *Txn) Commit() error {
 		tx.onPublish()
 	}
 	s.pool.Publish(snap.Stamp())
+	// Statistics versions rise in commit order, and a group's commits
+	// publish in any order: the newest version wins.
+	for c := s.committedStats.Load(); c < statsVer; c = s.committedStats.Load() {
+		if s.committedStats.CompareAndSwap(c, statsVer) {
+			break
+		}
+	}
 	s.active.Add(-1)
 	s.retireStale()
 	s.flightTxn.Load().Event("txn", "commit", tx.id, 0, int64(snap.Len()), "")
@@ -705,22 +749,20 @@ func (tx *Txn) Commit() error {
 	}
 	werr := s.pool.WriteBack(snap)
 	s.removePending(snap)
-	if werr != nil {
-		return werr
-	}
-	if s.log != nil && s.log.Size() > checkpointThreshold {
+	if werr == nil && s.log != nil && s.log.Size() > checkpointThreshold {
 		// With another writer in its write phase the next threshold
-		// crossing retries.
-		unlock, err := s.lockWrites(true)
-		if unlock == nil {
-			return err
+		// crossing retries. Close may have checkpointed during the
+		// write-back.
+		var unlock func()
+		if unlock, werr = s.lockWrites(true); unlock != nil {
+			if !s.closed.Load() {
+				werr = s.checkpointLocked()
+			}
+			unlock()
 		}
-		defer unlock()
-		if s.closed.Load() {
-			// Close ran during the write-back and has checkpointed.
-			return nil
-		}
-		return s.checkpointLocked()
+	}
+	if werr != nil {
+		s.flightStore.Load().Event("store", "failed after commit", tx.id, 0, 0, werr.Error())
 	}
 	return nil
 }
@@ -742,8 +784,11 @@ func (tx *Txn) Rollback() error {
 	s.drainPending()
 	// Structures (and the directory itself) whose roots changed during the
 	// transaction hold stale root ids; drop the cache and reattach the
-	// directory from the durable meta page.
+	// directory from the durable meta page. While a failed write-back's
+	// pages still cannot be written, the pool discards nothing, and the
+	// next write-latch holder tries again.
 	if err := s.discardUncommitted(); err != nil {
+		s.needsReset.Store(true)
 		return err
 	}
 	s.needsReset.Store(false)
@@ -799,7 +844,7 @@ func (s *Store) resetUncommitted() error {
 // discardUncommitted drops all dirty pool state and reattaches the
 // directory from the durable meta page — the shared abort path for
 // Rollback and for commits whose journaling failed. The caller holds the
-// write latch.
+// write latch with the pipeline drained.
 func (s *Store) discardUncommitted() error {
 	if err := s.pool.DiscardDirty(); err != nil {
 		return err
@@ -807,15 +852,17 @@ func (s *Store) discardUncommitted() error {
 	return s.reattachDir()
 }
 
-// reattachDir reopens the live directory from the meta page in the pool
-// and drops the open-structure handles, whose cached roots may no longer
-// match the pages. The caller holds the write latch.
+// reattachDir reopens the live directory from the meta page in the pool,
+// drops the open-structure handles, whose cached roots may no longer
+// match the pages, and reads the live statistics version. The caller
+// holds the write latch.
 func (s *Store) reattachDir() error {
 	meta, err := s.pool.Get(0)
 	if err != nil {
 		return err
 	}
 	dirRoot := pager.PageID(binary.BigEndian.Uint32(meta.Data[dirRootOff:]))
+	s.liveStats.Store(binary.BigEndian.Uint64(meta.Data[statsVersionOff:]))
 	s.pool.Release(meta)
 	s.dirMu.Lock()
 	s.open = make(map[string]*Structure)

@@ -42,12 +42,8 @@ func cesKey(shared bool, can *catalog.Attribute, dir byte, from, to value.Surrog
 	return key
 }
 
-// cesPrefix builds the scan prefix for all partners of from in direction dir.
-func cesPrefix(shared bool, can *catalog.Attribute, dir byte, from value.Surrogate) []byte {
-	return appendCESPrefix(nil, shared, can, dir, from)
-}
-
-// appendCESPrefix is cesPrefix appending into dst.
+// appendCESPrefix appends the scan prefix for all partners of from in
+// direction dir to dst.
 func appendCESPrefix(dst []byte, shared bool, can *catalog.Attribute, dir byte, from value.Surrogate) []byte {
 	if shared {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(can.ID))

@@ -157,9 +157,6 @@ type Mapper struct {
 	last *atomic.Pointer[memo]
 	// reads counts record reads for CacheStats, shared by every view.
 	reads *readCounts
-	// resizes counts the class-count changes that moved a class to
-	// another size bucket, shared by every view (see Resizes).
-	resizes *atomic.Uint64
 
 	// probes recycles seek cursors (and their key scratch) for the hot
 	// read probes — EVA partner lookups in particular fire once per
@@ -196,6 +193,7 @@ func (m *Mapper) putProbe(p *probe) { m.probes.Put(p) }
 // every reader at one stamp, or one holder's dmsii.Snap on it.
 type Snapshot interface {
 	Stamp() uint64
+	StatsVersion() (uint64, error)
 	Structure(name string) (*dmsii.Structure, error)
 }
 
@@ -218,15 +216,6 @@ func (m *Mapper) View(snap Snapshot) *Mapper {
 		m.last.Store(v.memo)
 	}
 	return &v
-}
-
-// Stamp reports the version stamp a snapshot view reads at; pinned is
-// false for a live mapper, whose pages move with every write.
-func (m *Mapper) Stamp() (stamp uint64, pinned bool) {
-	if m.snap == nil {
-		return 0, false
-	}
-	return m.snap.Stamp(), true
 }
 
 // WithOnWrite returns a live clone whose mutators call fn with the target
@@ -298,7 +287,6 @@ func New(store *dmsii.Store, cat *catalog.Catalog, cfg Config) (*Mapper, error) 
 		clNames:   make(map[*catalog.Class]classNames),
 		attrNames: make(map[*catalog.Attribute]attrNames),
 		reads:     new(readCounts),
-		resizes:   new(atomic.Uint64),
 		last:      new(atomic.Pointer[memo]),
 		probes:    new(sync.Pool),
 	}
@@ -591,17 +579,14 @@ func (m *Mapper) statAdd(key []byte, delta int64) error {
 	return err
 }
 
-// classAdd adds delta to cl's entity count, counting a move to another
-// size bucket in Resizes.
+// classAdd adds delta to cl's entity count and, when the count moves to
+// another size bucket, raises the statistics version in the same write.
 func (m *Mapper) classAdd(cl *catalog.Class, delta int64) error {
 	old, err := m.addCounter("~stats", m.clNames[cl].count, 0, delta)
-	if err != nil {
+	if err != nil || SizeBucket(old) == SizeBucket(old+delta) {
 		return err
 	}
-	if SizeBucket(old) != SizeBucket(old+delta) {
-		m.resizes.Add(1)
-	}
-	return nil
+	return m.store.RaiseStatsVersion()
 }
 
 // SizeBucket is the size bucket of a class of n entities: ⌊log2 n⌋+1, and
@@ -609,12 +594,19 @@ func (m *Mapper) classAdd(cl *catalog.Class, delta int64) error {
 // a plan costed for one bucket suits every size in it (see plan.Card).
 func SizeBucket(n int64) int { return bits.Len64(uint64(max(n, 0))) }
 
-// Resizes counts the class-count changes, by any writer through this
-// mapper's generation, that moved a class to another size bucket;
-// rolled-back changes included. A writer compares it before and after a
-// statement to learn whether its commit may leave cached plans costed for
-// the wrong sizes.
-func (m *Mapper) Resizes() uint64 { return m.resizes.Load() }
+// StatsVersion reads the statistics version of the pages m reads: raised
+// by every write that moves a class to another size bucket, so two states
+// with one committed version hold every class in the same bucket.
+// committed is false on live pages that hold an uncommitted raise: a
+// rollback takes it back, so another state may later commit the number.
+func (m *Mapper) StatsVersion() (v uint64, committed bool, err error) {
+	if m.snap == nil {
+		v, committed = m.store.StatsVersion()
+		return v, committed, nil
+	}
+	v, err = m.snap.StatsVersion()
+	return v, true, err
+}
 
 // CacheStats returns the record-read counters; safe while queries run.
 func (m *Mapper) CacheStats() CacheStats {

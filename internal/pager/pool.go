@@ -122,6 +122,13 @@ type Pool struct {
 
 	liveVersions atomic.Int64
 	versionErrs  atomic.Uint64
+
+	// unwritten holds the snapshots whose WriteBack failed, oldest first,
+	// each cut to the pages it has not written. Their frames stay dirty
+	// and are the only copy of those pages outside the WAL, so WriteBack,
+	// FlushAll and DiscardDirty write them first.
+	unwrittenMu sync.Mutex
+	unwritten   []*Snapshot
 }
 
 // NewPool returns a pool of the given capacity (in pages) over file.
@@ -631,8 +638,12 @@ func (p *Pool) MarkDirty(f *Frame) {
 // every frame it keeps. Frames must be unpinned. Page allocations since
 // the last clean point are rolled back by resetting the next-allocation
 // cursor to the file's size. This implements transaction abort for the
-// commit-journal WAL scheme.
+// commit-journal WAL scheme. It first writes the snapshots a failed
+// WriteBack left, and discards nothing while it cannot.
 func (p *Pool) DiscardDirty() error {
+	if err := p.WriteBack(nil); err != nil {
+		return err
+	}
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
@@ -828,18 +839,34 @@ func (p *Pool) Snapshot() *Snapshot {
 // snapshot image is always written even on a generation mismatch: it is
 // the committed content, and the file must not be left behind the WAL
 // when the later transaction rolls back.
+//
+// A snapshot whose write fails is kept with the pages not written yet,
+// and written before anything else: by every later WriteBack (s nil
+// writes only those) and before FlushAll and DiscardDirty. Its frames
+// stay dirty meanwhile, so eviction leaves their images intact. The
+// caller orders WriteBacks by commit, as the store's pipeline does.
 func (p *Pool) WriteBack(s *Snapshot) error {
-	for _, sp := range s.pages {
-		p.pageWrites.Add(1)
-		if err := p.file.WritePage(sp.f.ID, sp.data); err != nil {
-			return err
+	p.unwrittenMu.Lock()
+	defer p.unwrittenMu.Unlock()
+	if s != nil {
+		p.unwritten = append(p.unwritten, s)
+	}
+	for len(p.unwritten) > 0 {
+		s := p.unwritten[0]
+		for i, sp := range s.pages {
+			p.pageWrites.Add(1)
+			if err := p.file.WritePage(sp.f.ID, sp.data); err != nil {
+				s.pages = s.pages[i:]
+				return err
+			}
+			sh := p.shardOf(sp.f.ID)
+			sh.mu.Lock()
+			if sp.f.gen == sp.gen {
+				sp.f.dirty = false
+			}
+			sh.mu.Unlock()
 		}
-		sh := p.shardOf(sp.f.ID)
-		sh.mu.Lock()
-		if sp.f.gen == sp.gen {
-			sp.f.dirty = false
-		}
-		sh.mu.Unlock()
+		p.unwritten = slices.Delete(p.unwritten, 0, 1)
 	}
 	return nil
 }
@@ -847,6 +874,9 @@ func (p *Pool) WriteBack(s *Snapshot) error {
 // FlushAll writes every dirty frame to the file and syncs it. Used at
 // checkpoints.
 func (p *Pool) FlushAll() error {
+	if err := p.WriteBack(nil); err != nil {
+		return err
+	}
 	if err := p.writeDirty(); err != nil {
 		return err
 	}

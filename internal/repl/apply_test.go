@@ -370,6 +370,15 @@ func TestFollowerApplyDoesNotBlockReads(t *testing.T) {
 		}
 	}
 	ms := newMemStream(t, inj)
+	// Every exit disarms the hold and lets a held fsync go, before the
+	// stream's cleanup closes the follower: a fatal path that left either
+	// would hang the close's own fsync.
+	var once sync.Once
+	unhold := func() {
+		armed.Store(false)
+		once.Do(func() { close(release) })
+	}
+	t.Cleanup(unhold)
 	if err := ms.pdb.DefineSchema(testSchema); err != nil {
 		t.Fatal(err)
 	}
@@ -397,6 +406,8 @@ func TestFollowerApplyDoesNotBlockReads(t *testing.T) {
 	go func() { applyErr <- ms.apply(groups) }()
 	select {
 	case <-held:
+	case err := <-applyErr:
+		t.Fatalf("the apply finished (err %v) without reaching the follower's WAL fsync", err)
 	case <-time.After(10 * time.Second):
 		t.Fatal("the apply never reached the follower's WAL fsync")
 	}
@@ -415,23 +426,20 @@ func TestFollowerApplyDoesNotBlockReads(t *testing.T) {
 	select {
 	case a := <-got:
 		if a.err != nil {
-			close(release)
 			t.Fatalf("follower query during the held fsync: %v", a.err)
 		}
 		if a.r.Format() != before.Format() {
-			close(release)
 			t.Fatalf("follower query during the held fsync saw the group:\n%s", a.r.Format())
 		}
 		if s := stamp(); s != stampBefore {
-			close(release)
 			t.Fatalf("published stamp moved %v → %v before the group was durable", stampBefore, s)
 		}
 	case <-time.After(time.Second):
-		close(release)
+		unhold()
 		<-applyErr
 		t.Fatal("follower query blocked behind the held apply")
 	}
-	close(release)
+	unhold()
 	if err := <-applyErr; err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"sim/internal/luc"
+	"sim/internal/university"
 )
 
 // populated builds a university database with n students enrolled across
@@ -161,5 +163,117 @@ func TestStatsVisible(t *testing.T) {
 	st := db.Stats()
 	if st.Pool.Hits == 0 {
 		t.Error("no buffer pool activity recorded")
+	}
+}
+
+// TestRolledBackBucketMoveIsNotRemembered: a plan costed on a
+// transaction's live pages saw statistics that a rollback takes back, and
+// later commits may bring the committed statistics version to the same
+// number with the classes in other buckets. Such a plan remembers no
+// version, so the shape is re-planned for the committed sizes.
+func TestRolledBackBucketMoveIsNotRemembered(t *testing.T) {
+	ctx := context.Background()
+	db, err := Open("", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.DefineSchema(university.DDL); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(i int) string {
+		return fmt.Sprintf(`Insert student (name := "Student %05d", soc-sec-no := %d).`, i, 200000000+i)
+	}
+	const q = `From student Retrieve name Where soc-sec-no = 200000000.`
+	mustExec := func(dml string) {
+		t.Helper()
+		if _, err := db.Exec(dml); err != nil {
+			t.Fatal(err)
+		}
+	}
+	version := func() uint64 {
+		t.Helper()
+		v, _ := db.store.StatsVersion()
+		return v
+	}
+	mustExec(insert(0))
+	if _, err := db.Query(q); err != nil { // cached on a read view: a scan
+		t.Fatal(err)
+	}
+
+	tx, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 3000; i++ {
+		if _, err := tx.Exec(ctx, insert(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// On the transaction's live pages student has left its bucket: the
+	// shape is re-planned there, as a unique lookup, and cached.
+	if r, err := tx.Query(ctx, q); err != nil || r.NumRows() != 1 {
+		t.Fatalf("the shape in the transaction: %v (err %v)", r, err)
+	}
+	rolledBack := version()
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Commits that move student between its two lowest buckets bring the
+	// committed version to the rolled-back number.
+	for i := 1; version() < rolledBack; i++ {
+		if i%2 == 1 {
+			mustExec(insert(i))
+		} else {
+			mustExec(fmt.Sprintf(`Delete student Where soc-sec-no = %d.`, 200000000+i-1))
+		}
+	}
+	if v := version(); v != rolledBack {
+		t.Fatalf("committed statistics version %d passed the rolled-back %d; the test lost its precondition", v, rolledBack)
+	}
+	fresh, err := db.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(fresh, "scan student") {
+		t.Fatalf("on at most two students the shape is planned as a scan; got\n%s", fresh)
+	}
+	_, tr, err := db.QueryTrace(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.PlanDesc != fresh {
+		t.Fatalf("the shape ran the plan costed on the rolled-back sizes:\n%s\nwant\n%s", tr.PlanDesc, fresh)
+	}
+}
+
+// TestAutocommitShapeRemembersVersion: an autocommit update is costed
+// under the write latch, on live pages that hold no uncommitted raise of
+// the statistics version, so its entry remembers that committed version
+// and later hits read no class count.
+func TestAutocommitShapeRemembersVersion(t *testing.T) {
+	db := populated(t, 20, luc.Config{})
+	for i := range 3 {
+		dml := fmt.Sprintf(`Modify student (name := "Renamed %d") Where soc-sec-no = %d.`, i, 500000000+i)
+		if n, err := db.Exec(dml); err != nil || n != 1 {
+			t.Fatalf("%s: %d, %v", dml, n, err)
+		}
+	}
+	g := db.gen.Load()
+	g.plans.mu.RLock()
+	defer g.plans.mu.RUnlock()
+	var updates int
+	for key, en := range g.plans.m {
+		if en.upd == nil || len(en.cards) == 0 {
+			continue
+		}
+		updates++
+		if en.known.Load() == 0 {
+			t.Errorf("update shape %q remembers no statistics version, so every hit reads its classes' counts", key)
+		}
+	}
+	if updates == 0 {
+		t.Fatal("no update shape with class sizes is cached; the test lost its precondition")
 	}
 }

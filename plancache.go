@@ -47,9 +47,9 @@ const defaultPlanCacheSize = 256
 // plan per value, exactly what the optimizer would choose for it. The
 // statistics enter as the size bucket of every class the costing read
 // (plan.Card): a hit whose classes have left their buckets is re-planned
-// as a miss. The counters are read only after a commit has moved some
-// class to another bucket (see holds), so a read-only workload reads none
-// on a hit.
+// as a miss. The counters are read only when the statistics version of
+// the state a hit runs on is newer than the one its entry remembers (see
+// holds), so a read-only workload reads none on a hit.
 //
 // Eviction is CLOCK (second chance): a hit only sets the entry's
 // reference bit under the read lock, so concurrent readers never
@@ -67,20 +67,17 @@ type planCache struct {
 	counts *planCounts
 }
 
-// planCounts counts plan-cache hits and misses across generations, and
-// holds the resize stamp: every commit that moved a class to another size
-// bucket is visible to the read views at or after it.
+// planCounts counts plan-cache hits and misses across generations.
 type planCounts struct {
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	resized atomic.Uint64
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 // stmtShapes recycles *stmtShape across statements and generations.
 var stmtShapes sync.Pool
 
 // planEntry is immutable once inserted, but for its reference bit and
-// the stamp its cardinalities were last checked at.
+// the statistics version its cardinalities were last checked at.
 type planEntry struct {
 	key  string
 	at   int         // position in the ring
@@ -93,10 +90,10 @@ type planEntry struct {
 	upd   *exec.Update
 	types []*catalog.DataType // per slot, the declared type its literal coerces to (nil: none)
 	cards []plan.Card         // the class-size buckets the costing read
-	// checked is a stamp at which cards held: while no commit after it
-	// has moved a class to another bucket (the resize stamp is not past
-	// it), a hit reads no counter.
-	checked atomic.Uint64
+	// known is one past a committed statistics version at which cards
+	// held, 0 for none: a hit on a state of that version or an older one
+	// reads no counter.
+	known atomic.Uint64
 
 	// A shape record (neither p nor upd): the slots whose literals extend
 	// the key under which this shape's plans are cached.
@@ -217,45 +214,37 @@ func (en *planEntry) bind(st *stmtShape) ([]value.Value, bool) {
 }
 
 // holds reports whether every class the entry's costing read is still in
-// its size bucket, as m reads the counts. The counts are read only when a
-// commit since the entry was last checked moved some class to another
-// bucket, so a workload that does not resize classes — a read-only one
-// above all — reads no counter on a hit. A failed read reports false: the
-// cold path re-plans and meets the error itself.
-func (c *planCache) holds(en *planEntry, m *luc.Mapper) bool {
-	resized := c.counts.resized.Load()
-	if len(en.cards) == 0 || en.checked.Load() >= resized {
+// its size bucket in the state m reads. The counts are read only when
+// that state's statistics version is newer than the one the entry
+// remembers: every move of a class to another bucket raises it, so a
+// workload that does not resize classes — a read-only one above all —
+// reads one version word per read view and no counter on a hit. A failed
+// read reports false: the cold path re-plans and meets the error itself.
+func (en *planEntry) holds(m *luc.Mapper) bool {
+	if len(en.cards) == 0 {
+		return true
+	}
+	v, committed, err := m.StatsVersion()
+	if err != nil {
+		return false
+	}
+	if v < en.known.Load() {
 		return true
 	}
 	if ok, err := plan.CardsHold(en.cards, m); err != nil || !ok {
 		return false
 	}
-	if at := readAt(m, resized); at >= resized {
-		en.checked.Store(at)
-	}
+	en.remember(v, committed)
 	return true
 }
 
-// readAt is the stamp of the state m reads: a read view's own; the live
-// pages hold every published commit, so at least resized, when loaded
-// before they are read.
-func readAt(m *luc.Mapper, resized uint64) uint64 {
-	if stamp, pinned := m.Stamp(); pinned {
-		return stamp
-	}
-	return resized
-}
-
-// noteResize moves the resize stamp to the newest published stamp: a
-// commit that moved a class to another size bucket has just published, so
-// cached plans check their classes' sizes again.
-func (db *Database) noteResize() {
-	now := db.store.Published()
-	for {
-		cur := db.planCounts.resized.Load()
-		if cur >= now || db.planCounts.resized.CompareAndSwap(cur, now) {
-			return
-		}
+// remember notes that the entry's cards hold at statistics version v. Only
+// a committed version is remembered: a rollback takes back the live
+// pages' raises, and a later commit may reach the same number with the
+// classes in other buckets.
+func (en *planEntry) remember(v uint64, committed bool) {
+	if committed && v >= en.known.Load() {
+		en.known.Store(v + 1)
 	}
 }
 
@@ -285,7 +274,9 @@ func (c *planCache) put(st *stmtShape, en *planEntry, lits []*query.Lit, cards [
 	}
 	en.types = make([]*catalog.DataType, len(st.lits))
 	en.cards = cards
-	en.checked.Store(readAt(m, c.counts.resized.Load()))
+	if v, committed, err := m.StatsVersion(); err == nil {
+		en.remember(v, committed)
+	}
 	var fixed []int
 	for _, l := range lits {
 		en.types[l.Slot-1] = l.Type
@@ -405,7 +396,7 @@ func (up *updateStmt) compiled(exe *exec.Executor) (*exec.Update, error) {
 		return up.u, nil
 	}
 	m := exe.Mapper()
-	if up.en != nil && up.g.plans.holds(up.en, m) {
+	if up.en != nil && up.en.holds(m) {
 		up.count(true)
 		up.u = up.en.upd
 		return up.u, nil

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"sim/internal/dmsii"
-	"sim/internal/luc"
 	"sim/internal/pager"
 	"sim/internal/wal"
 )
@@ -45,57 +44,21 @@ func (db *Database) ReplSnapshot(pos func() uint64) ([]byte, uint64, error) {
 // The store commits the group under a new published stamp, so queries run
 // alongside the apply: one pinned before the group reads the state before
 // it, one after reads all of it. A group that committed a DDL batch also
-// publishes the schema generation it extends (see reload).
+// publishes the schema generation it extends (see reload). The group's
+// page 0 carries the primary's statistics version, so a cached plan whose
+// classes it moved to another size bucket is re-made (see
+// planEntry.holds).
 func (db *Database) ApplyReplicated(pages []pager.PageImage, at dmsii.Position) error {
-	reload, resized := db.reload(false), false
-	err := db.store.ApplyReplicated(pages, follow(at, func(tx *dmsii.Txn) error {
-		if err := reload(tx); err != nil {
-			return err
-		}
-		resized = db.bucketsMoved()
-		return nil
-	}))
-	if err == nil && resized {
-		db.noteResize()
-	}
-	return err
-}
-
-// bucketsMoved is part of the prepare step of a replicated commit: under
-// the write latch, with the shipped pages in place, it reports whether a
-// class has moved to another size bucket since the last published stamp
-// — shipped pages do not say what they resized. A failed read reports a
-// move, which costs only a check of the cached plans' sizes.
-func (db *Database) bucketsMoved() bool {
-	g := db.gen.Load()
-	v := db.store.AcquireView()
-	defer v.Release()
-	before := g.viewExec(v).Mapper()
-	for _, cl := range g.cat.Classes() {
-		now, err := g.mapper.Count(cl)
-		if err != nil {
-			return true
-		}
-		was, err := before.Count(cl)
-		if err != nil || luc.SizeBucket(now) != luc.SizeBucket(was) {
-			return true
-		}
-	}
-	return false
+	return db.store.ApplyReplicated(pages, follow(at, db.reload(false)))
 }
 
 // ApplySnapshot replaces the database with a base image shipped from a
 // primary, current as of position at, as one commit under a new published
 // stamp — statements pinned before it keep reading the state they pinned —
-// and publishes the image's schema. The image and its position are durable
-// together or not at all.
+// and publishes the image's schema, a generation whose plan cache starts
+// empty. The image and its position are durable together or not at all.
 func (db *Database) ApplySnapshot(img []byte, at dmsii.Position) error {
-	err := db.store.ReplaceImage(img, follow(at, db.reload(true)))
-	if err == nil {
-		// A whole image may resize anything (see noteResize).
-		db.noteResize()
-	}
-	return err
+	return db.store.ReplaceImage(img, follow(at, db.reload(true)))
 }
 
 // NodeState returns the node's durable replication record (see

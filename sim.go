@@ -516,7 +516,7 @@ func (db *Database) queryOn(ctx context.Context, dml string, g *generation, exe 
 		// that left the size bucket the plan was costed for, goes the cold
 		// way: it reports the literal's error the way it always was, or
 		// re-plans.
-		if params, ok := en.bind(st); ok && g.plans.holds(en, exe.Mapper()) {
+		if params, ok := en.bind(st); ok && en.holds(exe.Mapper()) {
 			g.plans.hit()
 			if tr != nil {
 				tr.PlanCached = true

@@ -89,12 +89,9 @@ type Tx struct {
 	view  *dmsii.View // read view pinned at Begin; nil once the tx has written or finished
 	ro    bool
 	done  bool
-	auto  bool // one-statement autocommit: skip snapshot + conflict check (see execStmt)
-	wrote bool // the substrate write latch has been acquired
-	// resized: a statement moved a class to another size bucket, so the
-	// commit makes cached plans check their classes' sizes.
-	resized bool
-	err     error // sticky abort cause; effects already rolled back
+	auto  bool  // one-statement autocommit: skip snapshot + conflict check (see execStmt)
+	wrote bool  // the substrate write latch has been acquired
+	err   error // sticky abort cause; effects already rolled back
 }
 
 // Begin starts an explicit transaction. Reads are pinned to the
@@ -208,15 +205,8 @@ func (tx *Tx) Commit() error {
 		return nil // read-only: nothing to apply
 	}
 	// A commit group that never became durable (e.g. a poisoned WAL) is
-	// discarded at the store's next write-latch acquisition, and the live
-	// mapper's state with it (see openStore).
-	if err := tx.txn.Commit(); err != nil {
-		return err
-	}
-	if tx.resized {
-		tx.db.noteResize()
-	}
-	return nil
+	// discarded at the store's next write-latch acquisition.
+	return tx.txn.Commit()
 }
 
 // CommitTraced is Commit with a span breakdown: it returns where the
@@ -373,14 +363,12 @@ func (tx *Tx) execStmt(ctx context.Context, up *updateStmt) (int, error) {
 			tx.txn.RecordWrite(latchBase(base), uint64(s))
 		}))
 	}
-	resizes := g.mapper.Resizes()
 	n, err := exe.Exec(ctx, u, up.params)
 	if err != nil {
 		// The statement ran as the write-latch holder, which never
 		// conflicts: every error here aborts.
 		return 0, tx.abort(err)
 	}
-	tx.resized = tx.resized || g.mapper.Resizes() != resizes
 	return n, nil
 }
 
