@@ -187,13 +187,62 @@ func TestCheckpointThroughAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := l.Recover(pager.NewMemFile())
+	info, err := l.Recover(pager.NewChecksumFile(pager.NewMemByteFile()))
 	l.Close()
 	if err != nil || info.Replayed != 0 || info.Salvaged {
 		t.Fatalf("reopened wal after checkpoint: %+v, %v; want nothing replayed or salvaged", info, err)
 	}
 	r := mustQuery(t, db, `From box Retrieve Table Distinct count(label of box).`)
 	expectRows(t, r, [][]string{{"50"}})
+}
+
+// An in-memory database journals like a file one, so a WAL cycle that
+// outgrows the checkpoint threshold (8 MiB) checkpoints at commit. Each
+// commit rewrites every row, some twenty pages, until the store's
+// flight recorder shows the checkpoint.
+func TestMemoryDatabaseCheckpointsBySize(t *testing.T) {
+	db, err := Open("", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.DefineSchema(`Class Box ( n: integer unique required; memo: string[200] );`); err != nil {
+		t.Fatal(err)
+	}
+	const rows = 200
+	for i := range rows {
+		mustExec(t, db, fmt.Sprintf(`Insert box (n := %d, memo := "v0").`, i))
+	}
+	checkpointed := func() bool {
+		for _, ev := range db.FlightRecorder().Events() {
+			if ev.Comp == "store" && ev.Kind == "checkpoint" {
+				return true
+			}
+		}
+		return false
+	}
+	memo := ""
+	for v := 1; v <= 1000 && !checkpointed(); v++ {
+		memo = fmt.Sprintf("v%d%s", v, strings.Repeat("x", 190))
+		if n := mustExec(t, db, fmt.Sprintf(`Modify box (memo := "%s") Where n >= 0.`, memo)); n != rows {
+			t.Fatalf("commit %d modified %d rows, want %d", v, n, rows)
+		}
+	}
+	if !checkpointed() {
+		t.Fatal("no checkpoint in the flight recorder after 1000 commits")
+	}
+	st := db.Stats().WAL
+	if st.Commits == 0 {
+		t.Error("the WAL counts no commits")
+	}
+	if st.SizeBytes >= 8<<20 {
+		t.Errorf("WAL cycle holds %d bytes after the checkpoint, want less than the threshold", st.SizeBytes)
+	}
+	r := mustQuery(t, db, fmt.Sprintf(`From box Retrieve Table Distinct count(n of box) Where memo = "%s".`, memo))
+	expectRows(t, r, [][]string{{fmt.Sprint(rows)}})
+	if err := db.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // Many transactions across many reopens: surrogate continuity and stats.

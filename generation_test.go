@@ -123,16 +123,14 @@ func TestDefineSchemaConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := make(chan []pager.PageImage, 1024)
-	if err := db.SetCommitHook(func(g wal.CommitGroup) uint64 {
+	db.SetCommitHook(func(g wal.CommitGroup) uint64 {
 		imgs := make([]pager.PageImage, len(g.Images))
 		for i, im := range g.Images {
 			imgs[i] = pager.PageImage{ID: im.ID, Data: bytes.Clone(im.Data)}
 		}
 		groups <- imgs
 		return 0
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	stop := make(chan struct{})
 	var wg, workers sync.WaitGroup
@@ -250,9 +248,7 @@ func TestDefineSchemaConcurrent(t *testing.T) {
 	workers.Wait()
 	close(stop)
 	wg.Wait()
-	if err := db.SetCommitHook(nil); err != nil {
-		t.Fatal(err)
-	}
+	db.SetCommitHook(nil)
 	close(groups)
 	if err := <-applied; err != nil {
 		t.Fatal(err)
@@ -346,7 +342,7 @@ func TestReadersAcrossWriteSideEvents(t *testing.T) {
 	install()
 	var mu sync.Mutex
 	var groups [][]pager.PageImage
-	if err := primary.SetCommitHook(func(g wal.CommitGroup) uint64 {
+	primary.SetCommitHook(func(g wal.CommitGroup) uint64 {
 		imgs := make([]pager.PageImage, len(g.Images))
 		for i, im := range g.Images {
 			imgs[i] = pager.PageImage{ID: im.ID, Data: bytes.Clone(im.Data)}
@@ -355,9 +351,7 @@ func TestReadersAcrossWriteSideEvents(t *testing.T) {
 		groups = append(groups, imgs)
 		mu.Unlock()
 		return 0
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	catchUp := func() {
 		t.Helper()
 		mu.Lock()

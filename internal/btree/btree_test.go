@@ -19,7 +19,7 @@ type testAlloc struct {
 
 func newTestAlloc(t testing.TB, capacity int) *testAlloc {
 	t.Helper()
-	pool, err := pager.NewPool(pager.NewMemFile(), capacity)
+	pool, err := pager.NewPool(pager.NewChecksumFile(pager.NewMemByteFile()), capacity)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,22 +5,17 @@ import (
 	"testing"
 
 	"sim/internal/pager"
-	"sim/internal/wal"
 )
 
 // BenchmarkCommitOnePage commits one-page transactions on a store whose
-// pool holds 64 or 8192 resident clean frames. The WAL sits on an
-// in-memory file, so the timing is the commit path's CPU — capture,
-// journaling, write-back, publish — without an fsync. A commit that walks
+// pool holds 64 or 8192 resident clean frames. The store is in memory,
+// so the timing is the commit path's CPU — capture, journaling, page
+// checksums, write-back, publish — without an fsync. A commit that walks
 // the whole pool shows up as ns/op growing with the resident frames.
 func BenchmarkCommitOnePage(b *testing.B) {
 	for _, resident := range []int{64, 8192} {
 		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
-			log, err := wal.OpenBacking(pager.NewMemByteFile())
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := OpenFiles(pager.NewMemFile(), log, Options{PoolPages: 2 * resident})
+			s, err := OpenMemory(Options{PoolPages: 2 * resident})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -88,14 +88,12 @@ func TestShippedMetaPageKeepsNodeState(t *testing.T) {
 	check(node, "after the snapshot install", "image", 3)
 
 	var group []pager.PageImage
-	if err := primary.SetCommitHook(func(g wal.CommitGroup) uint64 {
+	primary.SetCommitHook(func(g wal.CommitGroup) uint64 {
 		for _, im := range g.Images {
 			group = append(group, pager.PageImage{ID: im.ID, Data: bytes.Clone(im.Data)})
 		}
 		return 0
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	tx, err := primary.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -133,18 +131,4 @@ func TestShippedMetaPageKeepsNodeState(t *testing.T) {
 	}
 	defer reopened.Close()
 	check(reopened, "after a restart", "group", 4)
-}
-
-// TestInMemoryStoreKeepsNoNodeState: a store without a WAL cannot
-// replicate, so it refuses the record.
-func TestInMemoryStoreKeepsNoNodeState(t *testing.T) {
-	s := memStore(t)
-	tx, err := s.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tx.Rollback()
-	if err := tx.SetNodeState(NodeState{Epoch: 1}); err == nil {
-		t.Fatal("an in-memory store accepted a node state")
-	}
 }

@@ -21,14 +21,9 @@ import (
 // SetCommitHook installs fn on the store's WAL: it observes every commit
 // group — deduplicated page images plus the request IDs that rode the
 // group — in commit order, after the group is durable, and returns the
-// replication position the group published at. Returns an error for
-// in-memory stores (nothing to ship).
-func (s *Store) SetCommitHook(fn func(wal.CommitGroup) uint64) error {
-	if s.log == nil {
-		return fmt.Errorf("dmsii: replication needs a durable store (no WAL)")
-	}
+// replication position the group published at.
+func (s *Store) SetCommitHook(fn func(wal.CommitGroup) uint64) {
 	s.log.SetOnCommit(fn)
-	return nil
 }
 
 // SnapshotImage returns a point-in-time copy of the whole database file:
@@ -82,9 +77,6 @@ func (s *Store) ApplyReplicated(pages []pager.PageImage, prepare func(*Txn) erro
 
 // applyImages is ApplyReplicated returning the commit's stamp.
 func (s *Store) applyImages(pages []pager.PageImage, prepare func(*Txn) error) (uint64, error) {
-	if s.log == nil {
-		return 0, fmt.Errorf("dmsii: replication needs a durable store (no WAL)")
-	}
 	for _, p := range pages {
 		if len(p.Data) != pager.PageSize {
 			return 0, fmt.Errorf("dmsii: replicated page %d has %d bytes", p.ID, len(p.Data))
@@ -230,13 +222,10 @@ func (tx *Txn) NodeState() (NodeState, error) {
 	return decodeNodeState(meta.Data), nil
 }
 
-// SetNodeState writes the record as part of this transaction. Errors for
-// in-memory stores, which cannot replicate.
+// SetNodeState writes the record as part of this transaction, which
+// holds the write latch.
 func (tx *Txn) SetNodeState(st NodeState) error {
-	switch {
-	case tx.s.log == nil:
-		return fmt.Errorf("dmsii: replication needs a durable store (no WAL)")
-	case !tx.wrote:
+	if !tx.wrote {
 		return fmt.Errorf("dmsii: SetNodeState outside the write latch")
 	}
 	meta, err := tx.s.pool.Get(0)

@@ -68,7 +68,7 @@ func TestFollowerRefreshesStampTable(t *testing.T) {
 			follower, _, _ := newFaultStore(t, fault.NewInjector())
 			var mu sync.Mutex
 			var groups []wal.CommitGroup
-			if err := primary.SetCommitHook(func(g wal.CommitGroup) uint64 {
+			primary.SetCommitHook(func(g wal.CommitGroup) uint64 {
 				imgs := make([]pager.PageImage, len(g.Images))
 				for i, im := range g.Images {
 					imgs[i] = pager.PageImage{ID: im.ID, Data: bytes.Clone(im.Data)}
@@ -77,9 +77,7 @@ func TestFollowerRefreshesStampTable(t *testing.T) {
 				groups = append(groups, wal.CommitGroup{Images: imgs})
 				mu.Unlock()
 				return 0
-			}); err != nil {
-				t.Fatal(err)
-			}
+			})
 			a, err := primary.Structure("a")
 			if err != nil {
 				t.Fatal(err)
@@ -494,14 +492,12 @@ func TestReplaceImageOverLocalHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	var group []pager.PageImage
-	if err := primary.SetCommitHook(func(g wal.CommitGroup) uint64 {
+	primary.SetCommitHook(func(g wal.CommitGroup) uint64 {
 		for _, im := range g.Images {
 			group = append(group, pager.PageImage{ID: im.ID, Data: bytes.Clone(im.Data)})
 		}
 		return 0
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	tx, err = primary.Begin()
 	if err != nil {
 		t.Fatal(err)

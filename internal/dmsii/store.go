@@ -77,9 +77,9 @@ const walKeep = checkpointThreshold + 128<<10
 // one stamp shares that one View: its version-GC pin, its structure
 // handles and whatever the upper layers attach to it.
 type Store struct {
-	file      pager.File
+	file      *pager.ChecksumFile
 	pool      *pager.Pool
-	log       *wal.Log // nil for purely in-memory stores
+	log       *wal.Log
 	dir       *btree.Tree
 	dirMu     sync.Mutex // guards dir traffic and the open map
 	open      map[string]*Structure
@@ -140,28 +140,16 @@ func OpenFile(path string, opts Options) (*Store, error) {
 }
 
 // OpenFiles opens a store over an explicit page file and commit journal,
-// running crash recovery first. It is how the fault-injection harness
-// assembles a store over scripted storage; OpenFile is the production
-// path. The log may be nil for a non-durable store.
-func OpenFiles(file pager.File, log *wal.Log, opts Options) (*Store, error) {
-	var info wal.RecoverInfo
-	if log != nil {
-		var err error
-		if info, err = log.Recover(file); err != nil {
-			log.Close()
-			file.Close()
-			return nil, fmt.Errorf("dmsii: recover: %w", err)
-		}
-	}
+// running crash recovery first. OpenFile and OpenMemory assemble their
+// stores through it, and so does the fault-injection harness over
+// scripted storage.
+func OpenFiles(file *pager.ChecksumFile, log *wal.Log, opts Options) (*Store, error) {
 	s, err := open(file, log, opts)
 	if err != nil {
-		if log != nil {
-			log.Close()
-		}
+		log.Close()
 		file.Close()
 		return nil, err
 	}
-	s.recovered = info
 	return s, nil
 }
 
@@ -169,13 +157,22 @@ func OpenFiles(file pager.File, log *wal.Log, opts Options) (*Store, error) {
 // batches replayed and whether a torn WAL tail was salvaged.
 func (s *Store) RecoverInfo() wal.RecoverInfo { return s.recovered }
 
-// OpenMemory opens a transient in-memory store (no durability; rollback
-// still works).
+// OpenMemory opens a transient store whose page file and WAL are byte
+// images in memory. It runs the file store's commit path — journal, group
+// commit, write-back, checkpoints — and loses everything at Close.
 func OpenMemory(opts Options) (*Store, error) {
-	return open(pager.NewMemFile(), nil, opts)
+	log, err := wal.OpenBacking(pager.NewMemByteFile())
+	if err != nil {
+		return nil, err
+	}
+	return OpenFiles(pager.NewChecksumFile(pager.NewMemByteFile()), log, opts)
 }
 
-func open(file pager.File, log *wal.Log, opts Options) (*Store, error) {
+func open(file *pager.ChecksumFile, log *wal.Log, opts Options) (*Store, error) {
+	info, err := log.Recover(file)
+	if err != nil {
+		return nil, fmt.Errorf("dmsii: recover: %w", err)
+	}
 	if opts.PoolPages == 0 {
 		opts.PoolPages = 1024
 	}
@@ -187,6 +184,7 @@ func open(file pager.File, log *wal.Log, opts Options) (*Store, error) {
 		file:       file,
 		pool:       pool,
 		log:        log,
+		recovered:  info,
 		open:       make(map[string]*Structure),
 		writeSem:   make(chan struct{}, 1),
 		writeLatch: obs.NewLatch("store_write"),
@@ -245,10 +243,8 @@ func (s *Store) initialize() error {
 	// a view pinned at stamp 0 would find the shell's pages captured at a
 	// newer stamp with no older version to read.
 	snap := s.pool.Snapshot()
-	if s.log != nil {
-		if err := s.log.Commit(snap.Frames()); err != nil {
-			return err
-		}
+	if err := s.log.Commit(snap.Frames()); err != nil {
+		return err
 	}
 	if err := s.pool.WriteBack(snap); err != nil {
 		return err
@@ -295,7 +291,9 @@ func (s *Store) setDirRoot(id pager.PageID) error {
 	return nil
 }
 
-// Close checkpoints and releases the store.
+// Close checkpoints and releases the store. It closes both files whatever
+// fails before, returning the first error; a failed checkpoint leaves the
+// WAL holding every commit, so a reopen replays them.
 func (s *Store) Close() error {
 	if s.closed.Load() {
 		return nil
@@ -309,15 +307,13 @@ func (s *Store) Close() error {
 	}
 	defer unlock()
 	s.closed.Store(true)
-	if err := s.checkpointLocked(); err != nil {
-		return err
-	}
-	if s.log != nil {
-		if err := s.log.Close(); err != nil {
-			return err
+	err = s.checkpointLocked()
+	for _, release := range []func() error{s.log.Close, s.file.Close} {
+		if cerr := release(); err == nil {
+			err = cerr
 		}
 	}
-	return s.file.Close()
+	return err
 }
 
 // Checkpoint makes the database file current and starts a new WAL cycle
@@ -348,10 +344,8 @@ func (s *Store) checkpointLocked() error {
 		return err
 	}
 	s.pool.SweepVersions()
-	if s.log != nil {
-		if err := s.log.Reset(walKeep); err != nil {
-			return err
-		}
+	if err := s.log.Reset(walKeep); err != nil {
+		return err
 	}
 	s.flightStore.Load().Event("store", "checkpoint", 0, time.Since(start), 0, "")
 	return nil
@@ -413,27 +407,18 @@ func (s *Store) acquireSem(ctx context.Context) (time.Duration, error) {
 // Stats exposes buffer pool counters for the optimizer and benchmarks.
 func (s *Store) Stats() pager.Stats { return s.pool.Stats() }
 
-// WALStats exposes commit-journal counters (zero for in-memory stores).
-func (s *Store) WALStats() wal.Stats {
-	if s.log == nil {
-		return wal.Stats{}
-	}
-	return s.log.Stats()
-}
+// WALStats exposes commit-journal counters.
+func (s *Store) WALStats() wal.Stats { return s.log.Stats() }
 
 // ResetStats zeroes the pool counters.
 func (s *Store) ResetStats() { s.pool.ResetStats() }
 
-// RegisterMetrics publishes the substrate's counters — buffer pool and,
-// for durable stores, the WAL — on an obs registry.
+// RegisterMetrics publishes the substrate's counters — buffer pool, WAL
+// and page file — on an obs registry.
 func (s *Store) RegisterMetrics(r *obs.Registry) {
 	s.pool.RegisterMetrics(r)
-	if s.log != nil {
-		s.log.RegisterMetrics(r)
-	}
-	if cf, ok := s.file.(*pager.ChecksumFile); ok {
-		cf.RegisterMetrics(r)
-	}
+	s.log.RegisterMetrics(r)
+	s.file.RegisterMetrics(r)
 	r.CounterFunc("sim_txn_conflicts_total", "First-writer-wins conflicts with the write-latch holder.",
 		func() float64 { return float64(s.conflicts.Load()) })
 	r.GaugeFunc("sim_txn_active", "Open transactions.",
@@ -695,26 +680,21 @@ func (tx *Txn) Commit() error {
 		tx.ct.Pages = snap.Len()
 		tx.ct.LatchWait = tx.latchWait
 	}
-	var p *wal.Pending
-	if s.log != nil {
-		p = s.log.EnqueueTraced(snap.Frames(), tx.id, tx.ct)
-	}
+	p := s.log.EnqueueTraced(snap.Frames(), tx.id, tx.ct)
 	tx.releaseWrite()
-	if p != nil {
-		if err := p.Wait(); err != nil {
-			// The batch never became durable: the transaction did not
-			// commit. The pool still holds its half-applied pages (and a
-			// later writer may already be stacking more on top — its
-			// commit will fail on the poisoned log too); discard them now
-			// if the write latch is free, else before the next write phase.
-			s.removePending(snap)
-			s.needsReset.Store(true)
-			if unlock, _ := s.lockWrites(true); unlock != nil {
-				unlock()
-			}
-			s.active.Add(-1)
-			return err
+	if err := p.Wait(); err != nil {
+		// The batch never became durable: the transaction did not
+		// commit. The pool still holds its half-applied pages (and a
+		// later writer may already be stacking more on top — its
+		// commit will fail on the poisoned log too); discard them now
+		// if the write latch is free, else before the next write phase.
+		s.removePending(snap)
+		s.needsReset.Store(true)
+		if unlock, _ := s.lockWrites(true); unlock != nil {
+			unlock()
 		}
+		s.active.Add(-1)
+		return err
 	}
 	// Past this point the transaction is durable (journaled + synced), and
 	// it commits whatever fails after: the pool keeps a snapshot whose
@@ -749,7 +729,7 @@ func (tx *Txn) Commit() error {
 	}
 	werr := s.pool.WriteBack(snap)
 	s.removePending(snap)
-	if werr == nil && s.log != nil && s.log.Size() > checkpointThreshold {
+	if werr == nil && s.log.Size() > checkpointThreshold {
 		// With another writer in its write phase the next threshold
 		// crossing retries. Close may have checkpointed during the
 		// write-back.

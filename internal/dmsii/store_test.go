@@ -469,7 +469,7 @@ func TestCheckpointResetsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	info, err := l.Recover(pager.NewMemFile())
+	info, err := l.Recover(pager.NewChecksumFile(pager.NewMemByteFile()))
 	if err != nil || info.Replayed != 0 || info.Salvaged {
 		t.Errorf("reopened wal after checkpoint: %+v, %v; want nothing replayed or salvaged", info, err)
 	}

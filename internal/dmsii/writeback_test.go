@@ -1,6 +1,8 @@
 package dmsii
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -134,4 +136,85 @@ func TestWriteBackFailureAfterPublishCommits(t *testing.T) {
 		t.Fatalf("reopen replayed %d batches; the checkpoint should have left none", info.Replayed)
 	}
 	read(reopened, "after a checkpoint and a reopen")
+}
+
+// closeRecorder is a byte file that records its Close.
+type closeRecorder struct {
+	*pager.MemByteFile
+	closed atomic.Bool
+}
+
+func (c *closeRecorder) Close() error {
+	c.closed.Store(true)
+	return c.MemByteFile.Close()
+}
+
+// TestCloseReleasesFilesAfterFailedCheckpoint: a Close whose checkpoint
+// fails still closes the WAL and the page file, reports the failure, and
+// is not retried by a second Close. The WAL was not reset, so a reopen
+// over the same images replays every committed row.
+func TestCloseReleasesFilesAfterFailedCheckpoint(t *testing.T) {
+	inj := fault.NewInjector()
+	dbImg := &closeRecorder{MemByteFile: pager.NewMemByteFile()}
+	walImg := &closeRecorder{MemByteFile: pager.NewMemByteFile()}
+	log, err := wal.OpenBacking(fault.Wrap("wal", walImg, inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenFiles(pager.NewChecksumFile(fault.Wrap("db", dbImg, inj)), log, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Structure("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 20
+	for i := range rows {
+		commitPut(t, s, st, fmt.Sprintf("k%02d", i), "committed")
+	}
+
+	// Every commit has written its pages back, so the checkpoint's first
+	// operation is the data-file sync.
+	var failed atomic.Bool
+	inj.Step = func(_ uint64, what string) {
+		if what == "db:fail-sync" {
+			failed.Store(true)
+		}
+	}
+	inj.FailSync(inj.Ops()+1, nil)
+	if err := s.Close(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Close with a failing checkpoint returned %v, want the injected error", err)
+	}
+	if !failed.Load() {
+		t.Fatal("the checkpoint's data-file sync did not fail; the test lost its precondition")
+	}
+	if !dbImg.closed.Load() || !walImg.closed.Load() {
+		t.Fatalf("after the failed Close: page file closed %v, WAL closed %v; want both",
+			dbImg.closed.Load(), walImg.closed.Load())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+
+	log, err = wal.OpenBacking(walImg.MemByteFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenFiles(pager.NewChecksumFile(dbImg.MemByteFile), log, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	sn := reopened.PinSnapshot()
+	defer sn.Release()
+	if st, err = sn.Structure("a"); err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		key := fmt.Sprintf("k%02d", i)
+		if v, _, err := st.Get([]byte(key)); err != nil || string(v) != "committed" {
+			t.Fatalf("after the reopen: %s = %q (err %v), want the committed value", key, v, err)
+		}
+	}
 }

@@ -43,7 +43,8 @@ const slotSize = PageSize + 4
 // every page write.
 var slots = sync.Pool{New: func() any { return new([slotSize]byte) }}
 
-// ChecksumFile is a File over byte storage with a per-page CRC32 trailer.
+// ChecksumFile is the page file: random access storage in page units over
+// a ByteFile, in memory or on disk, with a per-page CRC32 trailer.
 // WritePage seals each page with the checksum of its contents; ReadPage
 // verifies it and returns *CorruptPageError on mismatch. This turns silent
 // disk corruption and unrepaired torn page writes into detected, page-
@@ -55,7 +56,7 @@ type ChecksumFile struct {
 	flight  atomic.Pointer[obs.FlightRing]
 }
 
-// NewChecksumFile returns a checksummed page File over bf.
+// NewChecksumFile returns a checksummed page file over bf.
 func NewChecksumFile(bf ByteFile) *ChecksumFile { return &ChecksumFile{bf: bf} }
 
 // OpenOSFile opens (creating if necessary) the checksummed page file at
@@ -68,7 +69,8 @@ func OpenOSFile(path string) (*ChecksumFile, error) {
 	return NewChecksumFile(bf), nil
 }
 
-// ReadPage implements File, verifying the page checksum.
+// ReadPage fills buf (PageSize bytes) with the page's contents, verifying
+// the page checksum.
 func (c *ChecksumFile) ReadPage(id PageID, buf []byte) error {
 	slot := slots.Get().(*[slotSize]byte)
 	defer slots.Put(slot)
@@ -96,7 +98,8 @@ func (c *ChecksumFile) ReadPageRaw(id PageID, buf []byte) error {
 	return nil
 }
 
-// WritePage implements File, sealing the page with its checksum.
+// WritePage stores buf (PageSize bytes) as the page's contents, growing
+// the file as needed and sealing the page with its checksum.
 func (c *ChecksumFile) WritePage(id PageID, buf []byte) error {
 	slot := slots.Get().(*[slotSize]byte)
 	defer slots.Put(slot)
@@ -112,7 +115,7 @@ func (c *ChecksumFile) WritePage(id PageID, buf []byte) error {
 	return nil
 }
 
-// NumPages implements File. A torn final slot (partial page at the tail)
+// NumPages returns the current page count. A torn final slot (partial page at the tail)
 // does not count as a page; WAL replay rewrites and completes it.
 func (c *ChecksumFile) NumPages() (uint32, error) {
 	size, err := c.bf.Size()
@@ -122,16 +125,15 @@ func (c *ChecksumFile) NumPages() (uint32, error) {
 	return uint32(size / slotSize), nil
 }
 
-// TruncatePages implements PageTruncator: the file is resized to exactly
-// n checksummed slots.
+// TruncatePages resizes the file to exactly n checksummed slots.
 func (c *ChecksumFile) TruncatePages(n uint32) error {
 	return c.bf.Truncate(int64(n) * slotSize)
 }
 
-// Sync implements File.
+// Sync forces written pages to stable storage.
 func (c *ChecksumFile) Sync() error { return c.bf.Sync() }
 
-// Close implements File.
+// Close releases the file.
 func (c *ChecksumFile) Close() error { return c.bf.Close() }
 
 // ChecksumFailures returns the number of checksum verification failures
@@ -149,12 +151,6 @@ func (c *ChecksumFile) RegisterMetrics(r *obs.Registry) {
 
 // assert interface conformance at compile time.
 var (
-	_ File = (*ChecksumFile)(nil)
-	_ File = (*MemFile)(nil)
-
-	_ PageTruncator = (*ChecksumFile)(nil)
-	_ PageTruncator = (*MemFile)(nil)
-
 	_ ByteFile = (*OSByteFile)(nil)
 	_ ByteFile = (*MemByteFile)(nil)
 )

@@ -22,7 +22,10 @@ func TestChecksumFileRoundTrip(t *testing.T) {
 		t.Error("round trip lost data")
 	}
 	if n, _ := f.NumPages(); n != 6 {
-		t.Errorf("NumPages = %d, want 6", n)
+		t.Errorf("NumPages = %d, want 6 (grow to written id)", n)
+	}
+	if err := f.ReadPage(10, got); err == nil {
+		t.Error("read past end succeeded")
 	}
 }
 

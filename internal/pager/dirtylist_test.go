@@ -68,7 +68,7 @@ func listedFrames(p *Pool) int {
 func TestDirtyListMatchesFullWalk(t *testing.T) {
 	const filePages = 48
 	for seed := int64(1); seed <= 20; seed++ {
-		file := NewMemFile()
+		file := NewChecksumFile(NewMemByteFile())
 		fillPages(t, file, filePages)
 		p, err := NewPool(file, 16)
 		if err != nil {

@@ -3,11 +3,6 @@
 // substrate that SIM's LUC Mapper runs against.
 package pager
 
-import (
-	"fmt"
-	"sync"
-)
-
 // PageSize is the fixed size of every page, in bytes.
 const PageSize = 4096
 
@@ -24,88 +19,3 @@ type PageImage struct {
 	ID   PageID
 	Data []byte
 }
-
-// PageTruncator is implemented by Files whose backing storage can shrink.
-// Replica snapshot installation truncates the follower's file to exactly
-// the primary's page count before overwriting, so stale tail pages from a
-// previous, longer image cannot survive.
-type PageTruncator interface {
-	// TruncatePages resizes the file to exactly n pages.
-	TruncatePages(n uint32) error
-}
-
-// File is random access storage in page units.
-type File interface {
-	// ReadPage fills buf (PageSize bytes) with the page's contents.
-	ReadPage(id PageID, buf []byte) error
-	// WritePage stores buf (PageSize bytes) as the page's contents,
-	// growing the file as needed.
-	WritePage(id PageID, buf []byte) error
-	// NumPages returns the current page count.
-	NumPages() (uint32, error)
-	// Sync forces written pages to stable storage.
-	Sync() error
-	// Close releases the file.
-	Close() error
-}
-
-// MemFile is an in-memory File, used for tests and purely transient
-// databases.
-type MemFile struct {
-	mu    sync.Mutex
-	pages [][]byte
-}
-
-// NewMemFile returns an empty in-memory page file.
-func NewMemFile() *MemFile { return &MemFile{} }
-
-// ReadPage implements File.
-func (m *MemFile) ReadPage(id PageID, buf []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if int(id) >= len(m.pages) || m.pages[id] == nil {
-		return fmt.Errorf("pager: read page %d: beyond end of file", id)
-	}
-	copy(buf[:PageSize], m.pages[id])
-	return nil
-}
-
-// WritePage implements File.
-func (m *MemFile) WritePage(id PageID, buf []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for int(id) >= len(m.pages) {
-		m.pages = append(m.pages, nil)
-	}
-	if m.pages[id] == nil {
-		m.pages[id] = make([]byte, PageSize)
-	}
-	copy(m.pages[id], buf[:PageSize])
-	return nil
-}
-
-// NumPages implements File.
-func (m *MemFile) NumPages() (uint32, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return uint32(len(m.pages)), nil
-}
-
-// TruncatePages implements PageTruncator.
-func (m *MemFile) TruncatePages(n uint32) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if int(n) < len(m.pages) {
-		m.pages = m.pages[:n]
-	}
-	for int(n) > len(m.pages) {
-		m.pages = append(m.pages, make([]byte, PageSize))
-	}
-	return nil
-}
-
-// Sync implements File.
-func (m *MemFile) Sync() error { return nil }
-
-// Close implements File.
-func (m *MemFile) Close() error { return nil }

@@ -42,7 +42,7 @@ func viewCopy(t *testing.T, p *Pool, id PageID, stamp uint64) []byte {
 // keeps seeing the pre-image out of the version chain, while a reader
 // pinned after sees the new bytes.
 func TestViewPageResolvesPinnedVersion(t *testing.T) {
-	p, err := NewPool(NewMemFile(), 8)
+	p, err := NewPool(NewChecksumFile(NewMemByteFile()), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestViewPageResolvesPinnedVersion(t *testing.T) {
 // current for evicted pages — and not by the older pre-image an earlier
 // reader still keeps alive on the version chain.
 func TestViewPageAfterEvictionReadsCommittedImage(t *testing.T) {
-	p, err := NewPool(NewMemFile(), 8*2) // two frames per shard
+	p, err := NewPool(NewChecksumFile(NewMemByteFile()), 8*2) // two frames per shard
 	if err != nil {
 		t.Fatal(err)
 	}

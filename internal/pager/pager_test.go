@@ -6,29 +6,6 @@ import (
 	"testing"
 )
 
-func TestMemFileRoundTrip(t *testing.T) {
-	f := NewMemFile()
-	page := make([]byte, PageSize)
-	copy(page, "hello")
-	if err := f.WritePage(3, page); err != nil {
-		t.Fatal(err)
-	}
-	n, _ := f.NumPages()
-	if n != 4 {
-		t.Errorf("NumPages = %d, want 4 (grow to written id)", n)
-	}
-	got := make([]byte, PageSize)
-	if err := f.ReadPage(3, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[:5], []byte("hello")) {
-		t.Errorf("read back %q", got[:5])
-	}
-	if err := f.ReadPage(10, got); err == nil {
-		t.Error("read past end succeeded")
-	}
-}
-
 func TestOSFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
 	f, err := OpenOSFile(path)
@@ -58,7 +35,7 @@ func TestOSFileRoundTrip(t *testing.T) {
 
 func newPool(t *testing.T, capacity int) *Pool {
 	t.Helper()
-	p, err := NewPool(NewMemFile(), capacity)
+	p, err := NewPool(NewChecksumFile(NewMemByteFile()), capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +133,7 @@ func TestPoolCleanEviction(t *testing.T) {
 }
 
 func TestPoolDiscardDirty(t *testing.T) {
-	file := NewMemFile()
+	file := NewChecksumFile(NewMemByteFile())
 	p, _ := NewPool(file, 8)
 	f, _ := p.Allocate()
 	f.Data[0] = 42

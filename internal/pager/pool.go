@@ -92,12 +92,12 @@ type shard struct {
 	stamps   map[PageID]uint64        // latest commit stamp that captured the page (absent = 0, "as old as the file")
 }
 
-// Pool is a pinning buffer pool over a page File, sharded by page number
-// into independently locked LRU shards. It is safe for a single writer or
-// multiple concurrent readers (the database layer serializes writers);
-// Stats/NumPages are safe to call at any time.
+// Pool is a pinning buffer pool over a checksummed page file, sharded by
+// page number into independently locked LRU shards. It is safe for a
+// single writer or multiple concurrent readers (the database layer
+// serializes writers); Stats/NumPages are safe to call at any time.
 type Pool struct {
-	file   File
+	file   *ChecksumFile
 	shards [poolShards]shard
 	next   atomic.Uint32 // next page id to allocate when the freelist is empty
 	latch  *obs.Latch    // contention profile over all shard locks
@@ -132,7 +132,7 @@ type Pool struct {
 }
 
 // NewPool returns a pool of the given capacity (in pages) over file.
-func NewPool(file File, capacity int) (*Pool, error) {
+func NewPool(file *ChecksumFile, capacity int) (*Pool, error) {
 	if capacity < 4 {
 		capacity = 4
 	}
@@ -745,10 +745,7 @@ func (p *Pool) Shrink(n uint32, since uint64) error {
 		sh.mu.Unlock()
 	}
 	p.next.Store(n)
-	if tr, ok := p.file.(PageTruncator); ok {
-		return tr.TruncatePages(n)
-	}
-	return nil
+	return p.file.TruncatePages(n)
 }
 
 // snapPage is one dirty frame captured by Snapshot: the frame, its dirty

@@ -10,7 +10,7 @@ import (
 var raceEnabled bool
 
 // fillPages writes n pages to file, page i filled with byte i+1.
-func fillPages(t *testing.T, file File, n int) {
+func fillPages(t *testing.T, file *ChecksumFile, n int) {
 	t.Helper()
 	buf := make([]byte, PageSize)
 	for i := 0; i < n; i++ {
@@ -40,7 +40,7 @@ func load(t *testing.T, p *Pool, id PageID) []byte {
 // another page into the held buffer; once the read has ended, the next
 // eviction of the frame reuses its buffer.
 func TestHeldViewBufferIsNeverReused(t *testing.T) {
-	file := NewMemFile()
+	file := NewChecksumFile(NewMemByteFile())
 	fillPages(t, file, 64)
 	p, err := NewPool(file, 4) // two frames per shard
 	if err != nil {
@@ -154,7 +154,7 @@ func TestMissAllocs(t *testing.T) {
 // buffer back into the frame, and evicting the frame must not then read
 // another page into it.
 func TestRolledBackChainBufferIsNeverReused(t *testing.T) {
-	file := NewMemFile()
+	file := NewChecksumFile(NewMemByteFile())
 	fillPages(t, file, 64)
 	p, err := NewPool(file, 4) // two frames per shard
 	if err != nil {

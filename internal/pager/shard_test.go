@@ -9,7 +9,7 @@ import (
 // a working set larger than the pool, mixing in Stats() calls; run under
 // -race this is the regression test for the sharded pool.
 func TestPoolConcurrentReaders(t *testing.T) {
-	file := NewMemFile()
+	file := NewChecksumFile(NewMemByteFile())
 	const pages = 64
 	p, err := NewPool(file, 16)
 	if err != nil {
@@ -71,7 +71,7 @@ func TestPoolConcurrentReaders(t *testing.T) {
 // TestPoolShardedEvictionBounded checks the soft capacity still bounds the
 // resident set when frames are clean.
 func TestPoolShardedEvictionBounded(t *testing.T) {
-	p, err := NewPool(NewMemFile(), 16)
+	p, err := NewPool(NewChecksumFile(NewMemByteFile()), 16)
 	if err != nil {
 		t.Fatal(err)
 	}

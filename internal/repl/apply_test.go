@@ -519,7 +519,8 @@ Class tag ( tag-no: integer unique required );`); err != nil {
 
 // TestFollowerCachedPlanFollowsCardinality: a follower re-plans a cached
 // shape once an applied group has grown a class it costed out of its size
-// bucket, though the shipped pages say nothing of what they resized.
+// bucket: the statistics version the move raised ships in the group's
+// meta page.
 func TestFollowerCachedPlanFollowsCardinality(t *testing.T) {
 	ms := newMemStream(t, fault.NewInjector())
 	if err := ms.pdb.DefineSchema(testSchema); err != nil {

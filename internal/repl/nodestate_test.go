@@ -235,6 +235,21 @@ func TestStartNodeRefusesSidecars(t *testing.T) {
 	}
 }
 
+// TestStartNodeRefusesMemoryReplica: an in-memory database journals, but
+// it loses its pages and its position at Close, so it cannot follow a
+// primary. StartNode refuses it before it dials anything.
+func TestStartNodeRefusesMemoryReplica(t *testing.T) {
+	db, err := sim.Open("", sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	_, err = repl.StartNode(db, repl.NodeConfig{ReplicaOf: "127.0.0.1:1"})
+	if err == nil || !strings.Contains(err.Error(), "needs a database file") {
+		t.Fatalf("StartNode of an in-memory replica: %v, want the database-file refusal", err)
+	}
+}
+
 // TestWitnessFailureIsRetried: a fenced primary whose witness commit
 // fails answers the fencing notice with the error, so the fencer retries;
 // the retried notice at the same epoch commits the witnessed epoch,

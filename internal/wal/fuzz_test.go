@@ -93,7 +93,7 @@ func FuzzReplay(f *testing.F) {
 			}
 			t.Fatal(err)
 		}
-		file := pager.NewMemFile()
+		file := pager.NewChecksumFile(pager.NewMemByteFile())
 		info, err := l.Recover(file)
 		if err != nil {
 			return // structured rejection is fine; panics are not

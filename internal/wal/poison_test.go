@@ -107,7 +107,7 @@ func TestReopenAfterPoisonRecovers(t *testing.T) {
 	if l2.Poisoned() != nil {
 		t.Fatal("fresh log born poisoned")
 	}
-	file := pager.NewMemFile()
+	file := pager.NewChecksumFile(pager.NewMemByteFile())
 	info, err := l2.Recover(file)
 	if err != nil {
 		t.Fatal(err)

@@ -59,13 +59,13 @@ func mustCommit(t *testing.T, l *Log, frames []*pager.Frame) {
 }
 
 // recoverImage reopens the log image and recovers it into a fresh file.
-func recoverImage(t *testing.T, img *pager.MemByteFile) (*pager.MemFile, RecoverInfo) {
+func recoverImage(t *testing.T, img *pager.MemByteFile) (*pager.ChecksumFile, RecoverInfo) {
 	t.Helper()
 	l, err := OpenBacking(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	file := pager.NewMemFile()
+	file := pager.NewChecksumFile(pager.NewMemByteFile())
 	info, err := l.Recover(file)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func recoverImage(t *testing.T, img *pager.MemByteFile) (*pager.MemFile, Recover
 
 // pageFill returns the fill byte of page id in file, or -1 when recovery
 // never wrote it.
-func pageFill(file *pager.MemFile, id pager.PageID) int {
+func pageFill(file *pager.ChecksumFile, id pager.PageID) int {
 	buf := make([]byte, pager.PageSize)
 	if err := file.ReadPage(id, buf); err != nil {
 		return -1
@@ -171,7 +171,7 @@ func TestSalvageOnlyCurrentCycle(t *testing.T) {
 	if l2.Size() != groupRecSize {
 		t.Errorf("reopened size = %d, want one group's %d", l2.Size(), groupRecSize)
 	}
-	info, err := l2.Recover(pager.NewMemFile())
+	info, err := l2.Recover(pager.NewChecksumFile(pager.NewMemByteFile()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestSalvageOnlyCurrentCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err = l3.Recover(pager.NewMemFile())
+	info, err = l3.Recover(pager.NewChecksumFile(pager.NewMemByteFile()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestInvalidHeaderTruncatesLog(t *testing.T) {
 		if n, _ := bf.Size(); n != logHeaderSize+headerSize || l2.Size() != 0 {
 			t.Errorf("%s header: file %d bytes, size %d; want only a fresh header and end record", name, n, l2.Size())
 		}
-		info, err := l2.Recover(pager.NewMemFile())
+		info, err := l2.Recover(pager.NewChecksumFile(pager.NewMemByteFile()))
 		if err != nil || info.Replayed != 0 || info.Salvaged {
 			t.Errorf("%s header: recover = %+v, %v; want nothing", name, info, err)
 		}
@@ -294,14 +294,14 @@ func TestResetPoisonedTruncatesToZero(t *testing.T) {
 // group's image of page 1 over the second's.
 func TestResetCrashNeverRevertsPages(t *testing.T) {
 	keep := int64(logHeaderSize + groupRecSize + pageRecSize) // inside the second group
-	run := func(crash func(inj *fault.Injector, base uint64)) (*pager.MemFile, uint64) {
+	run := func(crash func(inj *fault.Injector, base uint64)) (*pager.ChecksumFile, uint64) {
 		mem := pager.NewMemByteFile()
 		inj := fault.NewInjector()
 		l, err := OpenBacking(fault.Wrap("wal", mem, inj))
 		if err != nil {
 			t.Fatal(err)
 		}
-		db := pager.NewMemFile()
+		db := pager.NewChecksumFile(pager.NewMemByteFile())
 		for _, g := range [][]*pager.Frame{group(1, 0xA1), group(4, 0xA4), group(1, 0xB1)} {
 			mustCommit(t, l, g)
 			for _, fr := range g { // the checkpoint's flush

@@ -609,7 +609,7 @@ func (l *Log) resetLocked(keep int64) error {
 // salvage is counted. This implements atomic commit across crashes at
 // arbitrary write boundaries. A log with nothing to replay and a clean
 // tail is left as it is.
-func (l *Log) Recover(file pager.File) (RecoverInfo, error) {
+func (l *Log) Recover(file *pager.ChecksumFile) (RecoverInfo, error) {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
 	info, err := l.scan(func(id pager.PageID, data []byte) error {

@@ -36,7 +36,7 @@ func TestCommitAndRecover(t *testing.T) {
 	if err := l.Commit([]*pager.Frame{frame(1, 0x33)}); err != nil {
 		t.Fatal(err)
 	}
-	file := pager.NewMemFile()
+	file := pager.NewChecksumFile(pager.NewMemByteFile())
 	info, err := l.Recover(file)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestCommitAndRecover(t *testing.T) {
 
 func TestRecoverEmptyLog(t *testing.T) {
 	l, _ := openLog(t)
-	info, err := l.Recover(pager.NewMemFile())
+	info, err := l.Recover(pager.NewChecksumFile(pager.NewMemByteFile()))
 	if err != nil || info.Replayed != 0 {
 		t.Errorf("empty recover = %+v, %v", info, err)
 	}
@@ -85,7 +85,7 @@ func TestTornTailIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	file := pager.NewMemFile()
+	file := pager.NewChecksumFile(pager.NewMemByteFile())
 	info, err := l2.Recover(file)
 	if err != nil || info.Replayed != 1 {
 		t.Fatalf("recover = %+v, %v; want 1 page", info, err)
@@ -118,7 +118,7 @@ func TestUncommittedBatchDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	file := pager.NewMemFile()
+	file := pager.NewChecksumFile(pager.NewMemByteFile())
 	info, err := l2.Recover(file)
 	if err != nil || info.Replayed != 1 {
 		t.Fatalf("recover = %+v, %v; want only the committed page", info, err)
@@ -142,7 +142,7 @@ func TestCorruptCRCStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	file := pager.NewMemFile()
+	file := pager.NewChecksumFile(pager.NewMemByteFile())
 	info, err := l2.Recover(file)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestResetEmptiesLog(t *testing.T) {
 	if l2.Size() != 0 {
 		t.Errorf("reopened size = %d, want 0", l2.Size())
 	}
-	info, err := l2.Recover(pager.NewMemFile())
+	info, err := l2.Recover(pager.NewChecksumFile(pager.NewMemByteFile()))
 	if err != nil || info.Replayed != 0 || info.Commits != 0 || info.Salvaged || info.Discarded != 0 {
 		t.Errorf("recover after reset = %+v, %v; want nothing replayed or salvaged", info, err)
 	}
@@ -223,7 +223,7 @@ func TestResetCutsToKeep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	file := pager.NewMemFile()
+	file := pager.NewChecksumFile(pager.NewMemByteFile())
 	info, err := l2.Recover(file)
 	if err != nil || info.Replayed != 1 || info.Salvaged {
 		t.Fatalf("recover = %+v, %v; want the one page of the new cycle", info, err)
@@ -235,7 +235,7 @@ func TestCommitEmptyBatch(t *testing.T) {
 	if err := l.Commit(nil); err != nil {
 		t.Fatal(err)
 	}
-	info, err := l.Recover(pager.NewMemFile())
+	info, err := l.Recover(pager.NewChecksumFile(pager.NewMemByteFile()))
 	if err != nil || info.Replayed != 0 {
 		t.Errorf("empty batch recover = %+v, %v", info, err)
 	}

@@ -379,7 +379,7 @@ func TestFollowerVersionGC(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var groups [][]pager.PageImage
-	if err := primary.SetCommitHook(func(g wal.CommitGroup) uint64 {
+	primary.SetCommitHook(func(g wal.CommitGroup) uint64 {
 		imgs := make([]pager.PageImage, len(g.Images))
 		for i, im := range g.Images {
 			imgs[i] = pager.PageImage{ID: im.ID, Data: bytes.Clone(im.Data)}
@@ -388,9 +388,7 @@ func TestFollowerVersionGC(t *testing.T) {
 		groups = append(groups, imgs)
 		mu.Unlock()
 		return 0
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	follower, err := Open(filepath.Join(t.TempDir(), "follower.sim"), Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -379,7 +379,7 @@ func TestShapeCacheConcurrent(t *testing.T) {
 // costed for. A shape first planned on one student scans the class (the
 // scan is cheaper than the unique index there); after 2 999 more students
 // the same shape with another key must take the unique lookup — on an
-// in-memory store, which never checkpoints, and on a file-backed one.
+// in-memory database and on a file-backed one.
 func TestCachedPlanFollowsCardinality(t *testing.T) {
 	for _, path := range []string{"", "univ.sim"} {
 		name := "memory"

@@ -25,10 +25,9 @@ func OpenStore(store *dmsii.Store, cfg Config) (*Database, error) {
 // the group, delivered after the group's fsync. The image bytes alias
 // commit-internal buffers; fn must copy what it keeps. fn returns the
 // replication position the group published at, which flows back into the
-// committers' CommitTraces. Errors for in-memory databases (no WAL to
-// ship).
-func (db *Database) SetCommitHook(fn func(wal.CommitGroup) uint64) error {
-	return db.store.SetCommitHook(fn)
+// committers' CommitTraces.
+func (db *Database) SetCommitHook(fn func(wal.CommitGroup) uint64) {
+	db.store.SetCommitHook(fn)
 }
 
 // ReplSnapshot returns a point-in-time image of the whole database file
@@ -68,8 +67,7 @@ func (db *Database) NodeState() (dmsii.NodeState, error) {
 }
 
 // SetNodeState durably replaces the node's replication record, as one
-// commit of the meta page. Errors for in-memory databases, which have no
-// replication role.
+// commit of the meta page.
 func (db *Database) SetNodeState(st dmsii.NodeState) error {
 	tx, err := db.store.Begin()
 	if err != nil {

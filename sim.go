@@ -183,9 +183,10 @@ type generation struct {
 }
 
 // Open opens (creating if necessary) the database at path; an empty path
-// opens a transient in-memory database. Any schema previously defined in
-// the file is loaded. The configuration is validated first (see
-// Config.Validate).
+// opens a transient in-memory database, which journals and checkpoints
+// like a file one and loses everything at Close. Any schema previously
+// defined in the file is loaded. The configuration is validated first
+// (see Config.Validate).
 func Open(path string, cfg Config) (*Database, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
